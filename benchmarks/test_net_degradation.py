@@ -1,7 +1,7 @@
 """Network-degradation benchmark: wire-fleet goodput vs. loss rate.
 
-The same open-loop send storm is served by a 4-shard wire-enabled
-fleet over progressively worse networks — clean, 1% and 5% loss
+The same open-loop send storm is served by a 4-shard fleet over
+progressively worse networks — clean, 1% and 5% loss
 (drop + duplicate + reorder + delay at the same per-message rate) —
 and a coordinator-partition profile.  At-least-once retries plus
 receiver-side dedup must hold goodput up: retransmits cost simulated
@@ -9,8 +9,8 @@ time, never acceptance.
 
 Emits ``BENCH_net.json`` with the gates:
 
-* accepted-tx throughput at 1% loss >= 90% of the clean wire fleet;
-* chain commitments byte-identical to the clean wire run at every
+* accepted-tx throughput at 1% loss >= 90% of the clean-network fleet;
+* chain commitments byte-identical to the clean-network run at every
   loss rate (containment);
 * two-run byte-identity of the serving trace at every loss rate;
 * the lease oracle (single holder per term) passes on every run.
@@ -27,7 +27,6 @@ from repro.fleet import (
     NET_SITES,
     SITE_NET_PARTITION,
     FleetConfig,
-    WireConfig,
     net_fault_plan,
     run_fleet_serving,
     send_storm_scenario,
@@ -72,8 +71,7 @@ def test_net_degradation_goodput():
     def serve(plan):
         return run_fleet_serving(
             dataset, storm,
-            fleet_config=FleetConfig(shards=SHARDS, wire=WireConfig(),
-                                     fault_plan=plan))
+            fleet_config=FleetConfig(shards=SHARDS, fault_plan=plan))
 
     levels = []
     rows = []

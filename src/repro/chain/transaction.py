@@ -69,3 +69,35 @@ class Transaction:
     def short_id(self) -> str:
         """Abbreviated hash for logs and reports."""
         return f"{self.hash:#x}"[:12]
+
+
+def tx_to_wire(tx: Transaction) -> dict:
+    """The canonical wire form of a transaction: a JSON-safe mapping
+    whose canonical-JSON encoding is the byte-stable payload of every
+    journal record (edge accept log, fleet shard journals) and every
+    cross-replica message (gossip, pool sync, speculation dispatch)
+    that carries one.  ``tx_from_wire(tx_to_wire(tx))`` reconstructs a
+    transaction with the same hash (property-tested in
+    ``tests/test_wire_properties.py``)."""
+    return {
+        "sender": tx.sender,
+        "to": tx.to,
+        "data": tx.data.hex(),
+        "value": tx.value,
+        "gas_price": tx.gas_price,
+        "gas_limit": tx.gas_limit,
+        "nonce": tx.nonce,
+    }
+
+
+def tx_from_wire(data: dict) -> Transaction:
+    """Decode :func:`tx_to_wire` output back into a transaction."""
+    return Transaction(
+        sender=int(data["sender"]),
+        to=int(data["to"]),
+        data=bytes.fromhex(data["data"]),
+        value=int(data["value"]),
+        gas_price=int(data["gas_price"]),
+        gas_limit=int(data["gas_limit"]),
+        nonce=int(data["nonce"]),
+    )

@@ -44,20 +44,42 @@ import sys
 from repro.core import stats as S
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _record(name: str, duration: float, seed: int, **overrides):
+    """Record ``duration`` seconds of seeded mixed traffic: the
+    one-observer (``live``) dataset every command replays."""
     from repro.p2p.latency import LatencyModel
-    from repro.sim.emulator import replay
     from repro.sim.recorder import DatasetConfig, record_dataset
     from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name="cli",
-        traffic=TrafficConfig(duration=args.duration, seed=args.seed),
-        observers={"live": LatencyModel()},
-        seed=args.seed)
+    return record_dataset(DatasetConfig(
+        name=name, traffic=TrafficConfig(duration=duration, seed=seed),
+        observers={"live": LatencyModel()}, seed=seed, **overrides))
+
+
+def _write_json(path: str, payload, label: str) -> None:
+    """Write ``payload`` as one canonical-JSON line (byte-stable)."""
+    from repro.obs.export import canonical_json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(canonical_json(payload))
+        handle.write("\n")
+    print(f"wrote {label} -> {path}")
+
+
+def _write_trace(path: str, lines) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
+    print(f"wrote {len(lines)} serving trace lines -> {path}")
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.sim.emulator import replay
+
     print(f"Recording {args.duration:.0f}s of traffic "
           f"(seed {args.seed})...")
-    dataset = record_dataset(config)
+    dataset = _record("cli", args.duration, args.seed)
     print(f"  {dataset.tx_count} txs / {len(dataset.blocks)} blocks "
           f"(+{len(dataset.fork_blocks)} forks)")
     run = replay(dataset, "live")
@@ -98,17 +120,9 @@ def _print_cache_report(run) -> None:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
     from repro.sim.storage import save_dataset
-    from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name=args.name,
-        traffic=TrafficConfig(duration=args.duration, seed=args.seed),
-        observers={"live": LatencyModel()},
-        seed=args.seed)
-    dataset = record_dataset(config)
+    dataset = _record(args.name, args.duration, args.seed)
     save_dataset(dataset, args.out)
     print(f"recorded {dataset.tx_count} txs / {len(dataset.blocks)} "
           f"blocks (+{len(dataset.fork_blocks)} forks) -> {args.out}")
@@ -251,17 +265,9 @@ def _print_sched_report(sched: dict) -> None:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.node import ForerunnerConfig
     from repro.obs.export import canonical_json, export_jsonl
-    from repro.p2p.latency import LatencyModel
     from repro.sim.emulator import replay
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name="report",
-        traffic=TrafficConfig(duration=args.duration, seed=args.seed),
-        observers={"live": LatencyModel()},
-        seed=args.seed)
-    dataset = record_dataset(config)
+    dataset = _record("report", args.duration, args.seed)
     node_config = ForerunnerConfig(enable_jit=not args.no_jit)
     run = replay(dataset, args.observer, config=node_config,
                  lanes=args.lanes)
@@ -307,18 +313,8 @@ def _cmd_chaos_edge(args: argparse.Namespace) -> int:
     the containment assertion (node commitments never change)."""
     from repro.edge import ScenarioConfig, build_scenario, run_serving
     from repro.edge.faults import EDGE_SITES, edge_fault_plan
-    from repro.obs.export import canonical_json
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name="edge-chaos",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
+    dataset = _record("edge-chaos", args.duration, args.workload_seed)
     scenario = build_scenario(dataset,
                               ScenarioConfig(seed=args.seed, load=2.0))
     clean = run_serving(dataset, scenario, observer=args.observer)
@@ -351,197 +347,111 @@ def _cmd_chaos_edge(args: argparse.Namespace) -> int:
     print()
     print("edge containment: " + ("OK" if ok else "FAILED"))
     if args.json_out:
-        payload = {"schema": 1, "dataset": dataset.name,
-                   "seed": args.seed, "rate": rate,
-                   "requests": len(scenario),
-                   "clean_goodput": round(clean.goodput, 6),
-                   "sites": rows, "ok": ok}
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
-            handle.write("\n")
-        print(f"wrote edge chaos report -> {args.json_out}")
+        _write_json(args.json_out, {
+            "schema": 1, "dataset": dataset.name, "seed": args.seed,
+            "rate": rate, "requests": len(scenario),
+            "clean_goodput": round(clean.goodput, 6),
+            "sites": rows, "ok": ok}, "edge chaos report")
     return 0 if ok else 1
 
 
 def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
-    """Fleet chaos: every ``fleet.*`` lifecycle/routing fault site at
-    its own rate, with the containment assertion — fleet commitments
-    (merged roots + receipt cores) byte-identical to the fault-free
-    fleet run, which is itself byte-identical to the single node."""
+    """Fleet chaos: sweep the selected site families — ``--fleet`` the
+    ``fleet.*`` lifecycle/routing sites, ``--net`` the ``net.*`` wire
+    sites, both flags both — one site at a time, with four assertions
+    per site: the fault actually fired, commitments (merged roots +
+    receipt cores) are byte-identical to the fault-free fleet run
+    (itself byte-identical to the single node), two same-seed faulted
+    runs are byte-identical to each other, and the lease oracle holds
+    single-holder-per-term on every run."""
     from repro.edge import ScenarioConfig, build_scenario
     from repro.fleet import (
         FLEET_SITES,
+        NET_SITES,
         SITE_HANDOFF_TORN,
         SITE_REPLICA_CRASH,
         SITE_STALE_SHARDMAP,
         FleetConfig,
         fleet_fault_plan,
+        net_fault_plan,
         run_fleet_serving,
     )
-    from repro.obs.export import canonical_json
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name="fleet-chaos",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
+    dataset = _record("fleet-chaos", args.duration, args.workload_seed)
     scenario = build_scenario(dataset,
                               ScenarioConfig(seed=args.seed, load=2.0))
     shards = args.shards
-    clean = run_fleet_serving(dataset, scenario,
-                              fleet_config=FleetConfig(shards=shards),
-                              observer=args.observer)
-    rate = args.rate if args.rate is not None else 0.2
+
+    def serve(plan=None):
+        result = run_fleet_serving(
+            dataset, scenario,
+            fleet_config=FleetConfig(shards=shards, fault_plan=plan),
+            observer=args.observer)
+        result.supervisor.lease.assert_single_holder_per_term()
+        return result
+
+    clean = serve()
     print(f"fleet chaos: dataset={dataset.name} seed={args.seed} "
-          f"rate={rate} shards={shards} ({len(scenario)} requests, "
+          f"shards={shards} ({len(scenario)} requests, "
           f"{len(dataset.blocks)} blocks)")
     print(f"clean run: goodput {clean.goodput:.3f}")
-    print()
-    rows = []
-    ok = True
+    # (sites, plan builder, default rate) per selected family.
+    families = []
+    if args.fleet:
+        families.append((FLEET_SITES, fleet_fault_plan, 0.2))
+    if args.net:
+        families.append((NET_SITES, net_fault_plan, 1.0))
     # Torn handoffs and stale-map decisions only have a window when
     # the membership actually changes, so those sites are swept with
     # the crash site as their driver.
     driven = {SITE_HANDOFF_TORN, SITE_STALE_SHARDMAP}
-    for site in FLEET_SITES:
-        sites = (SITE_REPLICA_CRASH, site) if site in driven else (site,)
-        plan = fleet_fault_plan(seed=args.seed, probability=rate,
-                                sites=sites)
-        faulted = run_fleet_serving(
-            dataset, scenario,
-            fleet_config=FleetConfig(shards=shards, fault_plan=plan),
-            observer=args.observer)
-        fired = faulted.supervisor.injector.fired(site)
-        contained = faulted.commitments() == clean.commitments()
-        lifecycle = faulted.supervisor.lifecycle_report()
-        site_ok = contained and fired > 0
-        ok = ok and site_ok
-        status = "CONTAINED" if site_ok else "FAILED"
-        print(f"  {site:26s} fired={fired:5d} "
-              f"goodput={faulted.goodput:.3f} "
-              f"gen={lifecycle['generation']:3d} {status}")
-        rows.append({"site": site, "fired": fired,
-                     "goodput": round(faulted.goodput, 6),
-                     "contained": contained,
-                     "generation": lifecycle["generation"],
-                     "ok": site_ok})
+    rows = []
+    ok = True
+    for sites, build_plan, default_rate in families:
+        rate = args.rate if args.rate is not None else default_rate
+        print(f"\n{sites[0].split('.')[0]}.* sites at rate {rate}:")
+        for site in sites:
+            plan = build_plan(
+                seed=args.seed, probability=rate,
+                sites=(SITE_REPLICA_CRASH, site) if site in driven
+                else (site,))
+            faulted = serve(plan)
+            again = serve(plan)
+            fired = faulted.supervisor.injector.fired(site)
+            contained = faulted.commitments() == clean.commitments()
+            deterministic = faulted.commitments() == again.commitments()
+            generation = faulted.supervisor.shardmap.generation
+            wire = faulted.supervisor.wire.summary()
+            site_ok = contained and deterministic and fired > 0
+            ok = ok and site_ok
+            status = "CONTAINED" if site_ok else "FAILED"
+            print(f"  {site:22s} fired={fired:5d} "
+                  f"goodput={faulted.goodput:.3f} gen={generation:3d} "
+                  f"retries={wire['retries']:4d} "
+                  f"dedup={wire['dedup_dropped']:4d} {status}")
+            rows.append({"site": site, "rate": rate, "fired": fired,
+                         "goodput": round(faulted.goodput, 6),
+                         "contained": contained,
+                         "deterministic": deterministic,
+                         "generation": generation,
+                         "retries": wire["retries"],
+                         "dedup_dropped": wire["dedup_dropped"],
+                         "escalations": wire["escalations"],
+                         "ok": site_ok})
     print()
     print("fleet containment: " + ("OK" if ok else "FAILED"))
     if args.json_out:
-        payload = {"schema": 1, "dataset": dataset.name,
-                   "seed": args.seed, "rate": rate, "shards": shards,
-                   "requests": len(scenario),
-                   "clean_goodput": round(clean.goodput, 6),
-                   "sites": rows, "ok": ok}
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
-            handle.write("\n")
-        print(f"wrote fleet chaos report -> {args.json_out}")
-    return 0 if ok else 1
-
-
-def _cmd_chaos_net(args: argparse.Namespace) -> int:
-    """Wire-plane chaos: every ``net.*`` site at its own rate against
-    the wire-enabled fleet, with three assertions per site — the fault
-    actually fired, commitments are byte-identical to the clean wire
-    run, and two same-seed faulted runs are byte-identical to each
-    other.  The lease oracle re-verifies single-holder-per-term on
-    every run."""
-    from repro.edge import ScenarioConfig, build_scenario
-    from repro.fleet import (
-        NET_SITES,
-        FleetConfig,
-        net_fault_plan,
-        run_fleet_serving,
-    )
-    from repro.fleet.wire import WireConfig
-    from repro.obs.export import canonical_json
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
-
-    config = DatasetConfig(
-        name="net-chaos",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
-    scenario = build_scenario(dataset,
-                              ScenarioConfig(seed=args.seed, load=2.0))
-    shards = args.shards
-    clean = run_fleet_serving(
-        dataset, scenario,
-        fleet_config=FleetConfig(shards=shards, wire=WireConfig()),
-        observer=args.observer)
-    rate = args.rate if args.rate is not None else 1.0
-    print(f"net chaos: dataset={dataset.name} seed={args.seed} "
-          f"rate={rate} shards={shards} ({len(scenario)} requests, "
-          f"{len(dataset.blocks)} blocks)")
-    print(f"clean wire run: goodput {clean.goodput:.3f}")
-    print()
-    rows = []
-    ok = True
-    for site in NET_SITES:
-        plan = net_fault_plan(seed=args.seed, probability=rate,
-                              sites=(site,))
-
-        def run_once():
-            return run_fleet_serving(
-                dataset, scenario,
-                fleet_config=FleetConfig(shards=shards,
-                                         wire=WireConfig(),
-                                         fault_plan=plan),
-                observer=args.observer)
-
-        faulted = run_once()
-        again = run_once()
-        fired = faulted.supervisor.injector.fired(site)
-        contained = faulted.commitments() == clean.commitments()
-        deterministic = faulted.commitments() == again.commitments()
-        faulted.supervisor.lease.assert_single_holder_per_term()
-        again.supervisor.lease.assert_single_holder_per_term()
-        wire = faulted.supervisor.wire.summary()
-        site_ok = contained and deterministic and fired > 0
-        ok = ok and site_ok
-        status = "CONTAINED" if site_ok else "FAILED"
-        print(f"  {site:18s} fired={fired:5d} "
-              f"goodput={faulted.goodput:.3f} "
-              f"retries={wire['retries']:4d} "
-              f"dedup={wire['dedup_dropped']:4d} {status}")
-        rows.append({"site": site, "fired": fired,
-                     "goodput": round(faulted.goodput, 6),
-                     "contained": contained,
-                     "deterministic": deterministic,
-                     "retries": wire["retries"],
-                     "dedup_dropped": wire["dedup_dropped"],
-                     "escalations": wire["escalations"],
-                     "ok": site_ok})
-    print()
-    print("net containment: " + ("OK" if ok else "FAILED"))
-    if args.json_out:
-        payload = {"schema": 1, "dataset": dataset.name,
-                   "seed": args.seed, "rate": rate, "shards": shards,
-                   "requests": len(scenario),
-                   "clean_goodput": round(clean.goodput, 6),
-                   "clean_wire": clean.supervisor.wire.summary(),
-                   "sites": rows, "ok": ok}
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
-            handle.write("\n")
-        print(f"wrote net chaos report -> {args.json_out}")
+        _write_json(args.json_out, {
+            "schema": 2, "dataset": dataset.name, "seed": args.seed,
+            "shards": shards, "requests": len(scenario),
+            "clean_goodput": round(clean.goodput, 6),
+            "clean_wire": clean.supervisor.wire.summary(),
+            "sites": rows, "ok": ok}, "fleet chaos report")
     return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.net:
-        return _cmd_chaos_net(args)
-    if args.fleet:
+    if args.fleet or args.net:
         return _cmd_chaos_fleet(args)
     if args.edge:
         return _cmd_chaos_edge(args)
@@ -550,18 +460,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         check_equivalence,
         format_report,
     )
-    from repro.obs.export import canonical_json, export_jsonl
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
+    from repro.obs.export import export_jsonl
 
-    config = DatasetConfig(
-        name="chaos",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
+    dataset = _record("chaos", args.duration, args.workload_seed)
     if args.rate is not None:
         plan = FaultPlan.uniform(seed=args.seed, probability=args.rate)
     else:
@@ -573,10 +474,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                                config=node_config)
     print(format_report(report))
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(report.as_dict()))
-            handle.write("\n")
-        print(f"\nwrote degradation report -> {args.json_out}")
+        print()
+        _write_json(args.json_out, report.as_dict(),
+                    "degradation report")
     if args.trace_out:
         from repro.sim.emulator import replay
         faulted = replay(dataset, args.observer, config=node_config,
@@ -593,45 +493,28 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     """``repro serve --shards N``: the same scenario through the
-    fleet router and N per-replica edge servers (docs/FLEET.md).
-    ``--net-profile`` additionally runs every inter-replica
-    interaction over the deterministic wire plane."""
+    fleet router and N per-replica edge servers (docs/FLEET.md), the
+    replicas talking over the wire plane under ``--net-profile``
+    (default ``clean``)."""
     from repro.edge import ScenarioConfig, build_scenario
-    from repro.fleet import (
-        FleetConfig,
-        net_profile_config,
-        run_fleet_serving,
-    )
-    from repro.obs.export import canonical_json
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
+    from repro.fleet import net_profile_config, run_fleet_serving
 
-    config = DatasetConfig(
-        name="serve",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
+    dataset = _record("serve", args.duration, args.workload_seed)
     scenario = build_scenario(
         dataset,
         ScenarioConfig(seed=args.seed, load=args.load,
                        clients=args.clients,
                        deadline_units=args.deadline_units))
-    profile = getattr(args, "net_profile", None)
-    if profile is not None:
-        fleet_config = net_profile_config(profile, shards=args.shards,
-                                          seed=args.seed)
-    else:
-        fleet_config = FleetConfig(shards=args.shards)
+    profile = args.net_profile or "clean"
     result = run_fleet_serving(
-        dataset, scenario, fleet_config=fleet_config,
+        dataset, scenario,
+        fleet_config=net_profile_config(profile, shards=args.shards,
+                                        seed=args.seed),
         observer=args.observer)
     summary = result.router.summary()
     print(f"fleet serve: dataset={dataset.name} seed={args.seed} "
-          f"shards={args.shards} load={args.load}"
-          + (f" net-profile={profile}" if profile else ""))
+          f"shards={args.shards} load={args.load} "
+          f"net-profile={profile}")
     print(f"  offered {result.offered} requests, goodput "
           f"{result.goodput:.3f}, {result.retries_scheduled} retries")
     print(f"  dispatched {summary['dispatched']} "
@@ -642,42 +525,30 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         print(f"  replica {replica_id}: accepted "
               f"{server.c_accepted.value}, served "
               f"{server.c_served.value}")
-    lifecycle = result.supervisor.lifecycle_report()
+    supervisor = result.supervisor
+    lifecycle = supervisor.lifecycle_report()
     print(f"  shard sizes: {lifecycle['shard_sizes']} "
           f"(coordinator {lifecycle['coordinator']})")
-    supervisor = result.supervisor
-    if supervisor.wire is not None:
-        wire = supervisor.wire.summary()
-        print(f"  wire: sent {wire['sent']}, delivered "
-              f"{wire['delivered']}, retries {wire['retries']}, "
-              f"dedup {wire['dedup_dropped']}, partitions "
-              f"{wire['partitions']}")
-        supervisor.lease.assert_single_holder_per_term()
+    wire = lifecycle["wire"]
+    print(f"  wire: sent {wire['sent']}, delivered "
+          f"{wire['delivered']}, retries {wire['retries']}, "
+          f"dedup {wire['dedup_dropped']}, partitions "
+          f"{wire['partitions']}")
+    supervisor.lease.assert_single_holder_per_term()
     if args.json_out:
-        payload = {"schema": 1, "dataset": dataset.name,
-                   "seed": args.seed, "shards": args.shards,
-                   "load": args.load, "offered": result.offered,
-                   "good": result.good,
-                   "goodput": round(result.goodput, 6),
-                   "accepted_txs": result.accepted_txs,
-                   "router": summary, "lifecycle": lifecycle}
-        if profile is not None:
-            payload["net_profile"] = profile
-        if supervisor.wire is not None:
-            payload["wire"] = supervisor.wire.summary()
-            payload["links"] = supervisor.wire.link_report()
-            payload["lease"] = supervisor.lease.summary()
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
-            handle.write("\n")
-        print(f"\nwrote fleet serving report -> {args.json_out}")
+        print()
+        _write_json(args.json_out, {
+            "schema": 2, "dataset": dataset.name, "seed": args.seed,
+            "shards": args.shards, "load": args.load,
+            "net_profile": profile, "offered": result.offered,
+            "good": result.good,
+            "goodput": round(result.goodput, 6),
+            "accepted_txs": result.accepted_txs,
+            "router": summary, "lifecycle": lifecycle,
+            "links": supervisor.wire.link_report()},
+            "fleet serving report")
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            for line in result.trace_lines:
-                handle.write(line)
-                handle.write("\n")
-        print(f"wrote {len(result.trace_lines)} serving trace lines "
-              f"-> {args.trace_out}")
+        _write_trace(args.trace_out, result.trace_lines)
     return 0
 
 
@@ -693,18 +564,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         format_report,
         run_serving,
     )
-    from repro.obs.export import canonical_json
-    from repro.p2p.latency import LatencyModel
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name="serve",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
+    dataset = _record("serve", args.duration, args.workload_seed)
     scenario = build_scenario(
         dataset,
         ScenarioConfig(seed=args.seed, load=args.load,
@@ -727,17 +588,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"\nSERVING-EQUIVALENCE FAILED: "
               f"{result.server.verify_mismatches} mismatched responses")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(report))
-            handle.write("\n")
-        print(f"\nwrote serving report -> {args.json_out}")
+        print()
+        _write_json(args.json_out, report, "serving report")
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            for line in result.trace_lines:
-                handle.write(line)
-                handle.write("\n")
-        print(f"wrote {len(result.trace_lines)} serving trace lines "
-              f"-> {args.trace_out}")
+        _write_trace(args.trace_out, result.trace_lines)
     return 1 if (args.verify and result.server.verify_mismatches) else 0
 
 
@@ -745,12 +599,8 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
-    from repro.obs.export import canonical_json
-    from repro.p2p.latency import LatencyModel
     from repro.recovery import CRASH_SITES
     from repro.recovery.replay import RecoveryConfig, recovery_report
-    from repro.sim.recorder import DatasetConfig, record_dataset
-    from repro.workloads.mixed import TrafficConfig
 
     if args.points == "all":
         sites = None
@@ -763,14 +613,8 @@ def _cmd_crash(args: argparse.Namespace) -> int:
             for site in CRASH_SITES:
                 print(f"  {site}")
             return 2
-    config = DatasetConfig(
-        name="crash",
-        traffic=TrafficConfig(duration=args.duration,
-                              seed=args.workload_seed),
-        mean_block_interval=args.block_interval,
-        observers={"live": LatencyModel()},
-        seed=args.workload_seed)
-    dataset = record_dataset(config)
+    dataset = _record("crash", args.duration, args.workload_seed,
+                      mean_block_interval=args.block_interval)
     recovery = RecoveryConfig(
         snapshot_interval_blocks=args.snapshot_interval)
     store_root = tempfile.mkdtemp(prefix="repro-crash-")
@@ -804,32 +648,22 @@ def _cmd_crash(args: argparse.Namespace) -> int:
           "result: DIVERGENCE — recovery is broken at one or more "
           "crash points")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(report))
-            handle.write("\n")
-        print(f"\nwrote crash-recovery report -> {args.json_out}")
+        print()
+        _write_json(args.json_out, report, "crash-recovery report")
     return 0 if report["converged"] else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.node import ForerunnerConfig
     from repro.obs.export import canonical_json, export_witness_jsonl
-    from repro.p2p.latency import LatencyModel
     from repro.sim.emulator import replay
-    from repro.sim.recorder import DatasetConfig, record_dataset
     from repro.witness import (
         WitnessChecker,
         archive_witnesses,
         run_oracle,
     )
-    from repro.workloads.mixed import TrafficConfig
 
-    config = DatasetConfig(
-        name="verify",
-        traffic=TrafficConfig(duration=args.duration, seed=args.seed),
-        observers={"live": LatencyModel()},
-        seed=args.seed)
-    dataset = record_dataset(config)
+    dataset = _record("verify", args.duration, args.seed)
     node_config = ForerunnerConfig(enable_jit=not args.no_jit,
                                    enable_witness=True)
     run = replay(dataset, args.observer, config=node_config)
@@ -1038,19 +872,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "sites instead (docs/FLEET.md): replica "
                             "crashes, torn handoffs, route flaps and "
                             "stale shard maps at --rate (default 0.2), "
-                            "asserting fleet commitments stay "
-                            "byte-identical to the fault-free run")
+                            "asserting each site fires, fleet "
+                            "commitments stay byte-identical to the "
+                            "fault-free run and to a same-seed rerun, "
+                            "and the lease oracle holds; combine with "
+                            "--net to sweep both families in one run")
     chaos.add_argument("--shards", type=int, default=4,
                        help="fleet replica count for --fleet / --net")
     chaos.add_argument("--net", action="store_true",
                        help="sweep the net.* wire-plane fault sites "
-                            "instead (docs/FLEET.md): drops, "
-                            "duplicates, reorders, delays and "
-                            "partitions at --rate (default 1.0) on "
-                            "every inter-replica link, asserting "
-                            "commitments stay byte-identical to the "
-                            "clean wire run and two same-seed runs "
-                            "byte-identical to each other")
+                            "(docs/FLEET.md): drops, duplicates, "
+                            "reorders, delays and partitions at --rate "
+                            "(default 1.0) on every inter-replica "
+                            "link, under the same assertions as "
+                            "--fleet")
     chaos.set_defaults(func=_cmd_chaos)
 
     serve = sub.add_parser(
@@ -1091,12 +926,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "docs/FLEET.md) instead of a single node")
     serve.add_argument("--net-profile", default=None,
                        choices=["clean", "lossy", "partition"],
-                       help="run the fleet over the deterministic wire "
-                            "plane under the named network profile "
-                            "(requires --shards): clean framing, 1%% "
-                            "loss/duplication/reorder, or periodic "
-                            "coordinator partitions with lease "
-                            "re-election")
+                       help="network profile between the fleet's "
+                            "replicas (requires --shards; default "
+                            "clean): no faults, 1%% loss/duplication/"
+                            "reorder, or periodic coordinator "
+                            "partitions with lease re-election")
     serve.set_defaults(func=_cmd_serve)
 
     crash = sub.add_parser(

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import Block
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import (
+    Transaction,
+    tx_from_wire,
+    tx_to_wire,
+)
 from repro.core import costmodel
 from repro.core.accelerator import (
     OUTCOME_FAULTED,
@@ -201,37 +205,6 @@ class ForerunnerConfig:
     enable_witness: bool = False
 
 
-def tx_to_wire(tx: Transaction) -> dict:
-    """The canonical wire form of a transaction: a JSON-safe mapping
-    whose canonical-JSON encoding is the byte-stable frame every
-    cross-replica message (gossip, pool sync, speculation dispatch)
-    carries.  ``tx_from_wire(tx_to_wire(tx))`` reconstructs a
-    transaction with the same hash — the round-trip invariant the
-    fleet's dispatch path asserts on every delivery."""
-    return {
-        "sender": tx.sender,
-        "to": tx.to,
-        "data": tx.data.hex(),
-        "value": tx.value,
-        "gas_price": tx.gas_price,
-        "gas_limit": tx.gas_limit,
-        "nonce": tx.nonce,
-    }
-
-
-def tx_from_wire(data: dict) -> Transaction:
-    """Decode :func:`tx_to_wire` output back into a transaction."""
-    return Transaction(
-        sender=int(data["sender"]),
-        to=None if data["to"] is None else int(data["to"]),
-        data=bytes.fromhex(data["data"]),
-        value=int(data["value"]),
-        gas_price=int(data["gas_price"]),
-        gas_limit=int(data["gas_limit"]),
-        nonce=int(data["nonce"]),
-    )
-
-
 class LocalSpecPlane:
     """Default speculation plane: every job runs on the owning node.
 
@@ -248,9 +221,9 @@ class LocalSpecPlane:
 
     The plane also owns the *serialize/deliver* seam: a speculation job
     crossing a replica boundary travels as :meth:`serialize_job` output
-    and is reconstructed by :meth:`deliver_job`.  Locally both are
-    exercised too (the job round-trips through its canonical frame), so
-    a serialization bug can never hide behind single-node runs.
+    and is reconstructed by :meth:`deliver_job`, which asserts the
+    frame decoded to the transaction it was cut from.  A local job
+    never leaves the process, so it is never framed.
     """
 
     __slots__ = ("node",)
@@ -261,10 +234,6 @@ class LocalSpecPlane:
     def components(self, tx: Transaction):
         """``(speculator, sink)`` for one job: the speculator that runs
         it and the node whose bookkeeping records the outcome."""
-        # Exercise the serialize/deliver seam even though the job never
-        # leaves this process: the frame must reconstruct to the same
-        # hash, or this raises before the job runs.
-        self.deliver_job(self.serialize_job(tx))
         return self.node.speculator, self.node
 
     def serialize_job(self, tx: Transaction) -> dict:

@@ -21,7 +21,11 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Tuple
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import (
+    Transaction,
+    tx_from_wire,
+    tx_to_wire,
+)
 from repro.faults.injector import NULL_INJECTOR
 from repro.recovery.journal import (
     JournalWriter,
@@ -30,30 +34,6 @@ from repro.recovery.journal import (
 )
 
 RECORD_ACCEPT = "edge.accept"
-
-
-def _tx_payload(tx: Transaction) -> dict:
-    return {
-        "sender": tx.sender,
-        "to": tx.to,
-        "data": tx.data.hex(),
-        "value": tx.value,
-        "gas_price": tx.gas_price,
-        "gas_limit": tx.gas_limit,
-        "nonce": tx.nonce,
-    }
-
-
-def _tx_from_payload(data: dict) -> Transaction:
-    return Transaction(
-        sender=int(data["sender"]),
-        to=int(data["to"]),
-        data=bytes.fromhex(data["data"]),
-        value=int(data["value"]),
-        gas_price=int(data["gas_price"]),
-        gas_limit=int(data["gas_limit"]),
-        nonce=int(data["nonce"]),
-    )
 
 
 class AcceptedTxLog:
@@ -69,7 +49,7 @@ class AcceptedTxLog:
     def record(self, tx: Transaction, now: float) -> None:
         """Append one acceptance (synced: it is an acknowledgement)."""
         self._writer.append(
-            RECORD_ACCEPT, _tx_payload(tx), sync=True,
+            RECORD_ACCEPT, tx_to_wire(tx), sync=True,
             clock={"sim_seconds": round(now, 6), "tx": tx.hash})
         self.accepted += 1
 
@@ -95,7 +75,7 @@ def recover_accepted(path: str) -> Tuple[List[Tuple[Transaction, float]],
         if record.type != RECORD_ACCEPT:
             continue
         heard = float(record.clock.get("sim_seconds", 0.0))
-        entries.append((_tx_from_payload(record.data), heard))
+        entries.append((tx_from_wire(record.data), heard))
     return entries, torn, scan.next_seq
 
 

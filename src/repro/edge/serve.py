@@ -20,7 +20,6 @@ traces at every load level.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -33,13 +32,7 @@ from repro.edge.server import EdgeConfig, EdgeServer
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
-
-#: Event priorities: gossip < ticks < blocks < requests, so a request
-#: arriving exactly at a block boundary sees the committed state.
-PRIO_TX = 0
-PRIO_TICK = 1
-PRIO_BLOCK = 2
-PRIO_REQUEST = 3
+from repro.sim.emulator import PRIO_REQUEST, build_timeline
 
 
 @dataclass
@@ -113,30 +106,12 @@ def run_serving(dataset, scenario,
                            node=node, retry_budget=retry_budget,
                            injector=injector)
 
-    events: List[tuple] = []
-    counter = 0
-    for arrival, tx in dataset.tx_arrivals.get(observer, []):
-        events.append((arrival, PRIO_TX, counter, ("tx", tx)))
-        counter += 1
-    horizon = dataset.blocks[-1][0] if dataset.blocks else 0.0
-    tick = speculation_tick
-    while tick < horizon:
-        events.append((tick, PRIO_TICK, counter, ("tick", None)))
-        counter += 1
-        tick += speculation_tick
-    for arrival, block in dataset.blocks:
-        events.append((arrival, PRIO_BLOCK, counter, ("block", block)))
-        counter += 1
-    for request in scenario:
-        events.append((request.at, PRIO_REQUEST, counter,
-                       ("request", (request, 1, None, True))))
-        counter += 1
+    timeline = build_timeline(dataset, observer, speculation_tick,
+                              scenario)
     result.offered = len(scenario)
-    heapq.heapify(events)
 
     def handle(now: float, request, attempt: int,
                deadline: Optional[Deadline], count: bool = True) -> None:
-        nonlocal counter
         if deadline is None:
             deadline = Deadline.from_budget(
                 now, request.deadline_units, server.config.service_rate)
@@ -164,14 +139,11 @@ def run_serving(dataset, scenario,
                 request.client_id, attempt, now, deadline)
             if retry_at is not None:
                 result.retries_scheduled += 1
-                heapq.heappush(events, (retry_at, PRIO_REQUEST, counter,
-                                        ("request",
-                                         (request, attempt + 1,
-                                          deadline, False))))
-                counter += 1
+                timeline.push(retry_at, PRIO_REQUEST, "request",
+                              (request, attempt + 1, deadline))
 
-    while events:
-        now, _, _, (kind, payload) = heapq.heappop(events)
+    while timeline:
+        now, kind, payload = timeline.pop()
         if kind == "tx":
             node.on_transaction(payload, now)
         elif kind == "tick":
@@ -181,11 +153,11 @@ def run_serving(dataset, scenario,
             report = node.process_block(payload, now)
             server.on_block(payload, report)
         else:
-            request, attempt, deadline, original = payload
-            # Chaos: a request storm amplifies this arrival into
+            request, attempt, deadline = payload
+            # Chaos: a request storm amplifies a first arrival into
             # duplicate frames at the same instant (clients count each
             # original once; the copies are pure interference).
-            if original and injector.evaluate(
+            if attempt == 1 and injector.evaluate(
                     SITE_STORM, client=request.client_id) is not None:
                 for _ in range(STORM_COPIES):
                     result.storm_copies += 1

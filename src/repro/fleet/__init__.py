@@ -7,12 +7,13 @@ supervisor with per-shard recovery journals
 (:mod:`repro.fleet.supervisor`), cross-shard edge routing
 (:mod:`repro.fleet.router`), the replay/serving loops
 (:mod:`repro.fleet.serve`), and the deterministic wire plane
-(:mod:`repro.fleet.wire`): canonical-JSON framed, sequence-numbered
-inter-replica messaging through a seeded hostile-network simulator,
-with heartbeat failure detection and lease-based coordinator election
+(:mod:`repro.fleet.wire`) that carries every inter-replica
+interaction: canonical-JSON framed, sequence-numbered messaging
+through a seeded hostile-network simulator, with heartbeat failure
+detection and lease-based coordinator election
 (:mod:`repro.fleet.lease`).  Fleet commitments are byte-identical to
-the single-node serial run at every shard count, wire on or off —
-docs/FLEET.md has the determinism argument.
+the single-node serial run at every shard count and under every
+network fault plan — docs/FLEET.md has the determinism argument.
 """
 
 from .faults import (

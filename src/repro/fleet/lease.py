@@ -1,10 +1,10 @@
 """Generation-stamped coordinator leases with quorum vote ledgers.
 
-The fleet's coordinator runs the admission cycle.  PR 9 promoted a new
-coordinator by direct in-process assignment — safe only because a
-crashed replica provably stopped.  Over a real network a partitioned
-ex-coordinator *hasn't* stopped, so authority must come from a
-**lease**: a time-bounded grant backed by a majority of ring members.
+The fleet's coordinator runs the admission cycle.  Assigning a
+successor directly is safe only when the old coordinator provably
+stopped; over a network a partitioned ex-coordinator *hasn't* stopped,
+so authority must come from a **lease**: a time-bounded grant backed
+by a majority of ring members.
 
 Safety is by construction, then double-checked by an oracle:
 

@@ -67,7 +67,7 @@ class RouteInfo:
     stale: bool = False
     failover: bool = False
     #: A warmth-weighted read placement moved this request off the
-    #: owner onto a warmer full replica (wire-plane fleets only).
+    #: owner onto a warmer full replica.
     warmth: bool = False
 
 
@@ -227,13 +227,13 @@ class FleetRouter:
                     target = successor
                     info.failover = True
                     self.c_failover.inc()
-            elif supervisor.warmth is not None:
-                # Warmth-weighted read placement (wire fleets): every
-                # replica holds the full committed state, so a read may
-                # go to whichever of {owner, ring successor} published
-                # the higher cache-warmth EWMA over heartbeats, with
-                # ties broken by the lower replica id.  The choice is a
-                # pure function of the deterministic heartbeat history.
+            else:
+                # Warmth-weighted read placement: every replica holds
+                # the full committed state, so a read may go to
+                # whichever of {owner, ring successor} published the
+                # higher cache-warmth EWMA over heartbeats, with ties
+                # broken by the lower replica id.  The choice is a pure
+                # function of the deterministic heartbeat history.
                 warmer = self._warmth_read_target(target)
                 if warmer != target:
                     target = warmer

@@ -15,11 +15,14 @@ edge servers, with retries against a shared budget and a byte-stable
 serving trace (now carrying the placement: replica, hops, penalties).
 Lifecycle faults (``fleet.replica_crash``) fire on speculation ticks;
 restarts replay shard journals mid-run.
+
+All four drivers in ``src/`` (these two, the emulator's and the edge's)
+pop one :func:`repro.sim.emulator.build_timeline` heap and join records
+with one :func:`repro.sim.emulator.join_record`.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -31,7 +34,12 @@ from repro.edge.limits import Deadline, RetryBudget, RetryConfig
 from repro.edge.server import EdgeConfig
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
-from repro.sim.emulator import JoinedRecord
+from repro.sim.emulator import (
+    PRIO_REQUEST,
+    JoinedRecord,
+    build_timeline,
+    join_record,
+)
 from repro.utils.hashing import hash_words, keccak_int
 
 from .faults import (
@@ -41,26 +49,17 @@ from .faults import (
 )
 from .router import FleetRouter, RouteInfo
 from .supervisor import FleetConfig, FleetSupervisor
-from .wire import WireConfig
 
-#: Event priorities, matching the emulator and the edge serving loop.
-PRIO_TX = 0
-PRIO_TICK = 1
-PRIO_BLOCK = 2
-PRIO_REQUEST = 3
-
-#: Named wire-plane network profiles for ``repro serve --net-profile``.
+#: Named network profiles for ``repro serve --net-profile``.
 NET_PROFILES = ("clean", "lossy", "partition")
 
 
 def net_profile_config(profile: str, shards: int = 4, seed: int = 0,
                        journal_dir=None) -> FleetConfig:
-    """A :class:`FleetConfig` with the wire plane on and the named
-    hostile-network profile driving it:
+    """A :class:`FleetConfig` under the named network profile:
 
-    * ``clean`` — wire framing/sequencing on, no faults (the profile
-      whose commitments must be byte-identical to the in-process
-      fleet);
+    * ``clean`` — no faults: plain ``FleetConfig(shards=...)``, the
+      default fleet;
     * ``lossy`` — 1% drop + duplicate + reorder + delay on every link
       (the at-least-once/exactly-once machinery under steady fire);
     * ``partition`` — periodic coordinator isolation (lease expiry,
@@ -78,8 +77,8 @@ def net_profile_config(profile: str, shards: int = 4, seed: int = 0,
     elif profile == "partition":
         plan = net_fault_plan(seed=seed, probability=0.25,
                               sites=(SITE_NET_PARTITION,))
-    return FleetConfig(shards=shards, wire=WireConfig(),
-                       fault_plan=plan, journal_dir=journal_dir)
+    return FleetConfig(shards=shards, fault_plan=plan,
+                       journal_dir=journal_dir)
 
 
 @dataclass
@@ -116,26 +115,11 @@ def fleet_replay(dataset, observer: str = "live",
                    shards=config.shards, supervisor=supervisor,
                    registry=registry)
 
-    events: List[tuple] = []
-    counter = 0
-    for arrival, tx in dataset.tx_arrivals[observer]:
-        events.append((arrival, PRIO_TX, counter, ("tx", tx)))
-        counter += 1
-    horizon = dataset.blocks[-1][0] if dataset.blocks else 0.0
-    tick = speculation_tick
-    while tick < horizon:
-        events.append((tick, PRIO_TICK, counter, ("tick", None)))
-        counter += 1
-        tick += speculation_tick
-    for arrival, block in dataset.blocks:
-        events.append((arrival, PRIO_BLOCK, counter, ("block", block)))
-        counter += 1
-    heapq.heapify(events)
-
+    timeline = build_timeline(dataset, observer, speculation_tick)
     kinds = dataset.kinds
     baseline_records: Dict[int, TxRecord] = {}
-    while events:
-        now, _, _, (kind, payload) = heapq.heappop(events)
+    while timeline:
+        now, kind, payload = timeline.pop()
         if kind == "tx":
             supervisor.on_transaction(payload, now)
         elif kind == "tick":
@@ -154,27 +138,7 @@ def fleet_replay(dataset, observer: str = "live",
                 base = baseline_records.get(record.tx_hash)
                 if base is None:
                     continue
-                run.records.append(JoinedRecord(
-                    tx_hash=record.tx_hash,
-                    block_number=record.block_number,
-                    kind=kinds.get(record.tx_hash, "?"),
-                    baseline_cost=base.cost,
-                    forerunner_cost=record.cost,
-                    baseline_cpu=base.cpu_units,
-                    baseline_io_units=base.io_units,
-                    baseline_io_reads=base.io_reads,
-                    gas_used=record.gas_used,
-                    heard=record.heard,
-                    heard_delay=record.heard_delay,
-                    outcome=record.outcome,
-                    ap_ready=record.ap_ready,
-                    perfect=record.perfect,
-                    first_context_perfect=record.first_context_perfect,
-                    speculated_contexts=record.speculated_contexts,
-                    shortcut_hits=record.shortcut_hits,
-                    executed_nodes=record.executed_nodes,
-                    skipped_nodes=record.skipped_nodes,
-                ))
+                run.records.append(join_record(base, record, kinds))
     supervisor.close()
     return run
 
@@ -231,9 +195,10 @@ def run_fleet_serving(dataset, scenario,
                       ) -> FleetServingResult:
     """Serve ``scenario`` against a fleet replaying ``dataset``.
 
-    Fleet chaos (``fleet.*`` sites) comes from
+    Fleet chaos (``fleet.*`` and ``net.*`` sites) comes from
     ``fleet_config.fault_plan``; the supervisor's injector drives the
-    lifecycle/handoff sites and the router's routing sites alike.
+    lifecycle/handoff sites, the wire plane's network sites and the
+    router's routing sites alike.
     """
     fleet_config = fleet_config or FleetConfig()
     registry = MetricsRegistry()
@@ -248,33 +213,12 @@ def run_fleet_serving(dataset, scenario,
                                 supervisor=supervisor, router=router,
                                 retry_budget=retry_budget)
 
-    events: List[tuple] = []
-    counter = 0
-    for arrival, tx in dataset.tx_arrivals.get(observer, []):
-        events.append((arrival, PRIO_TX, counter, ("tx", tx)))
-        counter += 1
-    horizon = dataset.blocks[-1][0] if dataset.blocks else 0.0
-    last_request = max((request.at for request in scenario),
-                       default=0.0)
-    horizon = max(horizon, last_request)
-    tick = speculation_tick
-    while tick < horizon:
-        events.append((tick, PRIO_TICK, counter, ("tick", None)))
-        counter += 1
-        tick += speculation_tick
-    for arrival, block in dataset.blocks:
-        events.append((arrival, PRIO_BLOCK, counter, ("block", block)))
-        counter += 1
-    for request in scenario:
-        events.append((request.at, PRIO_REQUEST, counter,
-                       ("request", (request, 1, None))))
-        counter += 1
+    timeline = build_timeline(dataset, observer, speculation_tick,
+                              scenario)
     result.offered = len(scenario)
-    heapq.heapify(events)
 
     def handle(now: float, request, attempt: int,
                deadline: Optional[Deadline]) -> None:
-        nonlocal counter
         if deadline is None:
             deadline = Deadline.from_budget(
                 now, request.deadline_units, router.config.service_rate)
@@ -299,13 +243,11 @@ def run_fleet_serving(dataset, scenario,
                 request.client_id, attempt, now, deadline)
             if retry_at is not None:
                 result.retries_scheduled += 1
-                heapq.heappush(events, (retry_at, PRIO_REQUEST, counter,
-                                        ("request", (request, attempt + 1,
-                                                     deadline))))
-                counter += 1
+                timeline.push(retry_at, PRIO_REQUEST, "request",
+                              (request, attempt + 1, deadline))
 
-    while events:
-        now, _, _, (kind, payload) = heapq.heappop(events)
+    while timeline:
+        now, kind, payload = timeline.pop()
         if kind == "tx":
             supervisor.on_transaction(payload, now)
         elif kind == "tick":

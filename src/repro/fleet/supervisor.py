@@ -11,23 +11,32 @@ replica executes every block against its own world copy) but shards the
   speculator (`:class:`FleetSpecPlane``); worker-lane clocks stay with
   the coordinator, so every AP's ``ready_at`` — and with it every
   Table 2/3 number — is byte-identical to the single-node run;
-* at block time the supervisor snapshots each transaction's AP from
-  its owner and every replica executes with that shared AP, so all
+* at block time the owners ship each transaction's AP to the ingress
+  and every replica executes with that shared snapshot, so all
   replica worlds, caches, and cost trajectories remain identical to
   the single node's (AP walk is read-only; tier choice is
   cost-identical by the PR-6 jit guarantee);
 * prefetches fan out to every replica's cache for the same reason.
 
-Lifecycle: a replica crash (``fleet.replica_crash``) removes it from
-the shard map (deterministic rebalance + handoff through the sharded
-pool), promotes a new coordinator if needed, and schedules a restart.
-Restart rebuilds the replica from genesis plus its per-shard recovery
-journal (block imports replayed at their recorded clocks), catches up
-blocks journaled while it was down from the supervisor's block store,
-and resyncs the pending pool from a live peer — converging to a
-byte-identical world root, which :meth:`process_block` cross-checks on
-every subsequent block.  APs are lost in a crash: speculation is pure
-acceleration, so commitments are unaffected (the containment contract
+Every interaction between replicas — gossip, pool sync, speculation
+dispatch, AP snapshots, block commits and their root answers,
+heartbeats, lease votes — is a framed message on the wire plane
+(:mod:`repro.fleet.wire`), flushed to quiescence before the event loop
+advances; on a clean network that is effect-for-effect a direct call.
+
+Lifecycle is *observational*: a replica crash (``fleet.replica_crash``)
+only silences the replica and schedules its restart.  The failure
+detector turns ``suspect_after`` seconds of heartbeat silence into the
+ring leave (deterministic rebalance + handoff through the sharded
+pool), a lapsed coordinator lease into a voted election, and the
+restarted replica's first heartbeat into the rejoin.  Restart rebuilds
+the replica from genesis plus its per-shard recovery journal (block
+imports replayed at their recorded clocks), catches up blocks journaled
+while it was down from the supervisor's block store, and resyncs the
+pending pool from a live peer — converging to a byte-identical world
+root, which :meth:`process_block` cross-checks on every subsequent
+block.  APs are lost in a crash: speculation is pure acceleration, so
+commitments are unaffected (the containment contract
 ``tests/test_fleet_chaos.py`` enforces).
 """
 
@@ -38,13 +47,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import Block
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import (
+    Transaction,
+    tx_from_wire,
+    tx_to_wire,
+)
 from repro.core.node import (
     BlockReport,
     ForerunnerConfig,
     ForerunnerNode,
-    tx_from_wire,
-    tx_to_wire,
+    LocalSpecPlane,
 )
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
@@ -82,13 +94,6 @@ CH_VOTE = "lease.request"
 CH_GRANT = "lease.grant"
 
 
-# The canonical transaction wire form lives with the speculation-plane
-# seam in :mod:`repro.core.node`; the fleet reuses it for every framed
-# channel that carries a transaction.
-_tx_payload = tx_to_wire
-_tx_from_payload = tx_from_wire
-
-
 @dataclass
 class FleetConfig:
     """Tunables for the multi-replica runtime."""
@@ -99,19 +104,21 @@ class FleetConfig:
     vnodes: int = DEFAULT_VNODES
     #: Per-replica node configuration (shared; nodes never mutate it).
     node: ForerunnerConfig = field(default_factory=ForerunnerConfig)
-    #: Fleet-level chaos plan (``fleet.*`` sites); ``None`` = no-op.
+    #: Fleet-level chaos plan (``fleet.*`` / ``net.*`` sites);
+    #: ``None`` = no-op.
     fault_plan: object = None
-    #: Simulated seconds until a crashed replica restarts.
-    restart_delay: float = 4.0
+    #: Simulated seconds until a crashed replica restarts.  Below
+    #: ``wire.suspect_after`` the replica is back before the failure
+    #: detector notices: no ring change, no handoff window.
+    restart_delay: float = 10.0
     #: Directory for per-shard recovery journals (``None`` = in-memory
     #: fleet: crash repair falls back to the supervisor's gossip log).
     journal_dir: Optional[str] = None
-    #: Wire plane (``None`` = PR-9 in-process calls).  When set, every
-    #: inter-replica interaction crosses :class:`repro.fleet.wire`:
-    #: framed gossip/pool-sync/dispatch/AP/block messages, heartbeat
-    #: failure detection feeding ring membership, and lease-based
-    #: coordinator election.
-    wire: Optional[WireConfig] = None
+    #: Wire-plane tunables.  Every inter-replica interaction crosses
+    #: :class:`repro.fleet.wire`: framed gossip/pool-sync/dispatch/AP/
+    #: block messages, heartbeat failure detection feeding ring
+    #: membership, and lease-based coordinator election.
+    wire: WireConfig = field(default_factory=WireConfig)
 
 
 @dataclass
@@ -126,54 +133,36 @@ class Replica:
     journal_path: Optional[str] = None
     crashes: int = 0
     restarts: int = 0
-    #: Block numbers this node object has applied (the wire plane's
-    #: idempotence guard against at-least-once ``block.commit``).
+    #: Block numbers this node object has applied (the idempotence
+    #: guard against at-least-once ``block.commit``).
     applied: set = field(default_factory=set)
 
 
-class FleetSpecPlane:
+class FleetSpecPlane(LocalSpecPlane):
     """Sharded speculation plane (see :class:`repro.core.node.LocalSpecPlane`).
 
     Installed on every replica: the coordinator's admission cycle uses
     :meth:`components` to dispatch each job to the owning replica, and
     every replica's block execution uses :meth:`ap_for` to read the
-    per-block AP snapshot the supervisor took from the owners — so all
-    replicas execute a block with the *same* APs a single node would.
+    per-block AP snapshot the owners shipped — so all replicas execute
+    a block with the *same* APs a single node would.
     """
 
     __slots__ = ("supervisor",)
 
-    def __init__(self, supervisor: "FleetSupervisor") -> None:
+    def __init__(self, node: ForerunnerNode,
+                 supervisor: "FleetSupervisor") -> None:
+        super().__init__(node)
         self.supervisor = supervisor
 
     def components(self, tx: Transaction):
         sup = self.supervisor
-        home = sup.home_of(tx)
-        if sup.wire is not None:
-            return sup.dispatch_speculation(tx, home)
-        owner = sup.replicas[home].node
-        return owner.speculator, owner
-
-    def serialize_job(self, tx: Transaction) -> dict:
-        """Same canonical job frame the local plane produces."""
-        return {"hash": tx.hash, "tx": tx_to_wire(tx)}
-
-    def deliver_job(self, payload: dict) -> Transaction:
-        """Reconstruct a dispatched job, asserting hash fidelity."""
-        tx = tx_from_wire(payload["tx"])
-        if tx.hash != int(payload["hash"]):  # pragma: no cover
-            raise SimulationError(
-                f"spec.dispatch round-trip mismatch: "
-                f"{tx.hash:#x} != {int(payload['hash']):#x}")
-        return tx
+        return sup.dispatch_speculation(tx, sup.home_of(tx))
 
     def prefetch_targets(self):
         sup = self.supervisor
-        rids = sup.live()
-        if sup.wire is not None:
-            rids = [rid for rid in rids
-                    if sup.wire.reachable(INGRESS, rid)]
-        return tuple(sup.replicas[rid].node for rid in rids)
+        return tuple(sup.replicas[rid].node for rid in sup.live()
+                     if sup.wire.reachable(INGRESS, rid))
 
     def ap_for(self, tx_hash: int):
         aps = self.supervisor.block_aps
@@ -244,14 +233,7 @@ class FleetSupervisor:
         #: Last event time the supervisor saw (the wire plane's send
         #: clock; flush micro-clocks never move it).
         self._now = 0.0
-        self.wire: Optional[WirePlane] = None
-        self.detector: Optional[FailureDetector] = None
-        self.warmth: Optional[WarmthTracker] = None
-        self.lease: Optional[LeaseRegistry] = None
-        if self.config.wire is not None:
-            self._init_wire(self.config.wire)
-
-    def _init_wire(self, wire_config: WireConfig) -> None:
+        wire_config = self.config.wire
         self.wire = WirePlane(wire_config, injector=self.injector,
                               registry=self.registry)
         self.wire.generation_source = lambda: self.shardmap.generation
@@ -259,21 +241,21 @@ class FleetSupervisor:
                                         members=tuple(self.replicas))
         self.warmth = WarmthTracker(wire_config.warmth_alpha)
         self.lease = LeaseRegistry(wire_config.lease_seconds)
-        #: (block number, replica) -> report, filled by ``block.commit``
-        #: deliveries; the merge and the heal cross-check read it.
-        self._block_reports: Dict[Tuple[int, int], BlockReport] = {}
+        #: block number -> tx hash -> AP and block number -> replica ->
+        #: report: what ``ap.snapshot`` / ``block.commit`` deliveries
+        #: collect, for the block in flight only (its entry is popped
+        #: once consumed; deliveries for any other block find none).
+        self._pending_aps: Dict[int, Dict[int, object]] = {}
+        self._block_reports: Dict[int, Dict[int, BlockReport]] = {}
         #: block number -> reference root (heal catch-ups re-verify).
         self._root_history: Dict[int, int] = {}
-        self._pending_aps: Optional[Dict[int, object]] = None
-        self._pending_block: Optional[int] = None
         self.wire.register(INGRESS, CH_HEARTBEAT, self._on_heartbeat)
         self.wire.register(INGRESS, CH_AP, self._on_ap_snapshot)
         self.wire.register(INGRESS, CH_ROOT, self._on_block_root)
         for replica_id in self.replicas:
             self._register_replica_channels(replica_id)
         # Bootstrap lease: term 0 is granted to the initial coordinator
-        # by every founding member at t=0 (the moment PR 9 assigned the
-        # coordinator by construction).
+        # by every founding member at t=0.
         term = self.lease.open_term()
         for member in self.shardmap.members:
             self.lease.cast_vote(term, member, self.coordinator_id)
@@ -325,7 +307,7 @@ class FleetSupervisor:
         registry = MetricsRegistry()
         node = ForerunnerNode(self.genesis_world.copy(),
                               self.config.node, registry=registry)
-        node.spec_plane = FleetSpecPlane(self)
+        node.spec_plane = FleetSpecPlane(node, self)
         node.predictor.observe_block(self.genesis_block)
         return node, registry
 
@@ -368,14 +350,14 @@ class FleetSupervisor:
         replica = self.replicas.get(replica_id)
         if replica is None or replica.status != "up":
             return  # crashed meanwhile; the restart resyncs from a peer
-        tx = _tx_from_payload(payload["tx"])
+        tx = tx_from_wire(payload["tx"])
         replica.node.on_transaction(tx, float(payload["heard"]))
 
     def _on_pool_sync(self, replica_id: int, payload: dict) -> None:
         """Delivered ``pool.sync``: admit to the home shard's pending
         queue unless the chain already executed it (a heal can deliver
         a sync for a transaction committed during the partition)."""
-        tx = _tx_from_payload(payload["tx"])
+        tx = tx_from_wire(payload["tx"])
         live = self.live()
         peer = self.replicas[live[0]].node if live else None
         if peer is not None and tx.hash in peer.executed:
@@ -409,7 +391,9 @@ class FleetSupervisor:
             block = stored[0]
         report = replica.node.process_block(block, float(payload["at"]))
         replica.applied.add(number)
-        self._block_reports[(number, replica_id)] = report
+        in_flight = self._block_reports.get(number)
+        if in_flight is not None:
+            in_flight[replica_id] = report
         self.wire.send(replica_id, INGRESS, CH_ROOT,
                        {"number": number, "root": report.state_root,
                         "replica": replica_id}, at)
@@ -433,11 +417,9 @@ class FleetSupervisor:
         """Delivered ``ap.snapshot``: an owner shipped one AP for the
         block being executed (stale snapshots for other blocks are
         ignored — APs are pure acceleration)."""
-        if (self._pending_aps is None
-                or int(payload["block"]) != self._pending_block):
-            return
-        if attachment is not None:
-            self._pending_aps[int(payload["tx"])] = attachment
+        pending = self._pending_aps.get(int(payload["block"]))
+        if pending is not None and attachment is not None:
+            pending[int(payload["tx"])] = attachment
 
     def _on_heartbeat(self, payload: dict, attachment, at: float) -> None:
         self.detector.heard(int(payload["replica"]),
@@ -580,35 +562,22 @@ class FleetSupervisor:
 
     def on_transaction(self, tx: Transaction, now: float) -> None:
         """A transaction arrived (gossip or edge accept): journal it to
-        its home shard, admit it to the sharded pool, and deliver it to
-        every live replica (all replicas hear all gossip — that is what
-        keeps the coordinator's candidate stream single-node-identical).
-
-        With the wire plane enabled, the pool sync and the first-sight
-        gossip cross the network as framed, sequenced messages instead
-        of in-process calls; a flush barrier delivers them before the
-        event loop advances, so the clean-network effect order is
-        byte-identical to the in-process fleet."""
+        its home shard, sync it to the home shard's pool, and gossip it
+        to every live replica (all replicas hear all gossip — that is
+        what keeps the coordinator's candidate stream single-node-
+        identical).  Both cross the wire as framed, sequenced messages;
+        a flush barrier delivers them before the event loop advances."""
         self._now = now
-        first_sight = tx.hash not in self.seen
-        if first_sight:
+        payload = {"tx": tx_to_wire(tx), "hash": tx.hash, "heard": now}
+        if tx.hash not in self.seen:
             self.seen[tx.hash] = (tx, now)
             home = self.home_of(tx)
             journal = self.replicas[home].journal
             if journal is not None:
-                journal.append(RECORD_TX, _tx_payload(tx), sync=True,
+                journal.append(RECORD_TX, payload["tx"], sync=True,
                                clock={"sim_seconds": round(now, 6),
                                       "tx": tx.hash})
-        if self.wire is None:
-            if first_sight:
-                self.shardpool.add(tx, now)
-            for replica_id in self.live():
-                self.replicas[replica_id].node.on_transaction(tx, now)
-            return
-        payload = {"tx": _tx_payload(tx), "hash": tx.hash, "heard": now}
-        if first_sight:
-            self.wire.send(INGRESS, self.home_of(tx), CH_POOL, payload,
-                           now)
+            self.wire.send(INGRESS, home, CH_POOL, payload, now)
         for replica_id in self.live():
             self.wire.send(INGRESS, replica_id, CH_GOSSIP, payload, now)
         self.wire.flush(now)
@@ -632,17 +601,16 @@ class FleetSupervisor:
         """One fleet speculation cycle = the coordinator's cycle (jobs
         land on owning replicas through the plane).
 
-        With the wire plane enabled, admission is **lease-gated**: no
-        valid coordinator lease (expired, or the holder is down) means
-        no speculation this cycle — the safety half of the no-split-
-        brain argument.  Speculation is pure acceleration, so a halt
-        never moves commitments."""
+        Admission is **lease-gated**: no valid coordinator lease
+        (expired, or the holder is down) means no speculation this
+        cycle — the safety half of the no-split-brain argument.
+        Speculation is pure acceleration, so a halt never moves
+        commitments."""
         self._now = now
-        if self.wire is not None:
-            if (not self.lease.valid(self.coordinator_id, now)
-                    or not self.is_up(self.coordinator_id)):
-                self.c_admission_halted.inc()
-                return 0
+        if (not self.lease.valid(self.coordinator_id, now)
+                or not self.is_up(self.coordinator_id)):
+            self.c_admission_halted.inc()
+            return 0
         return self.coordinator().run_speculation(now, budget_seconds)
 
     # -- the block pipeline ----------------------------------------------
@@ -650,10 +618,11 @@ class FleetSupervisor:
     def process_block(self, block: Block, now: float = 0.0) -> BlockReport:
         """Import one block on every live replica.
 
-        Journals the import per shard, snapshots each transaction's AP
-        from its owning replica, executes the block on every replica
-        (cross-checking that all state roots agree), and merges the
-        fleet report from the owning replica of each transaction.
+        Journals the import per shard; owners ship AP snapshots to the
+        ingress; the block commit fans out as framed messages (parked
+        across a partition — the heal replays them at their carried
+        clocks); every root answer is cross-checked; and the fleet
+        report is merged from the owning replica of each transaction.
         """
         self._now = now
         self.block_store[block.number] = (block, now)
@@ -664,44 +633,7 @@ class FleetSupervisor:
                 journal.append(RECORD_BLOCK,
                                {"number": block.number}, sync=True,
                                clock=clock)
-        if self.wire is not None:
-            return self._process_block_wire(block, now)
-        aps: Dict[int, object] = {}
-        for tx in block.transactions:
-            owner = self.replicas[self.home_of(tx)].node
-            ap = owner.speculator.get_ap(tx.hash)
-            if ap is not None:
-                aps[tx.hash] = ap
-        self.block_aps = aps
-        root: Optional[int] = None
-        by_owner: Dict[int, Dict[int, object]] = {}
-        try:
-            for replica_id in self.live():
-                report = self.replicas[replica_id].node.process_block(
-                    block, now)
-                if root is None:
-                    root = report.state_root
-                elif report.state_root != root:  # pragma: no cover
-                    raise SimulationError(
-                        f"fleet divergence at block {block.number}: "
-                        f"replica {replica_id} root "
-                        f"{report.state_root:#x} != {root:#x}")
-                by_owner[replica_id] = {
-                    record.tx_hash: record for record in report.records}
-        finally:
-            self.block_aps = None
-        records = [by_owner[self.home_of(tx)][tx.hash]
-                   for tx in block.transactions]
-        return self._finish_block(block, root, records)
-
-    def _process_block_wire(self, block: Block, now: float) -> BlockReport:
-        """The block pipeline over the wire: owners ship AP snapshots
-        to the ingress, the block commit fans out as framed messages
-        (parked across a partition — the heal replays them at their
-        carried clocks), and every root answer is cross-checked."""
-        aps: Dict[int, object] = {}
-        self._pending_aps = aps
-        self._pending_block = block.number
+        self._pending_aps[block.number] = {}
         for tx in block.transactions:
             home = self.home_of(tx)
             for candidate in (home, self.coordinator_id):
@@ -718,9 +650,8 @@ class FleetSupervisor:
                                now, attachment=ap)
                 break
         self.wire.flush(now)
-        self._pending_aps = None
-        self._pending_block = None
-        self.block_aps = aps
+        self.block_aps = self._pending_aps.pop(block.number)
+        self._block_reports[block.number] = {}
         try:
             for replica_id in self.live():
                 self.wire.send(INGRESS, replica_id, CH_BLOCK,
@@ -729,6 +660,7 @@ class FleetSupervisor:
             self.wire.flush(now)
         finally:
             self.block_aps = None
+            reports = self._block_reports.pop(block.number)
         root = self._root_history.get(block.number)
         if root is None:  # pragma: no cover
             raise SimulationError(
@@ -736,8 +668,7 @@ class FleetSupervisor:
         by_owner = {
             replica_id: {record.tx_hash: record
                          for record in report.records}
-            for (number, replica_id), report in self._block_reports.items()
-            if number == block.number}
+            for replica_id, report in reports.items()}
         records = []
         for tx in block.transactions:
             source = by_owner.get(self.home_of(tx))
@@ -749,12 +680,12 @@ class FleetSupervisor:
             records.append(source[tx.hash])
         return self._finish_block(block, root, records)
 
-    def _finish_block(self, block: Block, root: Optional[int],
+    def _finish_block(self, block: Block, root: int,
                       records: List) -> BlockReport:
         self.shardpool.remove_all(tx.hash for tx in block.transactions)
         self.c_blocks.inc()
         self.c_txs.inc(len(records))
-        merged = BlockReport(block.number, root or 0, records)
+        merged = BlockReport(block.number, root, records)
         self.reports.append(merged)
         return merged
 
@@ -772,8 +703,7 @@ class FleetSupervisor:
                                  if entry[0] > now]
         for _, replica_id in sorted(due):
             self.restart(replica_id, now)
-        if self.wire is not None:
-            self._wire_tick(now)
+        self._wire_tick(now)
         if not self.injector.enabled:
             return
         for replica_id in self.live():
@@ -786,8 +716,11 @@ class FleetSupervisor:
                 self.crash(replica_id, now)
 
     def crash(self, replica_id: int, now: float) -> bool:
-        """Kill a replica: shard map leave, pool rebalance (handoff),
-        coordinator promotion if needed, restart scheduled."""
+        """Kill a replica and schedule its restart.  No membership
+        changes here: the crash silences the replica's heartbeats, the
+        failure detector observes the silence and drives the ring
+        leave (+ rebalance), and the lease protocol elects a successor
+        coordinator once the lease lapses."""
         replica = self.replicas.get(replica_id)
         if replica is None or replica.status != "up" \
                 or len(self.live()) == 1:
@@ -797,18 +730,7 @@ class FleetSupervisor:
         if replica.journal is not None:
             replica.journal.close()
             replica.journal = None
-        if self.wire is None:
-            self.shardmap.leave(replica_id)
-            self._rebalance(now)
-            if replica_id == self.coordinator_id:
-                self.coordinator_id = self.live()[0]
-                self.c_promotions.inc()
-        else:
-            # No direct membership change: the crash silences the
-            # replica's heartbeats, the failure detector observes the
-            # silence and drives the ring leave, and the lease protocol
-            # elects a successor coordinator once the lease lapses.
-            self.wire.reset_peer(replica_id)
+        self.wire.reset_peer(replica_id)
         self.pending_restarts.append(
             (now + self.config.restart_delay, replica_id))
         self.c_crashes.inc()
@@ -818,6 +740,7 @@ class FleetSupervisor:
     def restart(self, replica_id: int, now: float) -> bool:
         """Rebuild a crashed replica: genesis + shard-journal replay,
         block catch-up from the chain store, pool resync from a peer.
+        Ring membership is untouched (see :meth:`crash`).
 
         The replayed world must be byte-identical — every replayed
         block's ``state_root`` is validated inside ``process_block``,
@@ -855,10 +778,10 @@ class FleetSupervisor:
                 applied.add(number)
                 replayed_to = number
         # Pool/heard resync from a live peer (all replicas hear all
-        # gossip, so any peer's view is the canonical one; with the
-        # wire plane the coordinator may itself be down mid-election,
-        # so fall back to the lowest live replica).
-        if self.wire is None or self.is_up(self.coordinator_id):
+        # gossip, so any peer's view is the canonical one; the
+        # coordinator may itself be down mid-election, so fall back to
+        # the lowest live replica).
+        if self.is_up(self.coordinator_id):
             peer = self.coordinator()
         else:
             peer = self.replicas[self.live()[0]].node
@@ -874,11 +797,8 @@ class FleetSupervisor:
         if replica.journal_path is not None:
             replica.journal = JournalWriter(replica.journal_path,
                                             next_seq=next_seq)
-        if self.wire is None:
-            self.shardmap.join(replica_id)
-            self._rebalance(now)
-        # With the wire plane the restarted replica rejoins the ring
-        # when its first heartbeat reaches the failure detector.
+        # A replica the detector dropped rejoins the ring when its
+        # first heartbeat reaches the failure detector.
         self.c_restarts.inc()
         self._g_live.set(len(self.live()))
         return True
@@ -909,7 +829,7 @@ class FleetSupervisor:
                 for record in read_journal(path).records:
                     if record.type != RECORD_TX:
                         continue
-                    tx = _tx_from_payload(record.data)
+                    tx = tx_from_wire(record.data)
                     if tx.hash in todo:
                         entries[tx.hash] = (
                             tx,
@@ -924,12 +844,11 @@ class FleetSupervisor:
             self.c_torn_repaired.inc()
 
     def close(self) -> None:
-        if self.wire is not None:
-            # Final settle: heal any open partition and drain the wire
-            # so no reliable message is left undelivered at shutdown.
-            if self.wire.sim.isolated or self.wire.sim._parked:
-                self.wire.heal(self._now)
-            self.wire.flush(self._now)
+        # Final settle: heal any open partition and drain the wire so
+        # no reliable message is left undelivered at shutdown.
+        if self.wire.sim.isolated or self.wire.sim._parked:
+            self.wire.heal(self._now)
+        self.wire.flush(self._now)
         for replica in self.replicas.values():
             if replica.journal is not None:
                 replica.journal.close()
@@ -938,7 +857,7 @@ class FleetSupervisor:
     # -- reporting -------------------------------------------------------
 
     def lifecycle_report(self) -> dict:
-        report = {
+        return {
             "replicas": {
                 str(rid): {
                     "status": replica.status,
@@ -951,9 +870,7 @@ class FleetSupervisor:
             "generation": self.shardmap.generation,
             "shard_sizes": {str(k): v for k, v
                             in self.shardpool.shard_sizes().items()},
+            "wire": self.wire.summary(),
+            "lease": self.lease.summary(),
+            "warmth": self.warmth.snapshot(),
         }
-        if self.wire is not None:
-            report["wire"] = self.wire.summary()
-            report["lease"] = self.lease.summary()
-            report["warmth"] = self.warmth.snapshot()
-        return report

@@ -1,17 +1,17 @@
 """Deterministic wire plane: framed messaging between fleet replicas.
 
-PR 9's fleet passed speculation jobs, AP snapshots, pool syncs, gossip,
-and block commits between replicas as plain in-process calls.  This
-module replaces that seam with a real message protocol that stays
-byte-identical under a hostile network:
+Speculation jobs, AP snapshots, pool syncs, gossip, block commits,
+heartbeats and lease votes all travel between fleet replicas through
+this module — the fleet's only inter-replica path — as a real message
+protocol that stays byte-identical under a hostile network:
 
 * every message is an :class:`Envelope` — canonical-JSON framed,
   per-(sender, destination, channel) sequence-numbered, and stamped
   with the shard-map generation at send time; delivery decodes the
   frame and hands the *decoded* payload to the handler, so the
   serialization seam is exercised on every single message (AP trees and
-  block bodies ride as in-process attachments — data plane by
-  reference; the control plane is what crosses the wire);
+  block bodies ride as by-reference attachments — the data plane;
+  the control plane is what crosses the wire);
 * the :class:`NetworkSim` routes every transmission through the
   ``net.*`` fault sites (:mod:`repro.fleet.faults`): seeded per-link
   ``drop`` / ``duplicate`` / ``reorder`` / ``delay`` behaviors, plus
@@ -33,7 +33,7 @@ byte-identical under a hostile network:
   memory without bound;
 * :class:`FailureDetector` consumes the (unreliable) heartbeat channel
   and feeds ring ``leave``/``join`` decisions — membership follows
-  *observed* silence, not an in-process crash notification;
+  *observed* silence, never a crash notification;
 * :class:`WarmthTracker` folds the per-replica cache-warmth samples
   carried on heartbeats into an EWMA the router uses for
   warmth-weighted read placement.
@@ -45,8 +45,8 @@ attempt count.  Time inside :meth:`WirePlane.flush` is a *micro-clock*:
 it fast-forwards past retransmit backoffs without ever moving the
 outer event clock, so a flush-to-quiescence barrier before each
 speculation tick and each block leaves heard times, ``ready_at``
-clocks, and every Table 2/3 column byte-identical to the in-process
-fleet — and to the single-node serial run.
+clocks, and every Table 2/3 column byte-identical to the single-node
+serial run on a clean network.
 """
 
 from __future__ import annotations
@@ -210,12 +210,6 @@ class NetworkSim:
         self._parked = []
         self.heals += 1
         return released
-
-    def maybe_heal(self, now: float) -> int:
-        if self.partition_until is not None \
-                and now >= self.partition_until:
-            return self.heal(now)
-        return 0
 
     # -- transmission ----------------------------------------------------
 
@@ -503,9 +497,6 @@ class WirePlane:
     def heal(self, now: float) -> int:
         return self.sim.heal(now)
 
-    def maybe_heal(self, now: float) -> int:
-        return self.sim.maybe_heal(now)
-
     @property
     def isolated(self) -> FrozenSet[int]:
         return self.sim.isolated
@@ -544,8 +535,8 @@ class FailureDetector:
 
     ``heard`` consumes heartbeat deliveries; ``suspects`` names the
     replicas whose silence has exceeded ``suspect_after`` — membership
-    decisions follow *observed* silence over the wire, never an
-    in-process crash notification."""
+    decisions follow *observed* silence over the wire, never a crash
+    notification."""
 
     def __init__(self, suspect_after: float,
                  members: Tuple[int, ...] = ()) -> None:

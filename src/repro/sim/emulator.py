@@ -72,6 +72,86 @@ class JoinedRecord:
         return self.baseline_cost / self.forerunner_cost
 
 
+def join_record(base: TxRecord, record: TxRecord,
+                kinds: Dict[int, str]) -> JoinedRecord:
+    """Join the baseline and accelerated records of one transaction."""
+    return JoinedRecord(
+        tx_hash=record.tx_hash,
+        block_number=record.block_number,
+        kind=kinds.get(record.tx_hash, "?"),
+        baseline_cost=base.cost,
+        forerunner_cost=record.cost,
+        baseline_cpu=base.cpu_units,
+        baseline_io_units=base.io_units,
+        baseline_io_reads=base.io_reads,
+        gas_used=record.gas_used,
+        heard=record.heard,
+        heard_delay=record.heard_delay,
+        outcome=record.outcome,
+        ap_ready=record.ap_ready,
+        perfect=record.perfect,
+        first_context_perfect=record.first_context_perfect,
+        speculated_contexts=record.speculated_contexts,
+        shortcut_hits=record.shortcut_hits,
+        executed_nodes=record.executed_nodes,
+        skipped_nodes=record.skipped_nodes,
+    )
+
+
+#: Event priorities at equal times: gossip < speculation ticks < blocks
+#: < requests, so a request arriving exactly at a block boundary sees
+#: the committed state.
+PRIO_TX, PRIO_TICK, PRIO_BLOCK, PRIO_REQUEST = 0, 1, 2, 3
+
+
+class Timeline:
+    """The merged event heap every driver loop pops: ``(time, priority,
+    insertion order)`` keyed, so same-seed runs replay identically."""
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int, str, object]] = []
+        self._counter = 0
+
+    def push(self, at: float, priority: int, kind: str,
+             payload: object) -> None:
+        heapq.heappush(self._heap,
+                       (at, priority, self._counter, kind, payload))
+        self._counter += 1
+
+    def pop(self) -> Tuple[float, str, object]:
+        at, _, _, kind, payload = heapq.heappop(self._heap)
+        return at, kind, payload
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+def build_timeline(dataset: Dataset, observer: str, tick: float,
+                   requests=()) -> Timeline:
+    """``dataset``'s replay timeline as ``observer`` saw it — ``"tx"``
+    gossip arrivals, ``"tick"`` speculation ticks every ``tick``
+    seconds, ``"block"`` arrivals — merged with the client schedule:
+    one ``"request"`` event per entry of ``requests``, payload
+    ``(request, attempt, deadline)`` with attempt 1 and no deadline
+    yet.  Ticks run up to the last block or the last request,
+    whichever is later (a send storm may outlast the dataset)."""
+    timeline = Timeline()
+    for arrival, tx in dataset.tx_arrivals.get(observer, []):
+        timeline.push(arrival, PRIO_TX, "tx", tx)
+    horizon = max([dataset.blocks[-1][0] if dataset.blocks else 0.0]
+                  + [request.at for request in requests])
+    at = tick
+    while at < horizon:
+        timeline.push(at, PRIO_TICK, "tick", None)
+        at += tick
+    for arrival, block in dataset.blocks:
+        timeline.push(arrival, PRIO_BLOCK, "block", block)
+    for request in requests:
+        timeline.push(request.at, PRIO_REQUEST, "request",
+                      (request, 1, None))
+    return timeline
+
+
 @dataclass
 class EvaluationRun:
     """Everything measured during one replay."""
@@ -164,24 +244,7 @@ def replay(dataset: Dataset, observer: str = "live",
     g_wall_fore = registry.gauge("wall.forerunner_seconds",
                                  nondeterministic=True)
 
-    # Merged timeline: transactions, speculation ticks, blocks.
-    # Priority tuple: (time, priority) so tx arrivals at the same time
-    # precede speculation ticks, which precede block processing.
-    events: List[Tuple[float, int, int, object]] = []
-    counter = 0
-    for arrival, tx in dataset.tx_arrivals[observer]:
-        events.append((arrival, 0, counter, ("tx", tx)))
-        counter += 1
-    last_block_time = dataset.blocks[-1][0] if dataset.blocks else 0.0
-    tick = speculation_tick
-    while tick < last_block_time:
-        events.append((tick, 1, counter, ("tick", None)))
-        counter += 1
-        tick += speculation_tick
-    for arrival, block in dataset.blocks:
-        events.append((arrival, 2, counter, ("block", block)))
-        counter += 1
-    heapq.heapify(events)
+    timeline = build_timeline(dataset, observer, speculation_tick)
 
     run = EvaluationRun(dataset_name=dataset.name, observer=observer,
                         registry=registry, tracer=tracer)
@@ -190,8 +253,8 @@ def replay(dataset: Dataset, observer: str = "live",
     kinds = dataset.kinds
     baseline_records: Dict[int, TxRecord] = {}
 
-    while events:
-        now, _, _, (kind, payload) = heapq.heappop(events)
+    while timeline:
+        now, kind, payload = timeline.pop()
         if kind == "tx" or kind == "tx-redelivery":
             if kind == "tx" and injector.enabled:
                 rule = injector.evaluate("gossip.deliver",
@@ -203,11 +266,8 @@ def replay(dataset: Dataset, observer: str = "live",
                     elif rule.kind == "reorder":
                         # Redelivered events are never re-evaluated, so
                         # a 100% reorder rate still terminates.
-                        counter += 1
-                        heapq.heappush(
-                            events,
-                            (now + rule.reorder_seconds(), 0, counter,
-                             ("tx-redelivery", payload)))
+                        timeline.push(now + rule.reorder_seconds(),
+                                      PRIO_TX, "tx-redelivery", payload)
                         continue
                     else:
                         # drop (and any raise-kind rule): the observer
@@ -247,27 +307,7 @@ def replay(dataset: Dataset, observer: str = "live",
                 base = baseline_records.get(record.tx_hash)
                 if base is None:
                     continue
-                run.records.append(JoinedRecord(
-                    tx_hash=record.tx_hash,
-                    block_number=record.block_number,
-                    kind=kinds.get(record.tx_hash, "?"),
-                    baseline_cost=base.cost,
-                    forerunner_cost=record.cost,
-                    baseline_cpu=base.cpu_units,
-                    baseline_io_units=base.io_units,
-                    baseline_io_reads=base.io_reads,
-                    gas_used=record.gas_used,
-                    heard=record.heard,
-                    heard_delay=record.heard_delay,
-                    outcome=record.outcome,
-                    ap_ready=record.ap_ready,
-                    perfect=record.perfect,
-                    first_context_perfect=record.first_context_perfect,
-                    speculated_contexts=record.speculated_contexts,
-                    shortcut_hits=record.shortcut_hits,
-                    executed_nodes=record.executed_nodes,
-                    skipped_nodes=record.skipped_nodes,
-                ))
+                run.records.append(join_record(base, record, kinds))
 
     run.total_speculation_cost = forerunner.speculator.total_speculation_cost
     run.prefetch_offpath_cost = forerunner.prefetcher.offpath_cost

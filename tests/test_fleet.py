@@ -3,8 +3,8 @@
 Covers the consistent-hash shard map (minimal-movement rebalance, home
 shard election, snapshots), the sharded nonce-aware txpool (routing,
 entangled escalation, cross-shard replace-by-fee, requeue, handoff),
-the replica lifecycle supervisor (crash / promotion / journal-replay
-restart), the fleet router (placement, failover, deadline penalties),
+the replica lifecycle supervisor (crash / detector-driven ring leave /
+lease-voted promotion / journal-replay restart / heartbeat rejoin), the fleet router (placement, failover, deadline penalties),
 and the bounded per-client edge maps the fleet leans on.
 
 The cross-shard ordering guarantees ride on seeded property tests
@@ -356,15 +356,33 @@ class TestSupervisorLifecycle:
         supervisor = small_fleet
         assert supervisor.coordinator_id == 0
         generation = supervisor.shardmap.generation
-        assert supervisor.crash(0, now=1.0)
+        supervisor.tick(now=2.0)  # heartbeats prime the detector
+        assert supervisor.crash(0, now=2.5)
         assert supervisor.replicas[0].status == "down"
+        # Membership is observational: the crash itself moves nothing.
+        assert supervisor.coordinator_id == 0
+        assert supervisor.shardmap.generation == generation
+        # The bootstrap lease (granted at t=0 for 6 s) cannot be
+        # renewed by a dead holder; once it lapses the live majority
+        # votes in the lowest live replica.
+        supervisor.tick(now=4.0)
+        assert supervisor.coordinator_id == 0
+        supervisor.tick(now=6.0)
         assert supervisor.coordinator_id == 1
-        assert supervisor.shardmap.generation == generation + 1
         assert supervisor.c_promotions.value == 1
-        # All live replicas share the promoted coordinator's admission.
+        assert supervisor.lease.current.holder == 1
+        # Heartbeat silence reaches suspect_after: ring leave + rebalance.
+        assert 0 in supervisor.shardmap
+        supervisor.tick(now=8.0)
+        assert 0 not in supervisor.shardmap
+        assert supervisor.shardmap.generation == generation + 1
+        assert supervisor.c_detector_leaves.value == 1
+        assert supervisor.c_rebalances.value == 1
+        # All live replicas share the fleet admission ledger.
         for rid in supervisor.live():
             assert supervisor.replicas[rid].node.admission \
                 is supervisor.admission
+        supervisor.lease.assert_single_holder_per_term()
 
     def test_crash_never_kills_the_last_replica(self, small_fleet):
         supervisor = small_fleet
@@ -378,17 +396,26 @@ class TestSupervisorLifecycle:
         supervisor = small_fleet
         tx = make_tx(sender=0xA1, to=0xB1)
         supervisor.on_transaction(tx, now=0.5)
-        home = supervisor.home_of(tx)
-        victim = home
-        supervisor.crash(victim, now=1.0)
+        victim = supervisor.home_of(tx)
+        supervisor.tick(now=2.0)
+        supervisor.crash(victim, now=2.5)
+        assert victim in supervisor.shardmap
+        supervisor.tick(now=8.0)  # silence >= suspect_after: ring leave
         assert victim not in supervisor.shardmap
         # The tx survived the crash in another shard's live queue.
+        assert supervisor.home_of(tx) != victim
         assert sum(supervisor.shardpool.shard_sizes().values()) == 1
-        supervisor.restart(victim, now=5.0)
-        assert victim in supervisor.shardmap
+        supervisor.restart(victim, now=9.0)
         assert supervisor.replicas[victim].status == "up"
         # Restarted node heard the pending tx again via peer resync.
         assert tx.hash in supervisor.replicas[victim].node.pool
+        # The restart itself changes no membership; the fresh
+        # incarnation's first heartbeat rejoins the ring.
+        assert victim not in supervisor.shardmap
+        supervisor.tick(now=10.0)
+        assert victim in supervisor.shardmap
+        assert supervisor.c_detector_joins.value == 1
+        assert supervisor.home_of(tx) == victim
 
     def test_tick_runs_due_restarts(self, small_fleet):
         supervisor = small_fleet

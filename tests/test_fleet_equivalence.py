@@ -6,6 +6,10 @@ Table 2/3 column of every joined record — at every shard count, on
 every workload kind tested.  Sharding moves the speculation work and
 the serving load; it never moves the answers (docs/FLEET.md has the
 full determinism argument).
+
+The wire plane is the fleet's only inter-replica path, so this is also
+the clean-network matrix: framing, sequencing, acks and flush barriers
+at shards 1/2/4/8 change nothing a single node would commit.
 """
 
 from __future__ import annotations

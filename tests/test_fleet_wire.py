@@ -1,14 +1,14 @@
-"""Wire-plane integration: the tentpole's acceptance criteria.
+"""Wire-plane integration: the fleet under a hostile network.
 
-* **Clean equivalence** — with the wire plane on (every inter-replica
-  interaction framed, sequenced, and flushed through the network
-  simulator) but no faults, fleet commitments and every joined-record
-  column are byte-identical to the in-process fleet at shards
-  1/2/4/8 — which PR 9 proved byte-identical to the single node.
+* **Clean equivalence** lives in ``tests/test_fleet_equivalence.py``:
+  the wire is the fleet's only inter-replica path, so fleet-vs-single-
+  node at shards 1/2/4/8 *is* the clean-wire matrix.  Here: the clean
+  run really crossed the wire, and the supervisor retains block reports
+  only for the block in flight.
 * **Chaos containment** — ``net.drop`` / ``net.duplicate`` /
   ``net.reorder`` / ``net.delay`` / ``net.partition`` at 1%, 5% and
   100% (seeds 0-2) leave chain commitments (roots + receipts)
-  byte-identical to the clean wire run, and two same-seed faulted runs
+  byte-identical to the clean run, and two same-seed faulted runs
   are byte-identical to each other down to every speculation-quality
   column.  Faults may degrade speculation accuracy (a dropped AP
   snapshot means an older prediction context) — that is the paper's
@@ -18,6 +18,9 @@
   minority assembles no quorum, and the heal replays parked traffic to
   byte-identical state; the lease oracle re-verifies at most one
   holder per term over the whole trace.
+* **Observational membership** — a crash becomes a ring leave only
+  through heartbeat silence; a replica that restarts faster than
+  ``suspect_after`` never leaves the ring at all.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import pytest
 from repro.fleet import (
     NET_SITES,
     SITE_NET_PARTITION,
+    SITE_REPLICA_CRASH,
     FleetConfig,
-    WireConfig,
+    FleetSupervisor,
+    fleet_fault_plan,
     fleet_replay,
     net_fault_plan,
 )
@@ -40,7 +45,6 @@ from repro.p2p.latency import LatencyModel
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
-SHARD_COUNTS = (1, 2, 4, 8)
 LOSS_SITES = tuple(site for site in NET_SITES
                    if site != SITE_NET_PARTITION)
 
@@ -56,8 +60,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def clean_wire_run(dataset):
-    return fleet_replay(dataset, config=FleetConfig(
-        shards=4, wire=WireConfig()))
+    return fleet_replay(dataset, config=FleetConfig(shards=4))
 
 
 def commitment_digest(run) -> str:
@@ -93,21 +96,7 @@ def chain_digest(run) -> str:
         canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-# -- clean equivalence ----------------------------------------------------
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_wire_clean_network_byte_identical(dataset, shards):
-    """Framing + sequencing + flush barriers on a clean network change
-    nothing: wire-on == wire-off (== single node, by PR 9's proof) at
-    every shard count, down to every Table 2/3 column."""
-    off = fleet_replay(dataset, config=FleetConfig(shards=shards))
-    on = fleet_replay(dataset, config=FleetConfig(
-        shards=shards, wire=WireConfig()))
-    assert commitment_digest(on) == commitment_digest(off)
-    assert on.speculation_jobs == off.speculation_jobs
-    # Every block's merged root also matched the baseline node.
-    assert on.roots_matched == on.blocks_executed
+# -- the clean wire --------------------------------------------------------
 
 
 def test_wire_actually_carries_the_traffic(clean_wire_run):
@@ -126,6 +115,36 @@ def test_wire_actually_carries_the_traffic(clean_wire_run):
     supervisor.lease.assert_single_holder_per_term()
 
 
+def test_block_reports_hold_only_the_block_in_flight(dataset):
+    """``block.commit`` reports are kept for the block being merged and
+    dropped with it; a healed replica's late catch-up deliveries are
+    root-checked but never stored."""
+    supervisor = FleetSupervisor(dataset.genesis_world,
+                                 dataset.genesis_block,
+                                 FleetConfig(shards=4))
+    held = []
+    deliver = supervisor._on_block_commit
+
+    def spy(*args):
+        deliver(*args)
+        held.append(tuple(supervisor._block_reports))
+
+    supervisor._on_block_commit = spy
+    supervisor.wire.partition({3}, now=0.0, seconds=1e9)
+    assert len(dataset.blocks) > 1
+    for at, block in dataset.blocks:
+        supervisor.process_block(block, at)
+        assert supervisor._block_reports == {}
+    in_flight = len(held)
+    assert in_flight == 3 * len(dataset.blocks)
+    assert all(keys == (block.number,) for keys, (_, block) in
+               zip(held[::3], dataset.blocks))
+    supervisor.close()  # heals: replica 3 catches up, late
+    assert len(held) == 4 * len(dataset.blocks)
+    assert all(keys == () for keys in held[in_flight:])
+    assert len(supervisor._root_history) == len(dataset.blocks)
+
+
 # -- chaos containment ----------------------------------------------------
 
 
@@ -136,7 +155,7 @@ def test_net_site_containment_at_full_rate(dataset, clean_wire_run,
     chain commitments stay byte-identical to the clean wire run."""
     plan = net_fault_plan(seed=0, probability=1.0, sites=(site,))
     run = fleet_replay(dataset, config=FleetConfig(
-        shards=4, wire=WireConfig(), fault_plan=plan))
+        shards=4, fault_plan=plan))
     assert run.supervisor.injector.fired(site) > 0
     assert chain_digest(run) == chain_digest(clean_wire_run)
     run.supervisor.lease.assert_single_holder_per_term()
@@ -152,7 +171,7 @@ def test_loss_rates_converge_and_are_deterministic(dataset,
     byte-identical to each other down to every record column."""
     plan = net_fault_plan(seed=seed, probability=probability,
                           sites=LOSS_SITES)
-    config = FleetConfig(shards=4, wire=WireConfig(), fault_plan=plan)
+    config = FleetConfig(shards=4, fault_plan=plan)
     first = fleet_replay(dataset, config=config)
     again = fleet_replay(dataset, config=config)
     fired = sum(first.supervisor.injector.fired(site)
@@ -174,7 +193,7 @@ def test_partition_elects_quorum_side_and_heals(dataset,
     plan = net_fault_plan(seed=1, probability=1.0,
                           sites=(SITE_NET_PARTITION,))
     run = fleet_replay(dataset, config=FleetConfig(
-        shards=4, wire=WireConfig(), fault_plan=plan))
+        shards=4, fault_plan=plan))
     supervisor = run.supervisor
     assert supervisor.wire.sim.partitions > 0
     assert supervisor.wire.sim.heals > 0
@@ -191,12 +210,9 @@ def test_partitioned_coordinator_halts_and_minority_has_no_quorum(
     coordinator, let its lease lapse — admission halts; the minority
     campaign assembles no quorum while the majority promotes; the heal
     re-joins the replica through the failure detector."""
-    from repro.fleet import FleetSupervisor
-
     supervisor = FleetSupervisor(dataset.genesis_world,
                                  dataset.genesis_block,
-                                 FleetConfig(shards=4,
-                                             wire=WireConfig()))
+                                 FleetConfig(shards=4))
     old = supervisor.coordinator_id
     supervisor.wire.partition({old}, now=0.0, seconds=100.0)
     # Lease (granted at t=0, 6s) has lapsed by t=7; no tick has run an
@@ -227,14 +243,12 @@ def test_partitioned_coordinator_halts_and_minority_has_no_quorum(
 
 
 def test_crash_membership_flows_through_detector(dataset):
-    """With the wire on, a crash changes no membership directly: the
-    ring leave waits for observed heartbeat silence, and the restart
-    re-joins via a fresh-incarnation heartbeat."""
-    from repro.fleet import FleetSupervisor
-
+    """A crash changes no membership directly: the ring leave waits
+    for observed heartbeat silence, and the restart re-joins via a
+    fresh-incarnation heartbeat."""
     supervisor = FleetSupervisor(
         dataset.genesis_world, dataset.genesis_block,
-        FleetConfig(shards=4, wire=WireConfig(), restart_delay=10.0))
+        FleetConfig(shards=4, restart_delay=10.0))
     supervisor.tick(2.0)  # heartbeats prime the detector
     victim = 2
     generation = supervisor.shardmap.generation
@@ -254,6 +268,27 @@ def test_crash_membership_flows_through_detector(dataset):
     supervisor.close()
 
 
+def test_fast_restart_never_leaves_the_ring(dataset, clean_wire_run):
+    """``restart_delay < suspect_after``: every crashed replica is
+    heartbeating again before the detector's silence threshold, so the
+    ring generation never moves, no handoff window opens — and the
+    journal-replayed restarts still converge to the clean chain."""
+    plan = fleet_fault_plan(seed=0, probability=0.5,
+                            sites=(SITE_REPLICA_CRASH,))
+    config = FleetConfig(shards=4, fault_plan=plan, restart_delay=4.0)
+    assert config.restart_delay < config.wire.suspect_after
+    run = fleet_replay(dataset, config=config)
+    supervisor = run.supervisor
+    assert supervisor.c_crashes.value > 0
+    assert supervisor.c_restarts.value > 0
+    assert supervisor.c_detector_leaves.value == 0
+    assert supervisor.c_rebalances.value == 0
+    assert supervisor.shardmap.generation == \
+        clean_wire_run.supervisor.shardmap.generation
+    assert chain_digest(run) == chain_digest(clean_wire_run)
+    supervisor.lease.assert_single_holder_per_term()
+
+
 # -- warmth-weighted read placement ---------------------------------------
 
 
@@ -261,12 +296,11 @@ def test_warmth_weighted_read_placement(dataset):
     """A measurably warmer ring successor attracts reads; ties keep
     the deterministic lower-id choice."""
     from repro.edge.server import EdgeConfig
-    from repro.fleet import FleetRouter, FleetSupervisor
+    from repro.fleet import FleetRouter
 
     supervisor = FleetSupervisor(dataset.genesis_world,
                                  dataset.genesis_block,
-                                 FleetConfig(shards=4,
-                                             wire=WireConfig()))
+                                 FleetConfig(shards=4))
     router = FleetRouter(supervisor, EdgeConfig())
     raw = ('{"jsonrpc": "2.0", "id": "r1", "method": "eth_call", '
            '"params": [{"to": "0x1234"}]}')

@@ -2,9 +2,10 @@
 bounded link state (the 10^4-message soak), partitions, the failure
 detector, the warmth tracker, and the lease registry's safety math.
 
-Integration-level proofs (clean byte-identity with the in-process
-fleet, net chaos containment, partition-driven lease elections) live
-in ``tests/test_fleet_wire.py``.
+Integration-level proofs live in ``tests/test_fleet_equivalence.py``
+(clean byte-identity with the single node) and
+``tests/test_fleet_wire.py`` (net chaos containment, partition-driven
+lease elections).
 """
 
 from __future__ import annotations

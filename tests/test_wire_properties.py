@@ -1,6 +1,6 @@
 """Property-based wire-plane validation (hypothesis).
 
-Two universally-quantified claims behind the tentpole:
+Three universally-quantified claims behind the wire plane:
 
 * **Exactly-once, order-preserving delivery** — for ANY seeded
   hostile-network plan (drop/duplicate/reorder at any rates) and ANY
@@ -13,15 +13,23 @@ Two universally-quantified claims behind the tentpole:
   ledger makes a second majority impossible by intersection; the
   property test drives randomized elections to hunt for a
   counterexample.
+* **Transaction codec round-trip** — for ANY transaction,
+  ``tx_from_wire(tx_to_wire(tx))`` through the canonical-JSON frame
+  has the same hash: the one codec journals, gossip, pool sync and
+  speculation dispatch all share loses nothing the hash covers.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.chain.transaction import Transaction, tx_from_wire, tx_to_wire
+from repro.core.node import ForerunnerNode
+from repro.errors import ChainError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.fleet.faults import (
     SITE_NET_DELAY,
@@ -32,6 +40,7 @@ from repro.fleet.faults import (
 )
 from repro.fleet.lease import LeaseRegistry
 from repro.fleet.wire import WireConfig, WirePlane
+from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
 
 LOSS_SITES = (SITE_NET_DROP, SITE_NET_DUPLICATE, SITE_NET_REORDER,
@@ -173,3 +182,37 @@ def test_lease_rejects_grant_without_quorum_intersection(election,
             with pytest.raises(SimulationError):
                 lease.grant(term, forged % len(members), 0.0)
     lease.assert_single_holder_per_term()
+
+
+# -- the transaction wire codec ---------------------------------------------
+
+_WORD = st.integers(0, 2**256 - 1)
+_ADDRESS = st.integers(0, 2**160 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sender=_ADDRESS, to=_ADDRESS, data=st.binary(max_size=256),
+       value=_WORD, gas_price=_WORD, gas_limit=st.integers(0, 2**64),
+       nonce=st.integers(0, 2**64))
+def test_tx_codec_round_trips_through_the_canonical_frame(
+        sender, to, data, value, gas_price, gas_limit, nonce):
+    tx = Transaction(sender=sender, to=to, data=data, value=value,
+                     gas_price=gas_price, gas_limit=gas_limit,
+                     nonce=nonce)
+    frame = canonical_json(tx_to_wire(tx))
+    decoded = tx_from_wire(json.loads(frame))
+    assert decoded.hash == tx.hash
+    assert decoded == tx
+    assert canonical_json(tx_to_wire(decoded)) == frame
+
+
+def test_spec_job_delivery_asserts_hash_fidelity():
+    """The speculation-dispatch seam both planes share: a job frame
+    reconstructs its transaction, and a corrupted frame is refused."""
+    plane = ForerunnerNode(registry=MetricsRegistry()).spec_plane
+    tx = Transaction(sender=0xA1, to=0xB1, data=b"\x01\x02", nonce=3)
+    payload = json.loads(canonical_json(plane.serialize_job(tx)))
+    assert plane.deliver_job(payload) == tx
+    payload["tx"]["nonce"] += 1
+    with pytest.raises(ChainError):
+        plane.deliver_job(payload)
