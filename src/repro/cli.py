@@ -39,6 +39,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.core import stats as S
@@ -231,7 +232,8 @@ def _print_sched_report(sched: dict) -> None:
     print(f"\nScheduler ({ex.get('lanes', 1)} lanes):")
     print(f"  blocks: {ex.get('blocks', 0)} "
           f"({ex.get('blocks_parallel', 0)} parallel), "
-          f"txs: {ex.get('transactions', 0)}")
+          f"txs: {ex.get('transactions', 0)} "
+          f"in {ex.get('executions', 0)} executions")
     print(f"  clean commits: {ex.get('clean_commits', 0)}, aborted: "
           f"{aborted.get('conflict', 0)} conflict / "
           f"{aborted.get('entangled', 0)} entangled / "
@@ -282,6 +284,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "blocks_executed": run.blocks_executed,
             "state_root": hex(run.forerunner_node.world.root()),
             "stages": run.tracer.stage_totals(),
+            # Full per-tx records (cost, cpu/io units, outcome, tier):
+            # what must not move with the lane count.
+            "records": [dataclasses.asdict(record)
+                        for report in run.forerunner_node.reports
+                        for record in report.records],
         }
         if args.sched:
             payload["sched"] = run.sched

@@ -351,17 +351,14 @@ class ForerunnerNode:
         #: clocks in simulated seconds (same dispatch rule the scalar
         #: pool used: least-loaded lane, ties to the lowest id).
         self._worker_lanes = LaneSet(self.config.workers)
-        #: Conflict-aware parallel block executor (``lanes=1`` is the
-        #: exact legacy serial loop).
+        #: Block executor: one serial pass plus, at ``lanes > 1``, the
+        #: lane schedule derived from its access sets.
         self.executor = ParallelBlockExecutor(
             lanes=self.config.sched.lanes,
             registry=self.registry,
             injector=self.fault_injector,
             guard=self.guard)
         self.head_number = 0
-        #: Simulated time of the block currently being processed (the
-        #: executor's per-tx strategy reads it for AP readiness).
-        self._block_now = 0.0
         #: Transactions whose AP merge produced a first-context record
         #: (for the single-future comparator): tx -> first context id.
         self.first_context: Dict[int, int] = {}
@@ -587,58 +584,60 @@ class ForerunnerNode:
             receipt.perfect_context_ids = ()
         return receipt
 
-    def _execute_one(self, tx: Transaction, block: Block,
-                     state: StateDB):
-        """The node's per-transaction execution strategy (the executor
-        calls this for optimistic forks and serial runs alike)."""
-        ap = self.spec_plane.ap_for(tx.hash)
-        if ap is not None and ap.root is not None and ap.ready_at <= \
-                self._block_now:
-            return self._execute_accelerated(tx, block, state, ap)
-        return self.accelerator.execute(tx, block.header, state, None)
-
     def process_block(self, block: Block, now: float = 0.0) -> BlockReport:
         """Execute a freshly decided block through the accelerator.
 
-        Transactions run through the conflict-aware parallel executor
-        (``config.sched.lanes`` virtual lanes); committed state,
-        receipts and all Table 2/3 numbers are byte-identical to serial
-        execution at every lane count — parallelism surfaces only in
-        the ``sched.*`` metrics attached to the report.
+        Each transaction executes once, in block order
+        (:class:`repro.sched.executor.ParallelBlockExecutor`), so
+        committed state, receipts and all Table 2/3 numbers are the
+        serial ones at every ``config.sched.lanes``; the lane what-if
+        derived from the pass surfaces only in the ``sched.*`` metrics
+        attached to the report.
         """
         self.predictor.observe_block(block)
         self.head_number = block.number
-        self._block_now = now
         state = StateDB(self.world, node_cache=self.node_cache)
         records: List[TxRecord] = []
+        #: Per transaction, the AP it executed with (``None``: no AP
+        #: was ready at ``now`` and it took the plain path).
+        ready_aps: list = []
+
+        def execute_one(tx: Transaction, exec_state: StateDB):
+            ap = self.spec_plane.ap_for(tx.hash)
+            if ap is None or ap.root is None or ap.ready_at > now:
+                ready_aps.append(None)
+                return self.accelerator.execute_plain(
+                    tx, block.header, exec_state)
+            ready_aps.append(ap)
+            return self._execute_accelerated(tx, block, exec_state, ap)
+
         outcomes = self.executor.execute_block(
-            block, state, list(block.transactions),
-            lambda tx, exec_state: self._execute_one(
-                tx, block, exec_state))
+            block, state, list(block.transactions), execute_one)
         # Net per-tx state deltas, reconstructed from the master
         # journal while it still exists (commit clears it).
         deltas = (state.witness_deltas(
             [outcome.journal_span for outcome in outcomes])
             if self.config.enable_witness else None)
+        traced = self.tracer.enabled
         for index, outcome in enumerate(outcomes):
             tx = outcome.tx
             receipt = outcome.receipt
             heard_time = self.heard.get(tx.hash)
             heard = heard_time is not None
-            ap = self.spec_plane.ap_for(tx.hash)
-            ap_ready = (ap is not None and ap.root is not None
-                        and ap.ready_at <= now)
-            # Spans are emitted in commit (block) order with the
-            # canonical (serial-equivalent) costs, so traces look the
-            # same at every lane count apart from the lane annotations.
-            with self.tracer.span("execute", tx=f"{tx.hash:#x}",
-                                  block=block.number,
-                                  ap_ready=ap_ready) as span:
-                span.add_cost(receipt.tally.total)
-                span.set(outcome=receipt.outcome,
-                         lane=outcome.lane_id,
-                         aborted=outcome.aborted)
+            ap = ready_aps[index]
+            ap_ready = ap is not None
             cost = receipt.tally.total
+            if traced:
+                # One span per tx, in block order with the serial
+                # costs: traces look the same at every lane count
+                # apart from the lane annotations.
+                with self.tracer.span("execute", cost=cost,
+                                      tx=f"{tx.hash:#x}",
+                                      block=block.number,
+                                      ap_ready=ap_ready) as span:
+                    span.set(outcome=receipt.outcome,
+                             lane=outcome.lane_id,
+                             aborted=outcome.aborted)
             if not heard:
                 # Forerunner's bookkeeping slows unheard transactions
                 # slightly (paper: 0.81x on unheard).

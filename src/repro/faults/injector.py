@@ -97,12 +97,13 @@ SITE_KINDS: Dict[str, str] = {
     "storage.read": KIND_STORAGE,
     "accelerator.execute": KIND_RAISE,
     # Concurrency scheduler (repro.sched).  Containments: an admission
-    # fault skips the speculation cycle; a fork fault aborts that
-    # transaction to the serial path; a conflict-scan fault aborts the
-    # whole block to serial; a commit fault reverts the partial apply
-    # and re-executes serially; a prefetch-queue fault drops the
-    # request (colder reads, same values).  None of them can change
-    # committed state.
+    # fault skips the speculation cycle; a prefetch-queue fault drops
+    # the request (colder reads, same values).  The block executes
+    # once, serially, and its lane schedule is derived afterwards, so
+    # the three executor sites only move that what-if: a fork fault
+    # yields that transaction to serial order, a conflict-scan fault
+    # the whole block, a commit fault that clean transaction.  None of
+    # them can change committed state.
     "sched.admit": KIND_RAISE,
     "sched.fork": KIND_RAISE,
     "sched.conflict_scan": KIND_RAISE,

@@ -15,31 +15,34 @@ reads or writes the coinbase balance *explicitly* is flagged
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
 class AccessSet:
-    """One transaction's observed state accesses (fork execution)."""
+    """One transaction's state accesses, as its execution in block
+    order recorded them (:class:`repro.state.statedb.AccessLog`).
 
-    reads: FrozenSet[tuple] = frozenset()
-    writes: FrozenSet[tuple] = frozenset()
-    #: Accounts created by this transaction.
-    created: Tuple[int, ...] = ()
-    #: Net commutative coinbase credit (gas fees); excluded from
-    #: ``reads``/``writes`` because increments commute.
-    coinbase_delta: int = 0
+    Commutative coinbase fee credits are in neither set; an account
+    the transaction created is in ``writes`` under all four of its
+    ``exist`` / ``bal`` / ``nonce`` / ``code`` keys.
+    """
+
+    reads: AbstractSet[tuple] = frozenset()
+    #: Every key written, including writes reverted later in the tx.
+    writes: AbstractSet[tuple] = frozenset()
+    #: The writes still in place when the tx ended, where some were
+    #: reverted (``None``: all of ``writes``) — what the tx contributes
+    #: when it aborts and re-executes serially.
+    kept: Optional[AbstractSet[tuple]] = None
     #: True when the tx touched the coinbase balance non-commutatively
     #: (explicit read/write) — it must then execute in serial order.
     entangled: bool = False
 
-    @property
-    def keys(self) -> FrozenSet[tuple]:
-        return self.reads | self.writes
-
-    def conflicts_with_writes(self, writes: FrozenSet[tuple]) -> bool:
+    def conflicts_with_writes(self, writes: AbstractSet[tuple]) -> bool:
         """Would this tx observe (or clobber) any of ``writes``?"""
-        return not self.keys.isdisjoint(writes)
+        return not (writes.isdisjoint(self.reads)
+                    and writes.isdisjoint(self.writes))
 
 
 def conflicts(earlier: AccessSet, later: AccessSet) -> bool:
@@ -81,26 +84,27 @@ class ConflictGraph:
 def build_conflict_graph(access_sets: Sequence[AccessSet]) -> ConflictGraph:
     """Pairwise conflict edges via a write-key index (O(total keys))."""
     writers: Dict[tuple, List[int]] = {}
+    wrote = writers.get
     edges: List[Tuple[int, int]] = []
     entangled_before: List[int] = []
     for j, access in enumerate(access_sets):
-        seen: set = set()
         if access.entangled:
             # Entangled txs conflict with every predecessor (any of
             # them may have credited the coinbase) and with every
             # successor (handled when the successor is visited).
-            seen.update(range(j))
+            seen = range(j)
+            entangled_before.append(j)
         else:
-            for i in entangled_before:
-                seen.add(i)
-            for key in access.keys:
-                for i in writers.get(key, ()):
-                    seen.add(i)
-        edges.extend((i, j) for i in sorted(seen))
+            found = set(entangled_before)
+            for keys in (access.reads, access.writes):
+                for key in keys:
+                    earlier = wrote(key)
+                    if earlier is not None:
+                        found.update(earlier)
+            seen = sorted(found)
+        edges.extend([(i, j) for i in seen])
         for key in access.writes:
             writers.setdefault(key, []).append(j)
-        if access.entangled:
-            entangled_before.append(j)
     return ConflictGraph(size=len(access_sets), edges=tuple(edges))
 
 

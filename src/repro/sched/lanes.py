@@ -2,8 +2,9 @@
 
 A :class:`LaneSet` models N parallel workers without threads: each lane
 owns a monotone clock in whatever deterministic currency the caller
-uses (cost units for the block executor, simulated seconds for the
-speculation worker pool).  Dispatch always picks the lane with the
+uses (simulated seconds for the speculation worker pool; the block
+executor's derived schedule applies the same rule to bare cost-unit
+clocks).  Dispatch always picks the lane with the
 lowest clock, breaking ties by lane id, and completion order is the
 merged event order ``(finish, lane_id, seq)`` — so scheduling decisions
 depend only on the dispatch sequence, never on host concurrency, and
@@ -20,8 +21,9 @@ from typing import List, Optional, Tuple
 class SchedConfig:
     """Tunables for the concurrency scheduler (node-level)."""
 
-    #: Parallel execution lanes for block processing.  1 = serial
-    #: (legacy behaviour); any value yields byte-identical commitments.
+    #: Lanes of the block executor's derived optimistic-concurrency
+    #: schedule.  Execution is one serial pass at any value (so every
+    #: value commits byte-identically); 1 also skips access recording.
     lanes: int = 4
     #: Admission: hard cap on speculation jobs dispatched per head.
     #: Generous by default (the per-tx context caps bind first in the
@@ -77,9 +79,8 @@ class LaneSet:
     """N deterministic lanes merged by (clock, lane id).
 
     The same selection rule the legacy scalar worker pool used —
-    ``min(availability, index)`` — generalized and shared by the
-    speculation worker pool (float seconds) and the parallel block
-    executor (integer cost units).
+    ``min(availability, index)`` — generalized; the speculation
+    worker pool's clocks (float seconds) live here.
     """
 
     def __init__(self, count: int, start: float = 0.0) -> None:

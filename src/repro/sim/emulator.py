@@ -309,6 +309,10 @@ def replay(dataset: Dataset, observer: str = "live",
                     continue
                 run.records.append(join_record(base, record, kinds))
 
+    # Size of the world's incremental-root memo (hashes kept): bounded
+    # by the state, reported so a growth would show.
+    registry.gauge("state.root_memo_nodes").set(
+        forerunner.world.root_memo_nodes())
     run.total_speculation_cost = forerunner.speculator.total_speculation_cost
     run.prefetch_offpath_cost = forerunner.prefetcher.offpath_cost
     run.sched = forerunner.sched_report()

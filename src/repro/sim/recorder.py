@@ -141,8 +141,11 @@ def record_dataset(config: Optional[DatasetConfig] = None) -> Dataset:
     # Mining + truth execution.
     genesis_header = BlockHeader(number=0, timestamp=0, coinbase=0)
     genesis_block = Block(header=genesis_header)
+    # Root first, copy second: every later ``genesis_world.copy()``
+    # (each replay, node and replica) inherits the commitment instead
+    # of re-hashing the whole genesis state at its first root().
+    genesis_block.state_root = genesis_world.root()
     truth_world = genesis_world.copy()
-    genesis_block.state_root = truth_world.root()
 
     schedule = PowSchedule(hash_power,
                            mean_interval=config.mean_block_interval,

@@ -178,13 +178,15 @@ def load_dataset(path: str) -> Dataset:
     genesis_entry = dict(payload["genesis_block"])
     genesis_entry["arrival"] = 0.0
     _, genesis_block = block_from(genesis_entry)
+    genesis_world = _world_from_json(payload["genesis_world"])
+    genesis_world.root()  # as record_dataset: copies inherit it
     all_txs = [TimedTx(time=t, tx=tx, kind=kind)
                for t, tx, kind in zip(payload["times"], txs,
                                       payload["kinds"])]
     return Dataset(
         name=payload["name"],
         config=DatasetConfig(name=payload["name"]),
-        genesis_world=_world_from_json(payload["genesis_world"]),
+        genesis_world=genesis_world,
         genesis_block=genesis_block,
         blocks=[block_from(e) for e in payload["blocks"]],
         fork_blocks=[block_from(e) for e in payload["fork_blocks"]],

@@ -21,6 +21,12 @@ from repro.state.trie import trie_depth
 from repro.state.world import WorldState
 
 
+#: Journal entry kind -> :class:`AccessLog` key kind.
+_ACCESS_KIND = {"balance": "bal", "nonce": "nonce", "code": "code"}
+#: The key kinds creating an account writes.
+_ACCOUNT_KINDS = ("exist", "bal", "nonce", "code")
+
+
 @dataclass
 class LogEntry:
     """One LOG record emitted during execution."""
@@ -28,6 +34,28 @@ class LogEntry:
     address: int
     topics: Tuple[int, ...]
     data: bytes
+
+
+class AccessLog:
+    """One transaction's fine-grained state accesses, filled in by the
+    accessors of the :class:`StateDB` it is installed on
+    (:attr:`StateDB.access`).
+
+    Keys are ``("bal" | "nonce" | "code" | "exist", address)`` and
+    ``("slot", address, slot)``.  Fee credits to ``coinbase`` through
+    :meth:`StateDB.add_balance` commute, so they are left out; any
+    other touch of the coinbase balance is recorded like the rest.
+    """
+
+    __slots__ = ("coinbase", "reads", "writes", "reverted")
+
+    def __init__(self, coinbase: int) -> None:
+        self.coinbase = coinbase
+        self.reads: Set[tuple] = set()
+        #: Every key written — including, once ``reverted`` is set,
+        #: writes that :meth:`StateDB.revert_to` has since undone.
+        self.writes: Set[tuple] = set()
+        self.reverted = False
 
 
 class StateDB:
@@ -58,6 +86,9 @@ class StateDB:
         self._loaded_slots: Set[Tuple[int, int]] = set()
         self._journal: List[tuple] = []
         self.logs: List[LogEntry] = []
+        #: Optional :class:`AccessLog` (the block executor installs one
+        #: per transaction); ``None`` costs each accessor one test.
+        self.access: Optional[AccessLog] = None
 
     # -- copy-on-write forking ----------------------------------------------
 
@@ -161,6 +192,8 @@ class StateDB:
 
     def account_exists(self, address: int) -> bool:
         """True if the account exists in cache or committed state."""
+        if self.access is not None:
+            self.access.reads.add(("exist", address))
         return (address in self._cache
                 or self._inherited_account(address) is not None
                 or address in self.world)
@@ -169,19 +202,36 @@ class StateDB:
                        code: bytes = b"") -> None:
         """Create a fresh account in the working view."""
         self._assert_mutable()
+        if self.access is not None:
+            self.access.writes.update(
+                (kind, address) for kind in _ACCOUNT_KINDS)
         self._journal.append(("create", address, self._cache.get(address)))
         self._cache[address] = Account(balance=balance, code=code)
 
     def get_balance(self, address: int) -> int:
+        if self.access is not None:
+            self.access.reads.add(("bal", address))
         return self._load_account(address).balance
 
     def set_balance(self, address: int, value: int) -> None:
         self._assert_mutable()
+        if self.access is not None:
+            self.access.writes.add(("bal", address))
         account = self._load_account(address)
         self._journal.append(("balance", address, account.balance))
         account.balance = value
 
     def add_balance(self, address: int, amount: int) -> None:
+        access = self.access
+        if access is not None and address == access.coinbase:
+            # Commutative fee credit: same lookups and journal entry,
+            # no conflict keys.
+            self.access = None
+            try:
+                self.set_balance(address, self.get_balance(address) + amount)
+            finally:
+                self.access = access
+            return
         self.set_balance(address, self.get_balance(address) + amount)
 
     def sub_balance(self, address: int, amount: int) -> None:
@@ -192,19 +242,29 @@ class StateDB:
         self.set_balance(address, balance - amount)
 
     def get_nonce(self, address: int) -> int:
+        if self.access is not None:
+            self.access.reads.add(("nonce", address))
         return self._load_account(address).nonce
 
     def increment_nonce(self, address: int) -> None:
         self._assert_mutable()
+        if self.access is not None:
+            # Read-modify-write: the new nonce depends on the old one.
+            self.access.reads.add(("nonce", address))
+            self.access.writes.add(("nonce", address))
         account = self._load_account(address)
         self._journal.append(("nonce", address, account.nonce))
         account.nonce += 1
 
     def get_code(self, address: int) -> bytes:
+        if self.access is not None:
+            self.access.reads.add(("code", address))
         return self._load_account(address).code
 
     def set_code(self, address: int, code: bytes) -> None:
         self._assert_mutable()
+        if self.access is not None:
+            self.access.writes.add(("code", address))
         account = self._load_account(address)
         self._journal.append(("code", address, account.code))
         account.code = code
@@ -213,6 +273,8 @@ class StateDB:
 
     def get_storage(self, address: int, slot: int) -> int:
         """SLOAD path with lazy per-slot cold loading."""
+        if self.access is not None:
+            self.access.reads.add(("slot", address, slot))
         account = self._load_account(address)
         key = (address, slot)
         if key in self._loaded_slots:
@@ -243,6 +305,8 @@ class StateDB:
     def set_storage(self, address: int, slot: int, value: int) -> None:
         """SSTORE path; journals the previous working value."""
         self._assert_mutable()
+        if self.access is not None:
+            self.access.writes.add(("slot", address, slot))
         account = self._load_account(address)
         key = (address, slot)
         if key in self._loaded_slots:
@@ -273,6 +337,8 @@ class StateDB:
     def revert_to(self, snap: int) -> None:
         """Undo every change made after :meth:`snapshot` returned ``snap``."""
         self._assert_mutable()
+        if self.access is not None and len(self._journal) > snap:
+            self.access.reverted = True
         while len(self._journal) > snap:
             entry = self._journal.pop()
             kind = entry[0]
@@ -291,6 +357,21 @@ class StateDB:
                     self._cache.pop(entry[1], None)
                 else:
                     self._cache[entry[1]] = entry[2]
+
+    def written_keys(self, start: int, end: int) -> Set[tuple]:
+        """:class:`AccessLog` keys of the writes journaled in
+        ``[start, end)`` and not reverted since (a transaction's
+        *actual* writes, given its :meth:`snapshot` span)."""
+        keys: Set[tuple] = set()
+        for entry in self._journal[start:end]:
+            journaled = entry[0]
+            if journaled == "storage":
+                keys.add(("slot", entry[1], entry[2]))
+            elif journaled == "create":
+                keys.update((kind, entry[1]) for kind in _ACCOUNT_KINDS)
+            elif journaled != "log":
+                keys.add((_ACCESS_KIND[journaled], entry[1]))
+        return keys
 
     # -- witness support ----------------------------------------------------------
 
@@ -398,25 +479,39 @@ class StateDB:
 
     # -- commit ----------------------------------------------------------------------
 
-    def dirty_accounts(self) -> Dict[int, Account]:
-        """Materialize full post-state accounts for every touched address."""
+    def dirty_accounts(self) -> Tuple[Dict[int, Account],
+                                      Dict[int, List[int]]]:
+        """``(accounts, written)``: the full post-state account of
+        every address this view changed (or touched into existence),
+        and per address the storage slots whose value changed."""
+        loaded: Dict[int, List[int]] = {}
+        for address, slot in self._loaded_slots:
+            loaded.setdefault(address, []).append(slot)
         result: Dict[int, Account] = {}
+        written: Dict[int, List[int]] = {}
         for address, working in self._cache.items():
             committed = self.world.get_account(address)
+            old = committed.storage if committed is not None else {}
+            new = working.storage
+            slots = [slot for slot in loaded.get(address, ())
+                     if new.get(slot, 0) != old.get(slot, 0)]
             if committed is None:
                 merged = Account(working.balance, working.nonce, working.code, {})
-            else:
+            elif (slots or working.balance != committed.balance
+                  or working.nonce != committed.nonce
+                  or working.code != committed.code):
                 merged = committed.copy()
                 merged.balance = working.balance
                 merged.nonce = working.nonce
                 merged.code = working.code
-            for (addr, slot) in list(self._loaded_slots):
-                if addr != address:
-                    continue
-                value = working.storage.get(slot, 0)
-                merged.set_storage(slot, value)
+            else:
+                continue  # only read: the committed account stands
+            for slot in slots:
+                merged.set_storage(slot, new.get(slot, 0))
+            if slots:
+                written[address] = slots
             result[address] = merged
-        return result
+        return result, written
 
     def commit(self) -> None:
         """Fold this view's changes into the committed world state.
@@ -429,5 +524,5 @@ class StateDB:
         if self._parent is not None:
             raise RuntimeError("cannot commit a forked StateDB view")
         self._assert_mutable()
-        self.world.apply(self.dirty_accounts())
+        self.world.apply(*self.dirty_accounts())
         self._journal.clear()

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.state.account import Account
-from repro.state.trie import state_root_cached, trie_depth
+from repro.state.trie import MerkleLevels, account_hash, trie_depth
+from repro.utils.hashing import hash_words
 
 
 class WorldState:
@@ -22,14 +23,18 @@ class WorldState:
         #: world (the speculator's prefix cache) embed the version in
         #: their keys, so any commit implicitly invalidates them.
         self.version = 0
-        #: Memoized Merkle leaves (address -> leaf hash), invalidated
-        #: per address whenever the committed account object is
-        #: replaced.  Commits install fresh Account copies, so a cached
-        #: leaf can only go stale through in-place mutation of a
-        #: committed account — which nothing does after the first
-        #: root() computation (genesis builders mutate before it).
-        self._leaf_cache: Dict[int, int] = {}
-        self._root_cache: Optional[tuple] = None
+        #: Incremental commitment, built by the first :meth:`root`:
+        #: the account tree plus one storage tree per account with
+        #: storage.  Commits install fresh Account copies and report
+        #: what they replaced (``_dirty``), so a kept hash can only go
+        #: stale through in-place mutation of a committed account —
+        #: which nothing does after the first root() computation
+        #: (genesis builders and the dataset loader mutate before it).
+        self._tree: Optional[MerkleLevels] = None
+        self._storage_trees: Dict[int, MerkleLevels] = {}
+        #: address -> storage slots rewritten since the last root()
+        #: (``None``: the whole account was replaced).
+        self._dirty: Dict[int, Optional[set]] = {}
 
     # -- access -----------------------------------------------------------
 
@@ -54,24 +59,45 @@ class WorldState:
         """Create (or overwrite) an account; returns it."""
         account = Account(balance=balance, code=code)
         self._accounts[address] = account
-        self._leaf_cache.pop(address, None)
+        self._mark(address, None)
         self.version += 1
         return account
 
-    def apply(self, dirty: Dict[int, Account]) -> None:
-        """Commit a finished execution's dirty accounts."""
+    def apply(self, dirty: Dict[int, Account],
+              written: Optional[Dict[int, Iterable[int]]] = None) -> None:
+        """Commit a finished execution's dirty accounts.
+
+        ``written`` names, per address, the storage slots whose value
+        differs from the account being replaced (an address it omits
+        kept its storage); without it every dirty account's storage
+        commitment is rebuilt.
+        """
         for address, account in dirty.items():
             self._accounts[address] = account
-            self._leaf_cache.pop(address, None)
+            self._mark(address, None if written is None
+                       else written.get(address, ()))
         self.version += 1
+
+    def _mark(self, address: int, slots: Optional[Iterable[int]]) -> None:
+        if self._tree is None:
+            return  # nothing kept yet: the first root() hashes it all
+        known = self._dirty.get(address, ())
+        self._dirty[address] = (None if slots is None or known is None
+                                else set(known).union(slots))
 
     def copy(self) -> "WorldState":
         """Deep copy; used by the recorder/emulator to reset state (§5.4)."""
         clone = WorldState()
         clone._accounts = {a: acct.copy() for a, acct in self._accounts.items()}
-        # Leaf hashes depend only on (address, contents), which the
-        # deep copy preserves.
-        clone._leaf_cache = dict(self._leaf_cache)
+        # Hashes depend only on (address, contents), which the deep
+        # copy preserves.
+        if self._tree is not None:
+            clone._tree = self._tree.copy()
+            clone._storage_trees = {address: tree.copy() for address, tree
+                                    in self._storage_trees.items()}
+            clone._dirty = {
+                address: None if slots is None else set(slots)
+                for address, slots in self._dirty.items()}
         return clone
 
     def replace_contents(self, source: "WorldState") -> None:
@@ -85,8 +111,9 @@ class WorldState:
         abandoned timeline.
         """
         self._accounts.clear()
-        self._leaf_cache.clear()
-        self._root_cache = None
+        self._tree = None
+        self._storage_trees.clear()
+        self._dirty.clear()
         for address, account in source._accounts.items():
             self._accounts[address] = account.copy()
         self.version += 1
@@ -96,16 +123,46 @@ class WorldState:
     def root(self) -> int:
         """Merkle root of the committed state (correctness check, §5.2).
 
-        Incremental: account leaves are memoized and only the accounts
-        replaced since the last commit are re-hashed; repeated calls at
-        the same version return the cached root outright.
+        Equal to :func:`repro.state.trie.state_root` of the accounts,
+        at a cost proportional to what was replaced since the last
+        call: only rewritten slots, their accounts and the tree paths
+        above them are re-hashed.
         """
-        cached = self._root_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        root = state_root_cached(self._accounts, self._leaf_cache)
-        self._root_cache = (self.version, root)
-        return root
+        if self._tree is None:
+            self._tree = MerkleLevels({address: self._leaf(address, None)
+                                       for address in self._accounts})
+        elif self._dirty:
+            self._tree.update({address: self._leaf(address, slots)
+                               for address, slots in self._dirty.items()})
+            self._dirty.clear()
+        return self._tree.root
+
+    def _leaf(self, address: int, slots: Optional[Iterable[int]]) -> int:
+        """:func:`repro.state.trie.account_hash` of ``address``, its
+        storage tree first brought up to date for the rewritten
+        ``slots`` (``None``: rebuilt)."""
+        account = self._accounts[address]
+        storage = account.storage
+        tree = self._storage_trees.get(address)
+        if not storage:
+            self._storage_trees.pop(address, None)
+            return account_hash(address, account, 0)
+        if tree is None or slots is None:
+            tree = self._storage_trees[address] = MerkleLevels(
+                {slot: hash_words((slot, value))
+                 for slot, value in storage.items()})
+        else:
+            tree.update({slot: hash_words((slot, storage[slot]))
+                         if slot in storage else None for slot in slots})
+        return account_hash(address, account, tree.root)
+
+    def root_memo_nodes(self) -> int:
+        """Hashes the incremental commitment keeps: about two per
+        account plus two per storage slot."""
+        if self._tree is None:
+            return 0
+        return len(self._tree) + sum(
+            len(tree) for tree in self._storage_trees.values())
 
     def account_trie_depth(self) -> int:
         """Approximate depth of the account trie (for the disk model)."""

@@ -5,10 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InsufficientBalance
+from repro.evm.interpreter import EVM
+from repro.p2p.latency import LatencyModel
+from repro.sim.recorder import DatasetConfig, record_dataset
+from repro.sim.storage import load_dataset, save_dataset
+from repro.state import trie, world as world_module
 from repro.state.account import Account
 from repro.state.statedb import StateDB
-from repro.state.trie import state_root, storage_root, trie_depth
+from repro.state.trie import (
+    MerkleLevels,
+    _merkle_fold,
+    state_root,
+    storage_root,
+    trie_depth,
+)
 from repro.state.world import WorldState
+from repro.workloads.mixed import TrafficConfig
 
 
 def test_account_storage_zero_deletes():
@@ -94,6 +106,146 @@ def test_world_copy_deep():
     clone.get_account(1).balance = 99
     assert world.get_account(1).balance == 10
     assert world.root() != clone.root()
+
+
+leaf_updates = st.lists(
+    st.dictionaries(st.integers(0, 40),
+                    st.one_of(st.none(), st.integers(1, 2**256 - 1)),
+                    max_size=6),
+    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 40), st.integers(1, 2**256 - 1),
+                       max_size=30), leaf_updates)
+def test_merkle_levels_equal_the_fold_after_any_updates(leaves, updates):
+    """In-place changes, inserts and deletes (which shift the pairing
+    of everything to their right), growth from and shrinkage to empty:
+    the kept levels are always those of a fresh fold."""
+    tree = MerkleLevels(leaves)
+    for changes in updates:
+        tree.update(changes)
+        for key, leaf in changes.items():
+            if leaf is None:
+                leaves.pop(key, None)
+            else:
+                leaves[key] = leaf
+        assert tree.root == _merkle_fold(
+            [leaves[key] for key in sorted(leaves)])
+        assert tree.levels == MerkleLevels(leaves).levels
+        assert len(tree) <= 2 * len(leaves) + len(tree.levels)
+    clone = tree.copy()
+    clone.update({0: 1, 41: 2})
+    assert tree.root == _merkle_fold(
+        [leaves[key] for key in sorted(leaves)])
+
+
+def test_world_root_rehashes_only_what_was_written(monkeypatch):
+    world = WorldState()
+    for address in range(1, 65):
+        world.create_account(address, balance=address)
+    token = world.get_account(32)
+    for slot in range(256):
+        token.set_storage(slot, 1)
+    world.root()
+    hashes = []
+    monkeypatch.setattr(trie, "keccak",
+                        lambda data: hashes.append(data) or b"\0" * 32)
+    for module in (trie, world_module):
+        monkeypatch.setattr(module, "hash_words",
+                            lambda words: hashes.append(words) or 1)
+    state = StateDB(world)
+    state.set_storage(32, 7, 9)   # one existing slot rewritten
+    state.get_storage(32, 8)      # read only
+    state.get_balance(5)          # read only: account not replaced
+    state.commit()
+    world.root()
+    # The slot's leaf and 8-level path, the account's leaf and 6-level
+    # path — not the token's 256 slots and not the 64 accounts.
+    assert len(hashes) == (1 + 8) + (1 + 6)
+    # Two hashes per entry less one: both trees are perfect.
+    assert world.root_memo_nodes() == 2 * (64 + 256) - 2
+
+
+@pytest.fixture(scope="module")
+def root_datasets():
+    """Three traffic shapes: in-place slot updates (tokens), slot
+    inserts (names), account creation and everything else (mixed)."""
+    silent = dict(token_rate=0.0, dex_rate=0.0, auction_rate=0.0,
+                  registry_rate=0.0, lending_rate=0.0, compute_rate=0.0,
+                  deploy_rate=0.0, eth_transfer_rate=0.0,
+                  oracle_feeds=0, oracle_reporters=0)
+    profiles = {"tokens": dict(silent, token_rate=2.0),
+                "names": dict(silent, registry_rate=1.5),
+                "mixed": {}}
+    return {name: record_dataset(DatasetConfig(
+        name=f"root-{name}",
+        traffic=TrafficConfig(duration=12.0, seed=5, **overrides),
+        observers={"live": LatencyModel()}, seed=5))
+        for name, overrides in profiles.items()}
+
+
+def _execute(world, block):
+    state = StateDB(world)
+    for tx in block.transactions:
+        EVM(state, block.header, tx).execute_transaction()
+    state.commit()
+
+
+@pytest.mark.parametrize("name", ["tokens", "names", "mixed"])
+def test_dataset_roots_equal_from_scratch_recomputation(name,
+                                                        root_datasets):
+    """Per-block roots equal ``state_root()`` recomputed from scratch
+    — on the live world, on a ``copy()`` taken mid-chain, and after a
+    reorg (``replace_contents``) rewinds and re-executes."""
+    dataset = root_datasets[name]
+    blocks = [block for _, block in dataset.blocks]
+    assert len(blocks) >= 2 and dataset.tx_count > 0
+    world = dataset.genesis_world.copy()
+    middle = len(blocks) // 2
+    for index, block in enumerate(blocks):
+        if index == middle:
+            snapshot = world.copy()
+        _execute(world, block)
+        assert world.root() == state_root(world.accounts()) \
+            == block.state_root
+    # The mid-chain copy carries the memo and advances on its own.
+    for block in blocks[middle:]:
+        _execute(snapshot, block)
+        assert snapshot.root() == state_root(snapshot.accounts()) \
+            == block.state_root
+    # Reorg: rewind the live world in place, then replay the suffix.
+    rewound = dataset.genesis_world.copy()
+    for block in blocks[:middle]:
+        _execute(rewound, block)
+    world.replace_contents(rewound)
+    assert world.root_memo_nodes() == 0
+    assert world.root() == state_root(world.accounts()) == rewound.root()
+    for block in blocks[middle:]:
+        _execute(world, block)
+        assert world.root() == state_root(world.accounts()) \
+            == block.state_root
+
+
+def test_genesis_copies_inherit_the_genesis_root(root_datasets,
+                                                 monkeypatch, tmp_path):
+    """``record_dataset`` / ``load_dataset`` compute the genesis root
+    on the world they keep, so no copy of it ever hashes genesis
+    again (each replay, node and replica used to)."""
+    dataset = root_datasets["mixed"]
+    path = str(tmp_path / "dataset.json")
+    save_dataset(dataset, path)
+    loaded = load_dataset(path)
+
+    def no_hashing(*_args):
+        raise AssertionError("a genesis copy re-hashed state")
+
+    for name in ("hash_words", "account_hash"):
+        monkeypatch.setattr(world_module, name, no_hashing)
+    monkeypatch.setattr(trie, "keccak", no_hashing)
+    for source in (dataset, loaded):
+        assert source.genesis_world.copy().root() == \
+            dataset.genesis_block.state_root
 
 
 def test_storage_root_sensitive_to_values():
