@@ -315,63 +315,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos_edge(args: argparse.Namespace) -> int:
-    """Edge chaos: every ``edge.*`` fault site at its own rate, with
-    the containment assertion (node commitments never change)."""
+def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
+    """Per-site chaos over a serving run: ``--edge`` sweeps the
+    ``edge.*`` sites on one node; ``--fleet`` / ``--net`` (either or
+    both) the ``fleet.*`` lifecycle/routing and ``net.*`` wire sites on
+    an N-replica fleet.  One site at a time, five assertions per site:
+    the fault actually fired; commitments (roots + receipt cores) are
+    byte-identical to the fault-free run (for a fleet, itself
+    byte-identical to the single node); two same-seed faulted runs are
+    byte-identical to each other; no edge server let an error escape;
+    and, on a fleet, the lease oracle holds single-holder-per-term on
+    every run."""
     from repro.edge import ScenarioConfig, build_scenario, run_serving
     from repro.edge.faults import EDGE_SITES, edge_fault_plan
-
-    dataset = _record("edge-chaos", args.duration, args.workload_seed)
-    scenario = build_scenario(dataset,
-                              ScenarioConfig(seed=args.seed, load=2.0))
-    clean = run_serving(dataset, scenario, observer=args.observer)
-    rate = args.rate if args.rate is not None else 1.0
-    print(f"edge chaos: dataset={dataset.name} seed={args.seed} "
-          f"rate={rate} ({len(scenario)} requests, "
-          f"{len(dataset.blocks)} blocks)")
-    print(f"clean run: goodput {clean.goodput:.3f}")
-    print()
-    rows = []
-    ok = True
-    for site in EDGE_SITES:
-        plan = edge_fault_plan(seed=args.seed, probability=rate,
-                               sites=(site,))
-        faulted = run_serving(dataset, scenario, fault_plan=plan,
-                              observer=args.observer)
-        fired = faulted.injector.fired(site)
-        contained = faulted.commitments() == clean.commitments()
-        uncaught = faulted.server.c_internal_errors.value
-        site_ok = contained and fired > 0 and uncaught == 0
-        ok = ok and site_ok
-        status = "CONTAINED" if site_ok else "FAILED"
-        print(f"  {site:26s} fired={fired:5d} "
-              f"goodput={faulted.goodput:.3f} "
-              f"uncaught={uncaught} {status}")
-        rows.append({"site": site, "fired": fired,
-                     "goodput": round(faulted.goodput, 6),
-                     "contained": contained,
-                     "uncaught_errors": uncaught, "ok": site_ok})
-    print()
-    print("edge containment: " + ("OK" if ok else "FAILED"))
-    if args.json_out:
-        _write_json(args.json_out, {
-            "schema": 1, "dataset": dataset.name, "seed": args.seed,
-            "rate": rate, "requests": len(scenario),
-            "clean_goodput": round(clean.goodput, 6),
-            "sites": rows, "ok": ok}, "edge chaos report")
-    return 0 if ok else 1
-
-
-def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
-    """Fleet chaos: sweep the selected site families — ``--fleet`` the
-    ``fleet.*`` lifecycle/routing sites, ``--net`` the ``net.*`` wire
-    sites, both flags both — one site at a time, with four assertions
-    per site: the fault actually fired, commitments (merged roots +
-    receipt cores) are byte-identical to the fault-free fleet run
-    (itself byte-identical to the single node), two same-seed faulted
-    runs are byte-identical to each other, and the lease oracle holds
-    single-holder-per-term on every run."""
-    from repro.edge import ScenarioConfig, build_scenario
     from repro.fleet import (
         FLEET_SITES,
         NET_SITES,
@@ -384,22 +340,26 @@ def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
         run_fleet_serving,
     )
 
-    dataset = _record("fleet-chaos", args.duration, args.workload_seed)
+    fleet = args.fleet or args.net
+    label = "fleet" if fleet else "edge"
+    dataset = _record(f"{label}-chaos", args.duration, args.workload_seed)
     scenario = build_scenario(dataset,
                               ScenarioConfig(seed=args.seed, load=2.0))
-    shards = args.shards
 
     def serve(plan=None):
+        if not fleet:
+            return run_serving(dataset, scenario, fault_plan=plan,
+                               observer=args.observer)
         result = run_fleet_serving(
             dataset, scenario,
-            fleet_config=FleetConfig(shards=shards, fault_plan=plan),
+            fleet_config=FleetConfig(shards=args.shards, fault_plan=plan),
             observer=args.observer)
         result.supervisor.lease.assert_single_holder_per_term()
         return result
 
     clean = serve()
-    print(f"fleet chaos: dataset={dataset.name} seed={args.seed} "
-          f"shards={shards} ({len(scenario)} requests, "
+    print(f"{label} chaos: dataset={dataset.name} seed={args.seed} "
+          f"shards={clean.shards} ({len(scenario)} requests, "
           f"{len(dataset.blocks)} blocks)")
     print(f"clean run: goodput {clean.goodput:.3f}")
     # (sites, plan builder, default rate) per selected family.
@@ -408,6 +368,8 @@ def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
         families.append((FLEET_SITES, fleet_fault_plan, 0.2))
     if args.net:
         families.append((NET_SITES, net_fault_plan, 1.0))
+    if not fleet:
+        families.append((EDGE_SITES, edge_fault_plan, 1.0))
     # Torn handoffs and stale-map decisions only have a window when
     # the membership actually changes, so those sites are swept with
     # the crash site as their driver.
@@ -424,44 +386,51 @@ def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
                 else (site,))
             faulted = serve(plan)
             again = serve(plan)
-            fired = faulted.supervisor.injector.fired(site)
+            fired = faulted.injector.fired(site)
             contained = faulted.commitments() == clean.commitments()
             deterministic = faulted.commitments() == again.commitments()
-            generation = faulted.supervisor.shardmap.generation
-            wire = faulted.supervisor.wire.summary()
-            site_ok = contained and deterministic and fired > 0
+            uncaught = sum(server.c_internal_errors.value
+                           for server in faulted.servers)
+            site_ok = (contained and deterministic and fired > 0
+                       and uncaught == 0)
             ok = ok and site_ok
-            status = "CONTAINED" if site_ok else "FAILED"
-            print(f"  {site:22s} fired={fired:5d} "
-                  f"goodput={faulted.goodput:.3f} gen={generation:3d} "
-                  f"retries={wire['retries']:4d} "
-                  f"dedup={wire['dedup_dropped']:4d} {status}")
-            rows.append({"site": site, "rate": rate, "fired": fired,
-                         "goodput": round(faulted.goodput, 6),
-                         "contained": contained,
-                         "deterministic": deterministic,
-                         "generation": generation,
-                         "retries": wire["retries"],
-                         "dedup_dropped": wire["dedup_dropped"],
-                         "escalations": wire["escalations"],
-                         "ok": site_ok})
+            row = {"site": site, "rate": rate, "fired": fired,
+                   "goodput": round(faulted.goodput, 6),
+                   "contained": contained,
+                   "deterministic": deterministic,
+                   "uncaught_errors": uncaught, "ok": site_ok}
+            detail = ""
+            if fleet:
+                wire = faulted.supervisor.wire.summary()
+                row.update(
+                    generation=faulted.supervisor.shardmap.generation,
+                    retries=wire["retries"],
+                    dedup_dropped=wire["dedup_dropped"],
+                    escalations=wire["escalations"])
+                detail = (f"gen={row['generation']:3d} "
+                          f"retries={wire['retries']:4d} "
+                          f"dedup={wire['dedup_dropped']:4d} ")
+            print(f"  {site:26s} fired={fired:5d} "
+                  f"goodput={faulted.goodput:.3f} uncaught={uncaught} "
+                  f"{detail}{'CONTAINED' if site_ok else 'FAILED'}")
+            rows.append(row)
     print()
-    print("fleet containment: " + ("OK" if ok else "FAILED"))
+    print(f"{label} containment: " + ("OK" if ok else "FAILED"))
     if args.json_out:
-        _write_json(args.json_out, {
-            "schema": 2, "dataset": dataset.name, "seed": args.seed,
-            "shards": shards, "requests": len(scenario),
+        payload = {
+            "schema": 3, "dataset": dataset.name, "seed": args.seed,
+            "shards": clean.shards, "requests": len(scenario),
             "clean_goodput": round(clean.goodput, 6),
-            "clean_wire": clean.supervisor.wire.summary(),
-            "sites": rows, "ok": ok}, "fleet chaos report")
+            "sites": rows, "ok": ok}
+        if fleet:
+            payload["clean_wire"] = clean.supervisor.wire.summary()
+        _write_json(args.json_out, payload, f"{label} chaos report")
     return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.fleet or args.net:
-        return _cmd_chaos_fleet(args)
-    if args.edge:
-        return _cmd_chaos_edge(args)
+    if args.edge or args.fleet or args.net:
+        return _cmd_chaos_sweep(args)
     from repro.faults import (
         FaultPlan,
         check_equivalence,
@@ -498,70 +467,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    """``repro serve --shards N``: the same scenario through the
-    fleet router and N per-replica edge servers (docs/FLEET.md), the
-    replicas talking over the wire plane under ``--net-profile``
-    (default ``clean``)."""
-    from repro.edge import ScenarioConfig, build_scenario
-    from repro.fleet import net_profile_config, run_fleet_serving
-
-    dataset = _record("serve", args.duration, args.workload_seed)
-    scenario = build_scenario(
-        dataset,
-        ScenarioConfig(seed=args.seed, load=args.load,
-                       clients=args.clients,
-                       deadline_units=args.deadline_units))
-    profile = args.net_profile or "clean"
-    result = run_fleet_serving(
-        dataset, scenario,
-        fleet_config=net_profile_config(profile, shards=args.shards,
-                                        seed=args.seed),
-        observer=args.observer)
-    summary = result.router.summary()
-    print(f"fleet serve: dataset={dataset.name} seed={args.seed} "
-          f"shards={args.shards} load={args.load} "
-          f"net-profile={profile}")
-    print(f"  offered {result.offered} requests, goodput "
-          f"{result.goodput:.3f}, {result.retries_scheduled} retries")
-    print(f"  dispatched {summary['dispatched']} "
-          f"(failovers {summary['failovers']}, accepted txs "
-          f"{result.accepted_txs})")
-    for replica_id in sorted(result.router.servers):
-        server = result.router.servers[replica_id]
-        print(f"  replica {replica_id}: accepted "
-              f"{server.c_accepted.value}, served "
-              f"{server.c_served.value}")
-    supervisor = result.supervisor
-    lifecycle = supervisor.lifecycle_report()
-    print(f"  shard sizes: {lifecycle['shard_sizes']} "
-          f"(coordinator {lifecycle['coordinator']})")
-    wire = lifecycle["wire"]
-    print(f"  wire: sent {wire['sent']}, delivered "
-          f"{wire['delivered']}, retries {wire['retries']}, "
-          f"dedup {wire['dedup_dropped']}, partitions "
-          f"{wire['partitions']}")
-    supervisor.lease.assert_single_holder_per_term()
-    if args.json_out:
-        print()
-        _write_json(args.json_out, {
-            "schema": 2, "dataset": dataset.name, "seed": args.seed,
-            "shards": args.shards, "load": args.load,
-            "net_profile": profile, "offered": result.offered,
-            "good": result.good,
-            "goodput": round(result.goodput, 6),
-            "accepted_txs": result.accepted_txs,
-            "router": summary, "lifecycle": lifecycle,
-            "links": supervisor.wire.link_report()},
-            "fleet serving report")
-    if args.trace_out:
-        _write_trace(args.trace_out, result.trace_lines)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.shards is not None:
-        return _cmd_serve_fleet(args)
+    """``repro serve``: a seeded scenario through one node's edge
+    server or, with ``--shards N``, through the fleet router and N
+    per-replica edge servers (docs/FLEET.md), the replicas talking
+    over the wire plane under ``--net-profile`` (default ``clean``)."""
     from repro.core.node import ForerunnerConfig
     from repro.edge import (
         EdgeConfig,
@@ -571,6 +481,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         format_report,
         run_serving,
     )
+    from repro.fleet import net_profile_config, run_fleet_serving
 
     dataset = _record("serve", args.duration, args.workload_seed)
     scenario = build_scenario(
@@ -578,28 +489,39 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ScenarioConfig(seed=args.seed, load=args.load,
                        clients=args.clients,
                        deadline_units=args.deadline_units))
-    edge_config = EdgeConfig(attach_witnesses=args.witness,
-                             verify_responses=args.verify)
-    node_config = ForerunnerConfig(enable_witness=args.witness)
-    result = run_serving(dataset, scenario, edge_config=edge_config,
-                         node_config=node_config,
-                         observer=args.observer)
-    report = build_report(result, meta={
-        "seed": args.seed, "load": args.load,
-        "workload_seed": args.workload_seed,
-        "duration": args.duration, "clients": args.clients,
-        "deadline_units": args.deadline_units,
-        "witness": args.witness, "verify": args.verify})
+    meta = {"seed": args.seed, "load": args.load,
+            "workload_seed": args.workload_seed,
+            "duration": args.duration, "clients": args.clients,
+            "deadline_units": args.deadline_units,
+            "witness": args.witness, "verify": args.verify}
+    if args.shards is None:
+        result = run_serving(
+            dataset, scenario,
+            edge_config=EdgeConfig(attach_witnesses=args.witness,
+                                   verify_responses=args.verify),
+            node_config=ForerunnerConfig(enable_witness=args.witness),
+            observer=args.observer)
+    else:
+        meta["net_profile"] = args.net_profile or "clean"
+        result = run_fleet_serving(
+            dataset, scenario,
+            fleet_config=net_profile_config(
+                meta["net_profile"], shards=args.shards, seed=args.seed),
+            observer=args.observer)
+        result.supervisor.lease.assert_single_holder_per_term()
+    report = build_report(result, meta=meta)
     print(format_report(report))
-    if args.verify and result.server.verify_mismatches:
+    mismatches = sum(server.verify_mismatches
+                     for server in result.servers)
+    if mismatches:
         print(f"\nSERVING-EQUIVALENCE FAILED: "
-              f"{result.server.verify_mismatches} mismatched responses")
+              f"{mismatches} mismatched responses")
     if args.json_out:
         print()
         _write_json(args.json_out, report, "serving report")
     if args.trace_out:
         _write_trace(args.trace_out, result.trace_lines)
-    return 1 if (args.verify and result.server.verify_mismatches) else 0
+    return 1 if mismatches else 0
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:

@@ -367,22 +367,14 @@ class ForerunnerNode:
         #: plane on its coordinator (see :class:`LocalSpecPlane`).
         self.spec_plane = LocalSpecPlane(self)
 
-    # -- compatibility views over the admission/lane state ---------------------
+    # -- the driver seam (``FleetSupervisor`` answers the same calls) --------
 
-    @property
-    def _workers(self) -> List[float]:
-        """Simulated worker availability times (lane clocks)."""
-        return [lane.clock for lane in self._worker_lanes.lanes]
+    def tick(self, now: float) -> None:
+        """Lifecycle heartbeat: a single node has no replicas to
+        restart and no wire to service."""
 
-    @property
-    def _spec_counts(self) -> Dict[Tuple[int, int], int]:
-        """Per (tx, head) speculation counters (admission-owned)."""
-        return self.admission.spec_counts
-
-    @property
-    def _total_spec(self) -> Dict[int, int]:
-        """Per-tx total speculation counters (admission-owned)."""
-        return self.admission.total_spec
+    def close(self) -> None:
+        """End of the run: a bare node holds nothing open."""
 
     # -- dissemination ---------------------------------------------------------
 
@@ -658,7 +650,8 @@ class ForerunnerNode:
                 first_context_perfect=(
                     self.first_context.get(tx.hash) in
                     receipt.perfect_context_ids),
-                speculated_contexts=self._total_spec.get(tx.hash, 0),
+                speculated_contexts=self.admission.total_spec.get(
+                    tx.hash, 0),
                 tier=receipt.tier,
             )
             if receipt.ap_stats is not None:

@@ -140,6 +140,22 @@ class RequestOutcome:
         return row
 
 
+@dataclass
+class RouteInfo:
+    """Where one request actually went, and what routing cost it.  One
+    server is its own placement: replica 0, one hop, no penalties; the
+    fleet router (:mod:`repro.fleet.router`) fills in the rest."""
+
+    replica: int = 0
+    hops: int = 1
+    penalty_units: int = 0
+    stale: bool = False
+    failover: bool = False
+    #: A warmth-weighted read placement moved this request off the
+    #: owner onto a warmer full replica.
+    warmth: bool = False
+
+
 class EdgeServer:
     """The overload-resilient JSON-RPC front end."""
 
@@ -231,7 +247,20 @@ class EdgeServer:
             self._witness_index[witness.tx_hash] = witness
         self._witnesses_seen = len(node.witnesses)
 
+    def close(self) -> None:
+        """End of the run: sync and close the accepted-tx log."""
+        if self.accepted_log is not None:
+            self.accepted_log.close()
+
     # -- the admission pipeline ------------------------------------------
+
+    def dispatch(self, raw: str, client_id: int, now: float,
+                 **kwargs) -> Tuple[dict, RequestOutcome, RouteInfo]:
+        """:meth:`handle_raw` (same keywords) as a driver *front* — the
+        call :meth:`repro.fleet.router.FleetRouter.dispatch` answers
+        for a fleet: ``(response, outcome, route)``."""
+        response, outcome = self.handle_raw(raw, client_id, now, **kwargs)
+        return response, outcome, RouteInfo()
 
     def handle_raw(self, raw: str, client_id: int, now: float,
                    weight: float = 1.0,

@@ -37,24 +37,28 @@ def _heard_speedup(run) -> float:
     return aggregate_speedup(heard)
 
 
+def block_digest(commitment: dict) -> dict:
+    """One :func:`repro.sim.emulator.commitments` entry in the
+    JSON-ready form the digest and the recovery journal's
+    ``block_commit`` records share."""
+    return {
+        "number": commitment["block"],
+        "state_root": f"{commitment['root']:#x}",
+        "receipts": [
+            {"tx": f"{tx_hash:#x}", "gas_used": gas_used,
+             "success": success}
+            for tx_hash, gas_used, success in commitment["receipts"]
+        ],
+    }
+
+
 def run_digest(run) -> Dict[str, Any]:
     """The commitment-equivalence digest of one replay.
 
-    Built from the Forerunner node's committed block reports plus each
-    record's baseline columns; canonical-JSON-stable by construction.
+    Built from the run's commitments (the committed block reports) plus
+    each record's baseline columns; canonical-JSON-stable by
+    construction.
     """
-    node = run.forerunner_node
-    blocks = []
-    for report in node.reports:
-        blocks.append({
-            "number": report.block_number,
-            "state_root": f"{report.state_root:#x}",
-            "receipts": [
-                {"tx": f"{r.tx_hash:#x}", "gas_used": r.gas_used,
-                 "success": r.success}
-                for r in report.records
-            ],
-        })
     baseline_columns = [
         {"tx": f"{r.tx_hash:#x}", "baseline_cost": r.baseline_cost,
          "baseline_cpu": r.baseline_cpu,
@@ -64,7 +68,7 @@ def run_digest(run) -> Dict[str, Any]:
     ]
     return {
         "dataset": run.dataset_name,
-        "blocks": blocks,
+        "blocks": [block_digest(entry) for entry in run.commitments()],
         "blocks_executed": run.blocks_executed,
         "roots_matched": run.roots_matched,
         "baseline_columns": baseline_columns,

@@ -37,8 +37,6 @@ from .lease import Lease, LeaseRegistry
 from .router import FleetRouter, RouteInfo
 from .serve import (
     NET_PROFILES,
-    FleetRun,
-    FleetServingResult,
     fleet_replay,
     net_profile_config,
     run_fleet_serving,
@@ -64,8 +62,6 @@ __all__ = [
     "FLEET_SITE_KINDS",
     "FleetConfig",
     "FleetRouter",
-    "FleetRun",
-    "FleetServingResult",
     "FleetSupervisor",
     "INGRESS",
     "Lease",

@@ -33,14 +33,18 @@ correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.chain.transaction import Transaction
 from repro.edge import rpc
 from repro.edge.brownout import LEVEL_SHED
 from repro.edge.limits import Deadline
-from repro.edge.server import EdgeConfig, EdgeServer, RequestOutcome
+from repro.edge.server import (
+    EdgeConfig,
+    EdgeServer,
+    RequestOutcome,
+    RouteInfo,
+)
 from repro.faults.injector import NULL_INJECTOR
 
 from .faults import (
@@ -55,20 +59,6 @@ from .supervisor import FleetSupervisor
 #: replica serves them identically from its own full state).
 READ_METHODS = ("eth_call", "eth_getTransactionReceipt",
                 "debug_traceTransaction")
-
-
-@dataclass
-class RouteInfo:
-    """Where one request actually went, and what routing cost it."""
-
-    replica: int
-    hops: int = 1
-    penalty_units: int = 0
-    stale: bool = False
-    failover: bool = False
-    #: A warmth-weighted read placement moved this request off the
-    #: owner onto a warmer full replica.
-    warmth: bool = False
 
 
 class FleetRouter:
@@ -112,6 +102,10 @@ class FleetRouter:
         """A block committed fleet-wide: refresh every live server."""
         for replica_id in self.supervisor.live():
             self.server_for(replica_id).on_block(block, report)
+
+    def close(self) -> None:
+        for server in self.servers.values():
+            server.close()
 
     # -- placement -------------------------------------------------------
 

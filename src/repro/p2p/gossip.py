@@ -14,11 +14,7 @@ Arrival draws are **order-independent**: each (transaction,
 participant) pair seeds its own RNG from
 ``hash(seed, tx.hash, participant)``, so adding an observer, reordering
 registration, or a private transaction (which consumes no draws) never
-perturbs any other participant's arrival time.  The seed repo drew all
-delays from one shared RNG stream in registration order, which made
-every arrival time depend on the whole preceding dissemination history;
-that legacy behaviour is preserved behind ``legacy_rng=True`` for
-comparing against old recordings.
+perturbs any other participant's arrival time.
 """
 
 from __future__ import annotations
@@ -50,10 +46,6 @@ class GossipNetwork:
     #: the paper's L1 vs R1 heard-rate difference, §5.1).
     observer_latencies: Dict[str, LatencyModel] = field(default_factory=dict)
     seed: int = 7
-    #: Draw delays from one shared RNG stream in registration order
-    #: (the seed repo's behaviour): arrival times then depend on
-    #: observer registration and on every earlier dissemination.
-    legacy_rng: bool = False
     #: Chaos hook (:mod:`repro.faults`): record-time network faults —
     #: ``gossip.deliver`` rules here drop (arrival=inf), duplicate
     #: (no-op on a per-participant schedule) or reorder (delay) each
@@ -62,7 +54,6 @@ class GossipNetwork:
     injector: object = None
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
         obs = get_registry().scope("gossip")
         self.c_disseminated = obs.counter("disseminated")
         self.c_private = obs.counter("private")
@@ -91,12 +82,6 @@ class GossipNetwork:
             for miner in self.miner_ids:
                 if miner != tx.origin_miner:
                     miner_arrivals[miner] = float("inf")
-            return Dissemination(tx, born, miner_arrivals, observer_arrivals)
-        if self.legacy_rng:
-            for miner in self.miner_ids:
-                miner_arrivals[miner] = born + self.latency.sample(self._rng)
-            for name, model in self.observer_latencies.items():
-                observer_arrivals[name] = born + model.sample(self._rng)
             return Dissemination(tx, born, miner_arrivals, observer_arrivals)
         for miner in self.miner_ids:
             miner_arrivals[miner] = born + self.latency.sample(

@@ -1,7 +1,8 @@
 """Durable replay with restart-replay convergence.
 
-:class:`DurableReplay` is the emulator's event loop
-(:func:`repro.sim.emulator.replay`) re-hosted on a durability boundary:
+:class:`DurableReplay` is the emulator's replay
+(:func:`repro.sim.emulator.replay`: the same event loop, the same
+evaluating commit step) with that step inside a durability boundary:
 every block import and commit is journaled (fsync'd), per-transaction
 commits and memo-table events stream into the WAL, and a snapshot of
 the full node state — both worlds, both node caches, the txpool, the
@@ -9,14 +10,14 @@ memo-table summary, the committed reports — is atomically installed
 every ``snapshot_interval_blocks`` blocks, after which the journal is
 compacted to the snapshot's sequence number.
 
-Because the event timeline is deterministic (a stable sort of tx
-arrivals, speculation ticks and block arrivals), resumption is a
-cursor: a snapshot pins the index of the next unconsumed event, and
-recovery replays the suffix.  Blocks whose ``block_commit`` record
-survived the crash are **re-driven and verified**: the recovered node
-must reproduce the journaled state root and receipts byte-for-byte or
-:class:`repro.errors.RecoveryError` is raised.  Blocks past the
-journal's horizon are fresh.
+Because the event timeline is deterministic (tx arrivals, speculation
+ticks and block arrivals popped in ``(time, priority, insertion)``
+order), resumption is a cursor: a snapshot pins how many events were
+consumed, and recovery skips that many and replays the rest.  Blocks
+whose ``block_commit`` record survived the crash are **re-driven and
+verified**: the recovered node must reproduce the journaled state root
+and receipts byte-for-byte or :class:`repro.errors.RecoveryError` is
+raised.  Blocks past the journal's horizon are fresh.
 
 The convergence bar (checked by :func:`recovery_report` and the
 ``repro crash`` CLI) is the strongest one available: the equivalence
@@ -43,7 +44,7 @@ import dataclasses
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.node import (
     BaselineNode,
@@ -52,8 +53,9 @@ from repro.core.node import (
     ForerunnerNode,
     TxRecord,
 )
-from repro.errors import RecoveryError, SimulatedCrash, SimulationError
+from repro.errors import RecoveryError, SimulatedCrash
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
+from repro.faults.invariants import block_digest, digest_bytes
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NullTracer, SpanTracer
 from repro.recovery.crashpoints import (
@@ -69,7 +71,15 @@ from repro.recovery.journal import (
     truncate_torn_tail,
 )
 from repro.recovery.snapshot import SnapshotStore
-from repro.sim.emulator import EvaluationRun, JoinedRecord
+from repro.sim.emulator import (
+    EvaluationRun,
+    JoinedRecord,
+    build_timeline,
+    commitments,
+    drive,
+    evaluation_step,
+    replay,
+)
 from repro.sim.storage import (
     tx_from_json,
     tx_to_json,
@@ -125,37 +135,6 @@ class RecoveryOutcome:
     fire_summary: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
-def _build_events(dataset, observer: str, speculation_tick: float
-                  ) -> List[Tuple[float, int, int, tuple]]:
-    """The emulator's merged timeline as an indexable sorted list.
-
-    A heap pops in exactly sorted order when keys are unique (the
-    counter guarantees that), so iterating this list reproduces
-    :func:`repro.sim.emulator.replay` event-for-event — and a plain
-    integer cursor into it is a complete resumption point.
-    """
-    if observer not in dataset.tx_arrivals:
-        raise SimulationError(
-            f"dataset {dataset.name!r} has no observer {observer!r} "
-            f"(has {sorted(dataset.tx_arrivals)})")
-    events: List[Tuple[float, int, int, tuple]] = []
-    counter = 0
-    for arrival, tx in dataset.tx_arrivals[observer]:
-        events.append((arrival, 0, counter, ("tx", tx)))
-        counter += 1
-    last_block_time = dataset.blocks[-1][0] if dataset.blocks else 0.0
-    tick = speculation_tick
-    while tick < last_block_time:
-        events.append((tick, 1, counter, ("tick", None)))
-        counter += 1
-        tick += speculation_tick
-    for arrival, block in dataset.blocks:
-        events.append((arrival, 2, counter, ("block", block)))
-        counter += 1
-    events.sort()
-    return events
-
-
 def _cache_to_json(cache) -> dict:
     return {"keys": [list(key) for key in cache.warm_keys()],
             "hits": cache.hits, "misses": cache.misses}
@@ -194,8 +173,7 @@ class DurableReplay:
     def __init__(self, dataset, store_dir: str, observer: str = "live",
                  config: Optional[ForerunnerConfig] = None,
                  recovery: Optional[RecoveryConfig] = None,
-                 crash_plan=None, speculation_tick: float = 2.0,
-                 resume: bool = False) -> None:
+                 crash_plan=None, resume: bool = False) -> None:
         self.dataset = dataset
         self.observer = observer
         self.config = config or ForerunnerConfig()
@@ -215,13 +193,12 @@ class DurableReplay:
         self.c_blocks_verified = obs.counter("blocks_verified")
         self.c_blocks_fresh = obs.counter("blocks_fresh")
         self.c_torn_truncated = obs.counter("journal.torn_bytes_truncated")
-        self._events = _build_events(dataset, observer, speculation_tick)
-        self.cursor = 0
+        #: ``timeline.popped`` (events consumed) is the resumption
+        #: cursor snapshots and ``block_commit`` records carry.
+        self.timeline = build_timeline(dataset, observer)
         self.info = RecoveryInfo()
         #: block number -> journaled commit payload to verify against.
         self._verify: Dict[int, dict] = {}
-        self._baseline_records: Dict[int, TxRecord] = {}
-        self._sim_now = 0.0
         journal_path = os.path.join(store_dir, "journal.wal")
         self.snapshots = SnapshotStore(
             os.path.join(store_dir, "snapshots"),
@@ -229,7 +206,9 @@ class DurableReplay:
             keep=self.recovery.keep_snapshots)
         self.run_ = EvaluationRun(
             dataset_name=dataset.name, observer=observer,
-            registry=self.registry, tracer=self.tracer)
+            registry=self.registry, tracer=self.tracer,
+            fault_injector=self.injector if self.injector.enabled
+            else None)
         next_seq = 0
         if resume:
             next_seq = self._restore(journal_path)
@@ -242,6 +221,9 @@ class DurableReplay:
                                      obs=obs, next_seq=next_seq)
         if self.recovery.journal_memo_events:
             self.forerunner.speculator.memo_sink = self._memo_sink
+        self.run_.forerunner_node = self.forerunner
+        self._evaluate = evaluation_step(
+            self.run_, self.baseline, self.forerunner, dataset.kinds)
 
     # -- node construction / restore --------------------------------------
 
@@ -322,7 +304,7 @@ class DurableReplay:
         self.forerunner._pool_version = len(self.forerunner.pool) + 1
         self.forerunner.reports = [
             _report_from_json(entry) for entry in fore["reports"]]
-        self.cursor = int(payload["event_cursor"])
+        self.timeline.skip(int(payload["event_cursor"]))
         self.run_.records = [
             JoinedRecord(**entry) for entry in payload["records"]]
         self.run_.blocks_executed = int(payload["blocks_executed"])
@@ -339,7 +321,7 @@ class DurableReplay:
             "dataset": self.dataset.name,
             "observer": self.observer,
             "block_number": block_number,
-            "event_cursor": self.cursor,
+            "event_cursor": self.timeline.popped,
             "journal_seq": self.journal.next_seq - 1,
             "blocks_executed": self.run_.blocks_executed,
             "roots_matched": self.run_.roots_matched,
@@ -372,14 +354,14 @@ class DurableReplay:
             "exec_cost": int(self.forerunner.c_cost.value),
             "spec_cost": int(
                 self.forerunner.speculator.total_logical_cost),
-            "sim_time": round(self._sim_now, 6),
+            "sim_time": round(self.timeline.now, 6),
         }
 
     def _memo_sink(self, event: str, tx_hash: int) -> None:
         self.journal.append("memo_" + event, {"tx": f"{tx_hash:#x}"},
                             clock=self._clock())
 
-    # -- the event loop ----------------------------------------------------
+    # -- the run -----------------------------------------------------------
 
     def run(self) -> EvaluationRun:
         """Consume the timeline from the cursor; returns the run.
@@ -388,34 +370,21 @@ class DurableReplay:
         journal/snapshot store is left exactly as the dying process
         would leave it) and :class:`RecoveryError` when a re-driven
         block fails to reproduce its journaled commit."""
-        events = self._events
+        fore = self.forerunner
         try:
-            while self.cursor < len(events):
-                now, _, _, (kind, payload) = events[self.cursor]
-                self.cursor += 1
-                self._sim_now = now
-                if kind == "tx":
-                    self.forerunner.on_transaction(payload, now)
-                elif kind == "tick":
-                    self.run_.speculation_jobs += \
-                        self.forerunner.run_speculation(now)
-                else:
-                    self._process_block(payload, now)
+            drive(self.timeline, fore, self.run_,
+                  commit=self._process_block)
         finally:
             self.journal.close()
-        fore = self.forerunner
         self.run_.total_speculation_cost = \
             fore.speculator.total_speculation_cost
         self.run_.prefetch_offpath_cost = fore.prefetcher.offpath_cost
         self.run_.sched = fore.sched_report()
-        self.run_.forerunner_node = fore
-        self.run_.fault_injector = \
-            self.injector if self.injector.enabled else None
         return self.run_
 
-    def _process_block(self, block, now: float) -> None:
-        self.run_.speculation_jobs += \
-            self.forerunner.run_speculation(now)
+    def _process_block(self, block, now: float) -> BlockReport:
+        """The evaluating commit step inside its journal writes and
+        crash points."""
         self.journal.append("block_import", {
             "number": block.number,
             "txs": len(block.transactions),
@@ -423,67 +392,23 @@ class DurableReplay:
         }, sync=True, clock=self._clock())
         maybe_crash(self.injector, SITE_BLOCK_PRE_COMMIT,
                     block=block.number)
-        base_report = self.baseline.process_block(block)
-        with self.tracer.span("block", number=block.number) as span:
-            fore_report = self.forerunner.process_block(block, now)
-            span.add_cost(sum(r.cost for r in fore_report.records))
-        self.run_.blocks_executed += 1
-        if base_report.state_root == fore_report.state_root:
-            self.run_.roots_matched += 1
-        else:  # pragma: no cover - correctness violation
-            raise SimulationError(
-                f"root divergence at block {block.number}")
-        for record in base_report.records:
-            self._baseline_records[record.tx_hash] = record
-        kinds = self.dataset.kinds
-        joined_pairs = []
-        for record in fore_report.records:
-            base = self._baseline_records.get(record.tx_hash)
-            if base is None:
-                continue
-            self.run_.records.append(JoinedRecord(
-                tx_hash=record.tx_hash,
-                block_number=record.block_number,
-                kind=kinds.get(record.tx_hash, "?"),
-                baseline_cost=base.cost,
-                forerunner_cost=record.cost,
-                baseline_cpu=base.cpu_units,
-                baseline_io_units=base.io_units,
-                baseline_io_reads=base.io_reads,
-                gas_used=record.gas_used,
-                heard=record.heard,
-                heard_delay=record.heard_delay,
-                outcome=record.outcome,
-                ap_ready=record.ap_ready,
-                perfect=record.perfect,
-                first_context_perfect=record.first_context_perfect,
-                speculated_contexts=record.speculated_contexts,
-                shortcut_hits=record.shortcut_hits,
-                executed_nodes=record.executed_nodes,
-                skipped_nodes=record.skipped_nodes,
-            ))
-            joined_pairs.append((record, base))
+        joined_before = len(self.run_.records)
+        report = self._evaluate(block, now)
         clock = self._clock()
-        for record, base in joined_pairs:
+        for record, joined in zip(report.records,
+                                  self.run_.records[joined_before:]):
             self.journal.append("tx_commit", {
                 "tx": f"{record.tx_hash:#x}",
                 "block": block.number,
                 "gas_used": record.gas_used,
                 "success": record.success,
-                "baseline_cost": base.cost,
-                "baseline_cpu": base.cpu_units,
-                "baseline_io_units": base.io_units,
-                "baseline_io_reads": base.io_reads,
+                "baseline_cost": joined.baseline_cost,
+                "baseline_cpu": joined.baseline_cpu,
+                "baseline_io_units": joined.baseline_io_units,
+                "baseline_io_reads": joined.baseline_io_reads,
             }, clock=clock)
-        commit = {
-            "number": block.number,
-            "state_root": f"{fore_report.state_root:#x}",
-            "receipts": [
-                {"tx": f"{r.tx_hash:#x}", "gas_used": r.gas_used,
-                 "success": r.success}
-                for r in fore_report.records],
-            "cursor": self.cursor,
-        }
+        commit = dict(block_digest(commitments([report])[0]),
+                      cursor=self.timeline.popped)
         self._check_against_journal(block.number, commit)
         self.journal.append("block_commit", commit, sync=True,
                             clock=self._clock())
@@ -499,6 +424,7 @@ class DurableReplay:
             self.snapshots.save(payload, block.number)
             self.journal.compact(
                 keep_from_seq=int(payload["journal_seq"]) + 1)
+        return report
 
     def _check_against_journal(self, number: int, commit: dict) -> None:
         """A re-driven block must reproduce its pre-crash commit."""
@@ -519,8 +445,8 @@ class DurableReplay:
 def run_with_recovery(dataset, store_dir: str, crash_plan=None,
                       observer: str = "live",
                       config: Optional[ForerunnerConfig] = None,
-                      recovery: Optional[RecoveryConfig] = None,
-                      speculation_tick: float = 2.0) -> RecoveryOutcome:
+                      recovery: Optional[RecoveryConfig] = None
+                      ) -> RecoveryOutcome:
     """Run durably under ``crash_plan``; on simulated death, restart
     and recover until the workload completes.
 
@@ -530,36 +456,26 @@ def run_with_recovery(dataset, store_dir: str, crash_plan=None,
     against a genuine crash loop."""
     recovery = recovery or RecoveryConfig()
     outcome = RecoveryOutcome(run=None)
-    node = DurableReplay(dataset, store_dir, observer=observer,
-                         config=config, recovery=recovery,
-                         crash_plan=crash_plan,
-                         speculation_tick=speculation_tick)
-    try:
-        outcome.run = node.run()
-        outcome.fire_summary = node.injector.fire_summary() \
-            if node.injector.enabled else {}
-        return outcome
-    except SimulatedCrash as crash:
-        outcome.crashes.append({"site": crash.site, "seq": crash.seq})
-        outcome.fire_summary = node.injector.fire_summary()
-    while True:
-        outcome.restarts += 1
-        if outcome.restarts > recovery.max_restarts:
-            raise RecoveryError(
-                f"crash loop: {outcome.restarts - 1} restarts "
-                f"exhausted (crashes: {outcome.crashes})")
+    while outcome.restarts <= recovery.max_restarts:
+        resume = outcome.restarts > 0
         node = DurableReplay(dataset, store_dir, observer=observer,
                              config=config, recovery=recovery,
-                             crash_plan=None,
-                             speculation_tick=speculation_tick,
-                             resume=True)
-        outcome.recoveries.append(node.info)
+                             crash_plan=None if resume else crash_plan,
+                             resume=resume)
+        if resume:
+            outcome.recoveries.append(node.info)
         try:
             outcome.run = node.run()
+        except SimulatedCrash as crash:
+            outcome.crashes.append({"site": crash.site, "seq": crash.seq})
+            outcome.restarts += 1
+        if not resume:
+            outcome.fire_summary = node.injector.fire_summary()
+        if outcome.run is not None:
             return outcome
-        except SimulatedCrash as crash:  # pragma: no cover - no plan
-            outcome.crashes.append({"site": crash.site,
-                                    "seq": crash.seq})
+    raise RecoveryError(
+        f"crash loop: {recovery.max_restarts} restarts exhausted "
+        f"(crashes: {outcome.crashes})")
 
 
 def recovery_report(dataset, store_root: str, seed: int = 0,
@@ -578,13 +494,9 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
     and contains no paths or timestamps: two runs of the same seed are
     byte-identical (CI diffs them).
     """
-    from repro.faults.invariants import run_digest  # avoid cycle
-    from repro.obs.export import canonical_json
-    from repro.sim.emulator import replay
-
     if clean_run is None:
         clean_run = replay(dataset, observer, config=config)
-    clean = canonical_json(run_digest(clean_run))
+    clean = digest_bytes(clean_run)
     entries = []
     chosen = sweep_plans(seed, occurrence=seed) if sites is None else [
         (site, crash_plan(seed, site, occurrence=seed))
@@ -595,8 +507,7 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
         outcome = run_with_recovery(
             dataset, store_dir, crash_plan=plan, observer=observer,
             config=config, recovery=recovery)
-        digest = canonical_json(run_digest(outcome.run))
-        converged = digest == clean
+        converged = digest_bytes(outcome.run) == clean
         fired = sum(entry["fired"]
                     for entry in outcome.fire_summary.values())
         all_ok &= converged
@@ -614,10 +525,6 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
         "observer": observer,
         "seed": seed,
         "converged": all_ok,
-        "clean_digest_sha": _sha256_hex(clean),
+        "clean_digest_sha": hashlib.sha256(clean).hexdigest(),
         "sites": entries,
     }
-
-
-def _sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()

@@ -50,7 +50,6 @@ def test_single_site_at_full_rate_is_contained(dataset, scenario,
     assert faulted.server.c_internal_errors.value == 0
     # ... and node commitments are byte-identical to the clean run.
     assert faulted.commitments() == clean.commitments(), site
-    assert faulted.state_roots() == clean.state_roots(), site
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -4,8 +4,10 @@ kind propagation, and run-level accessors."""
 import pytest
 
 from repro.core import stats as S
+from repro.core.node import ForerunnerNode
+from repro.obs.registry import MetricsRegistry
 from repro.p2p.latency import LatencyModel
-from repro.sim.emulator import replay
+from repro.sim.emulator import EvaluationRun, build_timeline, drive, replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
@@ -41,14 +43,22 @@ def test_wall_timers_positive(run):
 
 
 def test_speculation_tick_density_matters(dataset):
-    """Sparser ticks leave less time for speculation jobs to be
-    scheduled before blocks, so job counts differ."""
-    dense = replay(dataset, "live", speculation_tick=1.0)
-    sparse = replay(dataset, "live", speculation_tick=30.0)
-    assert dense.roots_matched == dense.blocks_executed
-    assert sparse.roots_matched == sparse.blocks_executed
-    assert dense.speculation_jobs != sparse.speculation_jobs or \
-        dense.speculation_jobs > 0
+    """The tick lives once, on the loop's timeline.  Driven through the
+    seam directly — a bare node and the default commit step: sparser
+    ticks leave fewer speculation cycles before the same blocks."""
+    def cycles_and_jobs(tick):
+        node = ForerunnerNode(dataset.genesis_world.copy(),
+                              registry=MetricsRegistry())
+        node.predictor.observe_block(dataset.genesis_block)
+        run = EvaluationRun(dataset.name, "live", forerunner_node=node)
+        drive(build_timeline(dataset, "live", tick=tick), node, run)
+        assert len(run.reports) == len(dataset.blocks)
+        return node.c_spec_cycles.value, run.speculation_jobs
+
+    dense_cycles, dense_jobs = cycles_and_jobs(1.0)
+    sparse_cycles, sparse_jobs = cycles_and_jobs(30.0)
+    assert dense_cycles > sparse_cycles
+    assert dense_jobs > 0 and sparse_jobs > 0
 
 
 def test_heard_fraction_accessors(run):

@@ -19,10 +19,13 @@ import hashlib
 
 import pytest
 
-from repro.fleet import FleetConfig, fleet_replay
+from repro.core.node import BaselineNode
+from repro.edge import ScenarioConfig, build_scenario, run_serving
+from repro.fleet import FleetConfig, fleet_replay, run_fleet_serving
 from repro.obs.export import canonical_json
+from repro.obs.registry import MetricsRegistry
 from repro.p2p.latency import LatencyModel
-from repro.sim.emulator import replay
+from repro.sim.emulator import commitments, replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
@@ -68,12 +71,9 @@ def commitment_digest(reports, records) -> str:
         canonical_json(payload).encode("ascii")).hexdigest()
 
 
-def single_digest(run) -> str:
-    return commitment_digest(run.forerunner_node.reports, run.records)
-
-
-def fleet_digest(run) -> str:
-    return commitment_digest(run.supervisor.reports, run.records)
+def run_digest(run) -> str:
+    """Node and fleet replays return the same ``EvaluationRun``."""
+    return commitment_digest(run.reports, run.records)
 
 
 def test_every_workload_commits_transactions(workload_datasets):
@@ -87,16 +87,38 @@ def test_shard_count_invariance_per_workload(name, workload_datasets):
     """Shards ∈ {1,2,4,8}: byte-identical roots, receipts, and
     Table 2/3 record columns to the single-node replay."""
     dataset = workload_datasets[name]
-    reference = single_digest(replay(dataset, "live"))
+    reference = run_digest(replay(dataset, "live"))
     digests = {reference}
     for shards in SHARD_COUNTS:
         run = fleet_replay(dataset, "live",
                            FleetConfig(shards=shards))
         assert run.roots_matched == run.blocks_executed, \
             f"{name}@{shards}: replica root cross-check failed"
-        digests.add(fleet_digest(run))
+        digests.add(run_digest(run))
     assert len(digests) == 1, \
         f"{name}: shard count changed commitments"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_serving_commits_what_the_baseline_commits(name, workload_datasets):
+    """The serving entry points run the same loop: a client schedule
+    through one node's edge server, and through the fleet router at
+    shards 1 and 4, commits exactly the plain node's roots and receipt
+    cores."""
+    dataset = workload_datasets[name]
+    baseline = BaselineNode(dataset.genesis_world.copy(),
+                            registry=MetricsRegistry())
+    for _, block in dataset.blocks:
+        baseline.process_block(block)
+    expected = commitments(baseline.reports)
+    assert expected, f"{name}: no block committed"
+    scenario = build_scenario(dataset, ScenarioConfig(seed=3))
+    assert run_serving(dataset, scenario).commitments() == expected
+    for shards in (1, 4):
+        served = run_fleet_serving(dataset, scenario,
+                                   fleet_config=FleetConfig(shards=shards))
+        assert served.offered == len(scenario) > 0
+        assert served.commitments() == expected, f"{name}@{shards}"
 
 
 def test_speculation_work_matches_single_node(workload_datasets):
@@ -114,7 +136,7 @@ def test_two_fleet_runs_are_byte_identical(workload_datasets):
     dataset = workload_datasets["tokens"]
     first = fleet_replay(dataset, "live", FleetConfig(shards=4))
     second = fleet_replay(dataset, "live", FleetConfig(shards=4))
-    assert fleet_digest(first) == fleet_digest(second)
+    assert run_digest(first) == run_digest(second)
     assert canonical_json(first.supervisor.lifecycle_report()) == \
         canonical_json(second.supervisor.lifecycle_report())
 

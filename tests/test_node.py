@@ -133,4 +133,4 @@ def test_speculation_caps_per_head():
     fore = ForerunnerNode(fresh_world(), config)
     fore.on_transaction(tx_e(), now=0.0)
     fore.run_speculation(0.5)
-    assert fore._total_spec[tx_e().hash] <= 2
+    assert fore.admission.total_spec[tx_e().hash] <= 2

@@ -54,8 +54,8 @@ def test_observers_see_different_delays():
     assert d.observer_arrivals["a"] != d.observer_arrivals["b"]
 
 
-def _pinned_network(**kwargs):
-    network = GossipNetwork(miner_ids=[1, 2, 3], seed=5, **kwargs)
+def _pinned_network():
+    network = GossipNetwork(miner_ids=[1, 2, 3], seed=5)
     network.add_observer("live")
     return network
 
@@ -112,21 +112,3 @@ def test_dissemination_order_independent():
     ba = backward.disseminate(tx_a, born=0.0)
     assert fa.miner_arrivals == ba.miner_arrivals
     assert fb.miner_arrivals == bb.miner_arrivals
-
-
-def test_legacy_rng_preserves_shared_stream_behaviour():
-    """legacy_rng=True reproduces the seed repo's draws: one shared
-    stream in registration order, so order DOES matter there."""
-    tx_a = Transaction(sender=1, to=2, nonce=0)
-    tx_b = Transaction(sender=2, to=3, nonce=0)
-    forward = _pinned_network(legacy_rng=True)
-    fa = forward.disseminate(tx_a, born=0.0)
-    forward.disseminate(tx_b, born=0.0)
-    backward = _pinned_network(legacy_rng=True)
-    backward.disseminate(tx_b, born=0.0)
-    ba = backward.disseminate(tx_a, born=0.0)
-    # Same tx, different preceding history -> different arrivals.
-    assert fa.miner_arrivals != ba.miner_arrivals
-    # And the legacy stream itself is reproducible per seed.
-    again = _pinned_network(legacy_rng=True).disseminate(tx_a, born=0.0)
-    assert fa.miner_arrivals == again.miner_arrivals

@@ -71,7 +71,7 @@ def test_worker_pool_parallelism():
         for i, sender in enumerate((ALICE, BOB)):
             node.on_transaction(tx_e(sender=sender), now=0.0)
         node.run_speculation(0.0)
-        return max(node._workers)
+        return max(node._worker_lanes.clocks)
 
     assert first_ready(8) < first_ready(1)
 
