@@ -22,10 +22,10 @@ import os
 import time
 
 from repro.bench import ascii_table, write_report
+from repro.faults.injector import FaultPlan
+from repro.faults.sites import SITE_REPLICA_CRASH
 from repro.fleet import (
-    SITE_REPLICA_CRASH,
     FleetConfig,
-    fleet_fault_plan,
     fleet_replay,
     run_fleet_serving,
     send_storm_scenario,
@@ -43,13 +43,6 @@ STORM_SECONDS = max(8.0, DURATION * 0.6)
 STORM_RATE = 600.0
 SHARD_COUNTS = (1, 2, 4)
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _commitments(reports):
-    return [(report.block_number, report.state_root,
-             tuple((r.tx_hash, r.gas_used, r.success)
-                   for r in report.records))
-            for report in reports]
 
 
 def test_fleet_scaling_throughput():
@@ -72,8 +65,7 @@ def test_fleet_scaling_throughput():
         identical = result.trace_lines == rerun.trace_lines
         accepted = result.accepted_txs
         throughput = accepted / STORM_SECONDS
-        commitments.add(json.dumps(
-            _commitments(result.supervisor.reports), sort_keys=True))
+        commitments.add(json.dumps(result.commitments(), sort_keys=True))
         levels.append({
             "shards": shards,
             "offered": result.offered,
@@ -103,8 +95,7 @@ def test_fleet_scaling_throughput():
 
     # Replica-crash chaos: journal-replayed restarts converge.
     clean = fleet_replay(dataset, "live", FleetConfig(shards=4))
-    plan = fleet_fault_plan(seed=0, probability=0.3,
-                            sites=(SITE_REPLICA_CRASH,))
+    plan = FaultPlan.uniform(0, 0.3, sites=(SITE_REPLICA_CRASH,))
     # restart_delay pinned at the 4 s the published crash/restart
     # counts were measured with (below the detector's suspect_after:
     # journal replay + block catch-up, no ring change;
@@ -114,8 +105,7 @@ def test_fleet_scaling_throughput():
                                        restart_delay=4.0))
     crashes = chaotic.supervisor.c_crashes.value
     restarts = chaotic.supervisor.c_restarts.value
-    converged = (_commitments(chaotic.supervisor.reports)
-                 == _commitments(clean.supervisor.reports))
+    converged = chaotic.commitments() == clean.commitments()
     assert crashes > 0, "crash chaos never fired"
     assert converged, "crash chaos changed fleet commitments"
 

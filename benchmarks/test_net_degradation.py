@@ -23,11 +23,11 @@ import os
 import time
 
 from repro.bench import ascii_table, write_report
+from repro.faults.injector import FaultPlan
+from repro.faults.sites import NET_LOSS_SITES
 from repro.fleet import (
-    NET_SITES,
-    SITE_NET_PARTITION,
     FleetConfig,
-    net_fault_plan,
+    net_profile_config,
     run_fleet_serving,
     send_storm_scenario,
 )
@@ -40,23 +40,15 @@ DURATION = max(12.0, SCALE * 0.08)
 STORM_SECONDS = max(8.0, DURATION * 0.6)
 STORM_RATE = 600.0
 SHARDS = 4
-LOSS_SITES = tuple(site for site in NET_SITES
-                   if site != SITE_NET_PARTITION)
-#: (label, loss probability, sites) — None means no fault plan.
+#: (label, fault plan) — the ``repro serve --net-profile`` profiles,
+#: plus the lossy one at five times its rate.
 LEVELS = (
-    ("clean", 0.0, None),
-    ("loss-1%", 0.01, LOSS_SITES),
-    ("loss-5%", 0.05, LOSS_SITES),
-    ("partition", 0.25, (SITE_NET_PARTITION,)),
+    ("clean", net_profile_config("clean").fault_plan),
+    ("loss-1%", net_profile_config("lossy").fault_plan),
+    ("loss-5%", FaultPlan.uniform(0, 0.05, sites=NET_LOSS_SITES)),
+    ("partition", net_profile_config("partition").fault_plan),
 )
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _commitments(reports):
-    return [(report.block_number, report.state_root,
-             tuple((r.tx_hash, r.gas_used, r.success)
-                   for r in report.records))
-            for report in reports]
 
 
 def test_net_degradation_goodput():
@@ -78,16 +70,14 @@ def test_net_degradation_goodput():
     clean_commitments = None
     clean_accepted = None
     wall_started = time.perf_counter()
-    for label, probability, sites in LEVELS:
-        plan = (net_fault_plan(seed=0, probability=probability,
-                               sites=sites)
-                if sites is not None else None)
+    for label, plan in LEVELS:
+        probability = plan.rules[0].probability if plan else 0.0
         result = serve(plan)
         rerun = serve(plan)
         identical = result.trace_lines == rerun.trace_lines
         result.supervisor.lease.assert_single_holder_per_term()
         rerun.supervisor.lease.assert_single_holder_per_term()
-        commitments = _commitments(result.supervisor.reports)
+        commitments = result.commitments()
         if clean_commitments is None:
             clean_commitments = commitments
             clean_accepted = result.accepted_txs

@@ -34,7 +34,7 @@ def test_obs_stage_breakdown(datasets, l1):
     # off-path cost; neutrality means they agree exactly with the
     # speculator's own §5.6 accounting.
     spec = l1.forerunner_node.speculator
-    assert totals["speculate"]["cost"] == spec.total_speculation_cost
+    assert totals["speculate"]["cost"] == spec.c_actual_cost.value
     offpath = ("materialize_prefix", "pre_execute", "fingerprint",
                "synthesize")
     stage_cost = sum(totals[name]["cost"] for name in offpath)
@@ -78,8 +78,8 @@ def test_obs_stage_breakdown(datasets, l1):
                           "cost": entry["cost"]}
                    for name, entry in totals.items()},
         "offpath_sibling_stage_cost": stage_cost,
-        "logical_cost": spec.total_logical_cost,
-        "actual_cost": spec.total_speculation_cost,
+        "logical_cost": spec.c_logical_cost.value,
+        "actual_cost": spec.c_actual_cost.value,
         "trace_lines": len(lines),
         "trace_deterministic": lines == rerun_lines,
         "snapshot_deterministic": l1.metrics() == rerun.metrics(),

@@ -317,28 +317,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
     """Per-site chaos over a serving run: ``--edge`` sweeps the
-    ``edge.*`` sites on one node; ``--fleet`` / ``--net`` (either or
-    both) the ``fleet.*`` lifecycle/routing and ``net.*`` wire sites on
-    an N-replica fleet.  One site at a time, five assertions per site:
-    the fault actually fired; commitments (roots + receipt cores) are
+    ``edge`` layer of the site table on one node; ``--fleet`` /
+    ``--net`` (either or both) the ``fleet`` and ``net`` layers on an
+    N-replica fleet.  One site at a time (with its driver site, at the
+    table's rate unless ``--rate``), five assertions per site: the
+    fault actually fired; commitments (roots + receipt cores) are
     byte-identical to the fault-free run (for a fleet, itself
     byte-identical to the single node); two same-seed faulted runs are
     byte-identical to each other; no edge server let an error escape;
     and, on a fleet, the lease oracle holds single-holder-per-term on
     every run."""
     from repro.edge import ScenarioConfig, build_scenario, run_serving
-    from repro.edge.faults import EDGE_SITES, edge_fault_plan
-    from repro.fleet import (
-        FLEET_SITES,
-        NET_SITES,
-        SITE_HANDOFF_TORN,
-        SITE_REPLICA_CRASH,
-        SITE_STALE_SHARDMAP,
-        FleetConfig,
-        fleet_fault_plan,
-        net_fault_plan,
-        run_fleet_serving,
-    )
+    from repro.faults import compare_commitments, sweep_plans
+    from repro.fleet import FleetConfig, run_fleet_serving
 
     fleet = args.fleet or args.net
     label = "fleet" if fleet else "edge"
@@ -362,41 +353,28 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
           f"shards={clean.shards} ({len(scenario)} requests, "
           f"{len(dataset.blocks)} blocks)")
     print(f"clean run: goodput {clean.goodput:.3f}")
-    # (sites, plan builder, default rate) per selected family.
-    families = []
-    if args.fleet:
-        families.append((FLEET_SITES, fleet_fault_plan, 0.2))
-    if args.net:
-        families.append((NET_SITES, net_fault_plan, 1.0))
-    if not fleet:
-        families.append((EDGE_SITES, edge_fault_plan, 1.0))
-    # Torn handoffs and stale-map decisions only have a window when
-    # the membership actually changes, so those sites are swept with
-    # the crash site as their driver.
-    driven = {SITE_HANDOFF_TORN, SITE_STALE_SHARDMAP}
     rows = []
     ok = True
-    for sites, build_plan, default_rate in families:
-        rate = args.rate if args.rate is not None else default_rate
-        print(f"\n{sites[0].split('.')[0]}.* sites at rate {rate}:")
-        for site in sites:
-            plan = build_plan(
-                seed=args.seed, probability=rate,
-                sites=(SITE_REPLICA_CRASH, site) if site in driven
-                else (site,))
+    for layer in [name for name in ("fleet", "net", "edge")
+                  if getattr(args, name)]:
+        print(f"\n{layer}.* sites:")
+        for site, plan in sweep_plans(layer, args.seed, args.rate):
+            # A sweep plan runs site and driver at the one rate.
+            rate = plan.rules[0].probability
             faulted = serve(plan)
             again = serve(plan)
             fired = faulted.injector.fired(site)
-            contained = faulted.commitments() == clean.commitments()
+            moved = compare_commitments(clean.commitments(),
+                                        faulted.commitments())
             deterministic = faulted.commitments() == again.commitments()
             uncaught = sum(server.c_internal_errors.value
                            for server in faulted.servers)
-            site_ok = (contained and deterministic and fired > 0
+            site_ok = (not moved and deterministic and fired > 0
                        and uncaught == 0)
             ok = ok and site_ok
             row = {"site": site, "rate": rate, "fired": fired,
                    "goodput": round(faulted.goodput, 6),
-                   "contained": contained,
+                   "contained": not moved,
                    "deterministic": deterministic,
                    "uncaught_errors": uncaught, "ok": site_ok}
             detail = ""
@@ -410,9 +388,13 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
                 detail = (f"gen={row['generation']:3d} "
                           f"retries={wire['retries']:4d} "
                           f"dedup={wire['dedup_dropped']:4d} ")
-            print(f"  {site:26s} fired={fired:5d} "
+            print(f"  {site:26s} rate={rate} fired={fired:5d} "
                   f"goodput={faulted.goodput:.3f} uncaught={uncaught} "
                   f"{detail}{'CONTAINED' if site_ok else 'FAILED'}")
+            for line in moved:
+                print(f"      {line}")
+            if not deterministic:
+                print("      same-seed rerun committed differently")
             rows.append(row)
     print()
     print(f"{label} containment: " + ("OK" if ok else "FAILED"))
@@ -429,7 +411,17 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.edge or args.fleet or args.net:
+    sweep = args.edge or args.fleet or args.net
+    if args.edge and (args.fleet or args.net):
+        args.error("--edge sweeps one node and --fleet/--net a fleet: "
+                   "run them separately")
+    if sweep:
+        for flag, given in (("--no-jit", args.no_jit),
+                            ("--trace-out", args.trace_out),
+                            ("--max-rate", args.max_rate is not None)):
+            if given:
+                args.error(f"{flag} has no effect on an "
+                           f"--edge/--fleet/--net sweep")
         return _cmd_chaos_sweep(args)
     from repro.faults import (
         FaultPlan,
@@ -442,8 +434,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.rate is not None:
         plan = FaultPlan.uniform(seed=args.seed, probability=args.rate)
     else:
-        plan = FaultPlan.seeded_random(seed=args.seed,
-                                       max_rate=args.max_rate)
+        plan = FaultPlan.seeded_random(
+            seed=args.seed,
+            max_rate=0.3 if args.max_rate is None else args.max_rate)
     from repro.core.node import ForerunnerConfig
     node_config = ForerunnerConfig(enable_jit=not args.no_jit)
     report = check_equivalence(dataset, plan, observer=args.observer,
@@ -528,18 +521,19 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
-    from repro.recovery import CRASH_SITES
+    from repro.faults import layer_sites
     from repro.recovery.replay import RecoveryConfig, recovery_report
 
     if args.points == "all":
         sites = None
     else:
         sites = tuple(args.points.split(","))
-        unknown = [site for site in sites if site not in CRASH_SITES]
+        known = layer_sites("recovery")
+        unknown = [site for site in sites if site not in known]
         if unknown:
             print(f"unknown crash site(s): {', '.join(unknown)}")
             print("known sites:")
-            for site in CRASH_SITES:
+            for site in known:
                 print(f"  {site}")
             return 2
     dataset = _record("crash", args.duration, args.workload_seed,
@@ -777,9 +771,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--observer", default="live")
     chaos.add_argument("--rate", type=float, default=None,
                        help="flat fault probability at every site "
-                            "(default: a seeded random plan)")
-    chaos.add_argument("--max-rate", type=float, default=0.3,
-                       help="per-site probability cap of the random plan")
+                            "(default: a seeded random plan; for a "
+                            "sweep, each site's rate in the site table, "
+                            "docs/ROBUSTNESS.md)")
+    chaos.add_argument("--max-rate", type=float, default=None,
+                       help="per-site probability cap of the random plan "
+                            "(default 0.3)")
     chaos.add_argument("--json-out", default=None, metavar="PATH",
                        help="write the degradation report as canonical "
                             "JSON (byte-identical for a given seed)")
@@ -793,14 +790,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--edge", action="store_true",
                        help="sweep the edge.* serving fault sites "
                             "instead (docs/EDGE.md): each site at "
-                            "--rate (default 1.0) through a serving "
+                            "--rate through a serving "
                             "scenario, asserting node commitments are "
                             "byte-identical to the fault-free run")
     chaos.add_argument("--fleet", action="store_true",
                        help="sweep the fleet.* lifecycle/routing fault "
                             "sites instead (docs/FLEET.md): replica "
                             "crashes, torn handoffs, route flaps and "
-                            "stale shard maps at --rate (default 0.2), "
+                            "stale shard maps at --rate, "
                             "asserting each site fires, fleet "
                             "commitments stay byte-identical to the "
                             "fault-free run and to a same-seed rerun, "
@@ -812,10 +809,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the net.* wire-plane fault sites "
                             "(docs/FLEET.md): drops, duplicates, "
                             "reorders, delays and partitions at --rate "
-                            "(default 1.0) on every inter-replica "
+                            "on every inter-replica "
                             "link, under the same assertions as "
                             "--fleet")
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_cmd_chaos, error=chaos.error)
 
     serve = sub.add_parser(
         "serve",

@@ -185,13 +185,6 @@ class ForerunnerConfig:
     #: jit-on/jit-off CI check prove it); the tier only changes
     #: wall-clock time and the ``jit.*`` counters.
     enable_jit: bool = True
-    #: Contexts an AP must accumulate before it is compiled (a
-    #: fingerprint-dedup hit also qualifies as hot).  1 = compile on
-    #: every merge: compilation is off the critical path, so eager
-    #: compilation buys commit-time speed for one off-path compile.
-    jit_hot_threshold: int = 1
-    #: Specialization bails out (stays interpreted) above this size.
-    jit_max_nodes: int = 4096
     #: Concurrency scheduler (repro.sched): parallel execution lanes,
     #: admission budgets, and the bounded prefetch queue.  Any lane
     #: count commits byte-identical state; parallelism shows up only in
@@ -302,8 +295,6 @@ class ForerunnerNode:
                                               registry=self.registry,
                                               injector=self.fault_injector)
         self.jit = JitTier(enabled=self.config.enable_jit,
-                           hot_threshold=self.config.jit_hot_threshold,
-                           max_nodes=self.config.jit_max_nodes,
                            registry=self.registry)
         self.speculator = Speculator(
             self.world,
@@ -488,13 +479,14 @@ class ForerunnerNode:
             # with it every Table 2/3 number) is identical whether
             # the prefix cache / synthesis dedup are on or off; the
             # actual (cheaper) cost feeds §5.6 accounting instead.
-            cost_before = speculator.total_logical_cost
+            cost_before = speculator.c_logical_cost.value
             path = speculator.speculate(tx, context)
-            job_cost = (speculator.total_logical_cost
+            job_cost = (speculator.c_logical_cost.value
                         - cost_before)
             # Chaos: a stalled worker "timeout" adds cost units to
             # this job's schedule, delaying when its AP is ready.
-            job_cost += self.fault_injector.stall_units(tx=tx.hash)
+            job_cost += self.fault_injector.stall_units("worker.stall",
+                                                        tx=tx.hash)
             completion = lanes.dispatch(
                 job_cost / self.config.worker_speed,
                 not_before=now, payload=tx.hash)

@@ -6,9 +6,7 @@ lookups hit caches instead of walking the trie from disk.  It also pays
 the cold-walk cost there and then — the off-path I/O is accounted into
 the speculator's overhead, not the critical path.
 
-Instrumented under the ``prefetcher.*`` obs scope; the legacy
-``offpath_cost`` / ``prefetched_keys`` attributes remain as read-only
-views over the registry counters.
+Instrumented under the ``prefetcher.*`` obs scope.
 """
 
 from __future__ import annotations
@@ -38,16 +36,6 @@ class Prefetcher:
         self.c_offpath_cost = obs.counter("offpath_cost")
         self.c_prefetched_keys = obs.counter("prefetched_keys")
         self.c_calls = obs.counter("calls")
-
-    # -- legacy counter views (read-only ints) ---------------------------
-
-    @property
-    def offpath_cost(self) -> int:
-        return self.c_offpath_cost.value
-
-    @property
-    def prefetched_keys(self) -> int:
-        return self.c_prefetched_keys.value
 
     def prefetch(self, read_keys: Iterable[Tuple[str, tuple]],
                  tx_sender: Optional[int] = None,

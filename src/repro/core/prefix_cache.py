@@ -21,10 +21,7 @@ on new canonical blocks and reorgs (``chainsync`` restores world
 contents in place, which a version check alone would miss).
 
 All counters are :class:`repro.obs.registry.Counter` instruments under
-the cache's scope (``prefix_cache.*``); the legacy attribute names
-(``hits``, ``pred_execs``, ...) remain available as read-only views so
-:func:`repro.core.stats.speculation_cache_report` and existing tests
-see identical values.
+the cache's scope (``prefix_cache.*``).
 """
 
 from __future__ import annotations
@@ -118,48 +115,6 @@ class PrefixCache:
         # actually pinned.
         self._by_tx: dict = {}
         self._seen_by_tx: dict = {}
-
-    # -- legacy counter views (read-only ints) ---------------------------
-
-    @property
-    def hits(self) -> int:
-        return self.c_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self.c_misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self.c_evictions.value
-
-    @property
-    def invalidations(self) -> int:
-        return self.c_invalidations.value
-
-    @property
-    def pred_execs(self) -> int:
-        return self.c_pred_execs.value
-
-    @property
-    def pred_execs_avoided(self) -> int:
-        return self.c_pred_execs_avoided.value
-
-    @property
-    def pred_instructions(self) -> int:
-        return self.c_pred_instructions.value
-
-    @property
-    def pred_instructions_avoided(self) -> int:
-        return self.c_pred_instructions_avoided.value
-
-    @property
-    def redundant_execs(self) -> int:
-        return self.c_redundant_execs.value
-
-    @property
-    def redundant_instructions(self) -> int:
-        return self.c_redundant_instructions.value
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -225,7 +225,7 @@ class Speculator:
             else SpeculationGuard(registry=registry)
         # The guard's breaker cool-downs and retry backoffs tick in the
         # speculator's deterministic logical-cost currency.
-        self.guard.clock = lambda: self.total_logical_cost
+        self.guard.clock = lambda: self.c_logical_cost.value
         self.guard.charge_cost = self._charge_backoff
         #: Optional :class:`repro.evm.jit.tier.JitTier` — the
         #: trace-guided specialization compiler.  The speculator owns
@@ -285,28 +285,6 @@ class Speculator:
         self.dedup_capacity_per_tx = dedup_capacity_per_tx
         self._next_path_id = 0
 
-    # -- legacy counter views (read-only ints) ----------------------------
-
-    @property
-    def total_speculation_cost(self) -> int:
-        return self.c_actual_cost.value
-
-    @property
-    def total_logical_cost(self) -> int:
-        return self.c_logical_cost.value
-
-    @property
-    def dedup_hits(self) -> int:
-        return self.c_dedup_hits.value
-
-    @property
-    def dedup_misses(self) -> int:
-        return self.c_dedup_misses.value
-
-    @property
-    def dedup_cost_saved(self) -> int:
-        return self.c_dedup_cost_saved.value
-
     # -- chaos plumbing --------------------------------------------------
 
     def _charge_backoff(self, units: int) -> None:
@@ -328,18 +306,19 @@ class Speculator:
         self.guard.run("memoize.build", build, count_fallback=False)
 
     def _jit_compile_contained(self, ap: AcceleratedProgram,
-                               tx: Transaction, deduped: bool) -> None:
+                               tx: Transaction) -> None:
         """Specialization is a pure bonus, exactly like shortcuts: a
         fault while compiling is contained locally (the AP simply stays
         on the interpreted tier) instead of failing the speculation.
-        ``jit.compile`` is a custom chaos site: with no rule targeting
-        it the injector's early return leaves every counter untouched."""
+        ``jit.compile`` is in no generic plan (it is only evaluated
+        while the tier is on): with no rule targeting it the injector's
+        early return leaves every counter untouched."""
         if self.jit is None or not self.jit.enabled:
             return
         def build() -> None:
             self.injector.maybe_raise("jit.compile", tx=tx.hash,
                                       contract=tx.to)
-            self.jit.compile(ap, deduped=deduped)
+            self.jit.compile(ap)
         self.guard.run("jit.compile", build, count_fallback=False)
 
     def _maybe_corrupt(self, ap: AcceleratedProgram,
@@ -740,8 +719,7 @@ class Speculator:
                 self._dedup_store(tx.hash, fingerprint, path)
             # Compile last: corruption sites and shortcut building have
             # all run, so the closure bakes a consistent tree snapshot.
-            self._jit_compile_contained(ap, tx,
-                                        deduped=cached_path is not None)
+            self._jit_compile_contained(ap, tx)
         root_span.set(outcome="merged" if merged else "merge-failed",
                       deduped=cached_path is not None)
         root_span.add_cost(actual_cost)

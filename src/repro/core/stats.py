@@ -448,21 +448,21 @@ def speculation_cache_report(source) -> SpeculationCacheReport:
             speculator = inner
     prefix = speculator.prefix_cache
     return SpeculationCacheReport(
-        prefix_hits=prefix.hits,
-        prefix_misses=prefix.misses,
-        prefix_evictions=prefix.evictions,
-        prefix_invalidations=prefix.invalidations,
-        pred_execs=prefix.pred_execs,
-        pred_execs_avoided=prefix.pred_execs_avoided,
-        pred_instructions=prefix.pred_instructions,
-        pred_instructions_avoided=prefix.pred_instructions_avoided,
-        pred_execs_redundant=prefix.redundant_execs,
-        pred_instructions_redundant=prefix.redundant_instructions,
-        dedup_hits=speculator.dedup_hits,
-        dedup_misses=speculator.dedup_misses,
-        dedup_cost_saved=speculator.dedup_cost_saved,
-        actual_cost=speculator.total_speculation_cost,
-        logical_cost=speculator.total_logical_cost,
+        prefix_hits=prefix.c_hits.value,
+        prefix_misses=prefix.c_misses.value,
+        prefix_evictions=prefix.c_evictions.value,
+        prefix_invalidations=prefix.c_invalidations.value,
+        pred_execs=prefix.c_pred_execs.value,
+        pred_execs_avoided=prefix.c_pred_execs_avoided.value,
+        pred_instructions=prefix.c_pred_instructions.value,
+        pred_instructions_avoided=prefix.c_pred_instructions_avoided.value,
+        pred_execs_redundant=prefix.c_redundant_execs.value,
+        pred_instructions_redundant=prefix.c_redundant_instructions.value,
+        dedup_hits=speculator.c_dedup_hits.value,
+        dedup_misses=speculator.c_dedup_misses.value,
+        dedup_cost_saved=speculator.c_dedup_cost_saved.value,
+        actual_cost=speculator.c_actual_cost.value,
+        logical_cost=speculator.c_logical_cost.value,
     )
 
 

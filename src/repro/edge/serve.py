@@ -96,8 +96,8 @@ def run_serving(dataset, scenario,
                 ) -> ServingResult:
     """Serve ``scenario`` against a node replaying ``dataset``.
 
-    ``fault_plan`` is an *edge* fault plan
-    (:func:`repro.edge.faults.edge_fault_plan`); the node itself runs
+    ``fault_plan`` reaches the ``edge`` layer's sites only (the
+    server's and the loop's); the node itself runs
     clean — edge chaos must never reach node commitments, and the
     containment tests compare exactly that.
     """

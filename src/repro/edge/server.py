@@ -37,15 +37,14 @@ from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.edge import rpc
 from repro.edge.brownout import BrownoutConfig, BrownoutController
-from repro.edge.faults import (
+from repro.edge.limits import Bulkhead, Deadline, LruMap, TokenBucket
+from repro.faults.guard import CircuitBreaker
+from repro.faults.injector import NULL_INJECTOR, corrupt_frame
+from repro.faults.sites import (
     SITE_HANDLER_STALL,
     SITE_MALFORMED,
     SITE_SLOW_CLIENT,
-    corrupt_frame,
 )
-from repro.edge.limits import Bulkhead, Deadline, LruMap, TokenBucket
-from repro.faults.guard import CircuitBreaker
-from repro.faults.injector import NULL_INJECTOR
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.state.statedb import StateDB

@@ -5,13 +5,10 @@ shared by the speculator (compile side) and the transaction accelerator
 (execute side):
 
 * **compile side** — after every successful AP merge the speculator
-  offers the AP for compilation.  The tier compiles when the trace is
-  *hot*: its fingerprint deduplicated against an earlier synthesis
-  (the same trace was observed again), the AP accumulated at least
-  ``hot_threshold`` speculated contexts, or an earlier artifact exists
-  (tree changed -> refresh).  Compilation is off the critical path and
-  chaos-contained by the speculator, so a failed compile only means
-  the AP stays interpreted.
+  offers the AP for compilation, and the tier compiles it: compilation
+  is off the critical path, so eager compilation buys commit-time
+  speed for one off-path compile.  It is chaos-contained by the
+  speculator, so a failed compile only means the AP stays interpreted.
 * **execute side** — the accelerator routes AP execution through
   :meth:`execute`.  A valid artifact runs the specialized closure; a
   version mismatch (reorg / redeploy invalidation) is a *bailout*: the
@@ -38,12 +35,9 @@ from repro.obs.registry import MetricsRegistry, get_registry
 class JitTier:
     """Owns compile policy, artifact validity, and the jit.* counters."""
 
-    def __init__(self, enabled: bool = True, hot_threshold: int = 1,
-                 max_nodes: int = 4096,
+    def __init__(self, enabled: bool = True,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.enabled = enabled
-        self.hot_threshold = hot_threshold
-        self.max_nodes = max_nodes
         #: Bumped by :meth:`invalidate`; artifacts compiled under an
         #: older version bail out to the interpreted walk.
         self.version = 0
@@ -67,24 +61,17 @@ class JitTier:
         """Drop the AP's artifact (the tree is about to be mutated)."""
         ap.jit = None
 
-    def is_hot(self, ap: AcceleratedProgram, deduped: bool = False) -> bool:
-        return (deduped
-                or len(ap.context_ids) >= self.hot_threshold
-                or ap.jit is not None)
-
-    def compile(self, ap: AcceleratedProgram,
-                deduped: bool = False) -> Optional[CompiledAP]:
-        """Compile ``ap`` if the tier is on and the trace is hot.
+    def compile(self, ap: AcceleratedProgram) -> Optional[CompiledAP]:
+        """Compile ``ap`` if the tier is on.
 
         Returns the artifact (also stored on ``ap.jit``) or ``None``.
         Raises nothing: a :class:`SpecializeAbort` is counted and the
         AP stays on the interpreted tier.
         """
-        if not self.enabled or not self.is_hot(ap, deduped):
+        if not self.enabled:
             return None
         try:
-            artifact = compile_ap(ap, version=self.version,
-                                  max_nodes=self.max_nodes)
+            artifact = compile_ap(ap, version=self.version)
         except SpecializeAbort:
             self.c_compile_aborts.inc()
             ap.jit = None

@@ -1,16 +1,20 @@
 """Deterministic fault injection + graceful degradation (chaos layer).
 
-Three pieces:
+Four pieces:
 
-* :mod:`repro.faults.injector` — declarative :class:`FaultPlan`\\ s and
-  the :class:`FaultInjector` consulted at named sites across the
-  speculation pipeline;
+* :mod:`repro.faults.sites` — the one site table: every injection site
+  of every layer (pipeline, edge, fleet, net, recovery) with its kind,
+  magnitude, sweep rate, driver site and containment contract;
+* :mod:`repro.faults.injector` — declarative :class:`FaultPlan`\\ s
+  built from the table, :func:`sweep_plans`, and the
+  :class:`FaultInjector` consulted at the sites;
 * :mod:`repro.faults.guard` — :class:`SpeculationGuard` containment,
   transient-storage retry, and the per-contract
   :class:`CircuitBreaker`;
 * :mod:`repro.faults.invariants` — :func:`check_equivalence`, the
   paper's "speculation is pure acceleration" safety property as an
-  executable check.
+  executable check, and :func:`compare_commitments`, the one
+  human-readable comparer of two commitment lists.
 
 See ``docs/ROBUSTNESS.md``.
 """
@@ -29,27 +33,27 @@ from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    KIND_CORRUPT,
-    KIND_DROP,
-    KIND_DUPLICATE,
-    KIND_RAISE,
-    KIND_REORDER,
-    KIND_STALL,
-    KIND_STORAGE,
-    KINDS,
-    LETHAL_SITES,
     NULL_INJECTOR,
     NullInjector,
-    SITE_KINDS,
-    SITES,
+    corrupt_frame,
     corrupt_guard_branch,
     corrupt_shortcut,
+    sweep_plans,
 )
 from repro.faults.invariants import (
     EquivalenceReport,
     check_equivalence,
+    compare_commitments,
     format_report,
     run_digest,
+)
+from repro.faults.sites import (
+    KINDS,
+    LAYERS,
+    SITE_TABLE,
+    Site,
+    layer_sites,
+    site_row,
 )
 
 __all__ = [
@@ -64,23 +68,21 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "KIND_CORRUPT",
-    "KIND_DROP",
-    "KIND_DUPLICATE",
-    "KIND_RAISE",
-    "KIND_REORDER",
-    "KIND_STALL",
-    "KIND_STORAGE",
-    "KINDS",
-    "LETHAL_SITES",
     "NULL_INJECTOR",
     "NullInjector",
-    "SITE_KINDS",
-    "SITES",
+    "corrupt_frame",
     "corrupt_guard_branch",
     "corrupt_shortcut",
+    "sweep_plans",
     "EquivalenceReport",
     "check_equivalence",
+    "compare_commitments",
     "format_report",
     "run_digest",
+    "KINDS",
+    "LAYERS",
+    "SITE_TABLE",
+    "Site",
+    "layer_sites",
+    "site_row",
 ]

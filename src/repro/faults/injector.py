@@ -24,115 +24,56 @@ Fault kinds
 
 ========== ==================================================================
 ``raise``   raise :class:`repro.errors.InjectedFault` at the site
-``corrupt`` corrupt a memo/AP payload (shortcut key or guard branch key);
-            corruption is *detectable by construction* — every memoized
-            payload is only ever applied under an exact-match key, so a
-            corrupted key degrades to a miss or a constraint violation,
-            never to wrong committed state
-``drop``    drop a gossip message (the observer never hears the tx)
-``duplicate`` deliver a gossip message twice (dedup at the pool absorbs it)
-``reorder`` delay a gossip message by ``magnitude`` simulated seconds
+``corrupt`` corrupt a memo/AP payload (shortcut key or guard branch key)
+            or a raw request frame; corruption is *detectable by
+            construction* — every memoized payload is only ever applied
+            under an exact-match key, so a corrupted key degrades to a
+            miss or a constraint violation, never to wrong committed state
+``drop``    drop a gossip or wire message
+``duplicate`` deliver a message (or request) more than once
+``reorder`` delay a message by ``magnitude`` simulated seconds
 ``storage_error`` raise :class:`repro.errors.TransientStorageError` on a
             cold simulated-disk read (retryable; see the guard's policy)
-``stall``   stall a speculation worker for ``magnitude`` cost units
+``stall``   stall a worker or handler for ``magnitude`` cost units
+``crash``   kill the simulated process at a ``recovery.*`` site
+            (:class:`repro.errors.SimulatedCrash`), a replica, or a link
+``torn``    die midway through a durable write or handoff, leaving the
+            partial effect behind
 ========== ==================================================================
+
+Which site takes which kind, at what magnitude and rate, is the site
+table's business (:mod:`repro.faults.sites`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import InjectedFault, TransientStorageError
+from repro.errors import InjectedFault, SimulatedCrash, TransientStorageError
+from repro.faults.sites import (
+    KIND_CRASH,
+    KIND_DROP,
+    KIND_DUPLICATE,
+    KIND_RAISE,
+    KIND_REORDER,
+    KIND_STALL,
+    KIND_STORAGE,
+    KIND_TORN,
+    KINDS,
+    LAYER_PIPELINE,
+    LAYER_RECOVERY,
+    layer_sites,
+    site_row,
+)
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.utils.hashing import hash_words, keccak_int
-
-# -- fault kinds -----------------------------------------------------------
-
-KIND_RAISE = "raise"
-KIND_CORRUPT = "corrupt"
-KIND_DROP = "drop"
-KIND_DUPLICATE = "duplicate"
-KIND_REORDER = "reorder"
-KIND_STORAGE = "storage_error"
-KIND_STALL = "stall"
-#: Crash-recovery kinds (:mod:`repro.recovery.crashpoints`): ``crash``
-#: kills the simulated process at the site; ``torn`` kills it midway
-#: through a durable write, leaving a partial record on disk.  Their
-#: sites are custom ``recovery.*`` rules and deliberately *not* part of
-#: :data:`SITES`, so generic chaos plans (``FaultPlan.uniform``) never
-#: raise an uncontainable :class:`repro.errors.SimulatedCrash`.
-KIND_CRASH = "crash"
-KIND_TORN = "torn"
-
-KINDS = (KIND_RAISE, KIND_CORRUPT, KIND_DROP, KIND_DUPLICATE,
-         KIND_REORDER, KIND_STORAGE, KIND_STALL, KIND_CRASH, KIND_TORN)
 
 #: Default worker stall, in cost units (~0.1 s of simulated worker time).
 DEFAULT_STALL_UNITS = 2_000_000
 #: Default gossip reorder delay, in simulated seconds.
 DEFAULT_REORDER_SECONDS = 6.0
-
-#: Injection sites and the fault kind a generic plan uses there.  Sites
-#: cover every speculative component: the predictor, all speculator
-#: stages, the memo table, the prefix cache, the prefetcher, the gossip
-#: delivery path, the simulated worker pool, simulated storage reads,
-#: and the critical-path AP dispatch (whose containment is the node's
-#: last line of defence).
-SITE_KINDS: Dict[str, str] = {
-    "predictor.predict": KIND_RAISE,
-    "speculator.materialize_prefix": KIND_RAISE,
-    "speculator.pre_execute": KIND_RAISE,
-    "speculator.synthesize": KIND_RAISE,
-    "speculator.merge": KIND_RAISE,
-    "memoize.build": KIND_RAISE,
-    "memoize.corrupt": KIND_CORRUPT,
-    "ap.corrupt": KIND_CORRUPT,
-    "prefix_cache.lookup": KIND_RAISE,
-    "prefix_cache.store": KIND_RAISE,
-    "prefetcher.prefetch": KIND_RAISE,
-    "gossip.deliver": KIND_DROP,
-    "worker.stall": KIND_STALL,
-    "storage.read": KIND_STORAGE,
-    "accelerator.execute": KIND_RAISE,
-    # Concurrency scheduler (repro.sched).  Containments: an admission
-    # fault skips the speculation cycle; a prefetch-queue fault drops
-    # the request (colder reads, same values).  The block executes
-    # once, serially, and its lane schedule is derived afterwards, so
-    # the three executor sites only move that what-if: a fork fault
-    # yields that transaction to serial order, a conflict-scan fault
-    # the whole block, a commit fault that clean transaction.  None of
-    # them can change committed state.
-    "sched.admit": KIND_RAISE,
-    "sched.fork": KIND_RAISE,
-    "sched.conflict_scan": KIND_RAISE,
-    "sched.commit": KIND_RAISE,
-    "sched.prefetch_queue": KIND_DROP,
-}
-
-#: Like the ``recovery.*`` crash sites, the serving edge's ``edge.*``
-#: sites (:data:`repro.edge.faults.EDGE_SITES`) are deliberately not
-#: listed here: they only fire inside a serving scenario, which generic
-#: pipeline chaos plans never run (a plain replay would leave them
-#: unevaluated and the per-site degradation sweep would see zero
-#: fires).  Build edge plans with
-#: :func:`repro.edge.faults.edge_fault_plan` instead.
-SITES: Tuple[str, ...] = tuple(SITE_KINDS)
-
-#: Sites that, at 100% probability, disable speculation entirely (the
-#: degradation sweep asserts speedup collapses to ~1.0 there; the other
-#: sites only shave the acceleration).
-LETHAL_SITES: Tuple[str, ...] = (
-    "predictor.predict",
-    "speculator.materialize_prefix",
-    "speculator.pre_execute",
-    "speculator.synthesize",
-    "speculator.merge",
-    "gossip.deliver",
-    "storage.read",
-    "sched.admit",
-)
 
 
 @dataclass(frozen=True)
@@ -166,24 +107,41 @@ class FaultRule:
         return self.magnitude if self.magnitude else DEFAULT_REORDER_SECONDS
 
 
+def _table_rule(site: str, probability: float, **window) -> FaultRule:
+    """One rule at ``site`` with the table's kind and magnitude."""
+    row = site_row(site)
+    return FaultRule(site=site, kind=row.kind, probability=probability,
+                     magnitude=row.magnitude, **window)
+
+
 @dataclass
 class FaultPlan:
-    """A declarative, seeded fault schedule."""
+    """A declarative, seeded fault schedule.
+
+    Every rule must name a row of the site table and a known kind: a
+    misspelt plan is a ``ValueError`` here, not a fault-free run that
+    reports containment."""
 
     seed: int = 0
     rules: Tuple[FaultRule, ...] = ()
 
+    def __post_init__(self) -> None:
+        for rule in self.rules:
+            site_row(rule.site)
+            if rule.kind not in KINDS:
+                raise ValueError(
+                    f"unknown fault kind {rule.kind!r} at {rule.site}; "
+                    f"known kinds: {', '.join(KINDS)}")
+
     @classmethod
     def uniform(cls, seed: int, probability: float,
-                sites: Optional[Tuple[str, ...]] = None,
-                magnitude: float = 0.0) -> "FaultPlan":
-        """One rule per site at a flat probability (default kind)."""
-        chosen = sites if sites is not None else SITES
-        rules = tuple(
-            FaultRule(site=site, kind=SITE_KINDS[site],
-                      probability=probability, magnitude=magnitude)
-            for site in chosen)
-        return cls(seed=seed, rules=rules)
+                sites: Optional[Tuple[str, ...]] = None) -> "FaultPlan":
+        """One rule per site at a flat probability, kind and magnitude
+        from the table; ``sites`` may mix layers (default: the
+        ``pipeline`` layer)."""
+        chosen = sites if sites is not None else layer_sites(LAYER_PIPELINE)
+        return cls(seed=seed, rules=tuple(
+            _table_rule(site, probability) for site in chosen))
 
     @classmethod
     def seeded_random(cls, seed: int, max_rate: float = 0.3,
@@ -193,22 +151,35 @@ class FaultPlan:
         each with a probability in (0, max_rate].  The same seed always
         produces the same plan."""
         rng = random.Random(hash_words((seed, 0xFA017)))
-        chosen = sites if sites is not None else SITES
+        chosen = sites if sites is not None else layer_sites(LAYER_PIPELINE)
         rules: List[FaultRule] = []
         for site in chosen:
             if rng.random() >= 0.7:
                 continue
-            probability = round(rng.uniform(0.01, max_rate), 4)
-            kind = SITE_KINDS[site]
+            rule = _table_rule(site, round(rng.uniform(0.01, max_rate), 4))
             if site == "gossip.deliver":
-                kind = rng.choice((KIND_DROP, KIND_DUPLICATE, KIND_REORDER))
-            rules.append(FaultRule(site=site, kind=kind,
-                                   probability=probability))
+                rule = replace(rule, kind=rng.choice(
+                    (KIND_DROP, KIND_DUPLICATE, KIND_REORDER)))
+            rules.append(rule)
         if not rules:  # degenerate draw: fall back to one mild rule
-            rules.append(FaultRule(site="speculator.pre_execute",
-                                   kind=KIND_RAISE,
-                                   probability=round(max_rate / 2, 4)))
+            rules.append(_table_rule("speculator.pre_execute",
+                                     round(max_rate / 2, 4)))
         return cls(seed=seed, rules=tuple(rules))
+
+    @classmethod
+    def single_shot(cls, seed: int, site: str,
+                    occurrence: int = 0) -> "FaultPlan":
+        """Fire at the ``occurrence``-th evaluation of ``site``
+        (0-based), exactly once.
+
+        ``max_fires=1`` matters beyond hygiene for a crash site: a
+        restarted process has fresh per-site evaluation counts, so
+        without it the same crash would re-fire on every restart and
+        the node could never converge.  (The recovery harness
+        additionally restarts with no plan at all, modelling a crash
+        cause that died with the process.)"""
+        return cls(seed=seed, rules=(
+            _table_rule(site, 1.0, after=occurrence, max_fires=1),))
 
     def sites(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(rule.site for rule in self.rules))
@@ -229,6 +200,27 @@ class FaultPlan:
             lines.append(f"{rule.site}: {rule.kind} "
                          f"p={rule.probability:g}{extra}")
         return lines
+
+
+def sweep_plans(layer: str, seed: int, rate: Optional[float] = None
+                ) -> Iterator[Tuple[str, FaultPlan]]:
+    """``(site, plan)`` for every site of ``layer``: the per-site sweep.
+
+    Each plan runs its site at ``rate`` (default: the row's own sweep
+    rate) with the table's kind and magnitude, together with the row's
+    driver site when it needs one to have a window.  ``recovery`` sites
+    kill the process that evaluates them, so theirs is the single-shot
+    plan, and ``seed`` doubles as the occurrence: seed N dies at each
+    site's N-th evaluation.
+    """
+    for site in layer_sites(layer):
+        row = site_row(site)
+        if layer == LAYER_RECOVERY:
+            yield site, FaultPlan.single_shot(seed, site, occurrence=seed)
+            continue
+        sites = (row.driver, site) if row.driver else (site,)
+        yield site, FaultPlan.uniform(
+            seed, row.rate if rate is None else rate, sites=sites)
 
 
 class FaultInjector:
@@ -252,21 +244,20 @@ class FaultInjector:
         self._obs = obs
         self.c_evaluated = obs.counter("evaluated")
         self.c_fired = obs.counter("fired")
+        # Pre-registered for the pipeline layer plus whatever the plan
+        # names, so a plan's metric snapshot has the same shape whether
+        # or not its rules ever fire.
+        known = tuple(dict.fromkeys(
+            layer_sites(LAYER_PIPELINE) + plan.sites()))
         self._site_evaluated = {
-            site: obs.counter(f"site.{site}.evaluated") for site in SITES}
+            site: obs.counter(f"site.{site}.evaluated") for site in known}
         self._site_fired = {
-            site: obs.counter(f"site.{site}.fired") for site in SITES}
+            site: obs.counter(f"site.{site}.fired") for site in known}
         self._kind_fired = {
             kind: obs.counter(f"kind.{kind}.fired") for kind in KINDS}
         self._rules_by_site: Dict[str, List[FaultRule]] = {}
         for rule in plan.rules:
             self._rules_by_site.setdefault(rule.site, []).append(rule)
-            if rule.site not in self._site_evaluated:
-                # Custom (test-defined) site: register deterministically.
-                self._site_evaluated[rule.site] = \
-                    obs.counter(f"site.{rule.site}.evaluated")
-                self._site_fired[rule.site] = \
-                    obs.counter(f"site.{rule.site}.fired")
         self._rngs: Dict[str, random.Random] = {
             site: random.Random(hash_words(
                 (plan.seed, keccak_int(site.encode("utf-8")))))
@@ -329,12 +320,25 @@ class FaultInjector:
         if rule.kind == KIND_RAISE:
             raise InjectedFault(site, rule.kind)
 
-    def stall_units(self, site: str = "worker.stall", **ctx) -> int:
-        """Cost units of worker stall to add (0 when no rule fires)."""
+    def stall_units(self, site: str, **ctx) -> int:
+        """Cost units of stall to add at ``site`` (0 when no rule fires)."""
         rule = self.evaluate(site, **ctx)
         if rule is None or rule.kind != KIND_STALL:
             return 0
         return rule.stall_units()
+
+    def maybe_crash(self, site: str, **ctx) -> None:
+        """Die here if a ``crash`` rule fires (``torn`` rules are handled
+        by the writers, which must leave partial bytes behind first)."""
+        rule = self.evaluate(site, **ctx)
+        if rule is not None and rule.kind == KIND_CRASH:
+            raise SimulatedCrash(site, seq=int(ctx.get("seq", -1)))
+
+    def torn_fires(self, site: str, **ctx) -> bool:
+        """True when a ``torn`` rule fires at ``site`` — the caller must
+        write the partial frame, then raise ``SimulatedCrash`` itself."""
+        rule = self.evaluate(site, **ctx)
+        return rule is not None and rule.kind == KIND_TORN
 
     def fired(self, site: str) -> int:
         return self._site_fired[site].value if site in self._site_fired \
@@ -364,8 +368,14 @@ class NullInjector:
     def maybe_raise(self, site: str, **ctx) -> None:
         return None
 
-    def stall_units(self, site: str = "worker.stall", **ctx) -> int:
+    def stall_units(self, site: str, **ctx) -> int:
         return 0
+
+    def maybe_crash(self, site: str, **ctx) -> None:
+        return None
+
+    def torn_fires(self, site: str, **ctx) -> bool:
+        return False
 
     def fired(self, site: str) -> int:
         return 0
@@ -422,3 +432,18 @@ def corrupt_guard_branch(ap, rng: random.Random) -> bool:
     key = keys[rng.randrange(len(keys))]
     node.branches[("#corrupted", repr(key))] = node.branches.pop(key)
     return True
+
+
+def corrupt_frame(raw: str, rng: random.Random) -> str:
+    """Deterministically mangle one raw request frame.
+
+    Three mangle modes — truncation, byte garbling, and type swap —
+    all of which must surface as a structured parse/invalid error.
+    """
+    mode = rng.randrange(3)
+    if mode == 0 and len(raw) > 2:
+        return raw[:rng.randrange(1, len(raw))]
+    if mode == 1 and raw:
+        index = rng.randrange(len(raw))
+        return raw[:index] + chr(0x21 + rng.randrange(64)) + raw[index + 1:]
+    return "[" + raw

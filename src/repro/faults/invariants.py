@@ -95,8 +95,6 @@ class EquivalenceReport:
     fire_summary: Dict[str, Dict[str, int]] = field(default_factory=dict)
     guard: Dict[str, Any] = field(default_factory=dict)
     plan_lines: List[str] = field(default_factory=list)
-    clean_digest: bytes = b""
-    faulted_digest: bytes = b""
 
     @property
     def speedup_retained(self) -> float:
@@ -122,27 +120,21 @@ class EquivalenceReport:
         }
 
 
-def _compare_digests(clean: Dict[str, Any], faulted: Dict[str, Any]
-                     ) -> List[str]:
-    """Human-readable mismatch list (empty == byte-identical)."""
+def compare_commitments(clean: list, other: list) -> List[str]:
+    """Human-readable differences between two
+    :func:`repro.sim.emulator.commitments` lists (empty == identical):
+    which block's root or receipts moved."""
     mismatches: List[str] = []
-    if canonical_json(clean) == canonical_json(faulted):
-        return mismatches
-    if clean["blocks_executed"] != faulted["blocks_executed"]:
+    if len(clean) != len(other):
         mismatches.append(
-            f"blocks executed: {clean['blocks_executed']} != "
-            f"{faulted['blocks_executed']}")
-    for cb, fb in zip(clean["blocks"], faulted["blocks"]):
-        if cb["state_root"] != fb["state_root"]:
+            f"blocks executed: {len(clean)} != {len(other)}")
+    for cb, ob in zip(clean, other):
+        if cb["root"] != ob["root"]:
             mismatches.append(
-                f"state root of block {cb['number']}: "
-                f"{cb['state_root']} != {fb['state_root']}")
-        if cb["receipts"] != fb["receipts"]:
-            mismatches.append(f"receipts of block {cb['number']} differ")
-    if clean["baseline_columns"] != faulted["baseline_columns"]:
-        mismatches.append("Table 2/3 baseline columns differ")
-    if not mismatches:
-        mismatches.append("digests differ (structural)")
+                f"state root of block {cb['block']}: "
+                f"{cb['root']:#x} != {ob['root']:#x}")
+        if cb["receipts"] != ob["receipts"]:
+            mismatches.append(f"receipts of block {cb['block']} differ")
     return mismatches
 
 
@@ -165,7 +157,14 @@ def check_equivalence(dataset, plan: FaultPlan,
 
     clean = run_digest(clean_run)
     faulted = run_digest(faulted_run)
-    mismatches = _compare_digests(clean, faulted)
+    mismatches: List[str] = []
+    if canonical_json(clean) != canonical_json(faulted):
+        mismatches = compare_commitments(clean_run.commitments(),
+                                         faulted_run.commitments())
+        if clean["baseline_columns"] != faulted["baseline_columns"]:
+            mismatches.append("Table 2/3 baseline columns differ")
+        if not mismatches:
+            mismatches.append("digests differ (structural)")
 
     injector = faulted_run.fault_injector
     guard = faulted_run.forerunner_node.guard
@@ -181,8 +180,6 @@ def check_equivalence(dataset, plan: FaultPlan,
         fire_summary=injector.fire_summary() if injector else {},
         guard=guard.summary() if guard else {},
         plan_lines=plan.describe(),
-        clean_digest=canonical_json(clean).encode("ascii"),
-        faulted_digest=canonical_json(faulted).encode("ascii"),
     )
     return report
 

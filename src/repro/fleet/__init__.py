@@ -16,23 +16,6 @@ the single-node serial run at every shard count and under every
 network fault plan — docs/FLEET.md has the determinism argument.
 """
 
-from .faults import (
-    FLEET_SITE_KINDS,
-    FLEET_SITES,
-    NET_SITE_KINDS,
-    NET_SITES,
-    SITE_HANDOFF_TORN,
-    SITE_NET_DELAY,
-    SITE_NET_DROP,
-    SITE_NET_DUPLICATE,
-    SITE_NET_PARTITION,
-    SITE_NET_REORDER,
-    SITE_REPLICA_CRASH,
-    SITE_ROUTE_FLAP,
-    SITE_STALE_SHARDMAP,
-    fleet_fault_plan,
-    net_fault_plan,
-)
 from .lease import Lease, LeaseRegistry
 from .router import FleetRouter, RouteInfo
 from .serve import (
@@ -58,8 +41,6 @@ from .wire import (
 __all__ = [
     "Envelope",
     "FailureDetector",
-    "FLEET_SITES",
-    "FLEET_SITE_KINDS",
     "FleetConfig",
     "FleetRouter",
     "FleetSupervisor",
@@ -67,28 +48,15 @@ __all__ = [
     "Lease",
     "LeaseRegistry",
     "NET_PROFILES",
-    "NET_SITES",
-    "NET_SITE_KINDS",
     "NetworkSim",
     "RouteInfo",
     "ShardMap",
     "ShardMapSnapshot",
     "ShardedTxPool",
-    "SITE_HANDOFF_TORN",
-    "SITE_NET_DELAY",
-    "SITE_NET_DROP",
-    "SITE_NET_DUPLICATE",
-    "SITE_NET_PARTITION",
-    "SITE_NET_REORDER",
-    "SITE_REPLICA_CRASH",
-    "SITE_ROUTE_FLAP",
-    "SITE_STALE_SHARDMAP",
     "WarmthTracker",
     "WireConfig",
     "WirePlane",
-    "fleet_fault_plan",
     "fleet_replay",
-    "net_fault_plan",
     "net_profile_config",
     "run_fleet_serving",
     "send_storm_scenario",

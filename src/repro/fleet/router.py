@@ -46,14 +46,15 @@ from repro.edge.server import (
     RouteInfo,
 )
 from repro.faults.injector import NULL_INJECTOR
+from repro.faults.sites import SITE_ROUTE_FLAP, SITE_STALE_SHARDMAP
 
-from .faults import (
-    ROUTE_FLAP_PENALTY_UNITS,
-    SITE_ROUTE_FLAP,
-    SITE_STALE_SHARDMAP,
-    STALE_MAP_PENALTY_UNITS,
-)
 from .supervisor import FleetSupervisor
+
+#: Cost units a misrouted request pays before re-dispatch (one wasted
+#: hop to the wrong replica and back).
+ROUTE_FLAP_PENALTY_UNITS = 2_000
+#: Cost units a stale-map decision pays (the stale owner forwards).
+STALE_MAP_PENALTY_UNITS = 1_000
 
 #: Methods the router may fail over to a ring successor (reads — every
 #: replica serves them identically from its own full state).

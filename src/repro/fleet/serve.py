@@ -25,6 +25,8 @@ from repro.edge import rpc
 from repro.edge.clients import ScheduledRequest
 from repro.edge.serve import ServingResult
 from repro.edge.server import EdgeConfig
+from repro.faults.injector import FaultPlan
+from repro.faults.sites import NET_LOSS_SITES, SITE_NET_PARTITION
 from repro.obs.registry import MetricsRegistry
 from repro.sim.emulator import (
     EvaluationRun,
@@ -34,11 +36,6 @@ from repro.sim.emulator import (
 )
 from repro.utils.hashing import hash_words, keccak_int
 
-from .faults import (
-    NET_SITES,
-    SITE_NET_PARTITION,
-    net_fault_plan,
-)
 from .router import FleetRouter
 from .supervisor import FleetConfig, FleetSupervisor
 
@@ -62,13 +59,9 @@ def net_profile_config(profile: str, shards: int = 4, seed: int = 0,
                          f"choose from {NET_PROFILES}")
     plan = None
     if profile == "lossy":
-        loss_sites = tuple(site for site in NET_SITES
-                           if site != SITE_NET_PARTITION)
-        plan = net_fault_plan(seed=seed, probability=0.01,
-                              sites=loss_sites)
+        plan = FaultPlan.uniform(seed, 0.01, sites=NET_LOSS_SITES)
     elif profile == "partition":
-        plan = net_fault_plan(seed=seed, probability=0.25,
-                              sites=(SITE_NET_PARTITION,))
+        plan = FaultPlan.uniform(seed, 0.25, sites=(SITE_NET_PARTITION,))
     return FleetConfig(shards=shards, fault_plan=plan,
                        journal_dir=journal_dir)
 

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.chain.transaction import Transaction
 from repro.consensus.packing import priority_key
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
+from repro.faults.sites import SITE_HANDOFF_TORN
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.txpool.pool import TxPool
 
@@ -224,7 +225,7 @@ class ShardedTxPool:
             arrival = self.pools[source].arrival_times.get(tx.hash, 0.0)
             self.remove(tx.hash)
             fault = self.injector.evaluate(
-                "fleet.handoff_torn", tx_hash=tx.hash,
+                SITE_HANDOFF_TORN, tx_hash=tx.hash,
                 source=source, target=target)
             if fault is not None:
                 self.c_torn.inc()

@@ -60,6 +60,7 @@ from repro.core.node import (
 )
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
+from repro.faults.sites import SITE_NET_PARTITION, SITE_REPLICA_CRASH
 from repro.obs.registry import MetricsRegistry
 from repro.recovery.journal import (
     JournalWriter,
@@ -67,7 +68,6 @@ from repro.recovery.journal import (
     truncate_torn_tail,
 )
 
-from .faults import SITE_NET_PARTITION, SITE_REPLICA_CRASH
 from .lease import LeaseRegistry
 from .shardmap import DEFAULT_VNODES, ShardMap
 from .shardpool import ShardedTxPool

@@ -13,7 +13,7 @@ protocol that stays byte-identical under a hostile network:
   block bodies ride as by-reference attachments — the data plane;
   the control plane is what crosses the wire);
 * the :class:`NetworkSim` routes every transmission through the
-  ``net.*`` fault sites (:mod:`repro.fleet.faults`): seeded per-link
+  ``net.*`` fault sites (:mod:`repro.faults.sites`): seeded per-link
   ``drop`` / ``duplicate`` / ``reorder`` / ``delay`` behaviors, plus
   ``partition`` — an isolated replica set whose cross-cut traffic is
   *parked* and delivered on heal (payloads carry their logical
@@ -59,15 +59,14 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.edge.limits import LruMap
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_INJECTOR
-from repro.obs.export import canonical_json
-from repro.obs.registry import MetricsRegistry
-
-from .faults import (
+from repro.faults.sites import (
     SITE_NET_DELAY,
     SITE_NET_DROP,
     SITE_NET_DUPLICATE,
     SITE_NET_REORDER,
 )
+from repro.obs.export import canonical_json
+from repro.obs.registry import MetricsRegistry
 
 #: The supervisor's network endpoint (block feed, gossip ingress,
 #: heartbeat sink) — a node id that is never a replica id.

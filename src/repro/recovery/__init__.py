@@ -1,4 +1,4 @@
-"""Deterministic crash-recovery: WAL, snapshots, crashpoints, replay.
+"""Deterministic crash-recovery: WAL, snapshots, crash points, replay.
 
 Forerunner runs as a long-lived live node (the paper's 10-day L1/R1-R5
 experiments): it must be able to die mid-block and come back without
@@ -11,9 +11,10 @@ This package adds the durability boundary the emulator lacked:
 * :mod:`repro.recovery.snapshot` — periodic copy-on-write snapshots of
   chain / state / memo-table / txpool with atomic install and bounded
   journal truncation;
-* :mod:`repro.recovery.crashpoints` — seeded crash injection at every
-  journal append and fsync boundary, driven through the
-  :mod:`repro.faults` plan machinery as ``recovery.*`` sites;
+* seeded crash injection at every journal append, fsync and snapshot
+  boundary: the ``recovery`` layer of the one fault-site table
+  (:mod:`repro.faults.sites`), fired through the injector's
+  ``maybe_crash`` / ``torn_fires``;
 * :mod:`repro.recovery.replay` — the durable replay harness plus
   restart replay that rebuilds the node, re-runs speculation for
   in-flight heads, and verifies convergence against the journal and
@@ -24,13 +25,6 @@ the replayed post-state is *byte-identical* to an uninterrupted run —
 checked with the same digests :mod:`repro.faults.invariants` uses.
 """
 
-from repro.recovery.crashpoints import (  # noqa: F401
-    CRASH_SITES,
-    TORN_SITES,
-    crash_plan,
-    maybe_crash,
-    sweep_plans,
-)
 from repro.recovery.journal import (  # noqa: F401
     JournalRecord,
     JournalScan,

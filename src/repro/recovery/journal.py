@@ -40,15 +40,13 @@ from typing import List, Optional
 
 from repro.errors import RecoveryError, SimulatedCrash
 from repro.faults.injector import NULL_INJECTOR
-from repro.obs.export import canonical_json
-from repro.recovery.crashpoints import (
+from repro.faults.sites import (
     SITE_JOURNAL_AFTER_SYNC,
     SITE_JOURNAL_AFTER_WRITE,
     SITE_JOURNAL_APPEND,
     SITE_JOURNAL_TORN,
-    maybe_crash,
-    torn_fires,
 )
+from repro.obs.export import canonical_json
 
 MAGIC = b"REPROWAL1"
 _HEADER = struct.Struct("<II")
@@ -174,13 +172,11 @@ class JournalWriter:
         """Append one record; returns it.  May raise
         :class:`SimulatedCrash` at any of the four journal sites."""
         seq = self.next_seq
-        maybe_crash(self.injector, SITE_JOURNAL_APPEND,
-                    seq=seq, type=type)
+        self.injector.maybe_crash(SITE_JOURNAL_APPEND, seq=seq, type=type)
         record = JournalRecord(seq=seq, type=type, data=data,
                                clock=clock or {})
         frame = record.encode()
-        if torn_fires(self.injector, SITE_JOURNAL_TORN,
-                      seq=seq, type=type):
+        if self.injector.torn_fires(SITE_JOURNAL_TORN, seq=seq, type=type):
             # Die mid-write: half the frame reaches the file.  The
             # scanner must detect this tail and truncate it.
             self._handle.write(frame[:max(1, len(frame) // 2)])
@@ -192,14 +188,14 @@ class JournalWriter:
         if self._c_appends is not None:
             self._c_appends.inc()
             self._c_bytes.inc(len(frame))
-        maybe_crash(self.injector, SITE_JOURNAL_AFTER_WRITE,
-                    seq=seq, type=type)
+        self.injector.maybe_crash(SITE_JOURNAL_AFTER_WRITE,
+                                  seq=seq, type=type)
         if sync:
             os.fsync(self._handle.fileno())
             if self._c_synced is not None:
                 self._c_synced.inc()
-            maybe_crash(self.injector, SITE_JOURNAL_AFTER_SYNC,
-                        seq=seq, type=type)
+            self.injector.maybe_crash(SITE_JOURNAL_AFTER_SYNC,
+                                      seq=seq, type=type)
         return record
 
     def compact(self, keep_from_seq: int) -> int:

@@ -54,17 +54,19 @@ from repro.core.node import (
     TxRecord,
 )
 from repro.errors import RecoveryError, SimulatedCrash
-from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.faults.invariants import block_digest, digest_bytes
-from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import NullTracer, SpanTracer
-from repro.recovery.crashpoints import (
-    SITE_BLOCK_POST_COMMIT,
-    SITE_BLOCK_PRE_COMMIT,
-    crash_plan,
-    maybe_crash,
+from repro.faults.injector import (
+    NULL_INJECTOR,
+    FaultInjector,
     sweep_plans,
 )
+from repro.faults.invariants import block_digest, digest_bytes
+from repro.faults.sites import (
+    LAYER_RECOVERY,
+    SITE_BLOCK_POST_COMMIT,
+    SITE_BLOCK_PRE_COMMIT,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import NullTracer, SpanTracer
 from repro.recovery.journal import (
     JournalWriter,
     read_journal,
@@ -353,7 +355,7 @@ class DurableReplay:
         return {
             "exec_cost": int(self.forerunner.c_cost.value),
             "spec_cost": int(
-                self.forerunner.speculator.total_logical_cost),
+                self.forerunner.speculator.c_logical_cost.value),
             "sim_time": round(self.timeline.now, 6),
         }
 
@@ -377,8 +379,9 @@ class DurableReplay:
         finally:
             self.journal.close()
         self.run_.total_speculation_cost = \
-            fore.speculator.total_speculation_cost
-        self.run_.prefetch_offpath_cost = fore.prefetcher.offpath_cost
+            fore.speculator.c_actual_cost.value
+        self.run_.prefetch_offpath_cost = \
+            fore.prefetcher.c_offpath_cost.value
         self.run_.sched = fore.sched_report()
         return self.run_
 
@@ -390,8 +393,7 @@ class DurableReplay:
             "txs": len(block.transactions),
             "arrival": round(now, 6),
         }, sync=True, clock=self._clock())
-        maybe_crash(self.injector, SITE_BLOCK_PRE_COMMIT,
-                    block=block.number)
+        self.injector.maybe_crash(SITE_BLOCK_PRE_COMMIT, block=block.number)
         joined_before = len(self.run_.records)
         report = self._evaluate(block, now)
         clock = self._clock()
@@ -412,8 +414,8 @@ class DurableReplay:
         self._check_against_journal(block.number, commit)
         self.journal.append("block_commit", commit, sync=True,
                             clock=self._clock())
-        maybe_crash(self.injector, SITE_BLOCK_POST_COMMIT,
-                    block=block.number)
+        self.injector.maybe_crash(SITE_BLOCK_POST_COMMIT,
+                                  block=block.number)
         self.journal.append("prefix_head", {
             "head": block.number,
             "world_version": self.forerunner.world.version,
@@ -498,9 +500,8 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
         clean_run = replay(dataset, observer, config=config)
     clean = digest_bytes(clean_run)
     entries = []
-    chosen = sweep_plans(seed, occurrence=seed) if sites is None else [
-        (site, crash_plan(seed, site, occurrence=seed))
-        for site in sites]
+    plans = dict(sweep_plans(LAYER_RECOVERY, seed))
+    chosen = [(site, plans[site]) for site in sites or plans]
     all_ok = True
     for index, (site, plan) in enumerate(chosen):
         store_dir = os.path.join(store_root, f"crash-{index:02d}")

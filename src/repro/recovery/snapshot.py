@@ -24,14 +24,12 @@ from typing import List, Optional, Tuple
 
 from repro.errors import SimulatedCrash
 from repro.faults.injector import NULL_INJECTOR
-from repro.obs.export import canonical_json
-from repro.recovery.crashpoints import (
+from repro.faults.sites import (
     SITE_SNAPSHOT_AFTER_WRITE,
     SITE_SNAPSHOT_TORN,
     SITE_SNAPSHOT_WRITE,
-    maybe_crash,
-    torn_fires,
 )
+from repro.obs.export import canonical_json
 
 MAGIC = b"REPROSNP1"
 _HEADER = struct.Struct("<II")
@@ -85,12 +83,11 @@ class SnapshotStore:
         Crashpoints: before the write (nothing durable), mid-write to
         the *final* path (a corrupt snapshot), and after the temp file
         is synced but before the rename (a stray ``.tmp``)."""
-        maybe_crash(self.injector, SITE_SNAPSHOT_WRITE,
-                    block=block_number)
+        self.injector.maybe_crash(SITE_SNAPSHOT_WRITE, block=block_number)
         frame = _encode(payload)
         final = self.path_for(block_number)
-        if torn_fires(self.injector, SITE_SNAPSHOT_TORN,
-                      block=block_number):
+        if self.injector.torn_fires(SITE_SNAPSHOT_TORN,
+                                    block=block_number):
             with open(final, "wb") as handle:
                 handle.write(frame[:max(1, len(frame) // 2)])
                 handle.flush()
@@ -100,8 +97,8 @@ class SnapshotStore:
             handle.write(frame)
             handle.flush()
             os.fsync(handle.fileno())
-        maybe_crash(self.injector, SITE_SNAPSHOT_AFTER_WRITE,
-                    block=block_number)
+        self.injector.maybe_crash(SITE_SNAPSHOT_AFTER_WRITE,
+                                  block=block_number)
         os.replace(tmp, final)
         if self._c_saves is not None:
             self._c_saves.inc()

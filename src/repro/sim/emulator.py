@@ -42,6 +42,7 @@ from repro.core.node import (
 )
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_INJECTOR
+from repro.faults.sites import SITE_STORM
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NullTracer, SpanTracer
@@ -122,6 +123,9 @@ def commitments(reports) -> list:
 #: < requests, so a request arriving exactly at a block boundary sees
 #: the committed state.
 PRIO_TX, PRIO_TICK, PRIO_BLOCK, PRIO_REQUEST = 0, 1, 2, 3
+
+#: Copies an ``edge.request_storm`` fault delivers beyond the original.
+STORM_COPIES = 4
 
 
 class Timeline:
@@ -221,7 +225,6 @@ def drive(timeline: Timeline, system, run, commit=None, front=None,
     """
     # Local: ``repro.edge`` imports this module.
     from repro.edge import rpc
-    from repro.edge.faults import SITE_STORM, STORM_COPIES
     from repro.edge.limits import Deadline
 
     commit = commit or system.process_block
@@ -450,7 +453,7 @@ def replay(dataset: Dataset, observer: str = "live",
     # by the state, reported so a growth would show.
     registry.gauge("state.root_memo_nodes").set(
         forerunner.world.root_memo_nodes())
-    run.total_speculation_cost = forerunner.speculator.total_speculation_cost
-    run.prefetch_offpath_cost = forerunner.prefetcher.offpath_cost
+    run.total_speculation_cost = forerunner.speculator.c_actual_cost.value
+    run.prefetch_offpath_cost = forerunner.prefetcher.c_offpath_cost.value
     run.sched = forerunner.sched_report()
     return run

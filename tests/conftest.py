@@ -7,6 +7,8 @@ import pytest
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import amm, auction, erc20, pricefeed, registry
+from repro.faults.injector import sweep_plans
+from repro.faults.sites import layer_sites
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
@@ -20,6 +22,15 @@ AUCTION_ADDR = 0xA0C
 REGISTRY_ADDR = 0x4E6
 
 ROUND = 3990300
+
+
+def sweep_params(layer: str, seed: int, rate=None) -> dict:
+    """``pytest.mark.parametrize(**sweep_params(...))``: one
+    ``(site, plan)`` case per row of ``layer`` in the fault-site table,
+    named after the site."""
+    return {"argnames": "site,plan",
+            "argvalues": list(sweep_plans(layer, seed, rate)),
+            "ids": layer_sites(layer)}
 
 
 @pytest.fixture

@@ -8,24 +8,27 @@ under test are the paper's safety contract (§2, §7):
   Table 2/3 baseline columns are byte-identical to the fault-free run.
 * **Monotone degradation** — raising the fault probability can only
   lose acceleration, collapsing toward ~1.0x at probability 1.0; sites
-  in :data:`LETHAL_SITES` reach exactly 1.0x there.
+  the table marks ``lethal`` reach exactly 1.0x there.
 * **Determinism** — two same-seed faulted replays produce identical
   digests, metric snapshots and chaos reports.
 """
 
 import pytest
 
-from repro.faults.injector import LETHAL_SITES, SITES, FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.faults.invariants import (
     check_equivalence,
     digest_bytes,
     run_digest,
 )
+from repro.faults.sites import layer_sites, site_row
 from repro.obs.export import canonical_json
 from repro.p2p.latency import LatencyModel
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
+
+from tests.conftest import sweep_params
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +53,36 @@ def test_zero_probability_plan_changes_nothing(dataset, clean_run):
     assert report.speedup_faulted == pytest.approx(report.speedup_clean)
 
 
-@pytest.mark.parametrize("site", SITES)
-def test_single_site_at_full_rate(site, dataset, clean_run):
-    """p=1.0 at one site: no escape, commitments identical; lethal
-    sites collapse the effective speedup to exactly baseline."""
-    plan = FaultPlan.uniform(seed=1, probability=1.0, sites=(site,))
+@pytest.mark.parametrize(**sweep_params("pipeline", seed=1))
+def test_single_site_at_full_rate(site, plan, dataset, clean_run):
+    """The pipeline layer's sweep (p=1.0 at one site): no escape,
+    commitments identical; lethal sites collapse the effective speedup
+    to exactly baseline."""
     report = check_equivalence(dataset, plan, clean_run=clean_run)
     assert report.ok, (site, report.mismatches)
     assert report.faults_fired > 0, f"{site} never exercised"
-    if site in LETHAL_SITES:
+    if site_row(site).lethal:
         assert report.speedup_faulted == pytest.approx(1.0), site
     else:
         assert report.speedup_faulted >= 1.0
+
+
+@pytest.mark.parametrize(**sweep_params("jit", seed=1))
+def test_compile_tier_site_at_full_rate(site, plan, dataset, clean_run):
+    """``jit.compile`` at p=1.0: every compile is contained, so no AP
+    ever gets a closure — every accelerated execution takes the
+    interpreted walk — and commitments do not move."""
+    faulted = replay(dataset, "live", fault_plan=plan)
+    assert faulted.commitments() == clean_run.commitments()
+    assert faulted.fault_injector.fired(site) > 0
+    assert clean_run.registry.value("jit.compiles") > 0
+    assert faulted.registry.value("jit.compiles") == 0
+    tiers = {record.tier for report in faulted.reports
+             for record in report.records}
+    assert tiers == {"plain", "walk"}
+    guard = faulted.forerunner_node.guard.summary()
+    assert guard["by_stage"][site] == faulted.fault_injector.fired(site)
+    assert guard["contained_unexpected"] == 0
 
 
 @pytest.mark.parametrize("probability", [0.05, 0.25, 0.6, 1.0])
@@ -119,7 +140,8 @@ def test_full_rate_run_reports_containment(dataset, clean_run):
     absorbs the chaos: nothing reaches the caller.  (``gossip.deliver``
     is excluded — dropping every message empties the pipeline, which
     degrades gracefully but leaves the guard nothing to contain.)"""
-    sites = tuple(s for s in SITES if s != "gossip.deliver")
+    sites = tuple(s for s in layer_sites("pipeline")
+                  if s != "gossip.deliver")
     plan = FaultPlan.uniform(seed=7, probability=1.0, sites=sites)
     report = check_equivalence(dataset, plan, clean_run=clean_run)
     assert report.ok, report.mismatches

@@ -95,3 +95,28 @@ def test_chaos_full_rate_collapses_to_baseline(capsys):
     out = capsys.readouterr().out
     assert "equivalence      : OK" in out
     assert "faulted 1.000x" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--edge", "--fleet"],
+    ["--edge", "--net"],
+    *([sweep, *flag]
+      for sweep in ("--edge", "--fleet", "--net")
+      for flag in (["--no-jit"], ["--trace-out", "t.jsonl"],
+                   ["--max-rate", "0.2"])),
+], ids=" ".join)
+def test_chaos_rejects_flags_a_sweep_would_drop(flags, capsys):
+    """A flag the chosen mode cannot honour is a usage error (exit 2),
+    not a silently different run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", *flags])
+    assert exit_info.value.code == 2
+    assert "usage: repro chaos" in capsys.readouterr().err
+
+
+def test_crash_unknown_point_lists_the_table(capsys):
+    assert main(["crash", "--points", "recovery.journal.apend"]) == 2
+    out = capsys.readouterr().out
+    assert "unknown crash site(s): recovery.journal.apend" in out
+    assert "  recovery.journal.append\n" in out
+    assert "net.drop" not in out

@@ -11,15 +11,20 @@ import pytest
 
 from repro.edge import rpc
 from repro.edge.clients import ScheduledRequest
-from repro.edge.faults import SITE_STORM, STORM_COPIES, edge_fault_plan
 from repro.edge.serve import ServingResult, run_serving
 from repro.edge.server import RequestOutcome, RouteInfo
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, FaultPlan, FaultRule
+from repro.faults.sites import SITE_STORM
 from repro.fleet import FleetConfig, fleet_replay, run_fleet_serving
 from repro.fleet.supervisor import FleetSupervisor
 from repro.obs.registry import MetricsRegistry
-from repro.sim.emulator import build_timeline, drive, replay
+from repro.sim.emulator import (
+    STORM_COPIES,
+    build_timeline,
+    drive,
+    replay,
+)
 
 
 class FakeSystem:
@@ -184,7 +189,7 @@ def test_permanent_rejection_is_not_retried():
 
 def test_storm_copies_are_traced_but_never_resolve_or_retry():
     injector = FaultInjector(
-        edge_fault_plan(seed=0, probability=1.0, sites=(SITE_STORM,)),
+        FaultPlan.uniform(0, 1.0, sites=(SITE_STORM,)),
         registry=MetricsRegistry())
     # Every copy is refused with a retryable code; only the original —
     # dispatched last, at the same instant — is served.

@@ -1,11 +1,11 @@
 """Edge chaos containment: serving faults never reach node commitments.
 
-Each ``edge.*`` fault site runs at 100% probability through a serving
-scenario (mirroring tests/test_chaos_degradation.py for the pipeline
-sites).  The containment contract: a faulted request can only change
-*that request's* response — per-block state roots and receipt cores
-are byte-identical to the fault-free serving run, and no fault ever
-surfaces as an uncaught exception.
+Each site of the table's ``edge`` layer runs at its sweep rate through
+a serving scenario (mirroring tests/test_chaos_degradation.py for the
+pipeline layer).  The containment contract: a faulted request can only
+change *that request's* response — per-block state roots and receipt
+cores are byte-identical to the fault-free serving run, and no fault
+ever surfaces as an uncaught exception.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.edge import ScenarioConfig, build_scenario, run_serving
-from repro.edge.faults import EDGE_SITES, edge_fault_plan
+from repro.faults.injector import FaultPlan
+from repro.faults.sites import layer_sites
 from repro.p2p.latency import LatencyModel
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
+
+from tests.conftest import sweep_params
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +41,9 @@ def clean(dataset, scenario):
     return run_serving(dataset, scenario)
 
 
-@pytest.mark.parametrize("site", EDGE_SITES)
+@pytest.mark.parametrize(**sweep_params("edge", seed=0))
 def test_single_site_at_full_rate_is_contained(dataset, scenario,
-                                               clean, site):
-    plan = edge_fault_plan(seed=0, probability=1.0, sites=(site,))
+                                               clean, site, plan):
     faulted = run_serving(dataset, scenario, fault_plan=plan)
     # The site genuinely fired ...
     assert faulted.injector.fired(site) > 0, site
@@ -54,7 +56,7 @@ def test_single_site_at_full_rate_is_contained(dataset, scenario,
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_faulted_serving_is_deterministic(dataset, scenario, seed):
-    plan = edge_fault_plan(seed=seed, probability=0.3)
+    plan = FaultPlan.uniform(seed, 0.3, sites=layer_sites("edge"))
     runs = [run_serving(dataset, scenario, fault_plan=plan)
             for _ in range(2)]
     assert runs[0].trace_lines == runs[1].trace_lines
@@ -63,7 +65,7 @@ def test_faulted_serving_is_deterministic(dataset, scenario, seed):
 
 
 def test_all_sites_together_still_contained(dataset, scenario, clean):
-    plan = edge_fault_plan(seed=3, probability=0.5)
+    plan = FaultPlan.uniform(3, 0.5, sites=layer_sites("edge"))
     faulted = run_serving(dataset, scenario, fault_plan=plan)
     assert faulted.injector.total_fired() > 0
     assert faulted.server.c_internal_errors.value == 0

@@ -24,14 +24,13 @@ from repro.faults.guard import (
 from repro.faults.injector import (
     DEFAULT_STALL_UNITS,
     NULL_INJECTOR,
-    SITE_KINDS,
-    SITES,
     FaultInjector,
     FaultPlan,
     FaultRule,
     corrupt_guard_branch,
     corrupt_shortcut,
 )
+from repro.faults.sites import LAYERS, SITE_TABLE, layer_sites, site_row
 from repro.obs.registry import MetricsRegistry
 from repro.state.world import WorldState
 
@@ -47,10 +46,31 @@ def registry():
 class TestFaultPlan:
     def test_uniform_covers_every_site_with_its_kind(self):
         plan = FaultPlan.uniform(seed=5, probability=0.25)
-        assert plan.sites() == SITES
+        assert plan.sites() == layer_sites("pipeline")
         for rule in plan.rules:
-            assert rule.kind == SITE_KINDS[rule.site]
+            assert rule.kind == site_row(rule.site).kind
             assert rule.probability == 0.25
+
+    def test_uniform_builds_for_any_row_and_mixes_layers(self):
+        """Kind and magnitude come from the table for every site of
+        every layer; one plan may name several layers."""
+        for row in SITE_TABLE:
+            rule, = FaultPlan.uniform(0, 0.5, sites=(row.name,)).rules
+            assert (rule.kind, rule.magnitude) == (row.kind, row.magnitude)
+        mixed = FaultPlan.uniform(0, 0.1, sites=tuple(
+            layer_sites(layer)[0] for layer in LAYERS))
+        assert len({site.split(".")[0] for site in mixed.sites()}) \
+            == len(LAYERS)
+
+    def test_unknown_site_or_kind_is_rejected_at_build(self):
+        """A typo'd plan is an error naming the known sites/kinds, not
+        a fault-free run that reports containment."""
+        with pytest.raises(ValueError, match="memoize.build"):
+            FaultPlan.uniform(0, 1.0, sites=("memoize.biuld",))
+        with pytest.raises(ValueError, match="known sites"):
+            FaultPlan(seed=0, rules=(FaultRule("nowhere", "raise"),))
+        with pytest.raises(ValueError, match="known kinds.*raise"):
+            FaultPlan(seed=0, rules=(FaultRule("memoize.build", "riase"),))
 
     def test_seeded_random_is_deterministic(self):
         a = FaultPlan.seeded_random(seed=42)
@@ -182,17 +202,20 @@ class TestFaultInjector:
         plan = FaultPlan(seed=0, rules=(
             FaultRule(site="worker.stall", kind="stall"),))
         injector = FaultInjector(plan, registry=registry())
-        assert injector.stall_units() == DEFAULT_STALL_UNITS
+        assert injector.stall_units("worker.stall") == DEFAULT_STALL_UNITS
         sized = FaultInjector(FaultPlan(seed=0, rules=(
             FaultRule(site="worker.stall", kind="stall",
                       magnitude=12345),)), registry=registry())
-        assert sized.stall_units() == 12345
+        assert sized.stall_units("worker.stall") == 12345
 
     def test_null_injector_is_inert(self):
         assert NULL_INJECTOR.enabled is False
         assert NULL_INJECTOR.evaluate("storage.read") is None
         NULL_INJECTOR.maybe_raise("storage.read")
-        assert NULL_INJECTOR.stall_units() == 0
+        assert NULL_INJECTOR.stall_units("worker.stall") == 0
+        NULL_INJECTOR.maybe_crash("recovery.journal.append")
+        assert NULL_INJECTOR.torn_fires("recovery.journal.torn_write") \
+            is False
         assert NULL_INJECTOR.fire_summary() == {}
 
     def test_fire_summary_counts(self):

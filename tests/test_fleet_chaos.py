@@ -14,13 +14,15 @@ from __future__ import annotations
 import pytest
 
 from repro.edge import ScenarioConfig, build_scenario
-from repro.fleet import (
+from repro.faults.injector import FaultPlan, sweep_plans
+from repro.faults.sites import (
     SITE_HANDOFF_TORN,
     SITE_REPLICA_CRASH,
     SITE_ROUTE_FLAP,
     SITE_STALE_SHARDMAP,
+)
+from repro.fleet import (
     FleetConfig,
-    fleet_fault_plan,
     fleet_replay,
     run_fleet_serving,
 )
@@ -29,9 +31,14 @@ from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
-#: Sites whose fault window only opens when membership changes — swept
-#: with the crash site as their driver.
-_DRIVEN = {SITE_HANDOFF_TORN, SITE_STALE_SHARDMAP}
+#: The ``fleet`` layer's per-site sweep at a hot rate: site -> plan
+#: (membership-window sites arrive paired with their driver site).
+FLEET_SWEEP = dict(sweep_plans("fleet", seed=0, rate=0.25))
+#: Which harness fires each row: a replay, or the serving path.
+LIFECYCLE_SITES = (SITE_REPLICA_CRASH, SITE_HANDOFF_TORN)
+ROUTING_SITES = (SITE_ROUTE_FLAP, SITE_STALE_SHARDMAP)
+assert set(LIFECYCLE_SITES + ROUTING_SITES) == set(FLEET_SWEEP), \
+    "a new fleet.* row needs a harness here"
 
 
 @pytest.fixture(scope="module")
@@ -44,40 +51,23 @@ def chaos_dataset():
 
 @pytest.fixture(scope="module")
 def clean_commitments(chaos_dataset):
-    run = replay(chaos_dataset, "live")
-    return [
-        (report.block_number, report.state_root,
-         tuple((r.tx_hash, r.gas_used, r.success)
-               for r in report.records))
-        for report in run.forerunner_node.reports]
+    return replay(chaos_dataset, "live").commitments()
 
 
-def fleet_commitments(run):
-    return [
-        (report.block_number, report.state_root,
-         tuple((r.tx_hash, r.gas_used, r.success)
-               for r in report.records))
-        for report in run.supervisor.reports]
-
-
-@pytest.mark.parametrize("site", (SITE_REPLICA_CRASH,
-                                  SITE_HANDOFF_TORN))
+@pytest.mark.parametrize("site", LIFECYCLE_SITES)
 def test_lifecycle_site_containment(site, chaos_dataset,
                                     clean_commitments):
     """Lifecycle sites fired at a hot rate through a replay:
     commitments byte-identical to the single-node fault-free run."""
-    sites = (SITE_REPLICA_CRASH, site) if site in _DRIVEN else (site,)
-    plan = fleet_fault_plan(seed=0, probability=0.25, sites=sites)
     run = fleet_replay(chaos_dataset, "live",
-                       FleetConfig(shards=4, fault_plan=plan))
+                       FleetConfig(shards=4, fault_plan=FLEET_SWEEP[site]))
     assert run.supervisor.injector.fired(site) > 0, \
         f"{site} never fired: containment test is vacuous"
     assert run.roots_matched == run.blocks_executed
-    assert fleet_commitments(run) == clean_commitments
+    assert run.commitments() == clean_commitments
 
 
-@pytest.mark.parametrize("site", (SITE_ROUTE_FLAP,
-                                  SITE_STALE_SHARDMAP))
+@pytest.mark.parametrize("site", ROUTING_SITES)
 def test_routing_site_containment(site, chaos_dataset):
     """Routing sites fire on the serving path: misroutes and
     stale-generation placements cost hops/latency, never commitments
@@ -86,11 +76,9 @@ def test_routing_site_containment(site, chaos_dataset):
                               ScenarioConfig(seed=0, load=2.0))
     clean = run_fleet_serving(chaos_dataset, scenario,
                               fleet_config=FleetConfig(shards=4))
-    sites = (SITE_REPLICA_CRASH, site) if site in _DRIVEN else (site,)
-    plan = fleet_fault_plan(seed=0, probability=0.25, sites=sites)
     faulted = run_fleet_serving(
         chaos_dataset, scenario,
-        fleet_config=FleetConfig(shards=4, fault_plan=plan))
+        fleet_config=FleetConfig(shards=4, fault_plan=FLEET_SWEEP[site]))
     assert faulted.supervisor.injector.fired(site) > 0, \
         f"{site} never fired: containment test is vacuous"
     assert faulted.commitments() == clean.commitments()
@@ -108,21 +96,19 @@ def test_crash_restart_converges_across_seeds(seed, chaos_dataset,
     replays its shard journal, catches up missed blocks, and converges
     byte-for-byte (the per-block root cross-check would raise on any
     divergence)."""
-    plan = fleet_fault_plan(seed=seed, probability=0.3,
-                            sites=(SITE_REPLICA_CRASH,))
+    plan = FaultPlan.uniform(seed, 0.3, sites=(SITE_REPLICA_CRASH,))
     run = fleet_replay(chaos_dataset, "live",
                        FleetConfig(shards=4, fault_plan=plan))
     supervisor = run.supervisor
     assert supervisor.c_crashes.value > 0
     assert supervisor.c_restarts.value > 0
-    assert fleet_commitments(run) == clean_commitments
+    assert run.commitments() == clean_commitments
 
 
 def test_crash_chaos_is_deterministic(chaos_dataset):
     """Same chaos seed, same lifecycle: crash counts, generations and
     commitments agree between two runs."""
-    plan = fleet_fault_plan(seed=1, probability=0.3,
-                            sites=(SITE_REPLICA_CRASH,))
+    plan = FaultPlan.uniform(1, 0.3, sites=(SITE_REPLICA_CRASH,))
     first = fleet_replay(chaos_dataset, "live",
                          FleetConfig(shards=4, fault_plan=plan))
     second = fleet_replay(chaos_dataset, "live",
@@ -131,7 +117,7 @@ def test_crash_chaos_is_deterministic(chaos_dataset):
         second.supervisor.c_crashes.value
     assert first.supervisor.shardmap.generation == \
         second.supervisor.shardmap.generation
-    assert fleet_commitments(first) == fleet_commitments(second)
+    assert first.commitments() == second.commitments()
 
 
 def test_torn_handoffs_are_repaired_from_journals(chaos_dataset,
@@ -139,12 +125,11 @@ def test_torn_handoffs_are_repaired_from_journals(chaos_dataset,
     """Torn handoffs (withdrawn, never delivered) are repaired from
     the shard journals — no pending transaction is lost, and the
     commitments still match."""
-    plan = fleet_fault_plan(seed=0, probability=0.5,
-                            sites=(SITE_REPLICA_CRASH,
-                                   SITE_HANDOFF_TORN))
+    plan = FaultPlan.uniform(0, 0.5, sites=(SITE_REPLICA_CRASH,
+                                            SITE_HANDOFF_TORN))
     run = fleet_replay(chaos_dataset, "live",
                        FleetConfig(shards=4, fault_plan=plan))
     supervisor = run.supervisor
     assert supervisor.shardpool.c_torn.value > 0, "no handoff torn"
     assert supervisor.c_torn_repaired.value > 0
-    assert fleet_commitments(run) == clean_commitments
+    assert run.commitments() == clean_commitments

@@ -25,28 +25,20 @@
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-
 import pytest
 
-from repro.fleet import (
-    NET_SITES,
+from repro.faults.injector import FaultPlan
+from repro.faults.sites import (
+    NET_LOSS_SITES,
     SITE_NET_PARTITION,
     SITE_REPLICA_CRASH,
-    FleetConfig,
-    FleetSupervisor,
-    fleet_fault_plan,
-    fleet_replay,
-    net_fault_plan,
 )
-from repro.obs.export import canonical_json
+from repro.fleet import FleetConfig, FleetSupervisor, fleet_replay
 from repro.p2p.latency import LatencyModel
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
-LOSS_SITES = tuple(site for site in NET_SITES
-                   if site != SITE_NET_PARTITION)
+from tests.conftest import sweep_params
 
 
 @pytest.fixture(scope="module")
@@ -61,39 +53,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def clean_wire_run(dataset):
     return fleet_replay(dataset, config=FleetConfig(shards=4))
-
-
-def commitment_digest(run) -> str:
-    """SHA-256 over merged roots + receipt cores + every joined-record
-    column (the same anchor ``tests/test_fleet_equivalence.py`` uses)."""
-    payload = {
-        "blocks": [
-            {"number": report.block_number,
-             "root": f"{report.state_root:#x}",
-             "receipts": [(f"{r.tx_hash:#x}", r.gas_used, r.success)
-                          for r in report.records]}
-            for report in run.supervisor.reports],
-        "records": [canonical_json(dataclasses.asdict(record))
-                    for record in run.records],
-    }
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def chain_digest(run) -> str:
-    """SHA-256 over chain commitments only (roots + receipt cores) —
-    the containment anchor.  Network faults may legitimately shift
-    speculation-quality columns (an AP snapshot delayed past a block
-    boundary yields an older prediction context); they must never move
-    what the chain committed."""
-    payload = [
-        {"number": report.block_number,
-         "root": f"{report.state_root:#x}",
-         "receipts": [(f"{r.tx_hash:#x}", r.gas_used, r.success)
-                      for r in report.records]}
-        for report in run.supervisor.reports]
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 # -- the clean wire --------------------------------------------------------
@@ -148,16 +107,17 @@ def test_block_reports_hold_only_the_block_in_flight(dataset):
 # -- chaos containment ----------------------------------------------------
 
 
-@pytest.mark.parametrize("site", NET_SITES)
+@pytest.mark.parametrize(**sweep_params("net", seed=0))
 def test_net_site_containment_at_full_rate(dataset, clean_wire_run,
-                                           site):
-    """Every ``net.*`` site at p=1.0: the fault fires constantly and
-    chain commitments stay byte-identical to the clean wire run."""
-    plan = net_fault_plan(seed=0, probability=1.0, sites=(site,))
+                                           site, plan):
+    """The ``net`` layer's sweep (every site at p=1.0): the fault fires
+    constantly and chain commitments — roots + receipt cores; network
+    faults may legitimately shift speculation-quality columns — stay
+    byte-identical to the clean wire run."""
     run = fleet_replay(dataset, config=FleetConfig(
         shards=4, fault_plan=plan))
     assert run.supervisor.injector.fired(site) > 0
-    assert chain_digest(run) == chain_digest(clean_wire_run)
+    assert run.commitments() == clean_wire_run.commitments()
     run.supervisor.lease.assert_single_holder_per_term()
 
 
@@ -169,16 +129,16 @@ def test_loss_rates_converge_and_are_deterministic(dataset,
     """Drop+duplicate+reorder+delay together at 1% and 5% (seeds 0-2):
     chain commitments byte-identical to clean, and two same-seed runs
     byte-identical to each other down to every record column."""
-    plan = net_fault_plan(seed=seed, probability=probability,
-                          sites=LOSS_SITES)
+    plan = FaultPlan.uniform(seed, probability, sites=NET_LOSS_SITES)
     config = FleetConfig(shards=4, fault_plan=plan)
     first = fleet_replay(dataset, config=config)
     again = fleet_replay(dataset, config=config)
     fired = sum(first.supervisor.injector.fired(site)
-                for site in LOSS_SITES)
+                for site in NET_LOSS_SITES)
     assert fired > 0
-    assert chain_digest(first) == chain_digest(clean_wire_run)
-    assert commitment_digest(first) == commitment_digest(again)
+    assert first.commitments() == clean_wire_run.commitments()
+    assert first.commitments() == again.commitments()
+    assert first.records == again.records
 
 
 # -- partition / lease election -------------------------------------------
@@ -190,8 +150,7 @@ def test_partition_elects_quorum_side_and_heals(dataset,
     quorum-side replicas win voted elections (promotions), minority
     campaigns fail, heals replay parked traffic — and the committed
     chain never moves."""
-    plan = net_fault_plan(seed=1, probability=1.0,
-                          sites=(SITE_NET_PARTITION,))
+    plan = FaultPlan.uniform(1, 1.0, sites=(SITE_NET_PARTITION,))
     run = fleet_replay(dataset, config=FleetConfig(
         shards=4, fault_plan=plan))
     supervisor = run.supervisor
@@ -200,7 +159,7 @@ def test_partition_elects_quorum_side_and_heals(dataset,
     assert supervisor.c_promotions.value > 0
     # More elections than grants: the doomed minority campaigns.
     assert supervisor.lease.elections > len(supervisor.lease.history)
-    assert chain_digest(run) == chain_digest(clean_wire_run)
+    assert run.commitments() == clean_wire_run.commitments()
     supervisor.lease.assert_single_holder_per_term()
 
 
@@ -273,8 +232,7 @@ def test_fast_restart_never_leaves_the_ring(dataset, clean_wire_run):
     heartbeating again before the detector's silence threshold, so the
     ring generation never moves, no handoff window opens — and the
     journal-replayed restarts still converge to the clean chain."""
-    plan = fleet_fault_plan(seed=0, probability=0.5,
-                            sites=(SITE_REPLICA_CRASH,))
+    plan = FaultPlan.uniform(0, 0.5, sites=(SITE_REPLICA_CRASH,))
     config = FleetConfig(shards=4, fault_plan=plan, restart_delay=4.0)
     assert config.restart_delay < config.wire.suspect_after
     run = fleet_replay(dataset, config=config)
@@ -285,7 +243,7 @@ def test_fast_restart_never_leaves_the_ring(dataset, clean_wire_run):
     assert supervisor.c_rebalances.value == 0
     assert supervisor.shardmap.generation == \
         clean_wire_run.supervisor.shardmap.generation
-    assert chain_digest(run) == chain_digest(clean_wire_run)
+    assert run.commitments() == clean_wire_run.commitments()
     supervisor.lease.assert_single_holder_per_term()
 
 

@@ -83,16 +83,3 @@ class TestObsNeutrality:
                     for r in without.forerunner_node.reports])
         assert with_obs.total_speculation_cost == \
             without.total_speculation_cost
-
-    def test_legacy_attribute_views_match_registry(self, dataset):
-        run = replay(dataset)
-        node = run.forerunner_node
-        spec = node.speculator
-        assert spec.total_speculation_cost == \
-            run.registry.value("speculator.actual_cost")
-        assert spec.total_logical_cost == \
-            run.registry.value("speculator.logical_cost")
-        assert node.prefetcher.offpath_cost == \
-            run.registry.value("prefetcher.offpath_cost")
-        cache = spec.prefix_cache
-        assert cache.hits == run.registry.value("prefix_cache.hits")

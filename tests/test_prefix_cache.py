@@ -86,7 +86,7 @@ class TestPrefixCache:
         for key in ("a", "b", "c"):
             cache.store(key, PrefixEntry(StateDB(world), 0, 0))
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.c_evictions.value == 1
         assert cache.lookup("a") is None
         assert cache.lookup("c") is not None
 
@@ -101,7 +101,7 @@ class TestPrefixCache:
         cache.store("a", PrefixEntry(StateDB(WorldState()), 0, 0))
         assert cache.invalidate("test") == 1
         assert cache.invalidate("test") == 0
-        assert cache.invalidations == 1
+        assert cache.c_invalidations.value == 1
 
 
 # -- shared-prefix reuse across contexts --------------------------------------
@@ -120,9 +120,9 @@ class TestPrefixReuse:
         speculator.speculate(target, FutureContext(1, header(), preds))
         speculator.speculate(target, FutureContext(2, header(), preds))
         cache = speculator.prefix_cache
-        assert cache.pred_execs == 1
-        assert cache.pred_execs_avoided == 1
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.c_pred_execs.value == 1
+        assert cache.c_pred_execs_avoided.value == 1
+        assert cache.c_hits.value == 1 and cache.c_misses.value == 1
         assert speculator.records[-1].preds_cached == 1
         assert speculator.records[-1].preds_executed == 0
 
@@ -157,10 +157,10 @@ class TestPrefixReuse:
                                     enable_prefix_cache=enabled)
             speculator.speculate(target, FutureContext(1, header(), preds))
             speculator.speculate(target, FutureContext(2, header(), preds))
-            totals[enabled] = speculator.total_logical_cost
+            totals[enabled] = speculator.c_logical_cost.value
             if enabled:
-                paid = speculator.total_speculation_cost
-                assert paid < speculator.total_logical_cost
+                paid = speculator.c_actual_cost.value
+                assert paid < speculator.c_logical_cost.value
         assert totals[True] == totals[False]
 
 
@@ -172,7 +172,7 @@ class TestSynthesisDedup:
         target = submit(ALICE, 0, 1980)
         first = speculator.speculate(target, FutureContext(1, header()))
         second = speculator.speculate(target, FutureContext(2, header()))
-        assert speculator.dedup_hits == 1
+        assert speculator.c_dedup_hits.value == 1
         assert speculator.records[-1].deduped
         assert speculator.records[-1].merged
         # The clone is a fresh path object with its own identity.
@@ -183,22 +183,22 @@ class TestSynthesisDedup:
             speculator.records[0].synthesis_cost
         assert speculator.records[-1].logical_cost == \
             speculator.records[0].logical_cost
-        assert speculator.dedup_cost_saved > 0
+        assert speculator.c_dedup_cost_saved.value > 0
 
     def test_different_traces_not_deduped(self):
         speculator = Speculator(oracle_world())
         target = submit(ALICE, 0, 1980)
         speculator.speculate(target, FutureContext(1, header(3990462)))
         speculator.speculate(target, FutureContext(2, header(3990470)))
-        assert speculator.dedup_hits == 0
-        assert speculator.dedup_misses == 2
+        assert speculator.c_dedup_hits.value == 0
+        assert speculator.c_dedup_misses.value == 2
 
     def test_dedup_disabled_resynthesizes(self):
         speculator = Speculator(oracle_world(), enable_synth_dedup=False)
         target = submit(ALICE, 0, 1980)
         speculator.speculate(target, FutureContext(1, header()))
         speculator.speculate(target, FutureContext(2, header()))
-        assert speculator.dedup_hits == 0
+        assert speculator.c_dedup_hits.value == 0
         assert not any(r.deduped for r in speculator.records)
 
     def test_drop_clears_fingerprints(self):
@@ -209,7 +209,7 @@ class TestSynthesisDedup:
         speculator.speculate(target, FutureContext(2, header()))
         # After the AP was dropped, the fingerprint index is gone too:
         # the new speculation synthesizes from scratch.
-        assert speculator.dedup_hits == 0
+        assert speculator.c_dedup_hits.value == 0
 
     def test_speculate_many_counts_only_merged(self, monkeypatch):
         """speculate_many reports paths merge_path accepted, not paths
@@ -236,7 +236,7 @@ class TestDedupLifecycle:
         target = submit(ALICE, 0, 1980)
         first = speculator.speculate(target, FutureContext(1, header()))
         second = speculator.speculate(target, FutureContext(2, header()))
-        assert speculator.dedup_hits == 1
+        assert speculator.c_dedup_hits.value == 1
         trace_len = second.stats.trace_len
         # Corrupt both previously returned paths...
         first.stats.trace_len += 1000
@@ -244,7 +244,7 @@ class TestDedupLifecycle:
         first.read_set[("poison", ())] = 1
         # ...and the next clone must be untouched.
         third = speculator.speculate(target, FutureContext(3, header()))
-        assert speculator.dedup_hits == 2
+        assert speculator.c_dedup_hits.value == 2
         assert third.stats.trace_len == trace_len
         assert ("poison", ()) not in third.read_set
         assert third.stats is not first.stats
@@ -271,7 +271,7 @@ class TestDedupLifecycle:
         assert speculator.dedup_index_size() == 0
         assert speculator.get_ap(target.hash) is None
         speculator.speculate(target, FutureContext(2, header()))
-        assert speculator.dedup_hits == 0
+        assert speculator.c_dedup_hits.value == 0
 
     def test_reorg_clears_fingerprints(self):
         """Regression: a reorg invalidated prefixes but left the
@@ -306,7 +306,7 @@ class TestDedupLifecycle:
         speculator.speculate(target, FutureContext(1, header()))
         assert speculator.dedup_index_size() == 0
         speculator.speculate(target, FutureContext(2, header()))
-        assert speculator.dedup_hits == 0
+        assert speculator.c_dedup_hits.value == 0
 
 
 # -- cache coherence across heads and reorgs ----------------------------------
@@ -322,7 +322,7 @@ class TestCacheCoherence:
         block = make_block(genesis_block(), [submit(ALICE, 0, 2000)])
         node.process_block(block)
         assert len(node.speculator.prefix_cache) == 0
-        assert node.speculator.prefix_cache.invalidations == 1
+        assert node.speculator.prefix_cache.c_invalidations.value == 1
 
     def test_reorg_invalidates_and_roots_match(self):
         """Speculate -> reorg -> cache dropped; accelerated execution
@@ -359,7 +359,7 @@ class TestCacheCoherence:
         assert manager.receive_block(b2, now=2.5) is not None
         assert manager.reorgs == 1
         assert len(node.speculator.prefix_cache) == 0
-        assert node.speculator.prefix_cache.invalidations >= 1
+        assert node.speculator.prefix_cache.c_invalidations.value >= 1
         # The in-place restore bumped the version, so even a stale
         # entry that survived could never be keyed back in.
         assert node.world.version != version_before

@@ -20,27 +20,26 @@ from repro.contracts import pricefeed
 from repro.core.chainsync import ChainManager
 from repro.core.node import BaselineNode, ForerunnerConfig, ForerunnerNode
 from repro.errors import RecoveryError, SimulatedCrash
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.invariants import run_digest
-from repro.obs.export import canonical_json
-from repro.obs.registry import MetricsRegistry
-from repro.p2p.latency import LatencyModel
-from repro.recovery import (
-    CRASH_SITES,
-    DurableReplay,
-    JournalWriter,
-    RecoveryConfig,
-    SnapshotStore,
-    crash_plan,
-    read_journal,
-    run_with_recovery,
-    truncate_torn_tail,
-)
-from repro.recovery.crashpoints import (
+from repro.faults.sites import (
     SITE_BLOCK_POST_COMMIT,
     SITE_JOURNAL_APPEND,
     SITE_JOURNAL_TORN,
     SITE_SNAPSHOT_TORN,
+    layer_sites,
+)
+from repro.obs.export import canonical_json
+from repro.obs.registry import MetricsRegistry
+from repro.p2p.latency import LatencyModel
+from repro.recovery import (
+    DurableReplay,
+    JournalWriter,
+    RecoveryConfig,
+    SnapshotStore,
+    read_journal,
+    run_with_recovery,
+    truncate_torn_tail,
 )
 from repro.recovery.replay import recovery_report
 from repro.sim.emulator import replay
@@ -162,7 +161,7 @@ class TestJournal:
         path = str(tmp_path / "journal.wal")
         writer = JournalWriter(
             path, injector=make_injector(
-                crash_plan(0, SITE_JOURNAL_APPEND, occurrence=1)))
+                FaultPlan.single_shot(0, SITE_JOURNAL_APPEND, occurrence=1)))
         writer.append("tx_commit", {"i": 0})
         with pytest.raises(SimulatedCrash) as exc:
             writer.append("tx_commit", {"i": 1})
@@ -176,7 +175,7 @@ class TestJournal:
         path = str(tmp_path / "journal.wal")
         writer = JournalWriter(
             path, injector=make_injector(
-                crash_plan(0, SITE_JOURNAL_TORN, occurrence=1)))
+                FaultPlan.single_shot(0, SITE_JOURNAL_TORN, occurrence=1)))
         writer.append("tx_commit", {"i": 0})
         with pytest.raises(SimulatedCrash):
             writer.append("tx_commit", {"i": 1})
@@ -230,7 +229,7 @@ class TestSnapshotStore:
         store.save(self.payload(2), 2)
         crashing = SnapshotStore(
             directory, injector=make_injector(
-                crash_plan(0, SITE_SNAPSHOT_TORN)))
+                FaultPlan.single_shot(0, SITE_SNAPSHOT_TORN)))
         with pytest.raises(SimulatedCrash):
             crashing.save(self.payload(3), 3)
         assert os.path.exists(store.path_for(3))  # partial, on disk
@@ -293,7 +292,7 @@ class TestCrashMatrix:
         assert canonical_json(first) == canonical_json(again)
         assert first["converged"]
         assert [entry["site"] for entry in first["sites"]] == \
-            list(CRASH_SITES)
+            list(layer_sites("recovery"))
         for entry in first["sites"]:
             assert entry["fired"] == 1, entry["site"]
             assert entry["restarts"] == 1, entry["site"]
@@ -308,8 +307,8 @@ class TestCrashMatrix:
         still byte-identical."""
         outcome = run_with_recovery(
             dataset, str(tmp_path),
-            crash_plan=crash_plan(0, SITE_BLOCK_POST_COMMIT,
-                                  occurrence=6),
+            crash_plan=FaultPlan.single_shot(0, SITE_BLOCK_POST_COMMIT,
+                                             occurrence=6),
             recovery=RECOVERY)
         assert outcome.restarts == 1
         info = outcome.recoveries[0]
@@ -322,7 +321,8 @@ class TestCrashMatrix:
                                             clean_digest, tmp_path):
         outcome = run_with_recovery(
             dataset, str(tmp_path),
-            crash_plan=crash_plan(0, SITE_JOURNAL_TORN, occurrence=3),
+            crash_plan=FaultPlan.single_shot(0, SITE_JOURNAL_TORN,
+                                             occurrence=3),
             recovery=RECOVERY)
         assert outcome.recoveries[0].torn_bytes_truncated > 0
         assert canonical_json(run_digest(outcome.run)) == clean_digest
@@ -331,7 +331,7 @@ class TestCrashMatrix:
         with pytest.raises(RecoveryError):
             run_with_recovery(
                 dataset, str(tmp_path),
-                crash_plan=crash_plan(0, SITE_JOURNAL_APPEND),
+                crash_plan=FaultPlan.single_shot(0, SITE_JOURNAL_APPEND),
                 recovery=RecoveryConfig(snapshot_interval_blocks=1,
                                         max_restarts=0))
 

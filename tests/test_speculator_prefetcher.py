@@ -78,10 +78,10 @@ class TestSpeculator:
     def test_speculation_cost_accumulates(self):
         speculator = Speculator(fresh_world())
         speculator.speculate(tx_e(), FutureContext(1, header()))
-        cost1 = speculator.total_speculation_cost
+        cost1 = speculator.c_actual_cost.value
         assert cost1 > 0
         speculator.speculate(tx_e(), FutureContext(2, header(3990470)))
-        assert speculator.total_speculation_cost > cost1
+        assert speculator.c_actual_cost.value > cost1
 
     def test_drop_archives_stats(self):
         speculator = Speculator(fresh_world())
@@ -186,7 +186,7 @@ class TestPrefetcher:
         world = fresh_world()
         prefetcher = Prefetcher(world, NodeCache())
         prefetcher.prefetch([("storage", (FEED, 0))])
-        assert prefetcher.offpath_cost > 0
+        assert prefetcher.c_offpath_cost.value > 0
 
     def test_prefetch_turns_cold_reads_into_warm_hits(self):
         """Isolation: after a prefetch, a fresh critical-path StateDB
@@ -210,7 +210,7 @@ class TestPrefetcher:
             [("storage", (FEED, slot)), ("balance", (ALICE,))],
             tx_sender=ALICE, tx_to=FEED)
         # The cold-walk expense was paid off the critical path.
-        assert prefetcher.offpath_cost > 0
+        assert prefetcher.c_offpath_cost.value > 0
 
         warm_state = StateDB(world, node_cache=cache)
         warm_state.get_storage(FEED, slot)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults.injector import FaultInjector
-from repro.fleet.faults import (
+from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults.sites import (
     SITE_NET_DROP,
     SITE_NET_DUPLICATE,
     SITE_NET_REORDER,
-    net_fault_plan,
 )
 from repro.fleet.lease import LeaseRegistry
 from repro.fleet.wire import (
@@ -108,8 +107,7 @@ class TestHostileDelivery:
         """p=1.0 drop: every first transmission is lost; retransmits
         escalate past fault evaluation and the stream still arrives
         exactly once, in order."""
-        plan = net_fault_plan(seed=0, probability=1.0,
-                              sites=(SITE_NET_DROP,))
+        plan = FaultPlan.uniform(0, 1.0, sites=(SITE_NET_DROP,))
         plane = make_plane(plan)
         effects = collect(plane, 1, "ch")
         for i in range(20):
@@ -121,8 +119,7 @@ class TestHostileDelivery:
         assert len(plane._inflight) == 0
 
     def test_full_duplication_dedups(self):
-        plan = net_fault_plan(seed=0, probability=1.0,
-                              sites=(SITE_NET_DUPLICATE,))
+        plan = FaultPlan.uniform(0, 1.0, sites=(SITE_NET_DUPLICATE,))
         plane = make_plane(plan)
         effects = collect(plane, 1, "ch")
         for i in range(20):
@@ -132,8 +129,7 @@ class TestHostileDelivery:
         assert plane.c_dedup.value > 0
 
     def test_reorder_holds_back_future_sequences(self):
-        plan = net_fault_plan(seed=1, probability=0.5,
-                              sites=(SITE_NET_REORDER,))
+        plan = FaultPlan.uniform(1, 0.5, sites=(SITE_NET_REORDER,))
         plane = make_plane(plan)
         effects = collect(plane, 1, "ch")
         for i in range(30):
@@ -195,9 +191,8 @@ class TestSoakBounds:
     LruMap-bounded — a 10^4-message lossy soak cannot grow memory."""
 
     def test_soak_10k_messages_bounded_and_ordered(self):
-        plan = net_fault_plan(seed=3, probability=0.05,
-                              sites=(SITE_NET_DROP, SITE_NET_DUPLICATE,
-                                     SITE_NET_REORDER))
+        plan = FaultPlan.uniform(3, 0.05, sites=(
+            SITE_NET_DROP, SITE_NET_DUPLICATE, SITE_NET_REORDER))
         plane = make_plane(plan, inflight_capacity=256,
                            holdback_capacity=64)
         receivers = {dst: collect(plane, dst, "soak")

@@ -30,32 +30,22 @@ from hypothesis import strategies as st
 from repro.chain.transaction import Transaction, tx_from_wire, tx_to_wire
 from repro.core.node import ForerunnerNode
 from repro.errors import ChainError, SimulationError
-from repro.faults.injector import FaultInjector
-from repro.fleet.faults import (
-    SITE_NET_DELAY,
-    SITE_NET_DROP,
-    SITE_NET_DUPLICATE,
-    SITE_NET_REORDER,
-    net_fault_plan,
-)
+from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults.sites import NET_LOSS_SITES
 from repro.fleet.lease import LeaseRegistry
 from repro.fleet.wire import WireConfig, WirePlane
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
-
-LOSS_SITES = (SITE_NET_DROP, SITE_NET_DUPLICATE, SITE_NET_REORDER,
-              SITE_NET_DELAY)
 
 
 @st.composite
 def hostile_plans(draw):
     """A seeded fault plan over a random subset of the loss sites at a
     random rate — from pristine to total loss."""
-    sites = tuple(draw(st.sets(st.sampled_from(LOSS_SITES), min_size=1)))
+    sites = tuple(draw(st.sets(st.sampled_from(NET_LOSS_SITES), min_size=1)))
     probability = draw(st.sampled_from((0.05, 0.25, 0.5, 1.0)))
     seed = draw(st.integers(0, 2**16))
-    return net_fault_plan(seed=seed, probability=probability,
-                          sites=sorted(sites))
+    return FaultPlan.uniform(seed, probability, sites=sorted(sites))
 
 
 @st.composite
