@@ -115,6 +115,10 @@ def _print_cache_report(run) -> None:
     print(f"  synthesis dedup: {cache.dedup_hits} hits / "
           f"{cache.dedup_misses} misses "
           f"({cache.dedup_hit_rate:.2%} hit rate)")
+    compiles, aps = (run.registry.value(name)
+                     for name in ("jit.compiles", "memo.inserts"))
+    print(f"  AP finishing: {compiles} compiles for {aps} APs "
+          f"({compiles / max(1, aps):.2f} per AP)")
     print(f"  off-path cost: {cache.actual_cost:,} paid vs "
           f"{cache.logical_cost:,} uncached "
           f"({cache.cost_saved:,} units saved)")
@@ -284,6 +288,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "blocks_executed": run.blocks_executed,
             "state_root": hex(run.forerunner_node.world.root()),
             "stages": run.tracer.stage_totals(),
+            # CI gate: finalizes <= dedup misses (no per-merge finishing).
+            # Tier-independent on purpose: --no-jit must not move this
+            # payload, so jit.compiles stays out of it.
+            "counters": {name: run.registry.value(name) for name in (
+                "speculator.dedup_misses", "speculator.finalizes",
+                "speculator.finalized_on_read")},
             # Full per-tx records (cost, cpu/io units, outcome, tier):
             # what must not move with the lane count.
             "records": [dataclasses.asdict(record)
@@ -300,6 +310,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for name, entry in run.tracer.stage_totals().items():
         print(f"  {name:<20} {entry['count']:>7} spans  "
               f"{entry['cost']:>14,} units")
+    _print_cache_report(run)
     if args.sched:
         _print_sched_report(run.sched)
     if args.metrics:

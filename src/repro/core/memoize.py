@@ -132,8 +132,8 @@ def build_shortcuts(ap: AcceleratedProgram,
                     strategy: str = "default") -> int:
     """(Re)build all shortcut nodes for ``ap``; returns the count.
 
-    Called by the speculator after every merge: entries from every
-    recorded path are folded into the shared shortcut nodes.
+    Called by the speculator when it finishes a changed AP: entries
+    from every recorded path are folded into the shared shortcut nodes.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown memoization strategy {strategy!r}")
@@ -188,20 +188,32 @@ def _add_path_shortcuts(ap: AcceleratedProgram, path, liveness,
     return created
 
 
+def _suffix_input_counts(nodes: List[APNode]) -> List[int]:
+    """``counts[k]`` = how many input registers ``nodes[k:]`` has, for
+    every k, from one backward pass (not n ``_segment_io`` calls)."""
+    live: Set[Reg] = set()
+    counts = [0] * len(nodes)
+    for k in range(len(nodes) - 1, -1, -1):
+        instr = nodes[k].instr
+        live.discard(instr.dest)
+        live.update(arg for arg in instr.args if is_reg(arg))
+        counts[k] = len(live)
+    return counts
+
+
 def _fine_suffixes(nodes: List[APNode], resume, concrete, liveness,
                    budget: int) -> int:
     """Register a shortcut at every suffix whose input set shrinks."""
     created = 0
-    previous_inputs = set(_segment_io(nodes, liveness)[0])
+    counts = _suffix_input_counts(nodes)
+    kept = 0  # start of the last segment registered (the full one first)
     for split in range(1, len(nodes)):
         if created >= budget:
             break
-        suffix = nodes[split:]
-        suffix_inputs = set(_segment_io(suffix, liveness)[0])
-        if len(suffix_inputs) < len(previous_inputs):
-            created += self_register(suffix[0], suffix, resume,
+        if counts[split] < counts[kept]:
+            created += self_register(nodes[split], nodes[split:], resume,
                                      concrete, liveness)
-            previous_inputs = suffix_inputs
+            kept = split
     return created
 
 
@@ -228,16 +240,12 @@ def self_register(start: APNode, nodes: List[APNode], resume,
 
 
 def _best_suffix(nodes: List[APNode], concrete, liveness):
-    """Longest proper suffix of ``nodes`` using strictly fewer inputs."""
-    if len(nodes) < 2:
-        return None
-    full_inputs, _ = _segment_io(nodes, liveness)
+    """Longest proper suffix of ``nodes`` using strictly fewer inputs
+    (inputs may include registers defined in the dropped prefix)."""
+    counts = _suffix_input_counts(nodes)
     for split in range(1, len(nodes)):
-        suffix = nodes[split:]
-        suffix_inputs, _ = _segment_io(suffix, liveness)
-        # Inputs may include registers defined in the dropped prefix.
-        if len(set(suffix_inputs)) < len(set(full_inputs)):
-            return suffix[0], suffix
+        if counts[split] < counts[0]:
+            return nodes[split], nodes[split:]
     return None
 
 

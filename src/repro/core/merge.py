@@ -158,11 +158,15 @@ def prune_tree(ap: AcceleratedProgram,
             if piece[0] == "reg":
                 used.add(piece[1])
 
+    # Uses follow definitions in pre-order, so one reverse pass is the
+    # fixed point — unless a register turns used after a node defining
+    # it (in another branch) was passed over as dead: then go again.
     changed = True
     live_ids: Set[int] = set()
     while changed:
         changed = False
-        for node in nodes:
+        passed_over: Set[Reg] = set()
+        for node in reversed(nodes):
             if id(node) in live_ids:
                 continue
             instr = node.instr
@@ -172,7 +176,9 @@ def prune_tree(ap: AcceleratedProgram,
                 for arg in instr.args:
                     if is_reg(arg) and arg not in used:
                         used.add(arg)
-                        changed = True
+                        changed = changed or arg in passed_over
+            else:
+                passed_over.add(instr.dest)
 
     removed = 0
 

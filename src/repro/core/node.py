@@ -453,6 +453,7 @@ class ForerunnerNode:
         jobs = 0
         deadline = now + budget_seconds if budget_seconds else None
         lanes = self._worker_lanes
+        touched: List[Speculator] = []  # ran a job this cycle
         for request in admitted or []:
             # Deferred requests were admitted a cycle ago: re-check the
             # caps, which may have filled since.
@@ -474,6 +475,8 @@ class ForerunnerNode:
             # The plane decides which speculator runs this job (the
             # local one, or — under the fleet — the owning replica's).
             speculator, sink = self.spec_plane.components(tx)
+            if speculator not in touched:
+                touched.append(speculator)
             # Workers are scheduled by the *logical* cost — what an
             # uncached speculator would pay — so AP readiness (and
             # with it every Table 2/3 number) is identical whether
@@ -496,7 +499,9 @@ class ForerunnerNode:
             # this contract's speculations are landing.
             self.admission.observe(tx.to, path is not None)
             if path is not None:
-                ap = speculator.get_ap(tx.hash)
+                # Annotate only (no hand-out, no LRU touch): the AP is
+                # finished when the cycle ends.
+                ap = speculator.aps.get(tx.hash)
                 if ap is not None:
                     if ap.ready_at == 0.0 or len(ap.paths) == 1:
                         # First successful merge decides readiness;
@@ -508,6 +513,9 @@ class ForerunnerNode:
                         self.admission.queue_prefetch(
                             ap.prefetch_keys, tx_sender=tx.sender,
                             tx_to=tx.to, score=request.score)
+        # Finish (prune, shortcuts, compile) each AP a merge changed.
+        for speculator in touched:
+            speculator.finalize_dirty()
         self._drain_prefetch_queue()
         return jobs
 

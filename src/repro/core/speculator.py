@@ -31,8 +31,8 @@ Every stage is instrumented through :mod:`repro.obs`: counters live
 under the speculator's scope (``speculator.*``, ``merge.*``,
 ``prefix_exec.*``) and each pre-execution emits a per-transaction span
 tree (``speculate`` → ``materialize_prefix`` / ``pre_execute`` /
-``fingerprint`` / ``synthesize`` / ``merge``), all denominated in
-logical cost units so traces are deterministic.
+``fingerprint`` / ``synthesize`` / ``merge``; ``finalize`` once per
+changed AP), all in logical cost units so traces are deterministic.
 
 The synthesis-dedup index stores *detached* copies of merged paths
 (fresh stats / read-set / write-set containers): later mutation of a
@@ -271,6 +271,11 @@ class Speculator:
         self.c_dedup_misses = obs.counter("dedup_misses")
         self.c_dedup_cost_saved = obs.counter("dedup_cost_saved")
         self.c_dedup_evictions = obs.counter("dedup_evictions")
+        #: AP finishing (:meth:`_finalize`): runs, merges that needed
+        #: none, and runs forced by a hand-out instead of the cycle end.
+        self.c_finalizes = obs.counter("finalizes")
+        self.c_clone_enriched = obs.counter("clone_enriched")
+        self.c_finalized_on_read = obs.counter("finalized_on_read")
         self.h_trace_len = obs.histogram("trace_len")
         memo_obs = registry.scope("memo")
         self.c_memo_inserts = memo_obs.counter("inserts")
@@ -283,6 +288,8 @@ class Speculator:
         #: drop/discard/reorg.
         self._dedup: Dict[int, "OrderedDict[str, APPath]"] = {}
         self.dedup_capacity_per_tx = dedup_capacity_per_tx
+        #: APs a merge changed since they were last finished (by tx).
+        self._dirty: Dict[int, Transaction] = {}
         self._next_path_id = 0
 
     # -- chaos plumbing --------------------------------------------------
@@ -296,53 +303,74 @@ class Speculator:
     def _storage_hook(self) -> None:
         self.injector.maybe_raise("storage.read")
 
-    def _build_shortcuts_contained(self, ap: AcceleratedProgram) -> None:
-        """Memoization is a pure bonus: a fault while building
-        shortcuts is contained locally (the AP simply keeps fewer or no
-        shortcuts) instead of failing the whole speculation."""
-        def build() -> None:
-            self.injector.maybe_raise("memoize.build")
-            build_shortcuts(ap, self.memoization_strategy)
-        self.guard.run("memoize.build", build, count_fallback=False)
-
-    def _jit_compile_contained(self, ap: AcceleratedProgram,
-                               tx: Transaction) -> None:
-        """Specialization is a pure bonus, exactly like shortcuts: a
-        fault while compiling is contained locally (the AP simply stays
-        on the interpreted tier) instead of failing the speculation.
-        ``jit.compile`` is in no generic plan (it is only evaluated
-        while the tier is on): with no rule targeting it the injector's
-        early return leaves every counter untouched."""
-        if self.jit is None or not self.jit.enabled:
-            return
-        def build() -> None:
-            self.injector.maybe_raise("jit.compile", tx=tx.hash,
-                                      contract=tx.to)
-            self.jit.compile(ap)
-        self.guard.run("jit.compile", build, count_fallback=False)
-
-    def _maybe_corrupt(self, ap: AcceleratedProgram,
-                       tx: Transaction) -> None:
-        """Payload-corruption sites (safe by construction): a corrupted
-        shortcut key can only miss; a corrupted guard branch key can
-        only raise ``ConstraintViolation`` and fall back — neither can
-        change committed state."""
-        if not self.injector.enabled:
-            return
-        if self.injector.evaluate("memoize.corrupt", tx=tx.hash,
-                                  contract=tx.to) is not None:
-            corrupt_shortcut(ap, self.injector.rng("memoize.corrupt"))
-        if self.injector.evaluate("ap.corrupt", tx=tx.hash,
-                                  contract=tx.to) is not None:
-            corrupt_guard_branch(ap, self.injector.rng("ap.corrupt"))
-
     # -- public API ----------------------------------------------------------
 
     def get_ap(self, tx_hash: int) -> Optional[AcceleratedProgram]:
+        """The finished AP for ``tx_hash`` (an LRU touch).  In-cycle
+        bookkeeping that only annotates the AP reads ``aps`` instead."""
         ap = self.aps.get(tx_hash)
         if ap is not None:
             self.aps.move_to_end(tx_hash)
+            ap = self._finalize(tx_hash, ap)
         return ap
+
+    def _finalize(self, tx_hash: int, ap: AcceleratedProgram,
+                  on_read: bool = True) -> Optional[AcceleratedProgram]:
+        """Finish ``ap`` if a merge changed it since it was last
+        finished: prune, rebuild shortcuts, run the corruption sites,
+        compile — in that order, so the closure bakes a consistent tree.
+
+        Merging only grows the tree, so this runs once per changed AP
+        per cycle (:meth:`finalize_dirty`), not per merge; a hand-out
+        of a still-dirty AP runs it first (``on_read``: :meth:`get_ap`
+        and :meth:`drop`, which may sit on the critical path — an
+        in-cycle eviction does not).  Shortcuts and the closure are
+        pure bonuses, each contained on its own; the corruption sites
+        are safe by construction (a corrupted key can only miss or fall
+        back).  Any other exception discards the AP, like a bug in a
+        merge: ``None``.
+        """
+        tx = self._dirty.pop(tx_hash, None)
+        if tx is None:
+            return ap
+        self.c_finalizes.inc()
+        if on_read:
+            self.c_finalized_on_read.inc()
+        injector, where = self.injector, {"tx": tx_hash, "contract": tx.to}
+
+        def shortcuts() -> None:
+            injector.maybe_raise("memoize.build")
+            build_shortcuts(ap, self.memoization_strategy)
+
+        def closure() -> None:
+            # In no generic plan: only evaluated while the tier is on.
+            injector.maybe_raise("jit.compile", **where)
+            self.jit.compile(ap)
+
+        def finish() -> None:
+            prune_tree(ap, self._merge_metrics)
+            if self.enable_memoization:
+                self.guard.run("memoize.build", shortcuts,
+                               count_fallback=False)
+            if injector.enabled:
+                if injector.evaluate("memoize.corrupt", **where) is not None:
+                    corrupt_shortcut(ap, injector.rng("memoize.corrupt"))
+                if injector.evaluate("ap.corrupt", **where) is not None:
+                    corrupt_guard_branch(ap, injector.rng("ap.corrupt"))
+            if self.jit is not None and self.jit.enabled:
+                self.guard.run("jit.compile", closure, count_fallback=False)
+        with self.tracer.span("finalize", tx=tx_hash):
+            if self.guard.run("speculator.finalize", finish,
+                              count_fallback=False)[1]:
+                self.discard(tx_hash)
+                return None
+        return ap
+
+    def finalize_dirty(self) -> None:
+        """Finish every AP this speculation cycle changed (the node
+        calls this when the cycle ends, still off the critical path)."""
+        for tx_hash in list(self._dirty):
+            self._finalize(tx_hash, self.aps[tx_hash], on_read=False)
 
     def _memo_event(self, event: str, tx_hash: int) -> None:
         if self.memo_sink is not None:
@@ -373,6 +401,8 @@ class Speculator:
             victim_hash, victim = self.aps.popitem(last=False)
             self._dedup.pop(victim_hash, None)
             self.prefix_cache.evict_tx(victim_hash)
+            # Inserts happen in-cycle, off the critical path: not a read.
+            self._finalize(victim_hash, victim, on_read=False)
             self._archive_ap(victim)
             self.c_memo_evictions.inc()
             self._memo_event("evict", victim_hash)
@@ -393,6 +423,7 @@ class Speculator:
             self.prefix_cache.evict_tx(tx_hash)
         ap = self.aps.pop(tx_hash, None)
         if ap is not None:
+            self._finalize(tx_hash, ap)
             self._archive_ap(ap)
             self.g_memo_size.set(len(self.aps))
             self._memo_event("drop", tx_hash)
@@ -403,6 +434,7 @@ class Speculator:
         head that no longer exists, so its stats must not pollute §5.5
         aggregates and its paths must never be cloned again)."""
         self._dedup.pop(tx_hash, None)
+        self._dirty.pop(tx_hash, None)
         self.prefix_cache.evict_tx(tx_hash)
         if self.aps.pop(tx_hash, None) is not None:
             self.g_memo_size.set(len(self.aps))
@@ -695,31 +727,28 @@ class Speculator:
             self._memo_insert(tx.hash, ap)
         else:
             self.aps.move_to_end(tx.hash)
+        enriched = self._merge_metrics.enriched.value
         with self.tracer.span("merge") as sp:
             self.injector.maybe_raise("speculator.merge",
                                       tx=tx.hash, contract=tx.to)
-            if self.jit is not None:
-                # Merging/pruning/shortcut-building mutates the tree: a
-                # previously compiled closure is stale the moment the
-                # merge starts, so drop it first (recompiled below).
-                self.jit.release(ap)
             merged = merge_path(ap, path, self._merge_metrics)
-            if merged:
-                prune_tree(ap, self._merge_metrics)
-                if self.enable_memoization:
-                    self._build_shortcuts_contained(ap)
             sp.set(merged=merged)
         if merged:
             self.c_merged.inc()
-            self._maybe_corrupt(ap, tx)
-            # Index only merged paths: a path whose merge failed is not
-            # part of any AP, so cloning it later would resurrect a
-            # rejected structure.
-            if fingerprint is not None and cached_path is None:
-                self._dedup_store(tx.hash, fingerprint, path)
-            # Compile last: corruption sites and shortcut building have
-            # all run, so the closure bakes a consistent tree snapshot.
-            self._jit_compile_contained(ap, tx)
+            if cached_path is not None \
+                    and self._merge_metrics.enriched.value > enriched:
+                # A clone folded into an existing terminal: same tree,
+                # no new shortcut key, and the closure bakes neither
+                # path nor context ids — a finished AP stays finished.
+                self.c_clone_enriched.inc()
+            else:
+                # The tree or its shortcut entries changed: the closure
+                # is stale until :meth:`_finalize` recompiles.
+                ap.jit = None
+                self._dirty[tx.hash] = tx
+                # Index only merged paths: no clones of rejected ones.
+                if fingerprint is not None and cached_path is None:
+                    self._dedup_store(tx.hash, fingerprint, path)
         root_span.set(outcome="merged" if merged else "merge-failed",
                       deduped=cached_path is not None)
         root_span.add_cost(actual_cost)

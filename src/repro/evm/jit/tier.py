@@ -4,11 +4,11 @@ One :class:`JitTier` instance lives on each Forerunner node and is
 shared by the speculator (compile side) and the transaction accelerator
 (execute side):
 
-* **compile side** — after every successful AP merge the speculator
-  offers the AP for compilation, and the tier compiles it: compilation
-  is off the critical path, so eager compilation buys commit-time
-  speed for one off-path compile.  It is chaos-contained by the
-  speculator, so a failed compile only means the AP stays interpreted.
+* **compile side** — the speculator offers an AP for compilation when
+  it finishes it: once per speculation cycle that changed it (or on
+  hand-out, if still unfinished), off the critical path, so one compile
+  buys commit-time speed.  It is chaos-contained by the speculator, so
+  a failed compile only means the AP stays interpreted.
 * **execute side** — the accelerator routes AP execution through
   :meth:`execute`.  A valid artifact runs the specialized closure; a
   version mismatch (reorg / redeploy invalidation) is a *bailout*: the
@@ -57,10 +57,6 @@ class JitTier:
 
     # -- compile side -----------------------------------------------------
 
-    def release(self, ap: AcceleratedProgram) -> None:
-        """Drop the AP's artifact (the tree is about to be mutated)."""
-        ap.jit = None
-
     def compile(self, ap: AcceleratedProgram) -> Optional[CompiledAP]:
         """Compile ``ap`` if the tier is on.
 
@@ -105,7 +101,7 @@ class JitTier:
         if artifact.version != self.version:
             # Stale (reorg/redeploy): bail out *before* any side
             # effects, so the run is byte-identical to never having
-            # specialized.  The artifact is dropped; the next merge
+            # specialized.  The artifact is dropped; the next finalise
             # recompiles against the new world.
             self.c_bailouts.inc()
             ap.jit = None
