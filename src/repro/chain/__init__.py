@@ -2,7 +2,6 @@
 
 from repro.chain.transaction import Transaction
 from repro.chain.block import Block, BlockHeader
-from repro.chain.receipts import Receipt
 from repro.chain.blockchain import Blockchain
 
-__all__ = ["Transaction", "Block", "BlockHeader", "Receipt", "Blockchain"]
+__all__ = ["Transaction", "Block", "BlockHeader", "Blockchain"]

@@ -62,10 +62,6 @@ class Transaction:
                 + zeros * TX_DATA_ZERO_GAS
                 + nonzeros * TX_DATA_NONZERO_GAS)
 
-    def max_fee(self) -> int:
-        """Upper bound on the fee the sender must be able to pay."""
-        return self.gas_limit * self.gas_price + self.value
-
     def short_id(self) -> str:
         """Abbreviated hash for logs and reports."""
         return f"{self.hash:#x}"[:12]

@@ -1,7 +1,8 @@
 """Contract library: the paper's running example plus DeFi-shaped contracts.
 
 Each module exposes ``SOURCE`` (minisol text) and a cached
-``compiled()`` accessor.  The contracts reproduce the workload shapes
+``compiled()`` accessor; the aggregator, which no workload deploys,
+exposes its source only.  The contracts reproduce the workload shapes
 the paper's evaluation runs against: oracle price feeds (the paper's
 §4.2 example, inter-dependent via shared rounds), ERC20 transfers
 (sparse inter-dependence via shared accounts), constant-product AMM
@@ -15,7 +16,7 @@ from repro.contracts.amm import AMM_SOURCE, amm
 from repro.contracts.auction import AUCTION_SOURCE, auction
 from repro.contracts.registry import REGISTRY_SOURCE, registry
 from repro.contracts.lending import LENDING_SOURCE, lending
-from repro.contracts.aggregator import AGGREGATOR_SOURCE, aggregator
+from repro.contracts.aggregator import AGGREGATOR_SOURCE
 
 __all__ = [
     "PRICEFEED_SOURCE", "pricefeed",
@@ -24,5 +25,5 @@ __all__ = [
     "AUCTION_SOURCE", "auction",
     "REGISTRY_SOURCE", "registry",
     "LENDING_SOURCE", "lending",
-    "AGGREGATOR_SOURCE", "aggregator",
+    "AGGREGATOR_SOURCE",
 ]

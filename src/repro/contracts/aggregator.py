@@ -7,9 +7,6 @@ a 3-way median (multiple AP paths per calling pattern).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.minisol import CompiledContract, compile_contract
 from repro.minisol.abi import selector
 
 #: Selector of PriceFeed.prices(uint256).
@@ -43,8 +40,3 @@ contract Aggregator {{
 }}
 """
 
-
-@lru_cache(maxsize=1)
-def aggregator() -> CompiledContract:
-    """Compiled Aggregator (cached)."""
-    return compile_contract(AGGREGATOR_SOURCE)

@@ -195,27 +195,6 @@ class AcceleratedProgram:
                 node = node.next
         return nodes
 
-    def linear_routes(self) -> List[List[object]]:
-        """All root-to-terminal node lists (terminal included last)."""
-        routes: List[List[object]] = []
-        if self.root is None:
-            return routes
-        stack: List[Tuple[object, List[object]]] = [(self.root, [])]
-        while stack:
-            node, prefix = stack.pop()
-            while isinstance(node, APNode):
-                prefix.append(node)
-                if node.branches is not None:
-                    for child in node.branches.values():
-                        stack.append((child, list(prefix)))
-                    node = None
-                    break
-                node = node.next
-            if isinstance(node, Terminal):
-                prefix.append(node)
-                routes.append(prefix)
-        return routes
-
 
 def describe_ap(ap: "AcceleratedProgram") -> str:
     """Render the AP tree as indented text (a textual Figure 10).

@@ -84,9 +84,6 @@ class SInstr:
     def operands(self) -> Tuple:
         return self.args
 
-    def reads_context(self) -> bool:
-        return self.kind is SKind.READ
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         head = f"{self.dest} = " if self.dest is not None else ""
         args = ", ".join(repr(a) for a in self.args)

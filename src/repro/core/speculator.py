@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
@@ -453,10 +453,6 @@ class Speculator:
         self._dedup.clear()
         return self.invalidate_prefixes("reorg")
 
-    def dedup_index_size(self) -> int:
-        """Total fingerprints currently held across all transactions."""
-        return sum(len(entry) for entry in self._dedup.values())
-
     # -- context materialization --------------------------------------------
 
     def _materialize_context(self, context: FutureContext
@@ -762,17 +758,3 @@ class Speculator:
             read_set_size=len(path.read_set),
             write_set_size=len(path.write_set)))
         return path
-
-    def speculate_many(self, tx: Transaction,
-                       contexts: Iterable[FutureContext]) -> int:
-        """Speculate on several futures; returns merged-path count.
-
-        Only paths :func:`merge_path` actually accepted are counted —
-        a synthesized path whose merge failed does not contribute.
-        """
-        merged = 0
-        for context in contexts:
-            path = self.speculate(tx, context)
-            if path is not None and self.records[-1].merged:
-                merged += 1
-        return merged

@@ -484,10 +484,6 @@ class WitnessReport:
     #: Total cost units the witnessed executions charged.
     execution_cost_units: int = 0
 
-    @property
-    def constraints_per_witness(self) -> float:
-        return self.constraints / self.witnesses if self.witnesses else 0.0
-
     def as_dict(self) -> dict:
         return {
             "witnesses": self.witnesses,

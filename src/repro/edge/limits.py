@@ -191,10 +191,6 @@ class Bulkhead:
         self._inflight.append(finish)
         return start, finish
 
-    def wait_units(self, now: float) -> float:
-        """Backlog ahead of a new arrival, in cost units."""
-        return max(0.0, self.free_at - now) * self.service_rate
-
 
 @dataclass
 class RetryConfig:

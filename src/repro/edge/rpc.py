@@ -153,14 +153,6 @@ def make_request(method: str, params: list, req_id) -> str:
                            "method": method, "params": params})
 
 
-def response_error_code(response: dict) -> Optional[int]:
-    """The error code of an encoded-side response dict, if any."""
-    error = response.get("error")
-    if isinstance(error, dict):
-        return error.get("code")
-    return None
-
-
 def is_retryable(code: Optional[int]) -> bool:
     return code in RETRYABLE_CODES
 

@@ -7,14 +7,13 @@ instruction trace, intermediate values, and read/write sets needed by
 Forerunner's speculator (paper §4.3).
 """
 
-from repro.evm.opcodes import Op, OPCODES, opcode_info
+from repro.evm.opcodes import Op, OPCODES
 from repro.evm.interpreter import EVM, Message, ExecutionResult
 from repro.evm.assembler import assemble, disassemble
 
 __all__ = [
     "Op",
     "OPCODES",
-    "opcode_info",
     "EVM",
     "Message",
     "ExecutionResult",

@@ -171,11 +171,6 @@ def invalidate_code_caches(reason: str = "") -> int:
     return CODE_CACHE_VERSION
 
 
-def code_cache_sizes() -> Tuple[int, int]:
-    """(jumpdest, program) cache entry counts, for tests/diagnostics."""
-    return len(_JUMPDEST_CACHE), len(_PROGRAM_CACHE)
-
-
 def _valid_jumpdests(code: bytes) -> frozenset:
     """Positions of JUMPDEST opcodes, skipping PUSH immediates.
 

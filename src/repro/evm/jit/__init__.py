@@ -1,13 +1,10 @@
-"""Two-layer compile tier (ROADMAP open item: closing the wall-clock
-inversion).
+"""Compile tier (ROADMAP open item: closing the wall-clock inversion).
 
-Layer 1 (:mod:`repro.evm.jit.specialize` + :mod:`repro.evm.jit.tier`)
-compiles hot AP trees into specialized straight-line Python closures;
-Layer 2 (:mod:`repro.evm.jit.peephole`) is a window-rule
-superoptimizer over minisol codegen output.  See docs/COMPILER.md.
+:mod:`repro.evm.jit.specialize` + :mod:`repro.evm.jit.tier` compile hot
+AP trees into specialized straight-line Python closures.  See
+docs/COMPILER.md.
 """
 
-from repro.evm.jit.peephole import PeepholeStats, optimize_assembly
 from repro.evm.jit.specialize import (
     HOT_OPS,
     CompiledAP,
@@ -20,8 +17,6 @@ __all__ = [
     "CompiledAP",
     "HOT_OPS",
     "JitTier",
-    "PeepholeStats",
     "SpecializeAbort",
     "compile_ap",
-    "optimize_assembly",
 ]

@@ -1,4 +1,4 @@
-"""Layer 1 of the compile tier: AP trees -> straight-line closures.
+"""The compile tier: AP trees -> straight-line closures.
 
 The AP walker (:func:`repro.core.ap_exec.execute_ap`) re-interprets the
 S-EVM instruction graph node by node: every COMPUTE re-dispatches

@@ -243,11 +243,6 @@ for _n in range(1, 17):
 NAME_TO_OP: Dict[str, int] = {info.name: code for code, info in OPCODES.items()}
 
 
-def opcode_info(code: int) -> OpInfo:
-    """Look up metadata for ``code``; raises KeyError for undefined opcodes."""
-    return OPCODES[code]
-
-
 def is_push(code: int) -> bool:
     """True if ``code`` is PUSH1..PUSH32."""
     return 0x60 <= code <= 0x7F

@@ -31,15 +31,6 @@ class Stack:
             raise StackUnderflow("pop from empty stack")
         return self.items.pop()
 
-    def pop_n(self, n: int) -> List[int]:
-        """Pop ``n`` words, returned top-first."""
-        if len(self.items) < n:
-            raise StackUnderflow(f"need {n} items, have {len(self.items)}")
-        taken = self.items[-n:]
-        del self.items[-n:]
-        taken.reverse()
-        return taken
-
     def peek(self, depth: int = 0) -> int:
         """Read the word ``depth`` positions below the top without popping."""
         if len(self.items) <= depth:

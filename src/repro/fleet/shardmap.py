@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.utils.hashing import hash_words, keccak_int
 
@@ -50,23 +50,14 @@ def key_point(key: int) -> int:
     return hash_words((_KEY_TAG, key))
 
 
-@dataclass(frozen=True)
-class Handoff:
-    """One key range that changed hands in a rebalance."""
-
-    source: int
-    target: int
-
-
 class ShardMap:
     """The fleet's consistent-hash ring with deterministic rebalance.
 
     ``replicas`` is the *member* set (an int means ``range(n)``);
     ``owner(key)`` maps any account address to the member owning it.
     ``join``/``leave`` change membership, bump the generation, and
-    return nothing — callers that need the handoff set ask
-    :meth:`diff_owners` with a snapshot taken before the change (see
-    :meth:`snapshot`).
+    return nothing; a :meth:`snapshot` taken before the change still
+    answers the old owners.
     """
 
     def __init__(self, replicas: Iterable[int],
@@ -177,25 +168,9 @@ class ShardMap:
 
     def snapshot(self) -> "ShardMapSnapshot":
         """A frozen routing view of the current generation (what a
-        stale router keeps using, and what handoffs diff against)."""
+        stale router keeps using)."""
         return ShardMapSnapshot(self.generation, tuple(self._points),
                                 tuple(self._owners))
-
-    def diff_owners(self, keys: Iterable[int],
-                    before: "ShardMapSnapshot"
-                    ) -> Dict[int, Handoff]:
-        """Per-key handoffs between ``before`` and the live ring.
-
-        Only keys whose owner actually changed appear — the
-        consistent-hash stability property makes this the ~1/N set.
-        """
-        moves: Dict[int, Handoff] = {}
-        for key in keys:
-            old = before.owner(key)
-            new = self.owner(key)
-            if old != new:
-                moves[key] = Handoff(source=old, target=new)
-        return moves
 
 
 @dataclass(frozen=True)

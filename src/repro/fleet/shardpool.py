@@ -13,9 +13,9 @@ router that sends every transaction to its deterministic *home shard*:
   live queues, even when a stale shard-map generation admitted the
   transaction somewhere else (the stale copy is withdrawn first).
 
-The overlay keeps a fleet-level ``(sender, nonce) -> shard`` index so
-nonce runs that straddle shards still come back in strict nonce order
-(:meth:`ready_for`).  On membership change, :meth:`rebalance` computes
+The overlay keeps a fleet-level ``(sender, nonce) -> tx`` index so a
+replace-by-fee finds a same-nonce predecessor even in another shard.
+On membership change, :meth:`rebalance` computes
 the exact handoff set (consistent hashing keeps it ~1/N of pending)
 and moves those transactions, preserving arrival times; a torn
 handoff (``fleet.handoff_torn``) leaves the move half-done, which the
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.chain.transaction import Transaction
-from repro.consensus.packing import priority_key
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.faults.sites import SITE_HANDOFF_TORN
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -48,8 +47,8 @@ class ShardedTxPool:
         self.pools: Dict[int, TxPool] = {}
         #: tx_hash -> shard currently holding it.
         self._home: Dict[int, int] = {}
-        #: sender -> nonce -> tx (fleet-wide nonce index; nonce runs
-        #: can straddle shards when some txs are entangled).
+        #: sender -> nonce -> tx (fleet-wide nonce index; a sender's
+        #: txs can straddle shards when some are entangled).
         self._index: Dict[int, Dict[int, Transaction]] = {}
         #: tx_hash -> shard-map generation that admitted it.
         self.admit_generation: Dict[int, int] = {}
@@ -167,36 +166,6 @@ class ShardedTxPool:
         for replica_id in sorted(self.pools):
             out.extend(self.pools[replica_id].pending())
         return out
-
-    def pending_in(self, replica_id: int) -> List[Transaction]:
-        pool = self.pools.get(replica_id)
-        return pool.pending() if pool is not None else []
-
-    def price_sorted(self) -> List[Transaction]:
-        """Fleet-wide fee-priority view.
-
-        Ties break on transaction hash (not a random draw as in the
-        single-shard :meth:`TxPool.price_sorted`) so the merged view is
-        identical no matter how pending is distributed across shards.
-        """
-        return sorted(self.pending(),
-                      key=lambda tx: priority_key(tx, None) + (tx.hash,))
-
-    def ready_for(self, sender: int, next_nonce: int
-                  ) -> List[Transaction]:
-        """Sender's consecutive-nonce run, merged across shards.
-
-        A run may straddle shards when some of the sender's txs are
-        entangled; the fleet index stitches the per-shard queues back
-        into one strict nonce order.
-        """
-        queue = self._index.get(sender, {})
-        ready: List[Transaction] = []
-        nonce = next_nonce
-        while nonce in queue:
-            ready.append(queue[nonce])
-            nonce += 1
-        return ready
 
     # -- rebalance --------------------------------------------------------
 

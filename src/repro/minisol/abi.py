@@ -40,8 +40,3 @@ def decode_uint(return_data: bytes) -> int:
 def mapping_slot(base_slot: int, key: int) -> int:
     """Storage slot of ``mapping_at_base[key]`` (Solidity layout)."""
     return keccak_int(int_to_bytes32(key) + int_to_bytes32(base_slot))
-
-
-def nested_mapping_slot(base_slot: int, key1: int, key2: int) -> int:
-    """Storage slot of ``mapping_at_base[key1][key2]``."""
-    return mapping_slot(mapping_slot(base_slot, key1), key2)

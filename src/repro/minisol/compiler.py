@@ -34,9 +34,6 @@ class CompiledContract:
     functions: Dict[str, FunctionABI] = field(default_factory=dict)
     storage_layout: Dict[str, int] = field(default_factory=dict)
     contract_ast: Optional[ast.Contract] = None
-    #: Peephole statistics when compiled with ``optimize=True``
-    #: (:class:`repro.evm.jit.peephole.PeepholeStats`), else ``None``.
-    peephole_stats: Optional[object] = None
 
     def calldata(self, fn_name: str, *args: int) -> bytes:
         """Encode a call to ``fn_name`` with integer arguments."""
@@ -77,29 +74,17 @@ class CompiledContract:
         return slot
 
 
-def compile_contract(source: str,
-                     optimize: bool = False) -> CompiledContract:
-    """Compile minisol ``source`` into a :class:`CompiledContract`.
-
-    ``optimize=True`` runs the peephole superoptimizer
-    (:func:`repro.evm.jit.peephole.optimize_assembly`) over the
-    generated assembly before byte assembly.  Off by default: recorded
-    datasets and golden gas numbers were produced without it, and
-    removed instructions change gas accounting.
-    """
+def compile_contract(source: str) -> CompiledContract:
+    """Compile minisol ``source`` into a :class:`CompiledContract`."""
     contract = parse(source)
     _check(contract)
     generator = CodeGenerator(contract)
     assembly = generator.generate()
-    peephole_stats = None
-    if optimize:
-        from repro.evm.jit.peephole import optimize_assembly
-        assembly, peephole_stats = optimize_assembly(assembly)
     code = assemble(assembly)
 
     compiled = CompiledContract(
         name=contract.name, code=code, assembly=assembly,
-        contract_ast=contract, peephole_stats=peephole_stats)
+        contract_ast=contract)
     for var in contract.state_vars:
         compiled.storage_layout[var.name] = var.slot
 

@@ -116,27 +116,6 @@ class SpanTracer:
             entry["cost"] += event["cost"]
         return {name: totals[name] for name in sorted(totals)}
 
-    def stage_tree(self, root_name: Optional[str] = None) -> List[dict]:
-        """Nest finished spans into trees (children under parents).
-
-        Returns the list of root spans (optionally filtered by name),
-        each a dict with a ``children`` list, ordered by span id.
-        """
-        by_id: Dict[int, dict] = {}
-        for event in self.events:
-            node = dict(event)
-            node["children"] = []
-            by_id[node["span"]] = node
-        roots: List[dict] = []
-        for span_id in sorted(by_id):
-            node = by_id[span_id]
-            parent = by_id.get(node["parent"])
-            if parent is not None:
-                parent["children"].append(node)
-            elif root_name is None or node["name"] == root_name:
-                roots.append(node)
-        return roots
-
 
 class _NullSpan:
     """Inert span: absorbs add_cost/set calls."""
@@ -169,6 +148,3 @@ class NullTracer:
 
     def stage_totals(self) -> Dict[str, dict]:
         return {}
-
-    def stage_tree(self, root_name: Optional[str] = None) -> List[dict]:
-        return []

@@ -21,13 +21,7 @@ from repro.sched.admission import (
     PrefetchRequest,
     SpeculationRequest,
 )
-from repro.sched.conflicts import (
-    AccessSet,
-    ConflictGraph,
-    GreedySchedule,
-    build_conflict_graph,
-    greedy_schedule,
-)
+from repro.sched.conflicts import AccessSet
 from repro.sched.executor import (
     BlockSchedule,
     ParallelBlockExecutor,
@@ -39,8 +33,6 @@ __all__ = [
     "AccessSet",
     "AdmissionController",
     "BlockSchedule",
-    "ConflictGraph",
-    "GreedySchedule",
     "HitLikelihoodEstimator",
     "Lane",
     "LaneSet",
@@ -49,6 +41,4 @@ __all__ = [
     "SchedConfig",
     "SpeculationRequest",
     "TxOutcome",
-    "build_conflict_graph",
-    "greedy_schedule",
 ]

@@ -162,9 +162,6 @@ class AdmissionController:
         """
         self._deadlines[tx_hash] = expires_at
 
-    def deadline_for(self, tx_hash: int) -> Optional[float]:
-        return self._deadlines.get(tx_hash)
-
     # -- admission -------------------------------------------------------
 
     def has_backlog(self) -> bool:
@@ -338,9 +335,6 @@ class AdmissionController:
         self.c_prefetch_drained.inc(len(batch))
         self.g_prefetch_depth.set(len(self._prefetch_queue))
         return batch
-
-    def prefetch_queue_depth(self) -> int:
-        return len(self._prefetch_queue)
 
     # -- reporting -------------------------------------------------------
 

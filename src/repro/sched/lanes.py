@@ -5,8 +5,7 @@ owns a monotone clock in whatever deterministic currency the caller
 uses (simulated seconds for the speculation worker pool; the block
 executor's derived schedule applies the same rule to bare cost-unit
 clocks).  Dispatch always picks the lane with the
-lowest clock, breaking ties by lane id, and completion order is the
-merged event order ``(finish, lane_id, seq)`` — so scheduling decisions
+lowest clock, breaking ties by lane id — so scheduling decisions
 depend only on the dispatch sequence, never on host concurrency, and
 any lane count replays byte-identically.
 """
@@ -65,7 +64,7 @@ class Lane:
 
 @dataclass
 class Completion:
-    """One finished job in merged (deterministic) completion order."""
+    """One dispatched job: its lane and simulated start/finish."""
 
     seq: int
     lane_id: int
@@ -89,7 +88,6 @@ class LaneSet:
         self.lanes: List[Lane] = [Lane(i, clock=start) for i in range(count)]
         self._origin = start
         self._seq = 0
-        self.completions: List[Completion] = []
 
     def __len__(self) -> int:
         return len(self.lanes)
@@ -105,8 +103,8 @@ class LaneSet:
         """Assign one job to the least-loaded lane.
 
         The job starts at ``max(not_before, lane.clock)`` — exactly the
-        legacy worker-pool rule — and the completion record is appended
-        in dispatch order (replaying dispatches replays completions).
+        legacy worker-pool rule; replaying dispatches replays
+        completions.
         """
         lane = self.least_loaded()
         start = max(not_before, lane.clock)
@@ -115,16 +113,7 @@ class LaneSet:
                                 start=start, finish=finish, cost=cost,
                                 payload=payload)
         self._seq += 1
-        self.completions.append(completion)
         return completion
-
-    # -- merged event order ---------------------------------------------
-
-    def merged_completions(self) -> List[Completion]:
-        """Completions in the deterministic merged event order
-        ``(finish, lane_id, seq)`` — the scheduler's "event loop"."""
-        return sorted(self.completions,
-                      key=lambda c: (c.finish, c.lane_id, c.seq))
 
     # -- aggregate views -------------------------------------------------
 
@@ -135,18 +124,6 @@ class LaneSet:
     def makespan(self) -> float:
         """Span from the origin to the last lane's clock."""
         return max(lane.clock for lane in self.lanes) - self._origin
-
-    def busy_total(self) -> float:
-        return sum(lane.busy for lane in self.lanes)
-
-    def utilization_permille(self) -> int:
-        """Aggregate busy / (lanes × makespan), in permille (int: safe
-        for deterministic metric snapshots)."""
-        span = self.makespan()
-        if span <= 0:
-            return 0
-        capacity = span * len(self.lanes)
-        return int(round(1000 * self.busy_total() / capacity))
 
     def lane_utilization_permille(self) -> List[int]:
         span = self.makespan()

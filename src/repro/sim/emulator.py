@@ -359,13 +359,6 @@ class EvaluationRun:
             return 0.0
         return sum(r.heard for r in self.records) / len(self.records)
 
-    def heard_fraction_weighted(self) -> float:
-        total = sum(r.baseline_cost for r in self.records)
-        if not total:
-            return 0.0
-        heard = sum(r.baseline_cost for r in self.records if r.heard)
-        return heard / total
-
 
 def evaluation_step(run: EvaluationRun, baseline: BaselineNode, system,
                     kinds: Dict[int, str]):

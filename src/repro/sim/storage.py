@@ -4,6 +4,11 @@ The paper publishes its recorded datasets alongside the code; this
 module gives the reproduction the same property — a recorded period can
 be saved, shared, and replayed byte-identically (`load` rebuilds the
 same transactions, hence the same hashes and Merkle roots).
+
+The transaction, header and world codecs are public: crash-recovery
+snapshots (:mod:`repro.recovery.snapshot`) persist worlds and pending
+transactions with the exact same byte-stable encoding datasets use,
+so a state saved by one layer round-trips through the other.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.workloads.mixed import TimedTx
 FORMAT_VERSION = 1
 
 
-def _tx_to_json(tx: Transaction) -> dict:
+def tx_to_json(tx: Transaction) -> dict:
     return {
         "sender": hex(tx.sender),
         "to": hex(tx.to),
@@ -35,7 +40,7 @@ def _tx_to_json(tx: Transaction) -> dict:
     }
 
 
-def _tx_from_json(payload: dict) -> Transaction:
+def tx_from_json(payload: dict) -> Transaction:
     return Transaction(
         sender=int(payload["sender"], 16),
         to=int(payload["to"], 16),
@@ -49,7 +54,7 @@ def _tx_from_json(payload: dict) -> Transaction:
     )
 
 
-def _header_to_json(header: BlockHeader) -> dict:
+def header_to_json(header: BlockHeader) -> dict:
     return {
         "number": header.number,
         "timestamp": header.timestamp,
@@ -61,7 +66,7 @@ def _header_to_json(header: BlockHeader) -> dict:
     }
 
 
-def _header_from_json(payload: dict) -> BlockHeader:
+def header_from_json(payload: dict) -> BlockHeader:
     return BlockHeader(
         number=payload["number"],
         timestamp=payload["timestamp"],
@@ -75,7 +80,7 @@ def _header_from_json(payload: dict) -> BlockHeader:
 
 def _block_to_json(block: Block, tx_index: Dict[int, int]) -> dict:
     return {
-        "header": _header_to_json(block.header),
+        "header": header_to_json(block.header),
         "txs": [tx_index[tx.hash] for tx in block.transactions],
         "state_root": (hex(block.state_root)
                        if block.state_root is not None else None),
@@ -84,7 +89,7 @@ def _block_to_json(block: Block, tx_index: Dict[int, int]) -> dict:
     }
 
 
-def _world_to_json(world: WorldState) -> list:
+def world_to_json(world: WorldState) -> list:
     accounts = []
     for address, account in sorted(world.accounts().items()):
         accounts.append({
@@ -98,7 +103,7 @@ def _world_to_json(world: WorldState) -> list:
     return accounts
 
 
-def _world_from_json(payload: list) -> WorldState:
+def world_from_json(payload: list) -> WorldState:
     world = WorldState()
     for entry in payload:
         account = Account(
@@ -112,18 +117,6 @@ def _world_from_json(payload: list) -> WorldState:
     return world
 
 
-# Public codec aliases: crash-recovery snapshots
-# (:mod:`repro.recovery.snapshot`) persist worlds and pending
-# transactions with the exact same byte-stable encoding datasets use,
-# so a state saved by one layer round-trips through the other.
-tx_to_json = _tx_to_json
-tx_from_json = _tx_from_json
-header_to_json = _header_to_json
-header_from_json = _header_from_json
-world_to_json = _world_to_json
-world_from_json = _world_from_json
-
-
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Serialize ``dataset`` to JSON at ``path``."""
     # Deduplicate transactions through an index table.
@@ -132,9 +125,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     payload = {
         "version": FORMAT_VERSION,
         "name": dataset.name,
-        "genesis_world": _world_to_json(dataset.genesis_world),
+        "genesis_world": world_to_json(dataset.genesis_world),
         "genesis_block": _block_to_json(dataset.genesis_block, tx_index),
-        "txs": [_tx_to_json(tx) for tx in all_txs],
+        "txs": [tx_to_json(tx) for tx in all_txs],
         "kinds": [dataset.kinds.get(tx.hash, "?") for tx in all_txs],
         "times": [t.time for t in dataset.all_txs],
         "blocks": [
@@ -162,11 +155,11 @@ def load_dataset(path: str) -> Dataset:
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported dataset format {payload.get('version')!r}")
-    txs = [_tx_from_json(entry) for entry in payload["txs"]]
+    txs = [tx_from_json(entry) for entry in payload["txs"]]
 
     def block_from(entry) -> Tuple[float, Block]:
         block = Block(
-            header=_header_from_json(entry["header"]),
+            header=header_from_json(entry["header"]),
             transactions=[txs[i] for i in entry["txs"]],
             state_root=(int(entry["state_root"], 16)
                         if entry["state_root"] is not None else None),
@@ -178,7 +171,7 @@ def load_dataset(path: str) -> Dataset:
     genesis_entry = dict(payload["genesis_block"])
     genesis_entry["arrival"] = 0.0
     _, genesis_block = block_from(genesis_entry)
-    genesis_world = _world_from_json(payload["genesis_world"])
+    genesis_world = world_from_json(payload["genesis_world"])
     genesis_world.root()  # as record_dataset: copies inherit it
     all_txs = [TimedTx(time=t, tx=tx, kind=kind)
                for t, tx, kind in zip(payload["times"], txs,

@@ -24,11 +24,6 @@ class Account:
         """Deep copy (storage dict duplicated)."""
         return Account(self.balance, self.nonce, self.code, dict(self.storage))
 
-    @property
-    def is_contract(self) -> bool:
-        """True when the account hosts code."""
-        return bool(self.code)
-
     def get_storage(self, slot: int) -> int:
         """Read a storage slot (0 when never written)."""
         return self.storage.get(slot, 0)

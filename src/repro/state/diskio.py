@@ -31,12 +31,6 @@ class IOStats:
     warm_hits: int = 0
     cost_units: int = 0
 
-    def reset(self) -> None:
-        self.cold_account_loads = 0
-        self.cold_slot_loads = 0
-        self.warm_hits = 0
-        self.cost_units = 0
-
 
 @dataclass
 class DiskModel:

@@ -44,12 +44,6 @@ class NodeCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def account_key(self, address: int) -> Hashable:
-        return ("acct", address)
-
-    def slot_key(self, address: int, slot: int) -> Hashable:
-        return ("slot", address, slot)
-
     # -- snapshot / restore (repro.recovery) ------------------------------
 
     def warm_keys(self) -> list:

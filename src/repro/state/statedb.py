@@ -169,17 +169,6 @@ class StateDB:
 
     # -- warmness / prefetch support ----------------------------------------
 
-    def is_account_warm(self, address: int) -> bool:
-        """True if ``address`` is already in this view's cache."""
-        return (address in self._cache
-                or self._inherited_account(address) is not None)
-
-    def is_slot_warm(self, address: int, slot: int) -> bool:
-        """True if storage slot is already in this view's cache."""
-        key = (address, slot)
-        return key in self._loaded_slots \
-            or self._slot_loaded_in_ancestors(key)
-
     def warm_account(self, address: int) -> None:
         """Prefetch one account into the cache (charges this view's disk)."""
         self._load_account(address)
@@ -189,14 +178,6 @@ class StateDB:
         self.get_storage(address, slot)
 
     # -- account access ------------------------------------------------------
-
-    def account_exists(self, address: int) -> bool:
-        """True if the account exists in cache or committed state."""
-        if self.access is not None:
-            self.access.reads.add(("exist", address))
-        return (address in self._cache
-                or self._inherited_account(address) is not None
-                or address in self.world)
 
     def create_account(self, address: int, balance: int = 0,
                        code: bytes = b"") -> None:

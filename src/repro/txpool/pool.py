@@ -1,4 +1,4 @@
-"""Pending transaction pool with nonce ordering and price views.
+"""Pending transaction pool with per-sender nonce queues.
 
 Every node keeps one: transactions arrive from gossip, leave when a
 block packs them.  Miners draw their packing candidates from here;
@@ -7,11 +7,9 @@ Forerunner's predictor monitors it (paper Figure 3).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.chain.transaction import Transaction
-from repro.consensus.packing import priority_key
 from repro.obs.registry import MetricsRegistry, get_registry
 
 
@@ -66,10 +64,10 @@ class TxPool:
         """Return a reorged-out transaction to the pool.
 
         Goes through :meth:`add`, so the transaction re-enters its
-        sender's nonce queue (and with it :meth:`ready_for` gap
-        ordering) and is re-ranked by the *live* priority key on the
-        next :meth:`price_sorted` call — never appended with the
-        priority snapshot it held on the abandoned branch.  The
+        sender's nonce queue (closing any nonce gap it left) and is
+        re-ranked by the *live* priority key when next packed — never
+        appended with the priority snapshot it held on the abandoned
+        branch.  The
         original arrival time is preserved when known, keeping
         heard-delay accounting stable across the reorg.
         """
@@ -106,33 +104,3 @@ class TxPool:
         """All pending transactions (no particular order)."""
         return list(self._by_hash.values())
 
-    def price_sorted(self, rng: Optional[random.Random] = None,
-                     prioritize_miner: Optional[int] = None
-                     ) -> List[Transaction]:
-        """Transactions by descending gas price.
-
-        Ties break randomly (geth packs same-price transactions in
-        random order), and a miner's own transactions sort first when
-        ``prioritize_miner`` is given — the two packing heuristics the
-        predictor simulates (paper §4.4).  The deterministic prefix of
-        the key is :func:`repro.consensus.packing.priority_key`, the
-        same fee-priority currency block packing and speculation
-        admission (:mod:`repro.sched.admission`) rank by.
-        """
-        rng = rng or random.Random(0)
-
-        def key(tx: Transaction):
-            return priority_key(tx, prioritize_miner) + (rng.random(),)
-
-        return sorted(self._by_hash.values(), key=key)
-
-    def ready_for(self, sender: int, next_nonce: int
-                  ) -> List[Transaction]:
-        """Sender's consecutive-nonce run starting at ``next_nonce``."""
-        queue = self._by_sender.get(sender, {})
-        ready: List[Transaction] = []
-        nonce = next_nonce
-        while nonce in queue:
-            ready.append(queue[nonce])
-            nonce += 1
-        return ready

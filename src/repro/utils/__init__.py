@@ -6,7 +6,6 @@ from repro.utils.words import (
     u256,
     bytes_to_int,
     int_to_bytes32,
-    int_to_bytes,
 )
 from repro.utils.hashing import keccak, keccak_int, hash_words
 
@@ -16,7 +15,6 @@ __all__ = [
     "u256",
     "bytes_to_int",
     "int_to_bytes32",
-    "int_to_bytes",
     "keccak",
     "keccak_int",
     "hash_words",

@@ -35,8 +35,3 @@ def bytes_to_int(data: bytes) -> int:
 def int_to_bytes32(value: int) -> bytes:
     """Encode an unsigned word as exactly 32 big-endian bytes."""
     return u256(value).to_bytes(32, "big")
-
-
-def int_to_bytes(value: int, size: int) -> bytes:
-    """Encode ``value`` as ``size`` big-endian bytes (truncating high bits)."""
-    return (value % (1 << (8 * size))).to_bytes(size, "big")

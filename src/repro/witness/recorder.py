@@ -16,7 +16,7 @@ All three execution tiers feed the same recorder:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.evm.tracing import Tracer
 from repro.witness.format import ExecutionWitness
@@ -80,7 +80,3 @@ def ap_context_ids(ap) -> Tuple[int, ...]:
     if ap is None:
         return ()
     return tuple(sorted(ap.context_ids))
-
-
-def receipt_tier(receipt) -> Optional[str]:
-    return getattr(receipt, "tier", None)

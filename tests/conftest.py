@@ -58,6 +58,18 @@ def header():
     return BlockHeader(number=1, timestamp=3990462, coinbase=0xBEEF)
 
 
+def speculate_many(speculator, tx, contexts) -> int:
+    """Speculate ``tx`` on several futures, as a node's speculation
+    cycle does; returns how many paths :func:`merge_path` accepted (a
+    synthesized path whose merge failed does not count)."""
+    merged = 0
+    for context in contexts:
+        path = speculator.speculate(tx, context)
+        if path is not None and speculator.records[-1].merged:
+            merged += 1
+    return merged
+
+
 def make_tx(sender=ALICE, to=FEED, data=b"", nonce=0, value=0,
             gas_price=10**9, gas_limit=500_000):
     return Transaction(sender=sender, to=to, data=data, nonce=nonce,

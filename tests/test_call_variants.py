@@ -5,11 +5,12 @@ import pytest
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
-from repro.contracts import aggregator, lending, pricefeed
+from repro.contracts import AGGREGATOR_SOURCE, lending, pricefeed
 from repro.core.accelerator import TransactionAccelerator
 from repro.core.speculator import FutureContext, Speculator
 from repro.evm.assembler import assemble
 from repro.evm.interpreter import EVM
+from repro.minisol import compile_contract
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
@@ -192,7 +193,7 @@ POOL, FA, FB, FC, AGG = 0x100, 0x201, 0x202, 0x203, 0x300
 
 
 def lending_world(prices=(2000, 2010, 1990), collateral=10**6):
-    L, AG, PF = lending(), aggregator(), pricefeed()
+    L, AG, PF = lending(), compile_contract(AGGREGATOR_SOURCE), pricefeed()
     world = WorldState()
     world.create_account(SENDER, balance=10**24)
     world.create_account(POOL, code=L.code)
@@ -251,7 +252,7 @@ def test_lending_ap_equivalence(fn_args, actual_ts):
 def test_aggregator_median_branches():
     """Different feed orderings take different median branches; each
     synthesizes its own AP path and all merge into one program."""
-    AG = aggregator()
+    AG = compile_contract(AGGREGATOR_SOURCE)
     tx = Transaction(sender=SENDER, to=AGG,
                      data=AG.calldata("update", ROUND), nonce=0)
     orderings = [(2000, 2010, 1990), (1990, 2000, 2010),

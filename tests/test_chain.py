@@ -16,11 +16,6 @@ def test_tx_hash_stable_and_distinct():
     assert tx1.hash != tx3.hash
 
 
-def test_tx_max_fee():
-    tx = Transaction(sender=1, to=2, gas_price=10, gas_limit=100, value=5)
-    assert tx.max_fee() == 1005
-
-
 def test_header_hash_depends_on_fields():
     h1 = BlockHeader(number=1, timestamp=10, coinbase=3)
     h2 = BlockHeader(number=1, timestamp=11, coinbase=3)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
-from repro.contracts.aggregator import aggregator
+from repro.contracts.aggregator import AGGREGATOR_SOURCE
 from repro.contracts.lending import RATE_PER_SECOND, RATE_SCALE, lending
 from repro.contracts.pricefeed import pricefeed
 from repro.evm.interpreter import EVM
@@ -18,7 +18,7 @@ POOL, FEED_A, FEED_B, FEED_C, AGG = 0x100, 0x201, 0x202, 0x203, 0x300
 ROUND = 3990300
 
 L = lending()
-AG = aggregator()
+AG = compile_contract(AGGREGATOR_SOURCE)
 PF = pricefeed()
 
 

@@ -152,7 +152,7 @@ def test_admission_cancels_expired_speculation():
     assert admission.allows_dispatch(request)
     # A release forgets the stamp.
     admission.release(tx.hash)
-    assert admission.deadline_for(tx.hash) is None
+    assert admission._deadlines.get(tx.hash) is None
 
 
 # -- the server's admission pipeline -----------------------------------------
@@ -179,7 +179,7 @@ def test_rate_limit_per_client(world):
         assert outcome.status == "served"
     response, outcome = server.handle_raw(
         _call_frame(9, value=9), client_id=1, now=0.0)
-    assert rpc.response_error_code(response) == rpc.RATE_LIMITED
+    assert response["error"]["code"] == rpc.RATE_LIMITED
     # Another client has its own bucket.
     _, outcome = server.handle_raw(_call_frame(0, value=0),
                                    client_id=2, now=0.0)
@@ -192,7 +192,7 @@ def test_backpressure_when_queue_full(world):
     assert first.status in ("served", "deadline_expired")
     response, second = server.handle_raw(
         _call_frame(1, value=2), 2, now=0.0)
-    assert rpc.response_error_code(response) == rpc.OVERLOADED
+    assert response["error"]["code"] == rpc.OVERLOADED
     assert server.c_backpressure.value == 1
 
 
@@ -207,7 +207,7 @@ def test_expired_queued_work_is_cancelled_not_executed(world):
     executed_before = server.c_call_plain.value
     response, second = server.handle_raw(
         _call_frame(1, value=2), 1, now=0.0, deadline_units=100)
-    assert rpc.response_error_code(response) == rpc.DEADLINE_EXCEEDED
+    assert response["error"]["code"] == rpc.DEADLINE_EXCEEDED
     assert response["error"]["data"]["phase"] == "queued"
     assert server.c_deadline_cancelled.value == 1
     assert server.c_call_plain.value == executed_before  # never ran
@@ -217,7 +217,7 @@ def test_inflight_deadline_overrun_is_reported(world):
     server = _server(world, service_rate=50.0)
     response, outcome = server.handle_raw(
         _call_frame(0, value=1), 1, now=0.0, deadline_units=10)
-    assert rpc.response_error_code(response) == rpc.DEADLINE_EXCEEDED
+    assert response["error"]["code"] == rpc.DEADLINE_EXCEEDED
     assert response["error"]["data"]["phase"] == "inflight"
     assert server.c_deadline_overrun.value == 1
 
@@ -233,7 +233,7 @@ def test_internal_faults_are_contained_and_trip_the_breaker(world):
     for index in range(5):
         response, _ = server.handle_raw(
             _call_frame(index, value=index), 1, now=float(index))
-        codes.append(rpc.response_error_code(response))
+        codes.append(response["error"]["code"])
     assert codes[:3] == [rpc.INTERNAL_ERROR] * 3
     assert rpc.BREAKER_OPEN in codes[3:]
     assert server.c_internal_errors.value == 3
@@ -251,7 +251,7 @@ def test_send_raw_transaction_enters_pool_with_deadline(world):
     assert response["result"]["accepted"] is True
     node = server.node
     assert tx.hash in node.pool
-    stamp = node.admission.deadline_for(tx.hash)
+    stamp = node.admission._deadlines.get(tx.hash)
     assert stamp == 2.0 + server.config.speculation_deadline_seconds
     # Idempotent: a duplicate send is acknowledged but not re-added.
     response, _ = server.handle_raw(frame, 1, now=3.0)

@@ -157,4 +157,4 @@ def test_specific_hostile_frames(world):
     ]
     for index, (frame, expected) in enumerate(cases):
         response, _ = server.handle_raw(frame, 1, float(index))
-        assert rpc.response_error_code(response) == expected, frame[:60]
+        assert response["error"]["code"] == expected, frame[:60]

@@ -63,7 +63,6 @@ def test_speculation_tick_density_matters(dataset):
 
 def test_heard_fraction_accessors(run):
     assert 0.0 < run.heard_fraction() <= 1.0
-    assert 0.0 < run.heard_fraction_weighted() <= 1.0
 
 
 def test_speedup_property_on_records(run):

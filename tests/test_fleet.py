@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.transaction import Transaction
+from repro.consensus.packing import pack_block
 from repro.edge.limits import Deadline, LruMap, RetryBudget, RetryConfig
 from repro.fleet import (
     FleetConfig,
@@ -118,11 +119,11 @@ class TestShardMap:
         keys = list(range(300))
         snapshot = shardmap.snapshot()
         shardmap.leave(2)
-        moves = shardmap.diff_owners(keys, snapshot)
+        moves = {key: snapshot.owner(key) for key in keys
+                 if snapshot.owner(key) != shardmap.owner(key)}
         assert moves, "leave must hand off something"
-        for key, handoff in moves.items():
-            assert handoff.source == 2
-            assert handoff.target == shardmap.owner(key)
+        # Consistent hashing: only the leaver's keys change owner.
+        assert set(moves.values()) == {2}
 
     def test_ring_points_are_stable_tags(self):
         assert ring_point(0, 0) == ring_point(0, 0)
@@ -223,7 +224,7 @@ class TestShardedTxPool:
                for i in range(40)]
         for i, tx in enumerate(txs):
             pool.add(tx, float(i))
-        merged = pool.price_sorted()
+        merged = pack_block(pool.pending(), {})
         assert len(merged) == len(txs)
         prices = [tx.gas_price for tx in merged]
         assert prices == sorted(prices, reverse=True)
@@ -234,11 +235,11 @@ class TestShardedTxPool:
         for nonce in (0, 1, 2):
             pool.add(make_tx(sender=sender, to=100 + nonce,
                              nonce=nonce), float(nonce))
-        run = pool.ready_for(sender, 0)
+        run = pack_block(pool.pending(), {sender: 0})
         assert [tx.nonce for tx in run] == [0, 1, 2]
-        assert pool.ready_for(sender, 1) and \
-            pool.ready_for(sender, 1)[0].nonce == 1
-        assert pool.ready_for(sender, 5) == []
+        assert [tx.nonce for tx in pack_block(pool.pending(),
+                                               {sender: 1})] == [1, 2]
+        assert pack_block(pool.pending(), {sender: 5}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +263,9 @@ def nonce_chains(draw):
 @given(data=nonce_chains(), seed=st.integers(0, 2**16))
 def test_commit_order_follows_nonce_order_across_generations(data, seed):
     """Adds interleaved with shard-map churn: whatever generation
-    admitted each tx, the fleet-wide nonce index yields every sender's
-    chain in nonce order, and no transaction is lost or duplicated."""
+    admitted each tx, packing the fleet-wide pending view yields every
+    sender's chain in nonce order, and no transaction is lost or
+    duplicated."""
     senders, chains, churn = data
     rng = random.Random(seed)
     registry = MetricsRegistry()
@@ -293,8 +295,10 @@ def test_commit_order_follows_nonce_order_across_generations(data, seed):
         else:
             pool.add(event, now)
     assert sum(pool.shard_sizes().values()) == len(txs)
+    packed = pack_block(pool.pending(), {}, gas_limit=10**12)
+    assert len(packed) == len(txs)
     for sender in senders:
-        run = pool.ready_for(sender, 0)
+        run = [tx for tx in packed if tx.sender == sender]
         assert [tx.nonce for tx in run] == list(range(chains[sender]))
         homes = {pool.shard_of(tx) for tx in run}
         for tx in run:

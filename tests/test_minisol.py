@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
+from repro.contracts import PRICEFEED_SOURCE, pricefeed
 from repro.errors import CompileError
 from repro.evm.interpreter import EVM
 from repro.minisol import compile_contract, decode_uint, mapping_slot
@@ -135,11 +136,15 @@ def test_encode_call_layout():
 
 
 def test_mapping_slot_nesting():
-    base = 3
-    one = mapping_slot(base, 7)
-    two = mapping_slot(one, 9)
-    from repro.minisol.abi import nested_mapping_slot
-    assert nested_mapping_slot(base, 7, 9) == two
+    compiled = compile_contract("""
+    contract N {
+        uint256 public pad;
+        mapping(uint256 => mapping(uint256 => uint256)) public grid;
+    }
+    """)
+    base = compiled.slot_of("grid")
+    assert compiled.slot_of("grid", 7, 9) == \
+        mapping_slot(mapping_slot(base, 7), 9)
 
 
 # -- codegen / execution ----------------------------------------------------------
@@ -338,6 +343,12 @@ def test_unknown_selector_reverts():
                      nonce=0)
     result = EVM(state, BlockHeader(1, 1, 0xB), tx).execute_transaction()
     assert not result.success
+
+
+def test_compile_is_deterministic():
+    """A fresh compile reproduces the library's cached bytecode, which
+    recorded datasets and golden gas numbers were produced from."""
+    assert compile_contract(PRICEFEED_SOURCE).code == pricefeed().code
 
 
 def test_duplicate_state_var_rejected():

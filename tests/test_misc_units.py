@@ -144,13 +144,6 @@ def test_sinstr_reprs():
     assert "truth" in repr(guard)
 
 
-def test_sinstr_reads_context():
-    read = SInstr(kind=SKind.READ, op="TIMESTAMP", dest=Reg(0),
-                  key=("timestamp",))
-    assert read.reads_context()
-    assert not SInstr(kind=SKind.COMPUTE, op="ADD").reads_context()
-
-
 # -- speculation error path ----------------------------------------------------------------
 
 def test_unsupported_trace_yields_no_ap():

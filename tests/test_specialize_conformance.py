@@ -1,17 +1,12 @@
 """Differential conformance for the specialization tier.
 
-Layer 1 (trace-guided specializer): the compiled closure must be
+The trace-guided specializer's compiled closure must be
 *observationally identical* to the interpreted AP walk — same outcome
 fields, same execution statistics, same observed reads, same cost
 tally (to the per-bucket sum), same I/O charges, same post state — on
 perfect matches, imperfect matches, branch selection, shortcut hits
 and misses, and constraint violations (identical exception text and
 identical cpu charged up to the abort point).
-
-Layer 2 (peephole superoptimizer): optimized minisol bytecode must
-execute byte-identically to the unoptimized bytecode — same success
-flag, storage, logs, and return data — while never charging *more*
-gas, and every rule in the catalog is exercised by a targeted snippet.
 
 Randomized cases are seeded (``random.Random``) so failures reproduce.
 """
@@ -22,30 +17,12 @@ import pytest
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
-from repro.contracts import (
-    AGGREGATOR_SOURCE,
-    AMM_SOURCE,
-    AUCTION_SOURCE,
-    ERC20_SOURCE,
-    LENDING_SOURCE,
-    PRICEFEED_SOURCE,
-    REGISTRY_SOURCE,
-    pricefeed,
-)
-from repro.contracts.compute import COMPUTE_SOURCE
+from repro.contracts import pricefeed
 from repro.core.ap_exec import execute_ap
 from repro.core.costmodel import CostTally
 from repro.core.speculator import FutureContext, Speculator
 from repro.errors import ConstraintViolation
-from repro.evm.assembler import assemble
-from repro.evm.interpreter import EVM
-from repro.evm.jit import (
-    HOT_OPS,
-    JitTier,
-    compile_ap,
-    optimize_assembly,
-)
-from repro.minisol import compile_contract
+from repro.evm.jit import HOT_OPS, JitTier, compile_ap
 from repro.obs.registry import MetricsRegistry
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
@@ -53,7 +30,6 @@ from repro.state.world import WorldState
 from tests.conftest import ALICE, FEED, ROUND
 
 PF = pricefeed()
-CODE_ADDR = 0xC0DE
 
 
 def fresh_world(active_round=ROUND, price=2000, count=4):
@@ -235,183 +211,3 @@ class TestTierPolicy:
                          header(ROUND + 700), tx_e())
         assert tier.c_guard_failures.value == 1
         assert tier.c_hits.value == 1
-
-
-# -- Layer 2: peephole ----------------------------------------------------
-
-EXAMPLE_SOURCES = {
-    "pricefeed": PRICEFEED_SOURCE,
-    "erc20": ERC20_SOURCE,
-    "amm": AMM_SOURCE,
-    "auction": AUCTION_SOURCE,
-    "registry": REGISTRY_SOURCE,
-    "lending": LENDING_SOURCE,
-    "aggregator": AGGREGATOR_SOURCE,
-    "compute": COMPUTE_SOURCE,
-}
-
-
-def _run_code(code: bytes, data: bytes = b"", slots=(0,),
-              storage=None, ts=1000):
-    """Execute ``code`` at CODE_ADDR; digest of everything but gas."""
-    world = WorldState()
-    world.create_account(ALICE, balance=10**24)
-    world.create_account(CODE_ADDR, code=code)
-    for slot, value in (storage or {}).items():
-        world.get_account(CODE_ADDR).set_storage(slot, value)
-    state = StateDB(world)
-    tx = Transaction(sender=ALICE, to=CODE_ADDR, data=data, nonce=0)
-    result = EVM(state, header(ts), tx).execute_transaction()
-    state.commit()
-    return result, {
-        "success": result.success,
-        "return_data": result.return_data,
-        "logs": result.logs,
-        "storage": [state.get_storage(CODE_ADDR, s) for s in slots],
-    }
-
-
-def _assert_equivalent(unopt_code: bytes, opt_code: bytes,
-                       data: bytes = b"", slots=(0,), storage=None,
-                       ts=1000):
-    """Differential execution: identical results, gas never worse."""
-    unopt_result, unopt_digest = _run_code(unopt_code, data, slots,
-                                           storage, ts)
-    opt_result, opt_digest = _run_code(opt_code, data, slots,
-                                       storage, ts)
-    assert unopt_digest == opt_digest
-    assert opt_result.gas_used <= unopt_result.gas_used
-    return opt_digest
-
-
-class TestPeepholeExamples:
-    @pytest.mark.parametrize("name", sorted(EXAMPLE_SOURCES))
-    def test_strictly_reduces(self, name):
-        compiled = compile_contract(EXAMPLE_SOURCES[name], optimize=True)
-        stats = compiled.peephole_stats
-        assert stats is not None
-        assert stats.instructions_after < stats.instructions_before
-
-    def test_default_compile_untouched(self):
-        """optimize defaults off: golden bytecode stays byte-identical."""
-        assert compile_contract(PRICEFEED_SOURCE).code == PF.code
-
-    def test_pricefeed_submit_equivalent(self):
-        unopt = compile_contract(PRICEFEED_SOURCE)
-        opt = compile_contract(PRICEFEED_SOURCE, optimize=True)
-        assert opt.code != unopt.code
-        data = unopt.calldata("submit", ROUND, 1980)
-        slots = [unopt.slot_of("activeRoundID"),
-                 unopt.slot_of("prices", ROUND),
-                 unopt.slot_of("submissionCounts", ROUND)]
-        for contract in (unopt, opt):
-            assert contract.slot_of("prices", ROUND) == slots[1]
-        storage = {unopt.slot_of("activeRoundID"): ROUND,
-                   unopt.slot_of("prices", ROUND): 2000,
-                   unopt.slot_of("submissionCounts", ROUND): 4}
-        digest = _assert_equivalent(unopt.code, opt.code, data, slots,
-                                    storage=storage, ts=3990462)
-        assert digest["success"]
-
-    def test_compute_mix_equivalent(self):
-        unopt = compile_contract(COMPUTE_SOURCE)
-        opt = compile_contract(COMPUTE_SOURCE, optimize=True)
-        data = unopt.calldata("mix", 12345, 6)
-        slots = [unopt.slot_of("checkpoint"), unopt.slot_of("rounds")]
-        digest = _assert_equivalent(unopt.code, opt.code, data, slots)
-        assert digest["success"]
-        assert digest["logs"]  # the Checkpointed event survived
-
-
-def _random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice(["a", "b", str(rng.randrange(0, 1 << 64))])
-    op = rng.choice(["+", "-", "*", "/", "%", "&", "|", "^"])
-    if op in ("/", "%"):
-        # Constant non-zero divisor: minisol/EVM define x/0 == 0, but a
-        # varying divisor would make the two sides trivially equal
-        # anyway; a constant one feeds the fold-const rule.
-        return (f"(({_random_expr(rng, depth - 1)}) {op} "
-                f"{rng.randrange(1, 1 << 32)})")
-    if rng.random() < 0.2:
-        shift = rng.randrange(0, 16)
-        return (f"(({_random_expr(rng, depth - 1)}) "
-                f"{rng.choice(['<<', '>>'])} {shift})")
-    return (f"(({_random_expr(rng, depth - 1)}) {op} "
-            f"({_random_expr(rng, depth - 1)}))")
-
-
-class TestPeepholeRandomPrograms:
-    def test_random_programs_equivalent(self):
-        rng = random.Random(0x5EED)
-        reduced = 0
-        for i in range(12):
-            source = f"""
-            contract R{i} {{
-                uint256 public out;
-                function f(uint256 a, uint256 b) public {{
-                    out = {_random_expr(rng, 3)};
-                }}
-            }}
-            """
-            unopt = compile_contract(source)
-            opt = compile_contract(source, optimize=True)
-            assert opt.peephole_stats.instructions_after <= \
-                opt.peephole_stats.instructions_before
-            if opt.peephole_stats.removed:
-                reduced += 1
-            a, b = rng.randrange(1 << 64), rng.randrange(1 << 64)
-            data = unopt.calldata("f", a, b)
-            digest = _assert_equivalent(
-                unopt.code, opt.code, data, [unopt.slot_of("out")])
-            assert digest["success"]
-        assert reduced > 0
-
-
-#: rule name -> (assembly snippet, storage slots to compare)
-RULE_SNIPPETS = {
-    "push-pop": "PUSH 7\nPOP\nPUSH 42\nPUSH 0\nSSTORE\nSTOP",
-    "dup-pop": "PUSH 42\nDUP1\nPOP\nPUSH 0\nSSTORE\nSTOP",
-    "swap-swap":
-        "CALLVALUE\nCALLVALUE\nSWAP1\nSWAP1\nPUSH 42\nPUSH 0\nSSTORE\nSTOP",
-    "push-swap": "PUSH 0\nPUSH 42\nSWAP1\nSSTORE\nSTOP",
-    "fold-const": "PUSH 6\nPUSH 7\nMUL\nPUSH 0\nSSTORE\nSTOP",
-    "fold-unary": "PUSH 0\nISZERO\nPUSH 0\nSSTORE\nSTOP",
-    "identity": "CALLVALUE\nPUSH 0\nADD\nPUSH 42\nADD\nPUSH 0\nSSTORE\nSTOP",
-    "const-jumpi": ("PUSH 1\nPUSH @yes\nJUMPI\n"
-                    "PUSH 13\nPUSH 0\nSSTORE\nSTOP\n"
-                    "yes:\nJUMPDEST\nPUSH 42\nPUSH 0\nSSTORE\nSTOP"),
-    "dead-jumpi": ("PUSH 0\nPUSH @yes\nJUMPI\n"
-                   "PUSH 13\nPUSH 0\nSSTORE\nSTOP\n"
-                   "yes:\nJUMPDEST\nPUSH 42\nPUSH 0\nSSTORE\nSTOP"),
-    "unreachable":
-        "PUSH 42\nPUSH 0\nSSTORE\nSTOP\nPUSH 1\nPUSH 2\nADD",
-    "dead-label": ("PUSH 42\nPUSH 0\nSSTORE\nSTOP\n"
-                   "end:\nJUMPDEST\nSTOP"),
-}
-
-
-class TestPeepholeRules:
-    @pytest.mark.parametrize("rule", sorted(RULE_SNIPPETS))
-    def test_rule_fires_and_preserves_semantics(self, rule):
-        snippet = RULE_SNIPPETS[rule]
-        optimized, stats = optimize_assembly(snippet)
-        assert rule in stats.rules, (rule, stats.rules)
-        assert stats.instructions_after < stats.instructions_before
-        _assert_equivalent(assemble(snippet), assemble(optimized))
-
-    def test_fixpoint_is_stable(self):
-        for snippet in RULE_SNIPPETS.values():
-            once, _ = optimize_assembly(snippet)
-            twice, stats = optimize_assembly(once)
-            assert twice == once
-            assert stats.removed == 0
-
-    def test_windows_never_cross_barriers(self):
-        # PUSH before a JUMPDEST + POP after it must survive: the
-        # JUMPDEST is a jump target, so the pair is not a real window.
-        snippet = ("PUSH @L\nJUMP\nL:\nJUMPDEST\n"
-                   "PUSH 42\nPUSH 0\nSSTORE\nSTOP")
-        optimized, stats = optimize_assembly(snippet)
-        assert "JUMPDEST" in optimized
-        _assert_equivalent(assemble(snippet), assemble(optimized))

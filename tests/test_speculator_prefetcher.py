@@ -11,7 +11,7 @@ from repro.state.nodecache import NodeCache
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
-from tests.conftest import ALICE, BOB, FEED, ROUND
+from tests.conftest import ALICE, BOB, FEED, ROUND, speculate_many
 
 PF = pricefeed()
 
@@ -95,7 +95,7 @@ class TestSpeculator:
         speculator = Speculator(fresh_world())
         contexts = [FutureContext(i, header(3990462 + i))
                     for i in range(1, 4)]
-        merged = speculator.speculate_many(tx_e(), contexts)
+        merged = speculate_many(speculator, tx_e(), contexts)
         assert merged == 3
         assert len(speculator.get_ap(tx_e().hash).paths) == 3
 
@@ -161,7 +161,7 @@ class TestSpeculator:
         speculator = Speculator(fresh_world())
         contexts = [FutureContext(i, header(3990462 + i))
                     for i in range(1, 4)]
-        merged = speculator.speculate_many(tx_e(), contexts)
+        merged = speculate_many(speculator, tx_e(), contexts)
         assert merged == 2
         faulted = [r for r in speculator.records if r.faulted]
         assert len(faulted) == 1

@@ -28,21 +28,6 @@ def test_overflow():
         stack.push(0)
 
 
-def test_pop_n_order():
-    stack = Stack()
-    for value in (1, 2, 3):
-        stack.push(value)
-    assert stack.pop_n(2) == [3, 2]
-    assert len(stack) == 1
-
-
-def test_pop_n_underflow():
-    stack = Stack()
-    stack.push(1)
-    with pytest.raises(StackUnderflow):
-        stack.pop_n(2)
-
-
 def test_peek():
     stack = Stack()
     stack.push(10)

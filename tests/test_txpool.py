@@ -3,6 +3,7 @@
 import random
 
 from repro.chain.transaction import Transaction
+from repro.consensus.packing import pack_block
 from repro.txpool.pool import TxPool
 
 
@@ -53,8 +54,8 @@ def test_price_sorted_descending():
     pool = TxPool()
     for i, price in enumerate([50, 300, 100]):
         pool.add(tx(sender=i + 1, price=price))
-    prices = [t.gas_price for t in pool.price_sorted()]
-    assert prices == sorted(prices, reverse=True)
+    prices = [t.gas_price for t in pack_block(pool.pending(), {})]
+    assert prices == [300, 100, 50]
 
 
 def test_price_sorted_random_tiebreak():
@@ -63,8 +64,10 @@ def test_price_sorted_random_tiebreak():
     pool = TxPool()
     for i in range(8):
         pool.add(tx(sender=i + 1, price=100))
-    order_a = [t.hash for t in pool.price_sorted(random.Random(1))]
-    order_b = [t.hash for t in pool.price_sorted(random.Random(2))]
+    order_a = [t.hash for t in
+               pack_block(pool.pending(), {}, rng=random.Random(1))]
+    order_b = [t.hash for t in
+               pack_block(pool.pending(), {}, rng=random.Random(2))]
     assert sorted(order_a) == sorted(order_b)
     assert order_a != order_b
 
@@ -75,7 +78,7 @@ def test_miner_self_priority():
     rich = tx(sender=2, price=10**12)
     pool.add(own)
     pool.add(rich)
-    ordered = pool.price_sorted(prioritize_miner=0xE0)
+    ordered = pack_block(pool.pending(), {}, miner_id=0xE0)
     assert ordered[0] is own
 
 
@@ -83,6 +86,6 @@ def test_ready_for_consecutive_nonces():
     pool = TxPool()
     for nonce in (0, 1, 3):
         pool.add(tx(nonce=nonce))
-    ready = pool.ready_for(1, 0)
+    ready = pack_block(pool.pending(), {1: 0})
     assert [t.nonce for t in ready] == [0, 1]  # gap at 2 stops the run
-    assert pool.ready_for(1, 5) == []
+    assert pack_block(pool.pending(), {1: 5}) == []

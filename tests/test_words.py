@@ -50,6 +50,5 @@ def test_u256_always_in_range(value):
 
 
 def test_int_to_bytes_truncates():
-    from repro.utils.words import int_to_bytes
-    assert int_to_bytes(0x1234, 1) == b"\x34"
-    assert int_to_bytes(0xABCD, 2) == b"\xab\xcd"
+    assert int_to_bytes32(UINT256_MOD + 0x1234) == (0x1234).to_bytes(32, "big")
+    assert int_to_bytes32(-1) == b"\xff" * 32
