@@ -3,8 +3,9 @@
 Three measurements, all emitted to ``BENCH_interp.json``:
 
 * **dispatch** — per-opcode interpreter dispatch cost on synthetic
-  straight-line programs, with the tracer-bypassing fast emit path on
-  vs off (the ``fast_emit`` knob on :class:`repro.evm.interpreter.EVM`);
+  straight-line programs, on the tracer-bypassing fast emit path (no
+  tracer) and on the record-building path (a tracer whose ``on_step``
+  is a no-op override);
 * **specialize** — specialized-closure vs interpreted-walk time on
   hand-built APs exercising each of the 20 hottest opcodes
   (:data:`repro.evm.jit.HOT_OPS`), i.e. the Layer-1 speedup the tier
@@ -31,6 +32,7 @@ from repro.core.sevm import Reg, SInstr, SKind
 from repro.evm.assembler import assemble
 from repro.evm.interpreter import EVM
 from repro.evm.jit import HOT_OPS, compile_ap
+from repro.evm.tracing import Tracer
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
@@ -62,7 +64,14 @@ def _dispatch_program(op: str) -> str:
     return body * DISPATCH_ITERS + "STOP\n"
 
 
-def _time_dispatch(code: bytes, fast_emit: bool) -> tuple:
+class _StepTracer(Tracer):
+    """Overrides ``on_step``, so the EVM builds every StepRecord."""
+
+    def on_step(self, record) -> None:
+        pass
+
+
+def _time_dispatch(code: bytes, tracer=None) -> tuple:
     """(best seconds, instruction count) over REPS executions."""
     best = float("inf")
     instructions = 0
@@ -73,7 +82,7 @@ def _time_dispatch(code: bytes, fast_emit: bool) -> tuple:
         state = StateDB(world)
         tx = Transaction(sender=SENDER, to=TARGET, nonce=0,
                          gas_limit=10**9)
-        evm = EVM(state, _header(), tx, fast_emit=fast_emit)
+        evm = EVM(state, _header(), tx, tracer=tracer)
         start = time.perf_counter()
         result = evm.execute_transaction()
         best = min(best, time.perf_counter() - start)
@@ -124,8 +133,8 @@ def test_interp_hotpath(l1):
     dispatch = {}
     for op in HOT_OPS:
         code_bytes = assemble(_dispatch_program(op))
-        fast_s, n_instr = _time_dispatch(code_bytes, fast_emit=True)
-        slow_s, _ = _time_dispatch(code_bytes, fast_emit=False)
+        fast_s, n_instr = _time_dispatch(code_bytes)
+        slow_s, _ = _time_dispatch(code_bytes, tracer=_StepTracer())
         dispatch[op] = {
             "instructions": n_instr,
             "ns_per_instr_fast_emit": round(fast_s / n_instr * 1e9, 2),

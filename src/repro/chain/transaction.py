@@ -74,7 +74,9 @@ def tx_to_wire(tx: Transaction) -> dict:
     cross-replica message (gossip, pool sync, speculation dispatch)
     that carries one.  ``tx_from_wire(tx_to_wire(tx))`` reconstructs a
     transaction with the same hash (property-tested in
-    ``tests/test_wire_properties.py``)."""
+    ``tests/test_wire_properties.py``).  Datasets and recovery snapshots
+    store this form plus an ``origin_miner`` key, which
+    :func:`tx_from_wire` also reads."""
     return {
         "sender": tx.sender,
         "to": tx.to,
@@ -88,6 +90,7 @@ def tx_to_wire(tx: Transaction) -> dict:
 
 def tx_from_wire(data: dict) -> Transaction:
     """Decode :func:`tx_to_wire` output back into a transaction."""
+    origin_miner = data.get("origin_miner")
     return Transaction(
         sender=int(data["sender"]),
         to=int(data["to"]),
@@ -96,4 +99,5 @@ def tx_from_wire(data: dict) -> Transaction:
         gas_price=int(data["gas_price"]),
         gas_limit=int(data["gas_limit"]),
         nonce=int(data["nonce"]),
+        origin_miner=int(origin_miner) if origin_miner is not None else None,
     )

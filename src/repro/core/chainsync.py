@@ -16,7 +16,6 @@ against the live state.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.chain.block import Block
@@ -41,7 +40,10 @@ class ChainManager:
         self.node = node
         self.chain = Blockchain(genesis)
         self.snapshot_depth = snapshot_depth
-        self._snapshots: "OrderedDict[int, WorldState]" = OrderedDict()
+        #: The newest ``snapshot_depth`` executed blocks, oldest first: a
+        #: FIFO window, not an LRU — the reorg depth a node can absorb
+        #: is counted in blocks executed since, whatever a reorg read.
+        self._snapshots: Dict[int, WorldState] = {}
         self._snapshot(genesis)
         self.reorgs = 0
         self.blocks_reexecuted = 0
@@ -54,9 +56,10 @@ class ChainManager:
     # -- internals ----------------------------------------------------------
 
     def _snapshot(self, block: Block) -> None:
-        self._snapshots[block.hash] = self.node.world.copy()
-        while len(self._snapshots) > self.snapshot_depth:
-            self._snapshots.popitem(last=False)
+        snapshots = self._snapshots
+        snapshots[block.hash] = self.node.world.copy()
+        while len(snapshots) > self.snapshot_depth:
+            del snapshots[next(iter(snapshots))]
 
     def _restore(self, block_hash: int) -> None:
         snapshot = self._snapshots.get(block_hash)

@@ -155,8 +155,6 @@ class ForerunnerConfig:
     #: Trace-fingerprint synthesis dedup: clone an already-merged
     #: identical path instead of re-running translate/optimize.
     enable_synth_dedup: bool = True
-    #: Max cached predecessor prefixes (LRU).
-    prefix_cache_capacity: int = 1024
     #: Shortcut-selection heuristic: "coarse" | "default" | "fine".
     memoization_strategy: str = "default"
     #: Optional :class:`repro.core.optimize.PassConfig` ablating the
@@ -166,14 +164,6 @@ class ForerunnerConfig:
     #: timing).  Disabling swaps in a no-op tracer; pipeline outputs
     #: (traces, APs, Merkle roots, Tables 2/3) are identical either way.
     enable_obs: bool = True
-    #: Bound on cached trace fingerprints per transaction (synthesis
-    #: dedup LRU).
-    dedup_capacity_per_tx: int = 16
-    #: Bound on memoized accelerated programs (deterministic LRU; the
-    #: default is far above any evaluation-sized pool, so Tables 2/3
-    #: are byte-identical to the unbounded seed — only a long-running
-    #: live node ever evicts).
-    memo_capacity: int = 4096
     #: Chaos testing: a :class:`repro.faults.injector.FaultPlan` to run
     #: the node under.  ``None`` (the default) installs the no-op
     #: injector; the guard/breaker machinery is always active either
@@ -303,9 +293,6 @@ class ForerunnerNode:
             memoization_strategy=self.config.memoization_strategy,
             enable_prefix_cache=self.config.enable_prefix_cache,
             enable_synth_dedup=self.config.enable_synth_dedup,
-            prefix_cache_capacity=self.config.prefix_cache_capacity,
-            dedup_capacity_per_tx=self.config.dedup_capacity_per_tx,
-            memo_capacity=self.config.memo_capacity,
             registry=self.registry,
             tracer=self.tracer,
             injector=self.fault_injector,
@@ -501,7 +488,7 @@ class ForerunnerNode:
             if path is not None:
                 # Annotate only (no hand-out, no LRU touch): the AP is
                 # finished when the cycle ends.
-                ap = speculator.aps.get(tx.hash)
+                ap = speculator.aps.peek(tx.hash)
                 if ap is not None:
                     if ap.ready_at == 0.0 or len(ap.paths) == 1:
                         # First successful merge decides readiness;

@@ -26,12 +26,15 @@ the cache's scope (``prefix_cache.*``).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.state.statedb import StateDB
+from repro.utils.lru import LruMap
+
+#: Materialized prefixes kept (LRU-evicted beyond).
+PREFIX_CACHE_CAPACITY = 1024
 
 
 def context_key(world_version: int, header: BlockHeader,
@@ -73,10 +76,9 @@ class PrefixCache:
     is always safe and never needs to reach the guard layer.
     """
 
-    def __init__(self, capacity: int = 256, enabled: bool = True,
+    def __init__(self, enabled: bool = True,
                  registry: Optional[MetricsRegistry] = None,
                  injector=None, jit=None) -> None:
-        self.capacity = capacity
         self.enabled = enabled
         self.injector = injector
         #: Optional :class:`repro.evm.jit.tier.JitTier`.  Invalidation
@@ -84,7 +86,7 @@ class PrefixCache:
         #: tier from here, so every cache of derived execution
         #: artifacts is dropped at one point.
         self.jit = jit
-        self._entries: "OrderedDict[tuple, PrefixEntry]" = OrderedDict()
+        self._entries = LruMap(PREFIX_CACHE_CAPACITY)
         # -- instruments (core.stats / CLI surface these) ------------------
         obs = (registry or get_registry()).scope("prefix_cache")
         self.c_hits = obs.counter("hits")
@@ -127,10 +129,7 @@ class PrefixCache:
                 and self.injector.evaluate("prefix_cache.lookup")
                 is not None):
             return None  # contained locally: a lookup fault is a miss
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+        return self._entries.get(key)
 
     def store(self, key: tuple, entry: PrefixEntry) -> None:
         if not self.enabled:
@@ -139,13 +138,11 @@ class PrefixCache:
                 and self.injector.evaluate("prefix_cache.store")
                 is not None):
             return  # contained locally: a store fault skips caching
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+        evicted = self._entries.set(key, entry)
         for tx in self._preds(key):
             self._by_tx.setdefault(tx, set()).add(key)
-        while len(self._entries) > self.capacity:
-            victim, _ = self._entries.popitem(last=False)
-            self._unindex(self._by_tx, victim)
+        if evicted is not None:
+            self._unindex(self._by_tx, evicted[0])
             self.c_evictions.inc()
         self._g_entries.set(len(self._entries))
 

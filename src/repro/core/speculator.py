@@ -44,7 +44,6 @@ on reorgs.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -70,6 +69,15 @@ from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import NullTracer
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
+from repro.utils.lru import LruMap
+
+#: APs the memo table keeps (LRU-evicted beyond).  Far above any
+#: evaluation-sized pool, so Tables 2/3 match an unbounded table; only
+#: a long-running live node ever evicts.
+MEMO_CAPACITY = 4096
+#: Merged-path fingerprints the synthesis-dedup index keeps per
+#: transaction (LRU-evicted beyond).
+DEDUP_CAPACITY_PER_TX = 16
 
 
 def synthesize_path(trace: TraceResult, path_id: int = 0,
@@ -203,9 +211,6 @@ class Speculator:
                  memoization_strategy: str = "default",
                  enable_prefix_cache: bool = True,
                  enable_synth_dedup: bool = True,
-                 prefix_cache_capacity: int = 1024,
-                 dedup_capacity_per_tx: int = 16,
-                 memo_capacity: int = 4096,
                  registry: Optional[MetricsRegistry] = None,
                  tracer=None,
                  injector=None,
@@ -233,18 +238,15 @@ class Speculator:
         #: accelerator owns the execute side.
         self.jit = jit
         self.prefix_cache = PrefixCache(
-            capacity=prefix_cache_capacity, enabled=enable_prefix_cache,
-            registry=registry,
+            enabled=enable_prefix_cache, registry=registry,
             injector=self.injector if self.injector.enabled else None,
             jit=jit)
-        #: The memo table: tx hash -> AcceleratedProgram, LRU-ordered.
-        #: Bounded by ``memo_capacity`` (the long-sim unbounded-growth
-        #: fix): recency updates happen at deterministic points of the
+        #: The memo table: tx hash -> AcceleratedProgram.  Recency
+        #: updates happen at deterministic points of the
         #: speculation/execution schedule, so eviction order is a pure
         #: function of the workload — two same-seed runs evict the same
         #: transactions at the same cost-unit times.
-        self.aps: "OrderedDict[int, AcceleratedProgram]" = OrderedDict()
-        self.memo_capacity = memo_capacity
+        self.aps = LruMap(MEMO_CAPACITY)
         #: Durability hook (:mod:`repro.recovery`): called as
         #: ``memo_sink(event, tx_hash)`` for ``insert`` / ``evict`` /
         #: ``drop`` / ``discard`` so the journal can record the memo
@@ -286,8 +288,7 @@ class Speculator:
         #: Per-tx fingerprint index: tx -> (fingerprint -> detached
         #: APPath), LRU-bounded per transaction, cleared on
         #: drop/discard/reorg.
-        self._dedup: Dict[int, "OrderedDict[str, APPath]"] = {}
-        self.dedup_capacity_per_tx = dedup_capacity_per_tx
+        self._dedup: Dict[int, LruMap] = {}
         #: APs a merge changed since they were last finished (by tx).
         self._dirty: Dict[int, Transaction] = {}
         self._next_path_id = 0
@@ -310,7 +311,6 @@ class Speculator:
         bookkeeping that only annotates the AP reads ``aps`` instead."""
         ap = self.aps.get(tx_hash)
         if ap is not None:
-            self.aps.move_to_end(tx_hash)
             ap = self._finalize(tx_hash, ap)
         return ap
 
@@ -370,7 +370,7 @@ class Speculator:
         """Finish every AP this speculation cycle changed (the node
         calls this when the cycle ends, still off the critical path)."""
         for tx_hash in list(self._dirty):
-            self._finalize(tx_hash, self.aps[tx_hash], on_read=False)
+            self._finalize(tx_hash, self.aps.peek(tx_hash), on_read=False)
 
     def _memo_event(self, event: str, tx_hash: int) -> None:
         if self.memo_sink is not None:
@@ -386,19 +386,18 @@ class Speculator:
             ))
 
     def _memo_insert(self, tx_hash: int, ap: AcceleratedProgram) -> None:
-        """Insert a fresh AP, LRU-evicting past ``memo_capacity``.
+        """Insert a fresh AP, LRU-evicting past :data:`MEMO_CAPACITY`.
 
         An evicted AP is archived like a dropped one (its synthesis
         happened; §5.5 must still see it) — the transaction simply
         loses its acceleration and, if it is ever packed, executes the
         plain path: eviction can never change committed state.
         """
-        self.aps[tx_hash] = ap
-        self.aps.move_to_end(tx_hash)
+        evicted = self.aps.set(tx_hash, ap)
         self.c_memo_inserts.inc()
         self._memo_event("insert", tx_hash)
-        while len(self.aps) > self.memo_capacity:
-            victim_hash, victim = self.aps.popitem(last=False)
+        if evicted is not None:
+            victim_hash, victim = evicted
             self._dedup.pop(victim_hash, None)
             self.prefix_cache.evict_tx(victim_hash)
             # Inserts happen in-cycle, off the critical path: not a read.
@@ -534,22 +533,16 @@ class Speculator:
         index = self._dedup.get(tx_hash)
         if index is None:
             return None
-        path = index.get(fingerprint)
-        if path is not None:
-            index.move_to_end(fingerprint)
-        return path
+        return index.get(fingerprint)
 
     def _dedup_store(self, tx_hash: int, fingerprint: str,
                      path: APPath) -> None:
         index = self._dedup.get(tx_hash)
         if index is None:
-            index = self._dedup[tx_hash] = OrderedDict()
+            index = self._dedup[tx_hash] = LruMap(DEDUP_CAPACITY_PER_TX)
         # Detach: the merged path's mutable parts (stats, sets) keep
         # evolving with the AP; the archived copy must not alias them.
-        index[fingerprint] = _detach_path(path)
-        index.move_to_end(fingerprint)
-        while len(index) > self.dedup_capacity_per_tx:
-            index.popitem(last=False)
+        if index.set(fingerprint, _detach_path(path)) is not None:
             self.c_dedup_evictions.inc()
 
     # -- speculation ---------------------------------------------------------
@@ -721,8 +714,6 @@ class Speculator:
         if ap is None:
             ap = AcceleratedProgram(tx.hash)
             self._memo_insert(tx.hash, ap)
-        else:
-            self.aps.move_to_end(tx.hash)
         enriched = self._merge_metrics.enriched.value
         with self.tracer.span("merge") as sp:
             self.injector.maybe_raise("speculator.merge",

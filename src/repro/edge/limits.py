@@ -26,67 +26,16 @@ streams, so two runs of the same scenario are byte-identical.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.utils.hashing import hash_words, keccak_int
+from repro.utils.lru import LruMap
 
-
-class LruMap:
-    """A bounded mapping with deterministic least-recently-used
-    eviction.
-
-    Per-client state maps at the edge (token buckets, retry jitter
-    streams) would otherwise grow one entry per distinct client id ever
-    seen — an unbounded-memory liability under address-rotating storms.
-    ``LruMap`` caps them: a read or write moves the key to the
-    most-recent end, and inserting past ``capacity`` evicts exactly the
-    least-recently-used key.  Eviction order is a pure function of the
-    access sequence, so two runs of the same scenario evict the same
-    keys at the same points and stay byte-identical.  An evicted
-    client that returns is rebuilt from its seeded initial state —
-    deterministic, merely forgetful.
-    """
-
-    __slots__ = ("capacity", "evictions", "_data")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("LruMap capacity must be >= 1")
-        self.capacity = capacity
-        self.evictions = 0
-        self._data: "OrderedDict" = OrderedDict()
-
-    def get(self, key):
-        """The value for ``key`` (touching it), or ``None``."""
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def set(self, key, value) -> None:
-        if key in self._data:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            return
-        self._data[key] = value
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def pop(self, key, default=None):
-        """Remove and return the value for ``key`` (or ``default``)."""
-        return self._data.pop(key, default)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def keys(self):
-        return self._data.keys()
+#: Bound on live per-client state at the edge — token buckets and
+#: retry jitter streams (LRU-evicted beyond it; an evicted client that
+#: returns is rebuilt from its seeded initial state).
+CLIENT_STATE_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -207,8 +156,6 @@ class RetryConfig:
     #: total retry amplification under sustained overload.
     budget_tokens: float = 64.0
     budget_refill_per_success: float = 0.1
-    #: Bound on live per-client jitter streams (LRU-evicted beyond it).
-    client_state_capacity: int = 4096
 
 
 class RetryBudget:
@@ -226,7 +173,7 @@ class RetryBudget:
         self.tokens = self.config.budget_tokens
         self.spent = 0
         self.denied = 0
-        self._rngs = LruMap(self.config.client_state_capacity)
+        self._rngs = LruMap(CLIENT_STATE_CAPACITY)
 
     def _rng(self, client_id: int) -> random.Random:
         rng = self._rngs.get(client_id)

@@ -37,7 +37,12 @@ from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.edge import rpc
 from repro.edge.brownout import BrownoutConfig, BrownoutController
-from repro.edge.limits import Bulkhead, Deadline, LruMap, TokenBucket
+from repro.edge.limits import (
+    CLIENT_STATE_CAPACITY,
+    Bulkhead,
+    Deadline,
+    TokenBucket,
+)
 from repro.faults.guard import CircuitBreaker
 from repro.faults.injector import NULL_INJECTOR, corrupt_frame
 from repro.faults.sites import (
@@ -48,6 +53,7 @@ from repro.faults.sites import (
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.state.statedb import StateDB
+from repro.utils.lru import LruMap
 from repro.witness.format import witness_digest, witness_to_dict
 
 #: The methods the edge serves, in breaker-contract-id order.
@@ -71,6 +77,10 @@ WITNESS_TRACE_COST = 400
 #: rejections never occupy a bulkhead.
 REJECT_COST = 40
 
+#: Memoized ``eth_call`` results kept.  A FIFO window, not an LRU: the
+#: oldest *inserted* result goes first, however often it was served.
+CALL_MEMO_CAPACITY = 512
+
 
 @dataclass
 class EdgeConfig:
@@ -87,9 +97,6 @@ class EdgeConfig:
     #: Per-client token bucket (requests; continuous refill).
     bucket_capacity: float = 30.0
     bucket_refill_per_second: float = 15.0
-    #: Bound on live per-client buckets (deterministic LRU eviction;
-    #: an evicted client that returns gets a fresh full bucket).
-    client_state_capacity: int = 4096
     #: Brownout ladder thresholds.
     brownout: BrownoutConfig = field(default_factory=BrownoutConfig)
     #: Circuit breaker per method (clock = served cost units).
@@ -105,8 +112,6 @@ class EdgeConfig:
     #: against a fresh plain execution — the serving-equivalence
     #: oracle.  Costs nothing in simulated time.
     verify_responses: bool = False
-    #: Memoized ``eth_call`` results kept (deterministic LRU).
-    call_memo_capacity: int = 512
     #: Serve memo entries up to this many world versions old while the
     #: brownout ladder is at ``degraded`` or above (stale reads).
     stale_read_versions: int = 1
@@ -172,7 +177,7 @@ class EdgeServer:
             method: Bulkhead(method, config.queue_capacity,
                              config.service_rate)
             for method in METHODS}
-        self.buckets = LruMap(config.client_state_capacity)
+        self.buckets = LruMap(CLIENT_STATE_CAPACITY)
         self.brownout = BrownoutController(config.brownout, self.registry)
         #: Monotone served-cost clock driving the breaker cool-downs.
         self._served_units = 0
@@ -212,9 +217,9 @@ class EdgeServer:
         self._reports_seen = 0
         self._witness_index: Dict[int, object] = {}
         self._witnesses_seen = 0
-        # eth_call memo: key -> (world_version, result_dict, tx_used).
+        # eth_call memo: key -> (world_version, result_dict, tx_used),
+        # in insertion order.
         self._call_memo: "Dict[tuple, tuple]" = {}
-        self._call_memo_order: List[tuple] = []
         # Pending-pool call index: key -> tx_hash (rebuilt on pool change).
         self._pool_index: Dict[tuple, int] = {}
         self._pool_index_version = -1
@@ -651,12 +656,10 @@ class EdgeServer:
 
     def _memoize_call(self, key: tuple, version: int, result: dict,
                       tx: Transaction) -> None:
-        if key not in self._call_memo:
-            self._call_memo_order.append(key)
-        self._call_memo[key] = (version, result, tx)
-        while len(self._call_memo_order) > self.config.call_memo_capacity:
-            victim = self._call_memo_order.pop(0)
-            self._call_memo.pop(victim, None)
+        memo = self._call_memo
+        memo[key] = (version, result, tx)
+        if len(memo) > CALL_MEMO_CAPACITY:
+            del memo[next(iter(memo))]
 
     def _verify_call(self, tx: Transaction, served: dict) -> None:
         """The serving-equivalence oracle: re-execute plainly at the

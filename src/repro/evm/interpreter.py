@@ -13,7 +13,6 @@ memory-expansion cost, and no precompiles/CREATE.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -45,6 +44,7 @@ from repro.evm.tracing import (
 )
 from repro.state.statedb import StateDB
 from repro.utils.hashing import keccak_int
+from repro.utils.lru import LruMap
 from repro.utils.words import (
     bytes_to_int,
     int_to_bytes32,
@@ -114,45 +114,14 @@ class _Frame:
         self.program = _decode_program(code)
 
 
-class _CodeCache:
-    """Deterministic bounded LRU for per-code-blob decoded artifacts.
+#: Decoded artifacts kept per code blob (jumpdest sets, dispatch
+#: tables).  Keys are the code bytes themselves, so an entry can never
+#: be stale; the bound keeps a long simulation from growing the caches
+#: without limit, and recency updates happen at deterministic execution
+#: points, so eviction order is a pure function of the workload.
+CODE_CACHE_CAPACITY = 4096
 
-    Keys are the code bytes themselves (content-addressed, so entries
-    can never be *stale*); the bound and the versioned
-    :func:`invalidate_code_caches` hook exist so long simulations
-    cannot grow the cache without limit and so redeploy/reorg handling
-    has a single "forget derived code artifacts" point shared with the
-    specialization tier.  Recency updates happen at deterministic
-    execution points, so eviction order is a pure function of the
-    workload (same discipline as the speculator's memo table).
-    """
-
-    __slots__ = ("capacity", "entries")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self.entries: "OrderedDict[bytes, object]" = OrderedDict()
-
-    def get(self, key: bytes):
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-        return entry
-
-    def put(self, key: bytes, value) -> None:
-        self.entries[key] = value
-        self.entries.move_to_end(key)
-        while len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-_JUMPDEST_CACHE = _CodeCache()
+_JUMPDEST_CACHE = LruMap(CODE_CACHE_CAPACITY)
 
 #: Bumped by :func:`invalidate_code_caches`; exposed for tests and the
 #: jit tier, which versions its artifacts in lockstep.
@@ -191,11 +160,11 @@ def _valid_jumpdests(code: bytes) -> frozenset:
             i += opcodes.push_size(op)
         i += 1
     result = frozenset(dests)
-    _JUMPDEST_CACHE.put(code, result)
+    _JUMPDEST_CACHE.set(code, result)
     return result
 
 
-_PROGRAM_CACHE = _CodeCache()
+_PROGRAM_CACHE = LruMap(CODE_CACHE_CAPACITY)
 
 
 def _push_entry(op: int, value: int, next_pc: int):
@@ -262,7 +231,7 @@ def _decode_program(code: bytes):
             handler = _unimplemented_entry(info.name)
         program[i] = (handler, info)
         i += 1
-    _PROGRAM_CACHE.put(code, program)
+    _PROGRAM_CACHE.set(code, program)
     return program
 
 
@@ -288,15 +257,6 @@ class EvmMetrics:
         self.write_ops.inc(evm.write_op_count)
 
 
-#: When True (default), an EVM whose tracer is the no-op base
-#: :class:`Tracer` skips StepRecord construction entirely in
-#: :meth:`EVM._emit` — the single largest interpreter overhead on the
-#: commit path (~30% of `_run`), and pure waste when nobody observes
-#: the records.  Semantics are identical either way; the flag exists
-#: as the A/B knob for ``benchmarks/test_interp_hotpath.py``.
-FAST_EMIT = True
-
-
 class EVM:
     """Executes messages against a StateDB in a block context.
 
@@ -312,7 +272,6 @@ class EVM:
         tracer: Optional[Tracer] = None,
         blockhash_fn: Optional[Callable[[int], int]] = None,
         obs: Optional[EvmMetrics] = None,
-        fast_emit: Optional[bool] = None,
     ) -> None:
         self.state = state
         self.header = header
@@ -327,15 +286,15 @@ class EVM:
         #: Count of state-write operations (SSTORE/LOG): these carry
         #: journaling/commit work beyond plain interpretation.
         self.write_op_count = 0
-        if fast_emit is None:
-            fast_emit = FAST_EMIT
-        if fast_emit and type(self.tracer).on_step is Tracer.on_step:
+        if type(self.tracer).on_step is Tracer.on_step:
             # No per-step observer: shadow _emit with the counting-only
             # fast path (instance attribute wins over the class
-            # method).  Tracers that override only the context hooks —
-            # the witness ReadSetRecorder — keep fast dispatch, since
-            # those hooks are invoked directly by the read handlers,
-            # not through _emit.
+            # method), skipping StepRecord construction — the largest
+            # interpreter overhead on the commit path.  Tracers that
+            # override only the context hooks — the witness
+            # ReadSetRecorder — keep fast dispatch, since those hooks
+            # are invoked directly by the read handlers, not through
+            # _emit.
             self._emit = self._emit_fast
 
     # -- transaction entry point -------------------------------------------

@@ -29,7 +29,7 @@ protocol that stays byte-identical under a hostile network:
   sequences are deduplicated, future sequences wait in a bounded
   hold-back buffer, and effects apply strictly in send order.  The
   in-flight and hold-back maps are bounded with the deterministic
-  :class:`~repro.edge.limits.LruMap`, so a lossy link cannot grow
+  :class:`~repro.utils.lru.LruMap`, so a lossy link cannot grow
   memory without bound;
 * :class:`FailureDetector` consumes the (unreliable) heartbeat channel
   and feeds ring ``leave``/``join`` decisions — membership follows
@@ -56,7 +56,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.edge.limits import LruMap
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.sites import (
@@ -67,6 +66,7 @@ from repro.faults.sites import (
 )
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
+from repro.utils.lru import LruMap
 
 #: The supervisor's network endpoint (block feed, gossip ingress,
 #: heartbeat sink) — a node id that is never a replica id.
@@ -78,6 +78,12 @@ _ACK_CHANNEL = "#ack"
 #: Hard bound on flush work (deliveries + retry rounds) — a pure
 #: backstop: escalation guarantees quiescence long before this.
 _FLUSH_GUARD = 1_000_000
+
+#: Bounds on the per-link reliability state (LRU-evicted beyond):
+#: un-acked envelopes across the plane, and out-of-order envelopes
+#: held back per (receiver, sender, channel) window.
+INFLIGHT_CAPACITY = 4096
+HOLDBACK_CAPACITY = 512
 
 
 @dataclass
@@ -98,9 +104,6 @@ class WireConfig:
     #: Transmission attempts before a message escalates (bypasses
     #: fault evaluation — the last-resort delivery path).
     escalate_after: int = 4
-    #: Bounds on the per-link reliability state (LRU-evicted beyond).
-    inflight_capacity: int = 4096
-    holdback_capacity: int = 512
     #: Default ``net.delay`` latency and ``net.reorder`` displacement
     #: on the flush micro-clock (rule magnitude overrides).
     delay_seconds: float = 0.25
@@ -154,9 +157,9 @@ class _RecvState:
 
     __slots__ = ("next_seq", "holdback")
 
-    def __init__(self, holdback_capacity: int) -> None:
+    def __init__(self) -> None:
         self.next_seq = 0
-        self.holdback = LruMap(holdback_capacity)
+        self.holdback = LruMap(HOLDBACK_CAPACITY)
 
 
 class NetworkSim:
@@ -300,12 +303,12 @@ class WirePlane:
         self._g_inflight = obs.gauge("inflight")
         self._handlers: Dict[Tuple[int, str], Handler] = {}
         self._next_seq: Dict[Tuple[int, int, str], int] = {}
-        self._inflight: LruMap = LruMap(self.config.inflight_capacity)
+        self._inflight = LruMap(INFLIGHT_CAPACITY)
         self._recv: Dict[Tuple[int, int, str], _RecvState] = {}
         self._order = 0
-        #: High-water marks (the soak regression's evidence that a
-        #: lossy link cannot grow memory without bound).
-        self.inflight_high_water = 0
+        #: Largest hold-back window seen (with ``_inflight.high_water``,
+        #: the soak regression's evidence that a lossy link cannot grow
+        #: memory without bound).
         self.holdback_high_water = 0
         #: Per-link delivery/retry/dedup ledger for reporting.
         self.links: Dict[Tuple[int, int, str], Dict[str, int]] = {}
@@ -356,8 +359,6 @@ class WirePlane:
                 (src, dst, channel, seq),
                 _Inflight(envelope=env, order=self._order,
                           next_retry=now + self.config.retry_base_seconds))
-            self.inflight_high_water = max(self.inflight_high_water,
-                                           len(self._inflight))
         self.sim.transmit(env, now, stats)
         return env
 
@@ -399,11 +400,8 @@ class WirePlane:
         raise SimulationError("wire flush did not quiesce")
 
     def _retryable(self) -> List[_Inflight]:
-        return [rec for key, rec in
-                [(key, self._inflight.get(key))
-                 for key in list(self._inflight.keys())]
-                if rec is not None
-                and not self.sim.cut(rec.envelope.src, rec.envelope.dst)]
+        return [rec for _, rec in self._inflight.items()
+                if not self.sim.cut(rec.envelope.src, rec.envelope.dst)]
 
     def _retransmit(self, rec: _Inflight, clock: float) -> None:
         rec.attempts += 1
@@ -433,7 +431,7 @@ class WirePlane:
             return
         state = self._recv.get((env.dst, env.src, env.channel))
         if state is None:
-            state = _RecvState(self.config.holdback_capacity)
+            state = _RecvState()
             self._recv[(env.dst, env.src, env.channel)] = state
         if env.reliable:
             self._ack(env, at)
@@ -524,7 +522,7 @@ class WirePlane:
             "holdback_held": self.c_held.value,
             "partitions": self.sim.partitions,
             "parked": self.sim.parked_count,
-            "inflight_high_water": self.inflight_high_water,
+            "inflight_high_water": self._inflight.high_water,
             "holdback_high_water": self.holdback_high_water,
         }
 

@@ -46,6 +46,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.chain.transaction import tx_from_wire, tx_to_wire
 from repro.core.node import (
     BaselineNode,
     BlockReport,
@@ -82,12 +83,7 @@ from repro.sim.emulator import (
     evaluation_step,
     replay,
 )
-from repro.sim.storage import (
-    tx_from_json,
-    tx_to_json,
-    world_from_json,
-    world_to_json,
-)
+from repro.sim.storage import world_from_json, world_to_json
 
 
 @dataclass
@@ -276,7 +272,7 @@ class DurableReplay:
         return scan.next_seq
 
     def _restore_from_snapshot(self, payload: dict) -> None:
-        if payload.get("format") != 1:
+        if payload.get("format") != 2:
             raise RecoveryError(
                 f"unknown snapshot format {payload.get('format')!r}")
         if payload["dataset"] != self.dataset.name \
@@ -296,7 +292,7 @@ class DurableReplay:
             self.dataset.genesis_block)
         self.forerunner.head_number = int(fore["head_number"])
         for tx_json, heard_time in fore["pool"]:
-            tx = tx_from_json(tx_json)
+            tx = tx_from_wire(tx_json)
             self.forerunner.pool[tx.hash] = (tx, float(heard_time))
         self.forerunner.heard = {
             int(tx_hash, 16): float(when)
@@ -319,7 +315,7 @@ class DurableReplay:
         fore = self.forerunner
         pool = sorted(fore.pool.items())
         return {
-            "format": 1,
+            "format": 2,
             "dataset": self.dataset.name,
             "observer": self.observer,
             "block_number": block_number,
@@ -336,13 +332,15 @@ class DurableReplay:
                 "world": world_to_json(fore.world),
                 "cache": _cache_to_json(fore.node_cache),
                 "head_number": fore.head_number,
-                "pool": [[tx_to_json(tx), heard]
+                "pool": [[dict(tx_to_wire(tx), origin_miner=tx.origin_miner),
+                          heard]
                          for _, (tx, heard) in pool],
                 "heard": [[f"{tx_hash:#x}", when] for tx_hash, when
                           in sorted(fore.heard.items())],
                 "executed": [f"{tx_hash:#x}"
                              for tx_hash in sorted(fore.executed)],
-                "memo": [f"{tx_hash:#x}" for tx_hash in fore.speculator.aps],
+                "memo": [f"{tx_hash:#x}"
+                         for tx_hash in fore.speculator.aps.keys()],
                 "reports": [_report_to_json(r) for r in fore.reports],
             },
             "records": [dataclasses.asdict(r)

@@ -5,10 +5,12 @@ module gives the reproduction the same property — a recorded period can
 be saved, shared, and replayed byte-identically (`load` rebuilds the
 same transactions, hence the same hashes and Merkle roots).
 
-The transaction, header and world codecs are public: crash-recovery
-snapshots (:mod:`repro.recovery.snapshot`) persist worlds and pending
-transactions with the exact same byte-stable encoding datasets use,
-so a state saved by one layer round-trips through the other.
+The header and world codecs are public: crash-recovery snapshots
+(:mod:`repro.recovery.snapshot`) persist worlds with the exact same
+byte-stable encoding datasets use, and both persist transactions in
+the wire form (:func:`repro.chain.transaction.tx_to_wire` plus the
+``origin_miner`` of a private transaction), so a state saved by one
+layer round-trips through the other.
 """
 
 from __future__ import annotations
@@ -17,41 +19,13 @@ import json
 from typing import Dict, List, Tuple
 
 from repro.chain.block import Block, BlockHeader
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, tx_from_wire, tx_to_wire
 from repro.sim.recorder import Dataset, DatasetConfig
 from repro.state.account import Account
 from repro.state.world import WorldState
 from repro.workloads.mixed import TimedTx
 
-FORMAT_VERSION = 1
-
-
-def tx_to_json(tx: Transaction) -> dict:
-    return {
-        "sender": hex(tx.sender),
-        "to": hex(tx.to),
-        "data": tx.data.hex(),
-        "value": str(tx.value),
-        "gas_price": str(tx.gas_price),
-        "gas_limit": tx.gas_limit,
-        "nonce": tx.nonce,
-        "origin_miner": (hex(tx.origin_miner)
-                         if tx.origin_miner is not None else None),
-    }
-
-
-def tx_from_json(payload: dict) -> Transaction:
-    return Transaction(
-        sender=int(payload["sender"], 16),
-        to=int(payload["to"], 16),
-        data=bytes.fromhex(payload["data"]),
-        value=int(payload["value"]),
-        gas_price=int(payload["gas_price"]),
-        gas_limit=payload["gas_limit"],
-        nonce=payload["nonce"],
-        origin_miner=(int(payload["origin_miner"], 16)
-                      if payload["origin_miner"] is not None else None),
-    )
+FORMAT_VERSION = 2
 
 
 def header_to_json(header: BlockHeader) -> dict:
@@ -127,7 +101,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         "name": dataset.name,
         "genesis_world": world_to_json(dataset.genesis_world),
         "genesis_block": _block_to_json(dataset.genesis_block, tx_index),
-        "txs": [tx_to_json(tx) for tx in all_txs],
+        "txs": [dict(tx_to_wire(tx), origin_miner=tx.origin_miner)
+                for tx in all_txs],
         "kinds": [dataset.kinds.get(tx.hash, "?") for tx in all_txs],
         "times": [t.time for t in dataset.all_txs],
         "blocks": [
@@ -155,7 +130,7 @@ def load_dataset(path: str) -> Dataset:
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported dataset format {payload.get('version')!r}")
-    txs = [tx_from_json(entry) for entry in payload["txs"]]
+    txs = [tx_from_wire(entry) for entry in payload["txs"]]
 
     def block_from(entry) -> Tuple[float, Block]:
         block = Block(

@@ -10,26 +10,29 @@ cost accounting only, never correctness.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Hashable
 
+from repro.utils.lru import LruMap
 
-class NodeCache:
+#: Warm state keys a node remembers across blocks.
+NODE_CACHE_CAPACITY = 200_000
+
+
+class NodeCache(LruMap):
     """LRU set of warm state keys shared across a node's lifetime."""
 
-    def __init__(self, capacity: int = 200_000) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, None]" = OrderedDict()
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        super().__init__(NODE_CACHE_CAPACITY)
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def contains(self, key: Hashable) -> bool:
         """Check warmness and update recency + hit/miss counters."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        # Runs on every state read: one call deep, no LruMap.get.
+        if key in self._data:
+            self._data.move_to_end(key)
             self.hits += 1
             return True
         self.misses += 1
@@ -37,12 +40,7 @@ class NodeCache:
 
     def add(self, key: Hashable) -> None:
         """Mark a key warm, evicting the least recently used beyond cap."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        self._entries[key] = None
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self.set(key, None)
 
     # -- snapshot / restore (repro.recovery) ------------------------------
 
@@ -55,13 +53,13 @@ class NodeCache:
         must capture the cache or a restarted node would re-pay cold
         reads the uncrashed run never paid.
         """
-        return list(self._entries)
+        return list(self.keys())
 
     def restore(self, keys, hits: int = 0, misses: int = 0) -> None:
         """Rebuild the cache from :meth:`warm_keys` output, preserving
         LRU order so later evictions match the uncrashed node's."""
-        self._entries.clear()
+        self.clear()
         for key in keys:
-            self._entries[key] = None
+            self.set(key, None)
         self.hits = hits
         self.misses = misses

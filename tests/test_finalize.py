@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
 from repro.contracts import pricefeed
-from repro.core import memoize, node as node_module
+from repro.core import memoize, node as node_module, speculator as spec_module
 from repro.core.ap import (
     AcceleratedProgram,
     APNode,
@@ -325,7 +325,7 @@ class PerMergeSpeculator(Speculator):
 
     def speculate(self, tx, context):
         path = super().speculate(tx, context)
-        ap = self.aps.get(tx.hash)
+        ap = self.aps.peek(tx.hash)
         if path is not None and ap is not None and self.records[-1].merged:
             self._dirty.pop(tx.hash, None)
             prune_tree(ap)
@@ -485,10 +485,10 @@ def context(context_id, timestamp=3990462):
     return FutureContext(context_id, BlockHeader(1, timestamp, 0xBEEF))
 
 
-def make_speculator(world, **kwargs):
+def make_speculator(world):
     registry = MetricsRegistry()
     return Speculator(world, registry=registry,
-                      jit=JitTier(registry=registry), **kwargs), registry
+                      jit=JitTier(registry=registry)), registry
 
 
 def test_get_ap_finishes_a_dirty_ap(oracle_world):
@@ -496,7 +496,7 @@ def test_get_ap_finishes_a_dirty_ap(oracle_world):
     tx = submit(1980)
     for context_id in range(3):
         speculator.speculate(tx, context(context_id, 3990462 + context_id))
-    raw = speculator.aps[tx.hash]
+    raw = speculator.aps.peek(tx.hash)
     assert raw.jit is None and raw.shortcut_count == 0
     assert registry.value("speculator.finalizes") == 0
     ap = speculator.get_ap(tx.hash)
@@ -525,13 +525,14 @@ def test_clone_enrich_leaves_a_finished_ap_alone(oracle_world):
     assert registry.value("speculator.finalizes") == 1
 
 
-def test_eviction_and_drop_archive_a_finished_ap(oracle_world):
-    speculator, registry = make_speculator(oracle_world, memo_capacity=1)
+def test_eviction_and_drop_archive_a_finished_ap(oracle_world, monkeypatch):
+    reference, _ = make_speculator(oracle_world)
+    monkeypatch.setattr(spec_module, "MEMO_CAPACITY", 1)
+    speculator, registry = make_speculator(oracle_world)
     first, second = submit(1980), submit(1990, sender=0xB0B)
     speculator.speculate(first, context(0))
     speculator.speculate(second, context(0))   # evicts ``first``, dirty
     speculator.drop(second.hash)               # dropped while dirty
-    reference, _ = make_speculator(oracle_world)
     for tx in (first, second):
         reference.speculate(tx, context(0))
         reference.get_ap(tx.hash)
@@ -574,7 +575,7 @@ def test_cycle_bookkeeping_reads_without_finishing(oracle_world):
     node.on_transaction(tx, 0.0)
     jobs = node.run_speculation(0.0)
     assert jobs > 1
-    ap = node.speculator.aps[tx.hash]
+    ap = node.speculator.aps.peek(tx.hash)
     assert ap.ready_at > 0.0 and ap.jit is not None
     assert node.first_context[tx.hash] is not None
     assert registry.value("speculator.finalizes") == 1

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.chain.transaction import Transaction
 from repro.consensus.packing import pack_block
-from repro.edge.limits import Deadline, LruMap, RetryBudget, RetryConfig
+from repro.edge import limits, server
+from repro.edge.limits import Deadline, RetryBudget, RetryConfig
 from repro.fleet import (
     FleetConfig,
     FleetSupervisor,
@@ -435,36 +436,24 @@ class TestSupervisorLifecycle:
 
 
 class TestBoundedClientMaps:
-    def test_lru_map_caps_and_evicts_in_access_order(self):
-        lru = LruMap(capacity=3)
-        for key in range(5):
-            lru.set(key, key)
-        assert len(lru) == 3
-        assert lru.evictions == 2
-        assert list(lru.keys()) == [2, 3, 4]
-        lru.get(2)  # touch: 2 becomes most-recent
-        lru.set(99, 99)
-        assert list(lru.keys()) == [4, 2, 99]
-
-    def test_ten_thousand_clients_stay_bounded_and_deterministic(self,
-                                                                 world):
-        from repro.edge.server import EdgeConfig, EdgeServer
+    def test_ten_thousand_clients_stay_bounded_and_deterministic(
+            self, world, monkeypatch):
         from repro.core.node import ForerunnerNode
+
+        monkeypatch.setattr(server, "CLIENT_STATE_CAPACITY", 256)
 
         def storm():
             node = ForerunnerNode(world.copy(),
                                   registry=MetricsRegistry())
-            config = EdgeConfig(client_state_capacity=256)
-            server = EdgeServer(node, config,
-                                registry=MetricsRegistry())
+            edge = server.EdgeServer(node, registry=MetricsRegistry())
             outcomes = []
             for i in range(10_000):
                 raw = ('{"jsonrpc":"2.0","id":"c%d","method":"eth_call",'
                        '"params":[{"to":"0x1"}]}' % i)
-                _, outcome = server.handle_raw(raw, client_id=i,
-                                               now=0.001 * i)
+                _, outcome = edge.handle_raw(raw, client_id=i,
+                                             now=0.001 * i)
                 outcomes.append(outcome.status)
-            return server, outcomes
+            return edge, outcomes
 
         first, outcomes_a = storm()
         second, outcomes_b = storm()
@@ -474,9 +463,9 @@ class TestBoundedClientMaps:
         assert outcomes_a == outcomes_b
         assert list(first.buckets.keys()) == list(second.buckets.keys())
 
-    def test_retry_budget_rng_map_is_bounded(self):
-        budget = RetryBudget(RetryConfig(client_state_capacity=64,
-                                         budget_tokens=1e9,
+    def test_retry_budget_rng_map_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(limits, "CLIENT_STATE_CAPACITY", 64)
+        budget = RetryBudget(RetryConfig(budget_tokens=1e9,
                                          max_attempts=3), seed=7)
         deadline = Deadline(expires_at=1e9, budget_units=1)
         for client in range(1000):
@@ -484,7 +473,6 @@ class TestBoundedClientMaps:
         assert len(budget._rngs) <= 64
         # Evicted client streams restart deterministically.
         first = budget.next_retry(0, 1, now=0.0, deadline=deadline)
-        fresh = RetryBudget(RetryConfig(client_state_capacity=64,
-                                        budget_tokens=1e9), seed=7)
+        fresh = RetryBudget(RetryConfig(budget_tokens=1e9), seed=7)
         assert first == fresh.next_retry(0, 1, now=0.0,
                                          deadline=deadline)

@@ -5,6 +5,7 @@ import pytest
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
+from repro.core import prefix_cache, speculator as speculator_module
 from repro.core.chainsync import ChainManager
 from repro.core.node import BaselineNode, ForerunnerNode
 from repro.core.prefix_cache import PrefixCache, PrefixEntry
@@ -80,8 +81,9 @@ class TestStateDBFork:
 # -- PrefixCache mechanics ----------------------------------------------------
 
 class TestPrefixCache:
-    def test_lru_eviction(self):
-        cache = PrefixCache(capacity=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(prefix_cache, "PREFIX_CACHE_CAPACITY", 2)
+        cache = PrefixCache()
         world = WorldState()
         for key in ("a", "b", "c"):
             cache.store(key, PrefixEntry(StateDB(world), 0, 0))
@@ -255,10 +257,11 @@ class TestDedupLifecycle:
         assert third.stats is not first.stats
         assert third.stats is not second.stats
 
-    def test_dedup_index_bounded_per_tx(self):
+    def test_dedup_index_bounded_per_tx(self, monkeypatch):
         """Regression: the fingerprint map grew without bound.  Distinct
         traces for one transaction now evict LRU past the cap."""
-        speculator = Speculator(oracle_world(), dedup_capacity_per_tx=2)
+        monkeypatch.setattr(speculator_module, "DEDUP_CAPACITY_PER_TX", 2)
+        speculator = Speculator(oracle_world())
         target = submit(ALICE, 0, 1980)
         for i in range(4):
             # Different timestamps -> different traces -> new entries.

@@ -18,8 +18,9 @@ from repro.chain.block import Block, BlockHeader
 from repro.chain.transaction import Transaction
 from repro.consensus.packing import pack_block
 from repro.contracts import pricefeed
+from repro.core import speculator as speculator_module
 from repro.core.chainsync import ChainManager
-from repro.core.node import BaselineNode, ForerunnerConfig, ForerunnerNode
+from repro.core.node import BaselineNode, ForerunnerNode
 from repro.errors import RecoveryError, SimulatedCrash
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.invariants import run_digest
@@ -392,13 +393,14 @@ def test_reorg_becomes_a_durable_journal_record(tmp_path):
 
 class TestMemoTableBounds:
     def test_capacity_one_still_commits_identically(self, dataset,
-                                                    clean_digest):
+                                                    clean_digest,
+                                                    monkeypatch):
         """The memo table is pure acceleration: squeezing it to a
         single entry forces constant LRU eviction yet every committed
         root, receipt and Table 2/3 baseline column stays
         byte-identical."""
-        run = replay(dataset, "live",
-                     config=ForerunnerConfig(memo_capacity=1))
+        monkeypatch.setattr(speculator_module, "MEMO_CAPACITY", 1)
+        run = replay(dataset, "live")
         assert canonical_json(run_digest(run)) == clean_digest
         speculator = run.forerunner_node.speculator
         assert speculator.c_memo_evictions.value > 0

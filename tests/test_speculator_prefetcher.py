@@ -110,10 +110,11 @@ class TestSpeculator:
                                 predecessors=(predecessor,))
         speculator.speculate(tx_e(), context)
         cache = speculator.prefix_cache
-        assert any(predecessor.hash in key[7] for key in cache._entries)
+        assert any(predecessor.hash in key[7]
+                   for key in cache._entries.keys())
         speculator.drop(predecessor.hash)
         assert not any(predecessor.hash in key[7]
-                       for key in cache._entries)
+                       for key in cache._entries.keys())
         assert not any(predecessor.hash in key[7] for key in cache._seen)
 
     def test_discard_releases_prefix_cache_pins(self):
@@ -124,7 +125,7 @@ class TestSpeculator:
                                   predecessors=(predecessor,)))
         speculator.discard(predecessor.hash)
         assert not any(predecessor.hash in key[7]
-                       for key in speculator.prefix_cache._entries)
+                       for key in speculator.prefix_cache._entries.keys())
 
     def test_speculate_contains_unexpected_stage_bugs(self, monkeypatch):
         """Regression (ISSUE satellite): a genuine bug inside one

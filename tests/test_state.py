@@ -423,9 +423,10 @@ def test_node_cache_makes_fresh_statedb_warm():
     assert s2.disk.stats.cost_units < cost_first
 
 
-def test_node_cache_eviction():
-    from repro.state.nodecache import NodeCache
-    cache = NodeCache(capacity=2)
+def test_node_cache_eviction(monkeypatch):
+    from repro.state import nodecache
+    monkeypatch.setattr(nodecache, "NODE_CACHE_CAPACITY", 2)
+    cache = nodecache.NodeCache()
     cache.add("a")
     cache.add("b")
     cache.add("c")

@@ -9,6 +9,7 @@ from repro.core.chainsync import ChainManager
 from repro.core.node import BaselineNode, ForerunnerNode
 from repro.errors import ChainError
 from repro.p2p.latency import LatencyModel
+from repro.recovery import DurableReplay
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.sim.storage import load_dataset, save_dataset
@@ -68,6 +69,33 @@ def test_dataset_version_check(small_dataset, tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_dataset(str(path))
+
+
+def test_private_tx_round_trips_through_dataset_and_snapshot(small_dataset,
+                                                             tmp_path):
+    """Datasets and recovery snapshots store the wire form plus
+    ``origin_miner``, which the hash does not cover: a private
+    transaction must come back private, not only with the same hash."""
+    private = [t.tx for t in small_dataset.all_txs
+               if t.tx.origin_miner is not None]
+    assert private
+    path = tmp_path / "dataset.json"
+    save_dataset(small_dataset, str(path))
+    loaded = load_dataset(str(path))
+    assert [t.tx for t in loaded.all_txs] == \
+        [t.tx for t in small_dataset.all_txs]
+
+    store = str(tmp_path / "store")
+    durable = DurableReplay(small_dataset, store)
+    for tx in private:
+        durable.forerunner.pool[tx.hash] = (tx, 1.0)
+    durable.snapshots.save(durable._capture(0), 0)
+    durable.journal.close()
+    restored = DurableReplay(small_dataset, store, resume=True)
+    restored.journal.close()
+    assert restored.info.snapshot_block == 0
+    assert [restored.forerunner.pool[tx.hash][0] for tx in private] == \
+        private
 
 
 # -- reorg handling -----------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.faults.sites import (
     SITE_NET_DUPLICATE,
     SITE_NET_REORDER,
 )
+from repro.fleet import wire
 from repro.fleet.lease import LeaseRegistry
 from repro.fleet.wire import (
     Envelope,
@@ -30,8 +31,8 @@ from repro.fleet.wire import (
 from repro.obs.registry import MetricsRegistry
 
 
-def make_plane(plan=None, **overrides):
-    config = WireConfig(**overrides)
+def make_plane(plan=None):
+    config = WireConfig()
     if plan is not None:
         injector = FaultInjector(plan, registry=MetricsRegistry())
     else:
@@ -190,11 +191,12 @@ class TestSoakBounds:
     """Satellite: the per-link in-flight and dedup-window maps are
     LruMap-bounded — a 10^4-message lossy soak cannot grow memory."""
 
-    def test_soak_10k_messages_bounded_and_ordered(self):
+    def test_soak_10k_messages_bounded_and_ordered(self, monkeypatch):
+        monkeypatch.setattr(wire, "INFLIGHT_CAPACITY", 256)
+        monkeypatch.setattr(wire, "HOLDBACK_CAPACITY", 64)
         plan = FaultPlan.uniform(3, 0.05, sites=(
             SITE_NET_DROP, SITE_NET_DUPLICATE, SITE_NET_REORDER))
-        plane = make_plane(plan, inflight_capacity=256,
-                           holdback_capacity=64)
+        plane = make_plane(plan)
         receivers = {dst: collect(plane, dst, "soak")
                      for dst in range(1, 5)}
         total = 10_000
@@ -210,11 +212,11 @@ class TestSoakBounds:
             assert [e[0] for e in effects] == expected
         # Bounded state: high-water marks respect the LruMap caps and
         # nothing is left in flight after the final settle.
-        assert plane.inflight_high_water <= 256
-        assert plane.holdback_high_water <= 64
+        summary = plane.summary()
+        assert summary["inflight_high_water"] <= 256
+        assert summary["holdback_high_water"] <= 64
         assert len(plane._inflight) == 0
         assert len(plane._recv) == 4
-        summary = plane.summary()
         assert summary["delivered"] == summary["effects"] == total
         assert summary["retries"] > 0
         assert summary["dedup_dropped"] > 0

@@ -22,6 +22,7 @@ Three universally-quantified claims behind the wire plane:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from repro.errors import ChainError, SimulationError
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.sites import NET_LOSS_SITES
 from repro.fleet.lease import LeaseRegistry
+from repro.fleet import wire
 from repro.fleet.wire import WireConfig, WirePlane
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
@@ -65,44 +67,45 @@ def send_scripts(draw):
 @given(plan=hostile_plans(), script=send_scripts())
 @settings(max_examples=60, deadline=None)
 def test_exactly_once_order_preserving(plan, script):
-    plane = WirePlane(WireConfig(inflight_capacity=128,
-                                 holdback_capacity=32),
-                      injector=FaultInjector(plan,
-                                             registry=MetricsRegistry()),
-                      registry=MetricsRegistry())
-    effects = {}
+    with mock.patch.object(wire, "INFLIGHT_CAPACITY", 128), \
+            mock.patch.object(wire, "HOLDBACK_CAPACITY", 32):
+        plane = WirePlane(WireConfig(),
+                          injector=FaultInjector(plan,
+                                                 registry=MetricsRegistry()),
+                          registry=MetricsRegistry())
+        effects = {}
 
-    def receiver(src, channel):
-        effects[(src, channel)] = bucket = []
+        def receiver(src, channel):
+            effects[(src, channel)] = bucket = []
 
-        def handler(payload, attachment, at):
-            bucket.append(payload["n"])
+            def handler(payload, attachment, at):
+                bucket.append(payload["n"])
 
-        return handler
+            return handler
 
-    for src in (0, 1):
-        for channel in ("a", "b"):
-            plane.register(9, channel + str(src), receiver(src, channel))
+        for src in (0, 1):
+            for channel in ("a", "b"):
+                plane.register(9, channel + str(src), receiver(src, channel))
 
-    sent = {(src, ch): [] for src in (0, 1) for ch in ("a", "b")}
-    now = 0.0
-    serial = 0
-    for op in script:
-        now += 0.1
-        if op[0] == "flush":
-            plane.flush(now)
-            continue
-        _, src, channel = op
-        plane.send(src, 9, channel + str(src), {"n": serial}, now=now)
-        sent[(src, channel)].append(serial)
-        serial += 1
-    plane.flush(now + 1.0)
+        sent = {(src, ch): [] for src in (0, 1) for ch in ("a", "b")}
+        now = 0.0
+        serial = 0
+        for op in script:
+            now += 0.1
+            if op[0] == "flush":
+                plane.flush(now)
+                continue
+            _, src, channel = op
+            plane.send(src, 9, channel + str(src), {"n": serial}, now=now)
+            sent[(src, channel)].append(serial)
+            serial += 1
+        plane.flush(now + 1.0)
 
-    for key, expected in sent.items():
-        assert effects[key] == expected
-    assert len(plane._inflight) == 0
-    summary = plane.summary()
-    assert summary["effects"] == serial
+        for key, expected in sent.items():
+            assert effects[key] == expected
+        assert len(plane._inflight) == 0
+        summary = plane.summary()
+        assert summary["effects"] == serial
 
 
 @st.composite
