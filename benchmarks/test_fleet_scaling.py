@@ -11,7 +11,7 @@ Emits ``BENCH_fleet.json`` with the gates:
 * accepted-tx throughput at 4 shards >= 2.5x the 1-shard fleet;
 * two-run byte-identity of the fleet serving trace at every shard
   count;
-* a replica-crash chaos run whose journal-replayed restarts converge
+* a replica-crash chaos run whose restarts converge
   byte-for-byte with the fault-free commitments.
 """
 
@@ -93,12 +93,12 @@ def test_fleet_scaling_throughput():
         f"shard ({by_shards[4]['accepted_txs']} vs "
         f"{by_shards[1]['accepted_txs']})")
 
-    # Replica-crash chaos: journal-replayed restarts converge.
+    # Replica-crash chaos: restarted replicas converge.
     clean = fleet_replay(dataset, "live", FleetConfig(shards=4))
     plan = FaultPlan.uniform(0, 0.3, sites=(SITE_REPLICA_CRASH,))
     # restart_delay pinned at the 4 s the published crash/restart
     # counts were measured with (below the detector's suspect_after:
-    # journal replay + block catch-up, no ring change;
+    # block-store replay, no ring change;
     # tests/test_fleet_chaos.py covers the detector-driven leave/rejoin).
     chaotic = fleet_replay(dataset, "live",
                            FleetConfig(shards=4, fault_plan=plan,

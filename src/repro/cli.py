@@ -533,7 +533,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.faults import layer_sites
-    from repro.recovery.replay import RecoveryConfig, recovery_report
+    from repro.recovery.replay import recovery_report
 
     if args.points == "all":
         sites = None
@@ -549,13 +549,11 @@ def _cmd_crash(args: argparse.Namespace) -> int:
             return 2
     dataset = _record("crash", args.duration, args.workload_seed,
                       mean_block_interval=args.block_interval)
-    recovery = RecoveryConfig(
-        snapshot_interval_blocks=args.snapshot_interval)
     store_root = tempfile.mkdtemp(prefix="repro-crash-")
     try:
         report = recovery_report(dataset, store_root, seed=args.seed,
                                  sites=sites, observer=args.observer,
-                                 recovery=recovery)
+                                 snapshot_interval=args.snapshot_interval)
     finally:
         shutil.rmtree(store_root, ignore_errors=True)
     print(f"crash: dataset={report['dataset']} seed={report['seed']} "

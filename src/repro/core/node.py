@@ -28,7 +28,7 @@ from repro.core.accelerator import (
     OUTCOME_NO_AP,
     TransactionAccelerator,
 )
-from repro.core.predictor import MultiFuturePredictor, PredictorConfig
+from repro.core.predictor import MultiFuturePredictor
 from repro.core.prefetcher import Prefetcher
 from repro.core.speculator import Speculator
 from repro.errors import ChainError
@@ -39,7 +39,7 @@ from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.spans import NullTracer, SpanTracer
 from repro.sched.admission import AdmissionController
 from repro.sched.executor import ParallelBlockExecutor
-from repro.sched.lanes import LaneSet, SchedConfig
+from repro.sched.lanes import LaneSet
 from repro.state.nodecache import NodeCache
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
@@ -132,20 +132,22 @@ class BaselineNode:
         return report
 
 
+#: Parallel speculation workers (pre-computation does not compete with
+#: the critical path — paper §2 fn. 4).
+WORKERS = 8
+#: Simulated worker throughput in cost units per second.
+WORKER_SPEED = 1.8e7
+#: Backpressure: defer dispatch once the least-loaded worker lane is
+#: backlogged further than this many simulated seconds.
+MAX_LANE_BACKLOG_SECONDS = 120.0
+
+
 @dataclass
 class ForerunnerConfig:
     """Tunables for the Forerunner node."""
 
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    #: Parallel speculation workers (pre-computation does not compete
-    #: with the critical path — paper §2 fn. 4).
-    workers: int = 8
-    #: Simulated worker throughput in cost units per second.
-    worker_speed: float = 1.8e7
     #: Upper bound on contexts speculated per transaction per head.
     max_contexts_per_head: int = 4
-    #: Hard cap on total contexts per transaction across heads.
-    max_total_contexts: int = 16
     #: Ablation switches.
     enable_memoization: bool = True
     enable_prefetch: bool = True
@@ -175,11 +177,12 @@ class ForerunnerConfig:
     #: jit-on/jit-off CI check prove it); the tier only changes
     #: wall-clock time and the ``jit.*`` counters.
     enable_jit: bool = True
-    #: Concurrency scheduler (repro.sched): parallel execution lanes,
-    #: admission budgets, and the bounded prefetch queue.  Any lane
-    #: count commits byte-identical state; parallelism shows up only in
-    #: the scheduler's own critical-path metrics.
-    sched: SchedConfig = field(default_factory=SchedConfig)
+    #: Lanes of the block executor's derived optimistic-concurrency
+    #: schedule (repro.sched).  Execution is one serial pass at any
+    #: value, so every lane count commits byte-identical state;
+    #: parallelism shows up only in the scheduler's own critical-path
+    #: metrics, and 1 also skips access recording.
+    lanes: int = 4
     #: Emit a per-transaction execution witness (repro.witness):
     #: constraints, net state delta, and digests, assembled from the
     #: master journal before each block commits.  Off by default —
@@ -281,8 +284,7 @@ class ForerunnerNode:
         else:
             self.fault_injector = NULL_INJECTOR
         self.guard = SpeculationGuard(registry=self.registry)
-        self.predictor = MultiFuturePredictor(self.config.predictor,
-                                              registry=self.registry,
+        self.predictor = MultiFuturePredictor(registry=self.registry,
                                               injector=self.fault_injector)
         self.jit = JitTier(enabled=self.config.enable_jit,
                            registry=self.registry)
@@ -319,20 +321,18 @@ class ForerunnerNode:
         # per-(tx, head)/total caps, per-head budgets, bounded deferral
         # and the bounded prefetch queue all live there.
         self.admission = AdmissionController(
-            self.config.sched,
             max_contexts_per_head=self.config.max_contexts_per_head,
-            max_total_contexts=self.config.max_total_contexts,
             registry=self.registry,
             injector=self.fault_injector,
             breaker=self.guard.breaker)
         #: Simulated speculation worker pool: one lane per worker,
         #: clocks in simulated seconds (same dispatch rule the scalar
         #: pool used: least-loaded lane, ties to the lowest id).
-        self._worker_lanes = LaneSet(self.config.workers)
+        self._worker_lanes = LaneSet(WORKERS)
         #: Block executor: one serial pass plus, at ``lanes > 1``, the
         #: lane schedule derived from its access sets.
         self.executor = ParallelBlockExecutor(
-            lanes=self.config.sched.lanes,
+            lanes=self.config.lanes,
             registry=self.registry,
             injector=self.fault_injector,
             guard=self.guard)
@@ -453,7 +453,7 @@ class ForerunnerNode:
                 # of silently skipping it.
                 self.admission.defer([request], self.head_number)
                 continue
-            if start - now > self.config.sched.max_lane_backlog_seconds:
+            if start - now > MAX_LANE_BACKLOG_SECONDS:
                 # Backpressure: every lane is backlogged beyond the
                 # configured horizon; don't pile further work on.
                 self.admission.defer([request], self.head_number)
@@ -478,7 +478,7 @@ class ForerunnerNode:
             job_cost += self.fault_injector.stall_units("worker.stall",
                                                         tx=tx.hash)
             completion = lanes.dispatch(
-                job_cost / self.config.worker_speed,
+                job_cost / WORKER_SPEED,
                 not_before=now, payload=tx.hash)
             jobs += 1
             self.admission.note_dispatched(request)
@@ -509,9 +509,8 @@ class ForerunnerNode:
     def _drain_prefetch_queue(self) -> None:
         """Drain the bounded prefetch queue (FIFO, so cost accounting
         matches the legacy immediate-prefetch order)."""
-        limit = self.config.sched.prefetch_drain_per_cycle
         targets = self.spec_plane.prefetch_targets()
-        for request in self.admission.drain_prefetches(limit):
+        for request in self.admission.drain_prefetches():
             # Chaos: a queue fault drops the request — the keys stay
             # cold (slower reads, same values).
             if self.fault_injector.evaluate(
@@ -569,7 +568,7 @@ class ForerunnerNode:
         Each transaction executes once, in block order
         (:class:`repro.sched.executor.ParallelBlockExecutor`), so
         committed state, receipts and all Table 2/3 numbers are the
-        serial ones at every ``config.sched.lanes``; the lane what-if
+        serial ones at every ``config.lanes``; the lane what-if
         derived from the pass surfaces only in the ``sched.*`` metrics
         attached to the report.
         """

@@ -62,26 +62,22 @@ class HeaderStats:
         return [miner for miner, _ in ranked[:count]]
 
 
-@dataclass
-class PredictorConfig:
-    """Tunables for the multi-future predictor."""
-
-    #: Maximum pending transactions selected per prediction cycle
-    #: (the capping mechanism: recall over precision, but bounded).
-    max_candidates: int = 400
-    #: How many future contexts to construct per transaction.
-    max_contexts_per_tx: int = 4
-    #: Longest predecessor prefix applied when enumerating orderings.
-    max_predecessors: int = 3
-    #: Header variants: how many timestamp guesses to combine.
-    timestamp_variants: Tuple[int, ...] = (0, 7)
-    #: How many top miners to consider as coinbase candidates.
-    coinbase_variants: int = 2
-    #: Overselection factor over one block's gas limit (recall-oriented).
-    gas_recall_factor: float = 2.0
-    #: RNG seed (tie-breaking and ordering shuffles are random, like
-    #: geth's same-price packing order — deterministic per seed here).
-    seed: int = 20211026
+#: Maximum pending transactions selected per prediction cycle (the
+#: capping mechanism: recall over precision, but bounded).
+MAX_CANDIDATES = 400
+#: How many future contexts to construct per transaction.
+MAX_CONTEXTS_PER_TX = 4
+#: Longest predecessor prefix applied when enumerating orderings.
+MAX_PREDECESSORS = 3
+#: Header variants: the timestamp offsets combined.
+TIMESTAMP_VARIANTS: Tuple[int, ...] = (0, 7)
+#: How many top miners to consider as coinbase candidates.
+COINBASE_VARIANTS = 2
+#: Overselection factor over one block's gas limit (recall-oriented).
+GAS_RECALL_FACTOR = 2.0
+#: RNG seed (tie-breaking and ordering shuffles are random, like geth's
+#: same-price packing order — deterministic per seed here).
+PREDICTOR_SEED = 20211026
 
 
 @dataclass
@@ -97,12 +93,10 @@ class Prediction:
 class MultiFuturePredictor:
     """Builds (transaction, future contexts) pairs from the pool."""
 
-    def __init__(self, config: Optional[PredictorConfig] = None,
-                 registry: Optional[MetricsRegistry] = None,
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
                  injector=None) -> None:
-        self.config = config or PredictorConfig()
         self.stats = HeaderStats()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(PREDICTOR_SEED)
         self._next_context_id = 1
         #: Chaos hook (:mod:`repro.faults`); faults raised here are
         #: contained by the node's guard (one skipped cycle).
@@ -127,17 +121,17 @@ class MultiFuturePredictor:
         """Predict which pending transactions get packed next.
 
         Gas-price priority with random tie-breaking, miner self-origin
-        priority, overselected by ``gas_recall_factor`` and capped.
+        priority, overselected by :data:`GAS_RECALL_FACTOR` and capped.
         """
         def sort_key(tx: Transaction):
             self_priority = 1 if tx.origin_miner is not None else 0
             return (-self_priority, -tx.gas_price, self._rng.random())
 
         ranked = sorted(pending, key=sort_key)
-        budget = int(block_gas_limit * self.config.gas_recall_factor)
+        budget = int(block_gas_limit * GAS_RECALL_FACTOR)
         selected: List[Transaction] = []
         for tx in ranked:
-            if len(selected) >= self.config.max_candidates:
+            if len(selected) >= MAX_CANDIDATES:
                 break
             if budget - tx.gas_limit < 0:
                 continue
@@ -150,9 +144,9 @@ class MultiFuturePredictor:
         stats = self.stats
         base_ts = stats.last_timestamp or 0
         interval = max(1, int(round(stats.mean_interval())))
-        miners = stats.top_miners(self.config.coinbase_variants) or [0]
+        miners = stats.top_miners(COINBASE_VARIANTS) or [0]
         headers = []
-        for delta in self.config.timestamp_variants:
+        for delta in TIMESTAMP_VARIANTS:
             for coinbase in miners:
                 headers.append(BlockHeader(
                     number=stats.last_number + 1,
@@ -189,9 +183,8 @@ class MultiFuturePredictor:
         predecessors in every context — without them the target cannot
         execute at all.
         """
-        config = self.config
         mandatory = tuple(sorted(sender_chain, key=lambda t: t.nonce))
-        if len(mandatory) > 2 * config.max_predecessors:
+        if len(mandatory) > 2 * MAX_PREDECESSORS:
             # Too deep a nonce chain to speculate usefully right now.
             return []
         headers = self.predict_headers()
@@ -199,7 +192,7 @@ class MultiFuturePredictor:
                   if t.hash != tx.hash and t.sender != tx.sender]
         # Likely predecessors: higher-priority members of the group.
         others.sort(key=lambda t: -t.gas_price)
-        pool = others[:config.max_predecessors]
+        pool = others[:MAX_PREDECESSORS]
 
         orderings: List[Tuple[Transaction, ...]] = [()]
         for size in range(1, len(pool) + 1):
@@ -219,7 +212,7 @@ class MultiFuturePredictor:
         # Interleave variation across BOTH axes: each context takes the
         # next ordering paired with a cycling header variant, so a small
         # context budget still explores ordering *and* header diversity.
-        for index in range(min(config.max_contexts_per_tx,
+        for index in range(min(MAX_CONTEXTS_PER_TX,
                                len(orderings) * len(headers))):
             ordering = orderings[index % len(orderings)]
             header = headers[(index + index // len(orderings))

@@ -9,7 +9,6 @@ circuit breaking.  See ``docs/EDGE.md``.
 """
 
 from repro.edge.brownout import (  # noqa: F401
-    BrownoutConfig,
     BrownoutController,
     LEVEL_DEGRADED,
     LEVEL_FULL,

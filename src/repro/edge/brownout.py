@@ -31,7 +31,7 @@ the sequence is part of the byte-stable serving trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -43,27 +43,23 @@ LEVEL_SHED = 2
 
 LEVEL_NAMES = ("full", "degraded", "shed")
 
-
-@dataclass
-class BrownoutConfig:
-    """Entry/exit thresholds of the ladder."""
-
-    #: Total queued requests (all bulkheads) that enter level 1 / 2.
-    depth_degraded: int = 12
-    depth_shed: int = 28
-    #: EWMA served latency (cost units) that enters level 1 / 2.
-    latency_degraded: int = 60_000
-    latency_shed: int = 180_000
-    #: Exit when both gauges fall below ``exit_fraction`` of the entry
-    #: thresholds (hysteresis band).
-    exit_fraction: float = 0.5
-    #: Minimum simulated seconds between transitions (no flapping).
-    min_dwell_seconds: float = 1.0
-    #: EWMA smoothing for the latency gauge.
-    latency_alpha: float = 0.2
-    #: Score floor a request must clear to be served while at
-    #: ``shed`` (fraction of the highest client weight observed).
-    shed_score_fraction: float = 0.5
+# -- entry/exit thresholds of the ladder --------------------------------------
+#: Total queued requests (all bulkheads) that enter level 1 / 2.
+DEPTH_DEGRADED = 12
+DEPTH_SHED = 28
+#: EWMA served latency (cost units) that enters level 1 / 2.
+LATENCY_DEGRADED = 60_000
+LATENCY_SHED = 180_000
+#: Exit when both gauges fall below this fraction of the entry
+#: thresholds (hysteresis band).
+EXIT_FRACTION = 0.5
+#: Minimum simulated seconds between transitions (no flapping).
+MIN_DWELL_SECONDS = 1.0
+#: EWMA smoothing for the latency gauge.
+LATENCY_ALPHA = 0.2
+#: Score floor a request must clear to be served while at ``shed``
+#: (fraction of the highest client weight observed).
+SHED_SCORE_FRACTION = 0.5
 
 
 @dataclass
@@ -89,9 +85,7 @@ class BrownoutTransition:
 class BrownoutController:
     """Owns the ladder state and the shedding decision."""
 
-    def __init__(self, config: Optional[BrownoutConfig] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.config = config or BrownoutConfig()
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         obs = (registry or get_registry()).scope("edge.brownout")
         self.g_level = obs.gauge("level")
         self.g_ewma = obs.gauge("ewma_latency_units")
@@ -121,35 +115,32 @@ class BrownoutController:
     # -- gauge updates ---------------------------------------------------
 
     def observe_latency(self, latency_units: float) -> None:
-        alpha = self.config.latency_alpha
-        self.ewma_latency = ((1.0 - alpha) * self.ewma_latency
-                             + alpha * latency_units)
+        self.ewma_latency = ((1.0 - LATENCY_ALPHA) * self.ewma_latency
+                             + LATENCY_ALPHA * latency_units)
         self.g_ewma.set(int(self.ewma_latency))
 
     def observe(self, now: float, depth: int) -> int:
         """Re-evaluate the ladder; returns the (possibly new) level."""
-        config = self.config
         ewma = self.ewma_latency
-        if now - self._last_transition_at < config.min_dwell_seconds:
+        if now - self._last_transition_at < MIN_DWELL_SECONDS:
             return self.level
         target = self.level
-        if depth >= config.depth_shed or ewma >= config.latency_shed:
+        if depth >= DEPTH_SHED or ewma >= LATENCY_SHED:
             target = LEVEL_SHED
-        elif (depth >= config.depth_degraded
-                or ewma >= config.latency_degraded):
+        elif depth >= DEPTH_DEGRADED or ewma >= LATENCY_DEGRADED:
             target = max(self.level, LEVEL_DEGRADED) \
                 if self.level >= LEVEL_DEGRADED else LEVEL_DEGRADED
         else:
-            exit_depth = (config.depth_degraded if self.level ==
-                          LEVEL_DEGRADED else config.depth_shed)
-            exit_latency = (config.latency_degraded if self.level ==
-                            LEVEL_DEGRADED else config.latency_shed)
-            if (depth < exit_depth * config.exit_fraction
-                    and ewma < exit_latency * config.exit_fraction):
+            exit_depth = (DEPTH_DEGRADED if self.level ==
+                          LEVEL_DEGRADED else DEPTH_SHED)
+            exit_latency = (LATENCY_DEGRADED if self.level ==
+                            LEVEL_DEGRADED else LATENCY_SHED)
+            if (depth < exit_depth * EXIT_FRACTION
+                    and ewma < exit_latency * EXIT_FRACTION):
                 target = self.level - 1 if self.level > LEVEL_FULL \
                     else LEVEL_FULL
         if target != self.level:
-            reason = ("depth" if (depth >= config.depth_degraded
+            reason = ("depth" if (depth >= DEPTH_DEGRADED
                                   or target < self.level) else "latency")
             self.transitions.append(BrownoutTransition(
                 at=now, old_level=self.level, new_level=target,
@@ -176,7 +167,7 @@ class BrownoutController:
             self.c_shed.inc()
             return False
         # LEVEL_SHED: cheap requests from top-priority clients only.
-        floor = self._max_weight_seen * self.config.shed_score_fraction
+        floor = self._max_weight_seen * SHED_SCORE_FRACTION
         if cheap and score >= floor:
             return True
         self.c_shed.inc()

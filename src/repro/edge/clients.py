@@ -40,12 +40,24 @@ SHAPE_BURST = "burst"
 SHAPE_SLOW = "slow"
 
 #: Method mix (weights) of the canonical read-heavy serving workload.
-DEFAULT_MIX: Tuple[Tuple[str, float], ...] = (
+METHOD_MIX: Tuple[Tuple[str, float], ...] = (
     ("eth_getTransactionReceipt", 0.40),
     ("eth_call", 0.30),
     ("debug_traceTransaction", 0.15),
     ("eth_sendRawTransaction", 0.15),
 )
+#: Per-client request rate at 1x load (requests per simulated second,
+#: before the shape modulates it).
+BASE_RATE = 1.2
+#: How many of the clients are thundering-herd / slow shaped.
+BURST_CLIENTS = 2
+SLOW_CLIENTS = 1
+#: Burst shape: rate multiplier inside the herd window.
+BURST_FACTOR = 8.0
+BURST_WINDOW_SECONDS = 1.5
+#: Slow clients are patient: their deadline budget is multiplied by
+#: this.
+SLOW_DEADLINE_FACTOR = 4
 
 
 @dataclass
@@ -55,21 +67,9 @@ class ScenarioConfig:
     seed: int = 0
     #: Offered-load multiplier (1.0 = the calibrated base rate).
     load: float = 1.0
-    #: Per-client request rate at 1x load (requests per simulated
-    #: second, before the shape modulates it).
-    base_rate: float = 1.2
     clients: int = 6
-    #: How many of the clients are thundering-herd / slow shaped.
-    burst_clients: int = 2
-    slow_clients: int = 1
-    #: Burst shape: rate multiplier inside the herd window.
-    burst_factor: float = 8.0
-    burst_window_seconds: float = 1.5
     #: Cost-unit deadline budget attached to each request.
     deadline_units: int = 120_000
-    #: Slow clients are patient: their budget is multiplied by this.
-    slow_deadline_factor: int = 4
-    mix: Tuple[Tuple[str, float], ...] = DEFAULT_MIX
 
 
 @dataclass
@@ -86,10 +86,10 @@ class ScheduledRequest:
     raw: str = field(default="", repr=False)
 
 
-def client_shape(config: ScenarioConfig, client_id: int) -> str:
-    if client_id < config.burst_clients:
+def client_shape(client_id: int) -> str:
+    if client_id < BURST_CLIENTS:
         return SHAPE_BURST
-    if client_id < config.burst_clients + config.slow_clients:
+    if client_id < BURST_CLIENTS + SLOW_CLIENTS:
         return SHAPE_SLOW
     return SHAPE_STEADY
 
@@ -153,27 +153,26 @@ def build_scenario(dataset, config: Optional[ScenarioConfig] = None,
     requests: List[ScheduledRequest] = []
     for client_id in range(config.clients):
         rng = _client_rng(config.seed, client_id)
-        shape = client_shape(config, client_id)
+        shape = client_shape(client_id)
         weight = client_weight(client_id)
-        rate = config.base_rate * config.load
+        rate = BASE_RATE * config.load
         if shape == SHAPE_SLOW:
             rate *= 0.5
         deadline_units = config.deadline_units
         if shape == SHAPE_SLOW:
-            deadline_units *= config.slow_deadline_factor
+            deadline_units *= SLOW_DEADLINE_FACTOR
         now, seq = 0.0, 0
         # Pointer into the committed tx list for this client's sends
         # (spread across clients so sends do not all duplicate).
         send_cursor = client_id
         while True:
             effective = rate
-            if shape == SHAPE_BURST and _in_burst(now, block_times,
-                                                  config):
-                effective = rate * config.burst_factor
+            if shape == SHAPE_BURST and _in_burst(now, block_times):
+                effective = rate * BURST_FACTOR
             now += rng.expovariate(effective)
             if now >= horizon:
                 break
-            method = _pick_weighted(rng, config.mix)
+            method = _pick_weighted(rng, METHOD_MIX)
             params, send_cursor = _build_params(
                 method, now, rng, committed, in_flight, send_cursor,
                 config.clients)
@@ -190,14 +189,13 @@ def build_scenario(dataset, config: Optional[ScenarioConfig] = None,
     return requests
 
 
-def _in_burst(now: float, block_times: List[float],
-              config: ScenarioConfig) -> bool:
+def _in_burst(now: float, block_times: List[float]) -> bool:
     """Is ``now`` inside a thundering-herd window after a block?"""
     import bisect
     index = bisect.bisect_right(block_times, now)
     if index == 0:
         return False
-    return now - block_times[index - 1] <= config.burst_window_seconds
+    return now - block_times[index - 1] <= BURST_WINDOW_SECONDS
 
 
 def _build_params(method: str, now: float, rng, committed, in_flight,

@@ -30,13 +30,13 @@ scenario produce byte-identical responses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.edge import rpc
-from repro.edge.brownout import BrownoutConfig, BrownoutController
+from repro.edge.brownout import BrownoutController
 from repro.edge.limits import (
     CLIENT_STATE_CAPACITY,
     Bulkhead,
@@ -81,6 +81,25 @@ REJECT_COST = 40
 #: oldest *inserted* result goes first, however often it was served.
 CALL_MEMO_CAPACITY = 512
 
+# -- admission tunables -------------------------------------------------------
+#: Bounded per-method queue depth (the bulkhead capacity).
+BULKHEAD_CAPACITY = 10
+#: Default request deadline budget in cost units (clients may attach
+#: their own; this is the admission stamp for the rest).
+DEFAULT_DEADLINE_UNITS = 120_000
+#: Per-client token bucket (requests; continuous refill).
+BUCKET_CAPACITY = 30.0
+BUCKET_REFILL_PER_SECOND = 15.0
+#: Circuit breaker per method (clock = served cost units).
+BREAKER_THRESHOLD = 4
+BREAKER_COOLDOWN_UNITS = 240_000
+#: Speculation deadline stamped into sched admission for accepted
+#: transactions (simulated seconds of useful speculation).
+SPECULATION_DEADLINE_SECONDS = 30.0
+#: Serve memo entries up to this many world versions old while the
+#: brownout ladder is at ``degraded`` or above (stale reads).
+STALE_READ_VERSIONS = 1
+
 
 @dataclass
 class EdgeConfig:
@@ -89,22 +108,6 @@ class EdgeConfig:
     #: Handler throughput, cost units per simulated second per method
     #: server (each method has its own single-server bulkhead).
     service_rate: float = 60_000.0
-    #: Bounded per-method queue depth (the bulkhead capacity).
-    queue_capacity: int = 10
-    #: Default request deadline budget in cost units (clients may
-    #: attach their own; this is the admission stamp for the rest).
-    default_deadline_units: int = 120_000
-    #: Per-client token bucket (requests; continuous refill).
-    bucket_capacity: float = 30.0
-    bucket_refill_per_second: float = 15.0
-    #: Brownout ladder thresholds.
-    brownout: BrownoutConfig = field(default_factory=BrownoutConfig)
-    #: Circuit breaker per method (clock = served cost units).
-    breaker_threshold: int = 4
-    breaker_cooldown_units: int = 240_000
-    #: Speculation deadline stamped into sched admission for accepted
-    #: transactions (simulated seconds of useful speculation).
-    speculation_deadline_seconds: float = 30.0
     #: Attach execution witness digest + body to receipt/trace
     #: responses (requires the node's ``enable_witness``).
     attach_witnesses: bool = False
@@ -112,9 +115,6 @@ class EdgeConfig:
     #: against a fresh plain execution — the serving-equivalence
     #: oracle.  Costs nothing in simulated time.
     verify_responses: bool = False
-    #: Serve memo entries up to this many world versions old while the
-    #: brownout ladder is at ``degraded`` or above (stale reads).
-    stale_read_versions: int = 1
 
 
 @dataclass
@@ -172,19 +172,18 @@ class EdgeServer:
         self.registry = registry or get_registry()
         self.injector = injector
         self.accepted_log = accepted_log
-        config = self.config
         self.bulkheads: Dict[str, Bulkhead] = {
-            method: Bulkhead(method, config.queue_capacity,
-                             config.service_rate)
+            method: Bulkhead(method, BULKHEAD_CAPACITY,
+                             self.config.service_rate)
             for method in METHODS}
         self.buckets = LruMap(CLIENT_STATE_CAPACITY)
-        self.brownout = BrownoutController(config.brownout, self.registry)
+        self.brownout = BrownoutController(self.registry)
         #: Monotone served-cost clock driving the breaker cool-downs.
         self._served_units = 0
         self.breaker = CircuitBreaker(
             clock=lambda: self._served_units,
-            threshold=config.breaker_threshold,
-            cooldown_units=config.breaker_cooldown_units,
+            threshold=BREAKER_THRESHOLD,
+            cooldown_units=BREAKER_COOLDOWN_UNITS,
             registry=self.registry)
         obs = self.registry.scope("edge")
         self.c_requests = obs.counter("requests")
@@ -226,7 +225,6 @@ class EdgeServer:
         #: Fast-path responses that failed the plain-execution
         #: cross-check (must stay zero; the serving-equivalence gate).
         self.verify_mismatches = 0
-        self.outcomes: List[RequestOutcome] = []
         #: Optional acceptance hook ``(tx, now) -> None``, called after
         #: a send is newly accepted.  The fleet router uses it to hand
         #: accepted transactions to the supervisor (shard journal +
@@ -302,8 +300,7 @@ class EdgeServer:
         # Rate limit (per-client token bucket).
         bucket = self.buckets.get(client_id)
         if bucket is None:
-            bucket = TokenBucket(self.config.bucket_capacity,
-                                 self.config.bucket_refill_per_second)
+            bucket = TokenBucket(BUCKET_CAPACITY, BUCKET_REFILL_PER_SECOND)
             self.buckets.set(client_id, bucket)
         if not bucket.try_take(now):
             self.c_rate_limited.inc()
@@ -311,7 +308,7 @@ class EdgeServer:
                                 rpc.RATE_LIMITED, now=now, attempt=attempt)
         if deadline is None:
             deadline = Deadline.from_budget(
-                now, deadline_units or self.config.default_deadline_units,
+                now, deadline_units or DEFAULT_DEADLINE_UNITS,
                 self.config.service_rate)
         # Brownout: classify the request (cheap = answerable from the
         # speculation pipeline without fresh on-demand execution),
@@ -396,7 +393,6 @@ class EdgeServer:
             method=method, client=client_id, status="served", code=None,
             latency_units=latency_units, cost_units=cost, cheap=cheap,
             stale=stale, level=self.brownout.level, attempt=attempt)
-        self.outcomes.append(outcome)
         return rpc.success_response(request.id, result), outcome
 
     def _reject(self, req_id, method: Optional[str], client_id: int,
@@ -412,7 +408,6 @@ class EdgeServer:
             code=code, latency_units=latency_units, cost_units=cost_units,
             cheap=False, stale=False, level=self.brownout.level,
             attempt=attempt)
-        self.outcomes.append(outcome)
         return rpc.error_response(req_id, code, message, data), outcome
 
     # -- request classification (the brownout's cheap/expensive axis) -----
@@ -450,8 +445,7 @@ class EdgeServer:
             if version == current:
                 return True, False
             if (self.brownout.level > 0
-                    and current - version
-                    <= self.config.stale_read_versions):
+                    and current - version <= STALE_READ_VERSIONS):
                 return True, True
         return self._pool_match(key, now) is not None, False
 
@@ -528,8 +522,7 @@ class EdgeServer:
             # Deadline propagation into the scheduler: speculation for
             # this transaction is only useful for so long.
             self.node.admission.set_deadline(
-                tx.hash,
-                now + self.config.speculation_deadline_seconds)
+                tx.hash, now + SPECULATION_DEADLINE_SECONDS)
             self.c_accepted.inc()
             if self.on_accept is not None:
                 self.on_accept(tx, now)

@@ -40,6 +40,7 @@ from repro.edge import rpc
 from repro.edge.brownout import LEVEL_SHED
 from repro.edge.limits import Deadline
 from repro.edge.server import (
+    DEFAULT_DEADLINE_UNITS,
     EdgeConfig,
     EdgeServer,
     RequestOutcome,
@@ -238,7 +239,7 @@ class FleetRouter:
         # Deadline built before placement: penalties eat into the
         # budget, a misroute never buys more time.
         if deadline is None:
-            budget = deadline_units or self.config.default_deadline_units
+            budget = deadline_units or DEFAULT_DEADLINE_UNITS
             budget = max(1, budget - info.penalty_units)
             deadline = Deadline.from_budget(now, budget,
                                             self.config.service_rate)

@@ -43,8 +43,8 @@ from .supervisor import FleetConfig, FleetSupervisor
 NET_PROFILES = ("clean", "lossy", "partition")
 
 
-def net_profile_config(profile: str, shards: int = 4, seed: int = 0,
-                       journal_dir=None) -> FleetConfig:
+def net_profile_config(profile: str, shards: int = 4,
+                       seed: int = 0) -> FleetConfig:
     """A :class:`FleetConfig` under the named network profile:
 
     * ``clean`` — no faults: plain ``FleetConfig(shards=...)``, the
@@ -62,8 +62,7 @@ def net_profile_config(profile: str, shards: int = 4, seed: int = 0,
         plan = FaultPlan.uniform(seed, 0.01, sites=NET_LOSS_SITES)
     elif profile == "partition":
         plan = FaultPlan.uniform(seed, 0.25, sites=(SITE_NET_PARTITION,))
-    return FleetConfig(shards=shards, fault_plan=plan,
-                       journal_dir=journal_dir)
+    return FleetConfig(shards=shards, fault_plan=plan)
 
 
 def fleet_replay(dataset, observer: str = "live",

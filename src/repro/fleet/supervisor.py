@@ -30,10 +30,10 @@ detector turns ``suspect_after`` seconds of heartbeat silence into the
 ring leave (deterministic rebalance + handoff through the sharded
 pool), a lapsed coordinator lease into a voted election, and the
 restarted replica's first heartbeat into the rejoin.  Restart rebuilds
-the replica from genesis plus its per-shard recovery journal (block
-imports replayed at their recorded clocks), catches up blocks journaled
-while it was down from the supervisor's block store, and resyncs the
-pending pool from a live peer — converging to a byte-identical world
+the replica from genesis plus every block of the supervisor's block
+store (replayed in order at their recorded clocks), repairs its
+per-shard journal's torn tail, and resyncs the pending pool from a
+live peer — converging to a byte-identical world
 root, which :meth:`process_block` cross-checks on every subsequent
 block.  APs are lost in a crash: speculation is pure acceleration, so
 commitments are unaffected (the containment contract
@@ -52,12 +52,7 @@ from repro.chain.transaction import (
     tx_from_wire,
     tx_to_wire,
 )
-from repro.core.node import (
-    BlockReport,
-    ForerunnerConfig,
-    ForerunnerNode,
-    LocalSpecPlane,
-)
+from repro.core.node import BlockReport, ForerunnerNode, LocalSpecPlane
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.faults.sites import SITE_NET_PARTITION, SITE_REPLICA_CRASH
@@ -69,7 +64,7 @@ from repro.recovery.journal import (
 )
 
 from .lease import LeaseRegistry
-from .shardmap import DEFAULT_VNODES, ShardMap
+from .shardmap import ShardMap
 from .shardpool import ShardedTxPool
 from .wire import (
     INGRESS,
@@ -100,10 +95,6 @@ class FleetConfig:
 
     #: Replica count (= shard count; each replica owns one shard).
     shards: int = 4
-    #: Virtual nodes per replica on the consistent-hash ring.
-    vnodes: int = DEFAULT_VNODES
-    #: Per-replica node configuration (shared; nodes never mutate it).
-    node: ForerunnerConfig = field(default_factory=ForerunnerConfig)
     #: Fleet-level chaos plan (``fleet.*`` / ``net.*`` sites);
     #: ``None`` = no-op.
     fault_plan: object = None
@@ -186,8 +177,7 @@ class FleetSupervisor:
             self.injector = FaultInjector(plan, registry=self.registry)
         else:
             self.injector = NULL_INJECTOR
-        self.shardmap = ShardMap(range(self.config.shards),
-                                 vnodes=self.config.vnodes)
+        self.shardmap = ShardMap(range(self.config.shards))
         self.shardpool = ShardedTxPool(self.shardmap,
                                        registry=self.registry,
                                        injector=self.injector)
@@ -305,8 +295,7 @@ class FleetSupervisor:
         # Per-replica registries keep instrument names identical on
         # every replica (no cross-replica scope-suffix drift).
         registry = MetricsRegistry()
-        node = ForerunnerNode(self.genesis_world.copy(),
-                              self.config.node, registry=registry)
+        node = ForerunnerNode(self.genesis_world.copy(), registry=registry)
         node.spec_plane = FleetSpecPlane(node, self)
         node.predictor.observe_block(self.genesis_block)
         return node, registry
@@ -379,7 +368,7 @@ class FleetSupervisor:
         with the state root for the fleet cross-check."""
         replica = self.replicas.get(replica_id)
         if replica is None or replica.status != "up":
-            return  # down replicas catch up from journals at restart
+            return  # down replicas replay the block store at restart
         number = int(payload["number"])
         if number in replica.applied:
             return
@@ -738,9 +727,15 @@ class FleetSupervisor:
         return True
 
     def restart(self, replica_id: int, now: float) -> bool:
-        """Rebuild a crashed replica: genesis + shard-journal replay,
-        block catch-up from the chain store, pool resync from a peer.
-        Ring membership is untouched (see :meth:`crash`).
+        """Rebuild a crashed replica: genesis + every block of the chain
+        store replayed in order, pool resync from a peer.  Ring
+        membership is untouched (see :meth:`crash`).
+
+        The shard journal alone cannot drive the replay: it misses the
+        blocks committed while the replica was down, and a block an
+        earlier restart caught up was never journaled either.  The
+        journal is still repaired (torn tail) and reopened at its next
+        sequence number.
 
         The replayed world must be byte-identical — every replayed
         block's ``state_root`` is validated inside ``process_block``,
@@ -751,32 +746,14 @@ class FleetSupervisor:
             return False
         node, registry = self._new_node()
         node.admission = self.admission
-        applied = set()
-        replayed_to = -1
         next_seq = 0
         if replica.journal_path is not None \
                 and os.path.exists(replica.journal_path):
             truncate_torn_tail(replica.journal_path)
-            scan = read_journal(replica.journal_path)
-            next_seq = scan.next_seq
-            for record in scan.records:
-                if record.type != RECORD_BLOCK:
-                    continue
-                number = int(record.data["number"])
-                stored = self.block_store.get(number)
-                if stored is None or number <= replayed_to:
-                    continue
-                block, at = stored
-                node.process_block(block, at)
-                applied.add(number)
-                replayed_to = number
-        # Blocks journaled to other shards while this one was down.
+            next_seq = read_journal(replica.journal_path).next_seq
         for number in sorted(self.block_store):
-            if number > replayed_to:
-                block, at = self.block_store[number]
-                node.process_block(block, at)
-                applied.add(number)
-                replayed_to = number
+            block, at = self.block_store[number]
+            node.process_block(block, at)
         # Pool/heard resync from a live peer (all replicas hear all
         # gossip, so any peer's view is the canonical one; the
         # coordinator may itself be down mid-election, so fall back to
@@ -793,7 +770,7 @@ class FleetSupervisor:
         replica.registry = registry
         replica.status = "up"
         replica.restarts += 1
-        replica.applied = applied
+        replica.applied = set(self.block_store)
         if replica.journal_path is not None:
             replica.journal = JournalWriter(replica.journal_path,
                                             next_seq=next_seq)

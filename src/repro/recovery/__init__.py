@@ -34,7 +34,6 @@ from repro.recovery.journal import (  # noqa: F401
 )
 from repro.recovery.replay import (  # noqa: F401
     DurableReplay,
-    RecoveryConfig,
     RecoveryOutcome,
     recovery_report,
     run_with_recovery,

@@ -7,7 +7,7 @@ every block import and commit is journaled (fsync'd), per-transaction
 commits and memo-table events stream into the WAL, and a snapshot of
 the full node state — both worlds, both node caches, the txpool, the
 memo-table summary, the committed reports — is atomically installed
-every ``snapshot_interval_blocks`` blocks, after which the journal is
+every ``snapshot_interval`` blocks, after which the journal is
 compacted to the snapshot's sequence number.
 
 Because the event timeline is deterministic (tx arrivals, speculation
@@ -86,21 +86,11 @@ from repro.sim.emulator import (
 from repro.sim.storage import world_from_json, world_to_json
 
 
-@dataclass
-class RecoveryConfig:
-    """Durability tunables."""
-
-    #: Snapshot every N committed blocks (0 disables snapshots; the
-    #: journal then carries the whole history).
-    snapshot_interval_blocks: int = 2
-    #: Newest snapshots retained on disk.
-    keep_snapshots: int = 2
-    #: Journal memo-table events (insert/evict/drop/discard).  Pure
-    #: audit trail; recovery never replays them.
-    journal_memo_events: bool = True
-    #: Give up after this many restart attempts (a crash-loop guard;
-    #: single-shot crash plans need exactly one).
-    max_restarts: int = 5
+#: Newest snapshots retained on disk.
+KEEP_SNAPSHOTS = 2
+#: Give up after this many restart attempts (a crash-loop guard;
+#: single-shot crash plans need exactly one).
+MAX_RESTARTS = 5
 
 
 @dataclass
@@ -166,16 +156,20 @@ class DurableReplay:
     the newest intact snapshot, rebuild both nodes, and continue the
     event timeline from the snapshot's cursor, verifying every
     journal-committed block it re-drives.
+
+    A snapshot is installed every ``snapshot_interval`` committed
+    blocks (0 disables snapshots; the journal then carries the whole
+    history).
     """
 
     def __init__(self, dataset, store_dir: str, observer: str = "live",
                  config: Optional[ForerunnerConfig] = None,
-                 recovery: Optional[RecoveryConfig] = None,
+                 snapshot_interval: int = 2,
                  crash_plan=None, resume: bool = False) -> None:
         self.dataset = dataset
         self.observer = observer
         self.config = config or ForerunnerConfig()
-        self.recovery = recovery or RecoveryConfig()
+        self.snapshot_interval = snapshot_interval
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer(self.registry) \
             if self.config.enable_obs else NullTracer()
@@ -201,7 +195,7 @@ class DurableReplay:
         self.snapshots = SnapshotStore(
             os.path.join(store_dir, "snapshots"),
             injector=self.injector, obs=obs,
-            keep=self.recovery.keep_snapshots)
+            keep=KEEP_SNAPSHOTS)
         self.run_ = EvaluationRun(
             dataset_name=dataset.name, observer=observer,
             registry=self.registry, tracer=self.tracer,
@@ -217,8 +211,9 @@ class DurableReplay:
         self.journal = JournalWriter(journal_path,
                                      injector=self.injector,
                                      obs=obs, next_seq=next_seq)
-        if self.recovery.journal_memo_events:
-            self.forerunner.speculator.memo_sink = self._memo_sink
+        # Memo-table events are a pure audit trail: recovery never
+        # replays them.
+        self.forerunner.speculator.memo_sink = self._memo_sink
         self.run_.forerunner_node = self.forerunner
         self._evaluate = evaluation_step(
             self.run_, self.baseline, self.forerunner, dataset.kinds)
@@ -418,7 +413,7 @@ class DurableReplay:
             "head": block.number,
             "world_version": self.forerunner.world.version,
         }, clock=self._clock())
-        interval = self.recovery.snapshot_interval_blocks
+        interval = self.snapshot_interval
         if interval and block.number % interval == 0:
             payload = self._capture(block.number)
             self.snapshots.save(payload, block.number)
@@ -445,21 +440,20 @@ class DurableReplay:
 def run_with_recovery(dataset, store_dir: str, crash_plan=None,
                       observer: str = "live",
                       config: Optional[ForerunnerConfig] = None,
-                      recovery: Optional[RecoveryConfig] = None
-                      ) -> RecoveryOutcome:
+                      snapshot_interval: int = 2) -> RecoveryOutcome:
     """Run durably under ``crash_plan``; on simulated death, restart
     and recover until the workload completes.
 
     Restarts run with **no plan**: the crash cause died with the
     process (and a restarted injector's per-site counts would re-fire a
-    probability-1.0 rule forever otherwise).  ``max_restarts`` guards
-    against a genuine crash loop."""
-    recovery = recovery or RecoveryConfig()
+    probability-1.0 rule forever otherwise).  :data:`MAX_RESTARTS`
+    guards against a genuine crash loop."""
     outcome = RecoveryOutcome(run=None)
-    while outcome.restarts <= recovery.max_restarts:
+    while outcome.restarts <= MAX_RESTARTS:
         resume = outcome.restarts > 0
         node = DurableReplay(dataset, store_dir, observer=observer,
-                             config=config, recovery=recovery,
+                             config=config,
+                             snapshot_interval=snapshot_interval,
                              crash_plan=None if resume else crash_plan,
                              resume=resume)
         if resume:
@@ -474,14 +468,14 @@ def run_with_recovery(dataset, store_dir: str, crash_plan=None,
         if outcome.run is not None:
             return outcome
     raise RecoveryError(
-        f"crash loop: {recovery.max_restarts} restarts exhausted "
+        f"crash loop: {MAX_RESTARTS} restarts exhausted "
         f"(crashes: {outcome.crashes})")
 
 
 def recovery_report(dataset, store_root: str, seed: int = 0,
                     sites=None, observer: str = "live",
                     config: Optional[ForerunnerConfig] = None,
-                    recovery: Optional[RecoveryConfig] = None,
+                    snapshot_interval: int = 2,
                     clean_run=None) -> dict:
     """Crash-matrix sweep: one single-shot crash per site, each run
     recovered and its equivalence digest compared byte-for-byte to an
@@ -505,7 +499,7 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
         store_dir = os.path.join(store_root, f"crash-{index:02d}")
         outcome = run_with_recovery(
             dataset, store_dir, crash_plan=plan, observer=observer,
-            config=config, recovery=recovery)
+            config=config, snapshot_interval=snapshot_interval)
         converged = digest_bytes(outcome.run) == clean
         fired = sum(entry["fired"]
                     for entry in outcome.fire_summary.values())

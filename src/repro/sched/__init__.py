@@ -27,7 +27,7 @@ from repro.sched.executor import (
     ParallelBlockExecutor,
     TxOutcome,
 )
-from repro.sched.lanes import Lane, LaneSet, SchedConfig
+from repro.sched.lanes import Lane, LaneSet
 
 __all__ = [
     "AccessSet",
@@ -38,7 +38,6 @@ __all__ = [
     "LaneSet",
     "ParallelBlockExecutor",
     "PrefetchRequest",
-    "SchedConfig",
     "SpeculationRequest",
     "TxOutcome",
 ]

@@ -25,7 +25,21 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.consensus.packing import priority_key
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.sched.lanes import SchedConfig
+
+#: Hard cap on contexts speculated per transaction across heads.
+MAX_TOTAL_CONTEXTS = 16
+#: Hard cap on speculation jobs dispatched per head.  Generous (the
+#: per-tx context caps bind first in the simulated workloads) but a
+#: real bound under tx floods.
+MAX_JOBS_PER_HEAD = 4096
+#: Requests dispatched in one speculation cycle; overflow is deferred
+#: (up to :data:`DEFER_CAPACITY`), then dropped.
+QUEUE_CAPACITY = 1024
+#: Bounded carry-over queue between cycles.
+DEFER_CAPACITY = 2048
+#: Bounded prefetch request queue: prefetch cannot grow unboundedly
+#: ahead of the speculator.
+PREFETCH_QUEUE_CAPACITY = 4096
 
 
 @dataclass
@@ -94,15 +108,11 @@ class HitLikelihoodEstimator:
 class AdmissionController:
     """Deterministic budgets + priorities for speculation dispatch."""
 
-    def __init__(self, config: Optional[SchedConfig] = None,
-                 max_contexts_per_head: int = 4,
-                 max_total_contexts: int = 16,
+    def __init__(self, max_contexts_per_head: int = 4,
                  registry: Optional[MetricsRegistry] = None,
                  injector=None,
                  breaker=None) -> None:
-        self.config = config or SchedConfig()
         self.max_contexts_per_head = max_contexts_per_head
-        self.max_total_contexts = max_total_contexts
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.breaker = breaker
         self.estimator = HitLikelihoodEstimator()
@@ -192,8 +202,8 @@ class AdmissionController:
         budgeted = self._cap_filter(candidates, head)
         requests.extend(budgeted)
         requests.sort(key=lambda request: request.order_key)
-        admitted = requests[:self.config.queue_capacity]
-        overflow = requests[self.config.queue_capacity:]
+        admitted = requests[:QUEUE_CAPACITY]
+        overflow = requests[QUEUE_CAPACITY:]
         self.c_admitted.inc(len(admitted))
         self.defer(overflow, head)
         self.g_backlog.set(len(self._deferred))
@@ -210,7 +220,7 @@ class AdmissionController:
             if done_here >= self.max_contexts_per_head:
                 self.c_capped.inc(len(contexts))
                 continue
-            if done_total >= self.max_total_contexts:
+            if done_total >= MAX_TOTAL_CONTEXTS:
                 self.c_capped.inc(len(contexts))
                 continue
             if self.breaker is not None and not self.breaker.allows(tx.to):
@@ -256,11 +266,11 @@ class AdmissionController:
     def defer(self, requests: Iterable[SpeculationRequest],
               head: int) -> None:
         """Carry requests to the next cycle, bounded by
-        ``defer_capacity`` (the rest is dropped, counted)."""
+        :data:`DEFER_CAPACITY` (the rest is dropped, counted)."""
         pending = list(requests)
         if not pending:
             return
-        room = self.config.defer_capacity - len(self._deferred)
+        room = DEFER_CAPACITY - len(self._deferred)
         keep, drop = pending[:max(room, 0)], pending[max(room, 0):]
         self._deferred.extend(keep)
         self._deferred_head = head
@@ -283,7 +293,7 @@ class AdmissionController:
         head_key = (request.tx.hash, request.head)
         if self.spec_counts.get(head_key, 0) >= self.max_contexts_per_head:
             return False
-        if self.total_spec.get(request.tx.hash, 0) >= self.max_total_contexts:
+        if self.total_spec.get(request.tx.hash, 0) >= MAX_TOTAL_CONTEXTS:
             return False
         return not self.head_budget_exhausted(request.head)
 
@@ -300,7 +310,7 @@ class AdmissionController:
 
     def head_budget_exhausted(self, head: int) -> bool:
         return (self._per_head_dispatched.get(head, 0)
-                >= self.config.max_jobs_per_head)
+                >= MAX_JOBS_PER_HEAD)
 
     # -- bounded prefetch queue (ISSUE satellite) ------------------------
 
@@ -315,7 +325,7 @@ class AdmissionController:
         self._prefetch_queue.append(request)
         self.c_prefetch_queued.inc()
         dropped = False
-        if len(self._prefetch_queue) > self.config.prefetch_queue_capacity:
+        if len(self._prefetch_queue) > PREFETCH_QUEUE_CAPACITY:
             victim = max(self._prefetch_queue,
                          key=lambda r: (-r.score, r.seq))
             self._prefetch_queue.remove(victim)
@@ -324,16 +334,13 @@ class AdmissionController:
         self.g_prefetch_depth.set(len(self._prefetch_queue))
         return not dropped
 
-    def drain_prefetches(self, limit: Optional[int] = None
-                         ) -> List[PrefetchRequest]:
-        """Dequeue up to ``limit`` requests in FIFO (arrival) order —
+    def drain_prefetches(self) -> List[PrefetchRequest]:
+        """Dequeue every queued request in FIFO (arrival) order —
         preserving the legacy prefetcher's cost accounting order."""
-        if limit is None:
-            limit = len(self._prefetch_queue)
-        batch = self._prefetch_queue[:limit]
-        self._prefetch_queue = self._prefetch_queue[limit:]
+        batch = self._prefetch_queue
+        self._prefetch_queue = []
         self.c_prefetch_drained.inc(len(batch))
-        self.g_prefetch_depth.set(len(self._prefetch_queue))
+        self.g_prefetch_depth.set(0)
         return batch
 
     # -- reporting -------------------------------------------------------

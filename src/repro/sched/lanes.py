@@ -13,35 +13,7 @@ any lane count replays byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-
-@dataclass
-class SchedConfig:
-    """Tunables for the concurrency scheduler (node-level)."""
-
-    #: Lanes of the block executor's derived optimistic-concurrency
-    #: schedule.  Execution is one serial pass at any value (so every
-    #: value commits byte-identically); 1 also skips access recording.
-    lanes: int = 4
-    #: Admission: hard cap on speculation jobs dispatched per head.
-    #: Generous by default (the per-tx context caps bind first in the
-    #: simulated workloads) but a real bound under tx floods.
-    max_jobs_per_head: int = 4096
-    #: Admission: max requests dispatched in one speculation cycle;
-    #: overflow is deferred (up to ``defer_capacity``), then dropped.
-    queue_capacity: int = 1024
-    #: Admission: bounded carry-over queue between cycles.
-    defer_capacity: int = 2048
-    #: Backpressure: defer dispatch once the least-loaded worker lane
-    #: is backlogged further than this many simulated seconds.
-    max_lane_backlog_seconds: float = 120.0
-    #: Bounded prefetch request queue (satellite: prefetch can no
-    #: longer grow unboundedly ahead of the speculator).
-    prefetch_queue_capacity: int = 4096
-    #: Max prefetch requests drained per speculation cycle
-    #: (None = drain everything queued).
-    prefetch_drain_per_cycle: Optional[int] = None
+from typing import List, Tuple
 
 
 @dataclass

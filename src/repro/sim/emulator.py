@@ -414,17 +414,16 @@ def replay(dataset: Dataset, observer: str = "live",
     faults (drop / duplicate / reorder) are applied at the event loop,
     where the message timeline lives.
 
-    ``lanes`` overrides ``config.sched.lanes`` (parallel execution
-    lanes for block processing); any value commits byte-identical
-    state — only the ``run.sched`` critical-path metrics change.
+    ``lanes`` overrides ``config.lanes`` (parallel execution lanes for
+    block processing); any value commits byte-identical state — only
+    the ``run.sched`` critical-path metrics change.
     """
     timeline = build_timeline(dataset, observer)
     config = config or ForerunnerConfig()
     if fault_plan is not None:
         config = _dc_replace(config, fault_plan=fault_plan)
     if lanes is not None:
-        config = _dc_replace(
-            config, sched=_dc_replace(config.sched, lanes=lanes))
+        config = _dc_replace(config, lanes=lanes)
     registry = MetricsRegistry()
     tracer = SpanTracer(registry) if config.enable_obs else NullTracer()
     baseline = BaselineNode(dataset.genesis_world.copy(),

@@ -27,6 +27,16 @@ from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 from repro.workloads.mixed import MixedWorkload, TimedTx, TrafficConfig
 
+MINERS = 8
+#: Zipf-ish hash power skew exponent (no miner dominates).
+HASH_POWER_SKEW = 0.7
+#: Probability a height produces a competing (temporary-fork) block.
+FORK_PROBABILITY = 0.07
+#: Block propagation delay to observers (seconds).
+BLOCK_PROPAGATION = 0.8
+#: Extra seconds after traffic stops, to drain the pool.
+DRAIN_SECONDS = 45.0
+
 
 @dataclass
 class DatasetConfig:
@@ -34,21 +44,11 @@ class DatasetConfig:
 
     name: str = "L1"
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    miners: int = 8
-    #: Zipf-ish hash power skew exponent (no miner dominates).
-    hash_power_skew: float = 0.7
     mean_block_interval: float = 13.0
-    block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
-    #: Probability a height produces a competing (temporary-fork) block.
-    fork_probability: float = 0.07
-    #: Block propagation delay to observers (seconds).
-    block_propagation: float = 0.8
     #: Observer gossip models (name -> latency).  The same network can
     #: be observed through different connections (L1 vs R1, §5.1).
     observers: Dict[str, LatencyModel] = field(default_factory=dict)
     seed: int = 2021
-    #: Extra seconds after traffic stops, to drain the pool.
-    drain: float = 45.0
 
 
 @dataclass
@@ -98,7 +98,7 @@ def record_dataset(config: Optional[DatasetConfig] = None) -> Dataset:
     config = config or DatasetConfig()
     rng = random.Random(config.seed)
 
-    hash_power = _hash_powers(config.miners, config.hash_power_skew)
+    hash_power = _hash_powers(MINERS, HASH_POWER_SKEW)
     miner_ids = list(hash_power)
     traffic = config.traffic
     if not traffic.miner_ids:
@@ -120,7 +120,7 @@ def record_dataset(config: Optional[DatasetConfig] = None) -> Dataset:
         miner_id: Miner(
             miner_id=miner_id,
             clock_skew=rng.uniform(-2.0, 6.0),
-            gas_limit=config.block_gas_limit,
+            gas_limit=DEFAULT_BLOCK_GAS_LIMIT,
             seed=config.seed + index,
         )
         for index, miner_id in enumerate(miner_ids)
@@ -155,7 +155,7 @@ def record_dataset(config: Optional[DatasetConfig] = None) -> Dataset:
     packed: Set[int] = set()
     parent = genesis_block
     now = 0.0
-    end_time = traffic.duration + config.drain
+    end_time = traffic.duration + DRAIN_SECONDS
     while True:
         now, winner = schedule.next_block(now)
         if now >= end_time:
@@ -171,16 +171,15 @@ def record_dataset(config: Optional[DatasetConfig] = None) -> Dataset:
             EVM(state, block.header, tx).execute_transaction()
         state.commit()
         block.state_root = truth_world.root()
-        blocks.append((now + config.block_propagation, block))
+        blocks.append((now + BLOCK_PROPAGATION, block))
         # Temporary fork: a competing miner found a same-height block
         # that lost the race — built from ITS view, without knowledge of
         # the winner (overlapping contents, like real uncles).
-        if schedule.uniform() < config.fork_probability:
+        if schedule.uniform() < FORK_PROBABILITY:
             rival_id = schedule.competing_miner(winner)
             rival = miners[rival_id].build_block(
                 now + 0.4, parent, next_nonces, packed)
-            fork_blocks.append(
-                (now + 0.4 + config.block_propagation, rival))
+            fork_blocks.append((now + 0.4 + BLOCK_PROPAGATION, rival))
         packed.update(tx.hash for tx in block.transactions)
         parent = block
 

@@ -20,6 +20,13 @@ from repro.workloads.names import RegistryWorkload
 from repro.workloads.oracle import OracleWorkload
 from repro.workloads.tokens import TokenWorkload
 
+#: Funded accounts per workload.
+DEX_TRADERS = 25
+REGISTRY_USERS = 20
+LENDING_USERS = 15
+#: Fraction of transactions submitted privately to a miner.
+PRIVATE_FRACTION = 0.02
+
 
 @dataclass
 class TrafficConfig:
@@ -31,20 +38,15 @@ class TrafficConfig:
     oracle_reporters: int = 5
     token_holders: int = 60
     token_rate: float = 1.2
-    dex_traders: int = 25
     dex_rate: float = 0.5
     auction_rate: float = 0.15
     registry_rate: float = 0.25
-    registry_users: int = 20
     lending_rate: float = 0.2
-    lending_users: int = 15
     compute_rate: float = 0.04
     deploy_rate: float = 0.01
     #: Plain ETH transfer rate (transactions/second).
     eth_transfer_rate: float = 0.6
     eth_senders: int = 30
-    #: Fraction of transactions submitted privately to a miner.
-    private_fraction: float = 0.02
     miner_ids: Tuple[int, ...] = ()
 
 
@@ -68,17 +70,15 @@ class MixedWorkload:
             reporters_per_feed=self.config.oracle_reporters)
         self.tokens = TokenWorkload(
             holders=self.config.token_holders, rate=self.config.token_rate)
-        self.dex = DexWorkload(
-            traders=self.config.dex_traders, rate=self.config.dex_rate)
+        self.dex = DexWorkload(traders=DEX_TRADERS,
+                               rate=self.config.dex_rate)
         self.auctions = AuctionWorkload(
             rate=self.config.auction_rate,
             horizon=self.config.duration * 2)
-        self.registry = RegistryWorkload(
-            users=self.config.registry_users,
-            rate=self.config.registry_rate)
-        self.lending = LendingWorkload(
-            users=self.config.lending_users,
-            rate=self.config.lending_rate)
+        self.registry = RegistryWorkload(users=REGISTRY_USERS,
+                                         rate=self.config.registry_rate)
+        self.lending = LendingWorkload(users=LENDING_USERS,
+                                       rate=self.config.lending_rate)
         self.compute = ComputeWorkload(rate=self.config.compute_rate)
         self.deployments = DeploymentWorkload(rate=self.config.deploy_rate)
         self.eth_senders: List[int] = []
@@ -148,7 +148,7 @@ class MixedWorkload:
             next_nonce[intent.sender] = nonce + 1
             origin_miner = intent.origin_miner
             if (origin_miner is None and config.miner_ids
-                    and rng.random() < config.private_fraction):
+                    and rng.random() < PRIVATE_FRACTION):
                 origin_miner = rng.choice(config.miner_ids)
             tx = Transaction(
                 sender=intent.sender,

@@ -9,7 +9,6 @@ from repro.chain.transaction import Transaction
 from repro.core.node import ForerunnerConfig, ForerunnerNode
 from repro.edge import (
     AcceptedTxLog,
-    BrownoutConfig,
     BrownoutController,
     Bulkhead,
     Deadline,
@@ -24,7 +23,8 @@ from repro.edge import (
     restore_pool,
     run_serving,
 )
-from repro.edge import rpc
+from repro.edge import brownout, rpc
+from repro.edge import server as server_module
 from repro.edge.brownout import LEVEL_DEGRADED, LEVEL_FULL, LEVEL_SHED
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
@@ -100,15 +100,16 @@ def test_retry_token_pool_bounds_amplification():
 # -- brownout ladder ---------------------------------------------------------
 
 
-def _ladder():
-    config = BrownoutConfig(depth_degraded=4, depth_shed=8,
-                            latency_degraded=1000, latency_shed=5000,
-                            min_dwell_seconds=1.0, exit_fraction=0.5)
-    return BrownoutController(config, MetricsRegistry())
+def _ladder(monkeypatch):
+    for name, value in (("DEPTH_DEGRADED", 4), ("DEPTH_SHED", 8),
+                        ("LATENCY_DEGRADED", 1000), ("LATENCY_SHED", 5000),
+                        ("MIN_DWELL_SECONDS", 1.0), ("EXIT_FRACTION", 0.5)):
+        monkeypatch.setattr(brownout, name, value)
+    return BrownoutController(MetricsRegistry())
 
 
-def test_brownout_ladder_enters_and_exits_with_hysteresis():
-    ladder = _ladder()
+def test_brownout_ladder_enters_and_exits_with_hysteresis(monkeypatch):
+    ladder = _ladder(monkeypatch)
     assert ladder.observe(0.0, depth=0) == LEVEL_FULL
     assert ladder.observe(1.0, depth=5) == LEVEL_DEGRADED
     # Dwell: an immediate worse reading cannot transition yet.
@@ -121,8 +122,8 @@ def test_brownout_ladder_enters_and_exits_with_hysteresis():
     assert [t.new_level for t in ladder.transitions] == [1, 2, 1, 0]
 
 
-def test_brownout_shedding_decision():
-    ladder = _ladder()
+def test_brownout_shedding_decision(monkeypatch):
+    ladder = _ladder(monkeypatch)
     ladder.score(1, weight=2.0)  # max weight seen -> shed floor 1.0
     assert ladder.admits(0.1, cheap=True)  # full: everything goes
     ladder.level = LEVEL_DEGRADED
@@ -170,9 +171,10 @@ def _call_frame(req_id, value=1, data="0x"):
         "from": ALICE, "to": BOB, "value": value, "data": data}], req_id)
 
 
-def test_rate_limit_per_client(world):
-    server = _server(world, bucket_capacity=2.0,
-                     bucket_refill_per_second=0.0)
+def test_rate_limit_per_client(world, monkeypatch):
+    monkeypatch.setattr(server_module, "BUCKET_CAPACITY", 2.0)
+    monkeypatch.setattr(server_module, "BUCKET_REFILL_PER_SECOND", 0.0)
+    server = _server(world)
     for index in range(2):
         response, outcome = server.handle_raw(
             _call_frame(index, value=index), client_id=1, now=0.0)
@@ -186,8 +188,9 @@ def test_rate_limit_per_client(world):
     assert outcome.status == "served"
 
 
-def test_backpressure_when_queue_full(world):
-    server = _server(world, queue_capacity=1, service_rate=50.0)
+def test_backpressure_when_queue_full(world, monkeypatch):
+    monkeypatch.setattr(server_module, "BULKHEAD_CAPACITY", 1)
+    server = _server(world, service_rate=50.0)
     _, first = server.handle_raw(_call_frame(0, value=1), 1, now=0.0)
     assert first.status in ("served", "deadline_expired")
     response, second = server.handle_raw(
@@ -200,7 +203,7 @@ def test_expired_queued_work_is_cancelled_not_executed(world):
     # Slow server: the first call occupies it for many seconds; the
     # second one's deadline passes before its start slot, so it is
     # cancelled at admission and the node never executes it.
-    server = _server(world, queue_capacity=10, service_rate=200.0)
+    server = _server(world, service_rate=200.0)
     _, first = server.handle_raw(_call_frame(0, value=1), 1, now=0.0,
                                  deadline_units=10_000_000)
     assert first.status == "served"
@@ -222,8 +225,10 @@ def test_inflight_deadline_overrun_is_reported(world):
     assert server.c_deadline_overrun.value == 1
 
 
-def test_internal_faults_are_contained_and_trip_the_breaker(world):
-    server = _server(world, breaker_threshold=3)
+def test_internal_faults_are_contained_and_trip_the_breaker(world,
+                                                            monkeypatch):
+    monkeypatch.setattr(server_module, "BREAKER_THRESHOLD", 3)
+    server = _server(world)
 
     def boom(request, now, stale):
         raise RuntimeError("handler bug")
@@ -252,7 +257,7 @@ def test_send_raw_transaction_enters_pool_with_deadline(world):
     node = server.node
     assert tx.hash in node.pool
     stamp = node.admission._deadlines.get(tx.hash)
-    assert stamp == 2.0 + server.config.speculation_deadline_seconds
+    assert stamp == 2.0 + server_module.SPECULATION_DEADLINE_SECONDS
     # Idempotent: a duplicate send is acknowledged but not re-added.
     response, _ = server.handle_raw(frame, 1, now=3.0)
     assert response["result"]["accepted"] is False

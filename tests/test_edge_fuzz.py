@@ -14,22 +14,27 @@ import random
 import pytest
 
 from repro.core.node import ForerunnerNode
-from repro.edge import EdgeConfig, EdgeServer
+from repro.edge import EdgeServer
 from repro.edge import rpc
+from repro.edge import server as server_module
 from repro.obs.registry import MetricsRegistry
 from repro.utils.hashing import hash_words
 
 from tests.conftest import ALICE, BOB
 
 
+@pytest.fixture(autouse=True)
+def generous_buckets(monkeypatch):
+    """Rejections in these tests must come from parsing, not from
+    overload protection."""
+    monkeypatch.setattr(server_module, "BUCKET_CAPACITY", 1e9)
+    monkeypatch.setattr(server_module, "BUCKET_REFILL_PER_SECOND", 1e9)
+
+
 def _server(world):
     registry = MetricsRegistry()
     node = ForerunnerNode(world, registry=registry)
-    # Generous limits: rejections in this test must come from parsing,
-    # not from overload protection.
-    config = EdgeConfig(bucket_capacity=1e9,
-                        bucket_refill_per_second=1e9)
-    return EdgeServer(node, config, registry=registry), registry
+    return EdgeServer(node, registry=registry), registry
 
 
 def _valid_frame(rng) -> str:

@@ -93,7 +93,7 @@ def test_routing_site_containment(site, chaos_dataset):
 def test_crash_restart_converges_across_seeds(seed, chaos_dataset,
                                               clean_commitments):
     """Seeds 0-2 of sustained crash chaos: every restarted replica
-    replays its shard journal, catches up missed blocks, and converges
+    replays the supervisor's block store and converges
     byte-for-byte (the per-block root cross-check would raise on any
     divergence)."""
     plan = FaultPlan.uniform(seed, 0.3, sites=(SITE_REPLICA_CRASH,))

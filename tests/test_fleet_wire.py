@@ -231,7 +231,7 @@ def test_fast_restart_never_leaves_the_ring(dataset, clean_wire_run):
     """``restart_delay < suspect_after``: every crashed replica is
     heartbeating again before the detector's silence threshold, so the
     ring generation never moves, no handoff window opens — and the
-    journal-replayed restarts still converge to the clean chain."""
+    restarts still converge to the clean chain."""
     plan = FaultPlan.uniform(0, 0.5, sites=(SITE_REPLICA_CRASH,))
     config = FleetConfig(shards=4, fault_plan=plan, restart_delay=4.0)
     assert config.restart_delay < config.wire.suspect_after
@@ -245,6 +245,27 @@ def test_fast_restart_never_leaves_the_ring(dataset, clean_wire_run):
         clean_wire_run.supervisor.shardmap.generation
     assert run.commitments() == clean_wire_run.commitments()
     supervisor.lease.assert_single_holder_per_term()
+
+
+def test_second_restart_replays_blocks_the_first_caught_up(dataset,
+                                                           tmp_path):
+    """A journaled replica misses block 1 while down and catches it up
+    at restart without journaling it; block 2 is journaled; a second
+    crash and restart must still rebuild the chain's world (replaying
+    the shard journal alone skips block 1: state root mismatch)."""
+    supervisor = FleetSupervisor(
+        dataset.genesis_world, dataset.genesis_block,
+        FleetConfig(shards=4, journal_dir=str(tmp_path)))
+    (first_at, first), (second_at, second) = dataset.blocks[:2]
+    victim = 2
+    assert supervisor.crash(victim, 0.0)
+    supervisor.process_block(first, first_at)
+    assert supervisor.restart(victim, first_at)
+    supervisor.process_block(second, second_at)
+    assert supervisor.crash(victim, second_at)
+    assert supervisor.restart(victim, second_at)
+    assert supervisor.node(victim).world.root() == second.state_root
+    supervisor.close()
 
 
 # -- warmth-weighted read placement ---------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.chain.block import Block, BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
+from repro.core import node as node_module
 from repro.core.node import BaselineNode, ForerunnerConfig, ForerunnerNode
 from repro.errors import ChainError
 from repro.state.world import WorldState
@@ -89,9 +90,10 @@ def test_forerunner_unheard_tx_marked():
     assert record.outcome == "no_ap"
 
 
-def test_ap_not_ready_until_worker_finishes():
-    config = ForerunnerConfig(workers=1, worker_speed=1.0)  # glacial
-    fore = ForerunnerNode(fresh_world(), config)
+def test_ap_not_ready_until_worker_finishes(monkeypatch):
+    monkeypatch.setattr(node_module, "WORKERS", 1)
+    monkeypatch.setattr(node_module, "WORKER_SPEED", 1.0)  # glacial
+    fore = ForerunnerNode(fresh_world())
     fore.on_transaction(tx_e(), now=0.0)
     fore.run_speculation(0.0)
     ap = fore.speculator.get_ap(tx_e().hash)

@@ -4,11 +4,8 @@ import pytest
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.transaction import Transaction
-from repro.core.predictor import (
-    HeaderStats,
-    MultiFuturePredictor,
-    PredictorConfig,
-)
+from repro.core import predictor as predictor_module
+from repro.core.predictor import HeaderStats, MultiFuturePredictor
 
 
 def tx(sender=1, to=0xC, nonce=0, price=100, origin_miner=None):
@@ -46,9 +43,9 @@ def test_predict_headers_follow_observations():
         assert header.coinbase == 0xE0
 
 
-def test_rank_pending_price_priority_and_cap():
-    config = PredictorConfig(max_candidates=3)
-    predictor = MultiFuturePredictor(config)
+def test_rank_pending_price_priority_and_cap(monkeypatch):
+    monkeypatch.setattr(predictor_module, "MAX_CANDIDATES", 3)
+    predictor = MultiFuturePredictor()
     pending = [tx(sender=i + 1, price=(i + 1) * 10) for i in range(10)]
     ranked = predictor.rank_pending(pending, block_gas_limit=10**9)
     assert len(ranked) == 3
@@ -73,8 +70,7 @@ def test_group_dependencies_by_contract():
 
 
 def test_contexts_capped_and_distinct_ids():
-    config = PredictorConfig(max_contexts_per_tx=4)
-    predictor = MultiFuturePredictor(config)
+    predictor = MultiFuturePredictor()
     feed_blocks(predictor)
     target = tx(sender=1)
     group = [target] + [tx(sender=i + 2) for i in range(5)]
@@ -105,9 +101,9 @@ def test_sender_chain_is_mandatory_prefix():
         assert nonces == [0, 1]
 
 
-def test_deep_sender_chain_skipped():
-    config = PredictorConfig(max_predecessors=2)
-    predictor = MultiFuturePredictor(config)
+def test_deep_sender_chain_skipped(monkeypatch):
+    monkeypatch.setattr(predictor_module, "MAX_PREDECESSORS", 2)
+    predictor = MultiFuturePredictor()
     feed_blocks(predictor)
     chain = [tx(sender=1, nonce=i) for i in range(10)]
     target = tx(sender=1, nonce=10)
@@ -126,10 +122,11 @@ def test_predict_full_cycle():
         assert prediction.contexts[candidate.hash]
 
 
-def test_ordering_diversity_across_contexts():
+def test_ordering_diversity_across_contexts(monkeypatch):
     """Multiple contexts should explore different predecessor orderings
     (the many-future coverage mechanism)."""
-    predictor = MultiFuturePredictor(PredictorConfig(max_contexts_per_tx=6))
+    monkeypatch.setattr(predictor_module, "MAX_CONTEXTS_PER_TX", 6)
+    predictor = MultiFuturePredictor()
     feed_blocks(predictor)
     target = tx(sender=1, to=0xA)
     group = [target] + [tx(sender=i + 2, to=0xA) for i in range(3)]

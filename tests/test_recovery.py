@@ -37,12 +37,12 @@ from repro.p2p.latency import LatencyModel
 from repro.recovery import (
     DurableReplay,
     JournalWriter,
-    RecoveryConfig,
     SnapshotStore,
     read_journal,
     run_with_recovery,
     truncate_torn_tail,
 )
+from repro.recovery import replay as recovery_replay
 from repro.recovery.replay import recovery_report
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
@@ -56,7 +56,7 @@ PF = pricefeed()
 
 #: Snapshot every block: maximizes distinct crash-point placements the
 #: seed-as-occurrence sweep can reach within a small dataset.
-RECOVERY = RecoveryConfig(snapshot_interval_blocks=1)
+SNAPSHOT_INTERVAL = 1
 
 
 @pytest.fixture(scope="module")
@@ -248,16 +248,15 @@ class TestSnapshotStore:
 class TestDurableReplay:
     def test_uncrashed_run_matches_emulator_digest(
             self, dataset, clean_digest, tmp_path):
-        node = DurableReplay(dataset, str(tmp_path), recovery=RECOVERY)
+        node = DurableReplay(dataset, str(tmp_path),
+                             snapshot_interval=SNAPSHOT_INTERVAL)
         run = node.run()
         assert canonical_json(run_digest(run)) == clean_digest
 
     def test_journal_records_the_durable_event_stream(
             self, dataset, tmp_path):
         # Disable snapshots so compaction never trims the history.
-        node = DurableReplay(
-            dataset, str(tmp_path),
-            recovery=RecoveryConfig(snapshot_interval_blocks=0))
+        node = DurableReplay(dataset, str(tmp_path), snapshot_interval=0)
         run = node.run()
         scan = read_journal(str(tmp_path / "journal.wal"))
         types = {record.type for record in scan.records}
@@ -270,12 +269,13 @@ class TestDurableReplay:
         assert commits[-1].clock["exec_cost"] > 0
 
     def test_snapshots_bound_the_journal(self, dataset, tmp_path):
-        node = DurableReplay(dataset, str(tmp_path), recovery=RECOVERY)
+        node = DurableReplay(dataset, str(tmp_path),
+                             snapshot_interval=SNAPSHOT_INTERVAL)
         node.run()
         scan = read_journal(str(tmp_path / "journal.wal"))
         # The last block's snapshot compacted everything before it.
         snaps = os.listdir(str(tmp_path / "snapshots"))
-        assert 0 < len(snaps) <= RECOVERY.keep_snapshots
+        assert 0 < len(snaps) <= recovery_replay.KEEP_SNAPSHOTS
         commits = [r for r in scan.records if r.type == "block_commit"]
         assert len(commits) <= 1
 
@@ -287,9 +287,11 @@ class TestCrashMatrix:
     def test_every_site_converges_and_reports_are_byte_stable(
             self, dataset, clean_run, clean_digest, tmp_path, seed):
         first = recovery_report(dataset, str(tmp_path / "a"), seed=seed,
-                                recovery=RECOVERY, clean_run=clean_run)
+                                snapshot_interval=SNAPSHOT_INTERVAL,
+                                clean_run=clean_run)
         again = recovery_report(dataset, str(tmp_path / "b"), seed=seed,
-                                recovery=RECOVERY, clean_run=clean_run)
+                                snapshot_interval=SNAPSHOT_INTERVAL,
+                                clean_run=clean_run)
         # Same seed, fresh stores: byte-identical reports (CI diffs).
         assert canonical_json(first) == canonical_json(again)
         assert first["converged"]
@@ -311,7 +313,7 @@ class TestCrashMatrix:
             dataset, str(tmp_path),
             crash_plan=FaultPlan.single_shot(0, SITE_BLOCK_POST_COMMIT,
                                              occurrence=6),
-            recovery=RECOVERY)
+            snapshot_interval=SNAPSHOT_INTERVAL)
         assert outcome.restarts == 1
         info = outcome.recoveries[0]
         assert info.blocks_restored > 0
@@ -325,17 +327,17 @@ class TestCrashMatrix:
             dataset, str(tmp_path),
             crash_plan=FaultPlan.single_shot(0, SITE_JOURNAL_TORN,
                                              occurrence=3),
-            recovery=RECOVERY)
+            snapshot_interval=SNAPSHOT_INTERVAL)
         assert outcome.recoveries[0].torn_bytes_truncated > 0
         assert canonical_json(run_digest(outcome.run)) == clean_digest
 
-    def test_crash_loop_guard(self, dataset, tmp_path):
+    def test_crash_loop_guard(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(recovery_replay, "MAX_RESTARTS", 0)
         with pytest.raises(RecoveryError):
             run_with_recovery(
                 dataset, str(tmp_path),
                 crash_plan=FaultPlan.single_shot(0, SITE_JOURNAL_APPEND),
-                recovery=RecoveryConfig(snapshot_interval_blocks=1,
-                                        max_restarts=0))
+                snapshot_interval=SNAPSHOT_INTERVAL)
 
 
 # -- reorg journaling ---------------------------------------------------------

@@ -16,12 +16,13 @@ from repro.faults.invariants import digest_bytes
 from repro.obs.export import canonical_json
 from repro.obs.registry import MetricsRegistry
 from repro.p2p.latency import LatencyModel
+from repro.sched import admission as admission_module
 from repro.sched.admission import (
     AdmissionController,
     HitLikelihoodEstimator,
 )
 from repro.sched.conflicts import AccessSet
-from repro.sched.lanes import LaneSet, SchedConfig
+from repro.sched.lanes import LaneSet
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
@@ -128,10 +129,8 @@ class FakeTx:
         self.sender = 0xA11CE
 
 
-def controller(**overrides):
-    config = SchedConfig(**overrides) if overrides else SchedConfig()
-    return AdmissionController(config=config,
-                               registry=MetricsRegistry())
+def controller():
+    return AdmissionController(registry=MetricsRegistry())
 
 
 class TestAdmission:
@@ -141,8 +140,9 @@ class TestAdmission:
         admitted = ctrl.admit([(cheap, [1]), (rich, [2])], head=1)
         assert [r.tx for r in admitted] == [rich, cheap]
 
-    def test_queue_capacity_defers_overflow(self):
-        ctrl = controller(queue_capacity=2)
+    def test_queue_capacity_defers_overflow(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "QUEUE_CAPACITY", 2)
+        ctrl = controller()
         txs = [FakeTx() for _ in range(5)]
         admitted = ctrl.admit([(tx, [1]) for tx in txs], head=1)
         assert len(admitted) == 2
@@ -151,8 +151,9 @@ class TestAdmission:
         readmitted = ctrl.admit([], head=1)
         assert len(readmitted) == 2
 
-    def test_stale_head_deferrals_are_dropped(self):
-        ctrl = controller(queue_capacity=1)
+    def test_stale_head_deferrals_are_dropped(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "QUEUE_CAPACITY", 1)
+        ctrl = controller()
         ctrl.admit([(FakeTx(), [1]), (FakeTx(), [1])], head=1)
         assert ctrl.has_backlog()
         ctrl.admit([], head=2)  # new chain head: stale work is dropped
@@ -180,8 +181,9 @@ class TestAdmission:
         estimator.observe(0xC0FFEE, True)
         assert estimator.likelihood(0xC0FFEE) > low
 
-    def test_prefetch_queue_is_bounded(self):
-        ctrl = controller(prefetch_queue_capacity=2)
+    def test_prefetch_queue_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "PREFETCH_QUEUE_CAPACITY", 2)
+        ctrl = controller()
         ctrl.queue_prefetch([1], tx_sender=1, tx_to=0xA, score=5.0)
         ctrl.queue_prefetch([2], tx_sender=2, tx_to=0xB, score=1.0)
         ctrl.queue_prefetch([3], tx_sender=3, tx_to=0xC, score=3.0)

@@ -7,7 +7,8 @@ import pytest
 from repro.chain.block import Block, BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
-from repro.core.node import ForerunnerConfig, ForerunnerNode
+from repro.core import node as node_module
+from repro.core.node import ForerunnerNode
 from repro.state.world import WorldState
 
 from tests.conftest import ALICE, BOB, FEED, ROUND
@@ -38,9 +39,17 @@ def prime(node):
         number=0, timestamp=3990449, coinbase=0xE0)))
 
 
-def test_fast_workers_ready_immediately():
-    node = ForerunnerNode(fresh_world(),
-                          ForerunnerConfig(worker_speed=1e12))
+def workers(monkeypatch, speed, count=None):
+    """Patch the simulated worker pool: ``count`` lanes (default: the
+    node's) at ``speed`` cost units per second."""
+    monkeypatch.setattr(node_module, "WORKER_SPEED", speed)
+    if count is not None:
+        monkeypatch.setattr(node_module, "WORKERS", count)
+
+
+def test_fast_workers_ready_immediately(monkeypatch):
+    workers(monkeypatch, 1e12)
+    node = ForerunnerNode(fresh_world())
     prime(node)
     node.on_transaction(tx_e(), now=0.0)
     node.run_speculation(0.0)
@@ -49,9 +58,9 @@ def test_fast_workers_ready_immediately():
     assert ap.ready_at < 0.01
 
 
-def test_slow_workers_delay_readiness():
-    node = ForerunnerNode(fresh_world(),
-                          ForerunnerConfig(workers=1, worker_speed=1e4))
+def test_slow_workers_delay_readiness(monkeypatch):
+    workers(monkeypatch, 1e4, count=1)
+    node = ForerunnerNode(fresh_world())
     prime(node)
     node.on_transaction(tx_e(), now=0.0)
     node.run_speculation(0.0)
@@ -60,13 +69,11 @@ def test_slow_workers_delay_readiness():
     assert ap.ready_at > 1.0
 
 
-def test_worker_pool_parallelism():
+def test_worker_pool_parallelism(monkeypatch):
     """More workers finish the same job set sooner."""
-    def first_ready(workers):
-        node = ForerunnerNode(
-            fresh_world(),
-            ForerunnerConfig(workers=workers, worker_speed=2e5,
-                             max_contexts_per_head=4))
+    def first_ready(count):
+        workers(monkeypatch, 2e5, count)
+        node = ForerunnerNode(fresh_world())
         prime(node)
         for i, sender in enumerate((ALICE, BOB)):
             node.on_transaction(tx_e(sender=sender), now=0.0)
@@ -76,9 +83,9 @@ def test_worker_pool_parallelism():
     assert first_ready(8) < first_ready(1)
 
 
-def test_budget_deadline_limits_jobs():
-    node = ForerunnerNode(fresh_world(),
-                          ForerunnerConfig(workers=1, worker_speed=1e4))
+def test_budget_deadline_limits_jobs(monkeypatch):
+    workers(monkeypatch, 1e4, count=1)
+    node = ForerunnerNode(fresh_world())
     prime(node)
     for i, sender in enumerate((ALICE, BOB)):
         node.on_transaction(tx_e(sender=sender), now=0.0)
@@ -89,9 +96,9 @@ def test_budget_deadline_limits_jobs():
     assert jobs < 8  # capped well below the unconstrained count
 
 
-def test_speculation_costs_gate_block_usage():
-    node = ForerunnerNode(fresh_world(),
-                          ForerunnerConfig(workers=1, worker_speed=1e4))
+def test_speculation_costs_gate_block_usage(monkeypatch):
+    workers(monkeypatch, 1e4, count=1)
+    node = ForerunnerNode(fresh_world())
     prime(node)
     node.on_transaction(tx_e(), now=0.0)
     node.run_speculation(0.0)
