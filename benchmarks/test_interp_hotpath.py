@@ -146,7 +146,6 @@ def test_interp_hotpath(l1):
     world.create_account(SENDER, balance=10**24)
     world.create_account(TARGET, code=b"\x00")
     world.get_account(TARGET).set_storage(0, 987654321)
-    tx = Transaction(sender=SENDER, to=TARGET, nonce=0)
     hdr = _header()
     specialize = {}
     speedups = []
@@ -156,12 +155,12 @@ def test_interp_hotpath(l1):
         assert artifact.node_count == AP_NODES + 1  # the read + computes
         state = StateDB(world)
         walk_s = _time_ap(lambda: execute_ap(
-            ap, state, hdr, tx, tally=CostTally()))
+            ap, state, hdr, tally=CostTally()))
         closure_s = _time_ap(lambda: artifact.fn(
-            state, hdr, lambda n: 0, CostTally()))
+            state, hdr, CostTally()))
         # Both strategies must agree before their times mean anything.
-        walked = execute_ap(ap, state, hdr, tx, tally=CostTally())
-        compiled = artifact.fn(state, hdr, lambda n: 0, CostTally())
+        walked = execute_ap(ap, state, hdr, tally=CostTally())
+        compiled = artifact.fn(state, hdr, CostTally())
         assert (walked.success, walked.gas_used, walked.observed_reads) \
             == (compiled.success, compiled.gas_used,
                 compiled.observed_reads)

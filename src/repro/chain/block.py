@@ -36,6 +36,17 @@ class BlockHeader:
         ))
 
 
+def blockhash(number: int) -> int:
+    """What BLOCKHASH reads for block ``number``: always 0.
+
+    An execution sees its own header, not the chain behind it.  Every
+    tier (interpreter, AP walk, JIT closure, witness checker) reads
+    ancestor hashes here, so they agree by construction.
+    """
+    del number
+    return 0
+
+
 @dataclass
 class Block:
     """A block: header + ordered transactions (+ post-state root)."""

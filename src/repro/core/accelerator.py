@@ -1,27 +1,37 @@
 """Transaction execution accelerator: the on-critical-path component.
 
-Runs each transaction through its accelerated program when one exists;
-falls back to full EVM execution on constraint violation or when no AP
-is available.  The transaction *envelope* (nonce check, gas purchase,
-value transfer, refund, coinbase fee) is executed natively, mirroring
-:meth:`repro.evm.interpreter.EVM.execute_transaction` step for step, so
-the resulting state transition is bit-identical to a plain execution —
-which the Merkle-root checks in the test suite and benches verify.
+Runs each transaction through its accelerated program when one exists
+and through the full EVM otherwise.  Both run inside the one
+transaction envelope, :func:`repro.evm.interpreter.run_envelope` (nonce
+check, gas purchase, refund, coinbase fee); only the top-level message
+differs: the accelerated path moves the value and runs the AP instead
+of interpreting the callee's code.  An accelerated attempt that
+satisfies no constraint set, or whose fault the guard contains, takes
+the one fallback: revert to the state before the attempt and execute
+plainly.  Either way the state transition is bit-identical to a plain
+execution — which the Merkle-root checks in the test suite and benches
+verify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from repro.chain.block import BlockHeader
+from repro.chain.block import BlockHeader, blockhash
 from repro.chain.transaction import Transaction
 from repro.core import costmodel
 from repro.core.ap import AcceleratedProgram
 from repro.core.ap_exec import APExecStats, execute_ap
 from repro.core.costmodel import CostTally
-from repro.errors import ConstraintViolation, InsufficientBalance
-from repro.evm.interpreter import EVM, ExecutionResult
+from repro.errors import ConstraintViolation
+from repro.evm.interpreter import (
+    EVM,
+    ExecutionResult,
+    run_envelope,
+    transfer,
+)
+from repro.faults.injector import NULL_INJECTOR
 from repro.state.statedb import StateDB
 from repro.witness.recorder import ReadSetRecorder
 
@@ -30,8 +40,9 @@ OUTCOME_NO_AP = "no_ap"          # heard/unheard but nothing speculated
 OUTCOME_VIOLATED = "violated"    # AP existed, no constraint set matched
 OUTCOME_SATISFIED = "satisfied"  # fast path executed
 #: The accelerated attempt died to a contained fault (chaos layer or a
-#: real bug); the node reverted and re-ran the plain path.  Counted in
-#: Table 3's unsatisfied bucket like any other non-satisfied outcome.
+#: real bug); the accelerator reverted and re-ran the plain path.
+#: Counted in Table 3's unsatisfied bucket like any other non-satisfied
+#: outcome.
 OUTCOME_FAULTED = "faulted"
 
 
@@ -57,8 +68,7 @@ class AcceleratedReceipt:
 
 
 def context_matches(read_set: Dict[tuple, int], state: StateDB,
-                    header: BlockHeader,
-                    blockhash_fn: Callable[[int], int]) -> bool:
+                    header: BlockHeader) -> bool:
     """Is the actual context identical to a speculated one (on its
     read set)?  This is the traditional speculative-execution test."""
     for (kind, key), expected in read_set.items():
@@ -69,7 +79,7 @@ def context_matches(read_set: Dict[tuple, int], state: StateDB,
         elif kind == "header":
             actual = getattr(header, key[0])
         elif kind == "blockhash":
-            actual = blockhash_fn(key[0])
+            actual = blockhash(key[0])
         elif kind == "extcodesize":
             actual = len(state.get_code(key[0]))
         else:
@@ -82,9 +92,8 @@ def context_matches(read_set: Dict[tuple, int], state: StateDB,
 class TransactionAccelerator:
     """Executes transactions, preferring accelerated programs."""
 
-    def __init__(self, blockhash_fn: Optional[Callable[[int], int]] = None,
-                 jit=None, record_witnesses: bool = False) -> None:
-        self.blockhash_fn = blockhash_fn or (lambda n: 0)
+    def __init__(self, jit=None, record_witnesses: bool = False,
+                 guard=None, injector=NULL_INJECTOR) -> None:
         #: Optional :class:`repro.evm.jit.tier.JitTier`: AP execution
         #: routes through the tier (specialized closure when a valid
         #: artifact exists, the interpreted walker otherwise).
@@ -95,6 +104,13 @@ class TransactionAccelerator:
         #: AP tiers observe their reads for free, but the plain path
         #: pays one dict probe per context read.
         self.record_witnesses = record_witnesses
+        #: Optional :class:`repro.faults.guard.SpeculationGuard` around
+        #: each accelerated attempt.  An exception it contains (an
+        #: injected fault or a bug) takes the fallback, as a constraint
+        #: violation does; without a guard the exception propagates.
+        self.guard = guard
+        #: Fault source of the ``accelerator.execute`` site.
+        self.injector = injector
 
     # -- plain path ---------------------------------------------------------
 
@@ -105,8 +121,7 @@ class TransactionAccelerator:
         """Full EVM execution with cost accounting."""
         io_before = state.disk.stats.cost_units
         recorder = ReadSetRecorder() if self.record_witnesses else None
-        evm = EVM(state, header, tx, tracer=recorder,
-                  blockhash_fn=self.blockhash_fn)
+        evm = EVM(state, header, tx, tracer=recorder)
         result = evm.execute_transaction()
         tally = costmodel.evm_execution_cost(
             evm.instruction_count,
@@ -119,102 +134,77 @@ class TransactionAccelerator:
 
     # -- accelerated path ------------------------------------------------------
 
-    # pylint: disable=too-many-locals
     def execute(self, tx: Transaction, header: BlockHeader, state: StateDB,
                 ap: Optional[AcceleratedProgram]) -> AcceleratedReceipt:
-        """Execute ``tx``: AP fast path if possible, else fallback."""
+        """Execute ``tx``: AP fast path if possible, else the fallback."""
         if ap is None or ap.root is None:
             return self.execute_plain(tx, header, state)
 
         tally = CostTally(fixed_units=costmodel.AP_FIXED)
         io_before = state.disk.stats.cost_units
-        base_snap = state.snapshot()
+        snap = state.snapshot()
         logs_mark = len(state.logs)
-        try:
-            receipt = self._run_envelope_and_ap(
-                tx, header, state, ap, tally, logs_mark)
-        except ConstraintViolation:
-            state.revert_to(base_snap)
-            del state.logs[logs_mark:]
-            receipt = self.execute_plain(
-                tx, header, state, fixed_cost=costmodel.FALLBACK_FIXED)
+
+        def attempt() -> Optional[AcceleratedReceipt]:
+            self.injector.maybe_raise("accelerator.execute",
+                                      tx=tx.hash, contract=tx.to)
+            try:
+                return self._run_ap(tx, header, state, ap, tally)
+            except ConstraintViolation:
+                return None
+
+        if self.guard is None:
+            receipt, faulted = attempt(), False
+        else:
+            receipt, faulted = self.guard.run("accelerator.execute",
+                                              attempt)
+        if receipt is not None:
+            tally.io_units += state.disk.stats.cost_units - io_before
+            return receipt
+        # The one fallback, for a violation and a contained fault alike.
+        state.revert_to(snap)
+        del state.logs[logs_mark:]
+        receipt = self.execute_plain(
+            tx, header, state, fixed_cost=costmodel.FALLBACK_FIXED)
+        if faulted:
+            receipt.outcome = OUTCOME_FAULTED
+        else:
             receipt.outcome = OUTCOME_VIOLATED
             # The aborted constraint check's work counts too.
             receipt.tally.cpu_units += tally.cpu_units
             receipt.tally.fixed_units += tally.fixed_units
-            # A perfectly-matching context would have satisfied its own
-            # guards, so a violation is never a perfect prediction.
-            receipt.perfect_context_ids = ()
-            return receipt
-        tally.io_units += state.disk.stats.cost_units - io_before
-        receipt.tally = tally
         return receipt
 
-    def _run_envelope_and_ap(self, tx: Transaction, header: BlockHeader,
-                             state: StateDB, ap: AcceleratedProgram,
-                             tally: CostTally,
-                             logs_mark: int) -> AcceleratedReceipt:
-        """Mirror of EVM.execute_transaction with the call replaced by
-        AP execution.  Raises ConstraintViolation to trigger fallback."""
-        intrinsic = tx.intrinsic_gas()
-        if tx.gas_limit < intrinsic:
-            return AcceleratedReceipt(
-                result=ExecutionResult(False, 0, error="intrinsic gas too low"),
-                outcome=OUTCOME_SATISFIED, tally=tally, used_ap=True,
-                tier="walk", observed_reads={})
-        if state.get_nonce(tx.sender) != tx.nonce:
-            return AcceleratedReceipt(
-                result=ExecutionResult(False, 0, error="bad nonce"),
-                outcome=OUTCOME_SATISFIED, tally=tally, used_ap=True,
-                tier="walk", observed_reads={})
-        try:
-            state.sub_balance(tx.sender, tx.gas_limit * tx.gas_price)
-        except InsufficientBalance:
-            return AcceleratedReceipt(
-                result=ExecutionResult(False, 0, error="cannot afford gas"),
-                outcome=OUTCOME_SATISFIED, tally=tally, used_ap=True,
-                tier="walk", observed_reads={})
-        state.increment_nonce(tx.sender)
+    def _run_ap(self, tx: Transaction, header: BlockHeader,
+                state: StateDB, ap: AcceleratedProgram,
+                tally: CostTally) -> AcceleratedReceipt:
+        """``tx`` in the shared envelope, with ``ap`` as its message.
+        Raises :class:`ConstraintViolation` to trigger the fallback."""
+        outcome = None
 
-        call_snap = state.snapshot()
-        if tx.value:
-            try:
-                state.sub_balance(tx.sender, tx.value)
-                state.add_balance(tx.to, tx.value)
-            except InsufficientBalance:
-                # Mirror EVM._call: the top-level call fails but the
-                # intrinsic gas stays consumed.
-                state.revert_to(call_snap)
-                gas_used = intrinsic
-                state.add_balance(
-                    tx.sender, (tx.gas_limit - gas_used) * tx.gas_price)
-                state.add_balance(header.coinbase, gas_used * tx.gas_price)
-                return AcceleratedReceipt(
-                    result=ExecutionResult(False, gas_used, b""),
-                    outcome=OUTCOME_SATISFIED, tally=tally, used_ap=True,
-                tier="walk", observed_reads={})
+        def message(gas: int) -> Tuple[bool, bytes, int]:
+            nonlocal outcome
+            if tx.value and not transfer(state, tx.sender, tx.to,
+                                         tx.value):
+                return False, b"", gas
+            if self.jit is not None:
+                outcome = self.jit.execute(ap, state, header, tally)
+            else:
+                outcome = execute_ap(ap, state, header, tally)
+            return (outcome.success, outcome.return_data,
+                    tx.gas_limit - outcome.gas_used)
 
-        if self.jit is not None:
-            outcome = self.jit.execute(ap, state, header, tx, tally=tally,
-                                       blockhash_fn=self.blockhash_fn)
-            tier = self.jit.last_used
-        else:
-            outcome = execute_ap(ap, state, header, tx, tally=tally,
-                                 blockhash_fn=self.blockhash_fn)
-            tier = "walk"
-        if not outcome.success:
-            state.revert_to(call_snap)
-        gas_used = outcome.gas_used
-        gas_left = tx.gas_limit - gas_used
-        state.add_balance(tx.sender, gas_left * tx.gas_price)
-        state.add_balance(header.coinbase, gas_used * tx.gas_price)
-        logs = [(e.address, e.topics, e.data)
-                for e in state.logs[logs_mark:]]
-        result = ExecutionResult(outcome.success, gas_used,
-                                 outcome.return_data, logs)
+        result = run_envelope(state, header, tx, message)
+        if outcome is None:
+            # The envelope or the value transfer ended the transaction
+            # before the AP ran.
+            return AcceleratedReceipt(
+                result=result, outcome=OUTCOME_SATISFIED, tally=tally,
+                used_ap=True, tier="walk", observed_reads={})
         return AcceleratedReceipt(
             result=result, outcome=OUTCOME_SATISFIED, tally=tally,
-            ap_stats=outcome.stats, used_ap=True, tier=tier,
+            ap_stats=outcome.stats, used_ap=True,
+            tier=self.jit.last_used if self.jit is not None else "walk",
             observed_reads=outcome.observed_reads,
             perfect_context_ids=self._classify_from_observation(
                 ap, outcome.observed_reads, header))

@@ -16,10 +16,9 @@ is satisfied; the accelerator then falls back to plain EVM execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.chain.block import BlockHeader
-from repro.chain.transaction import Transaction
+from repro.chain.block import BlockHeader, blockhash
 from repro.core import costmodel
 from repro.core.ap import (
     AcceleratedProgram,
@@ -62,8 +61,7 @@ class APOutcome:
 
 
 def _read_value(instr: SInstr, regs: Dict[Reg, int], state: StateDB,
-                header: BlockHeader,
-                blockhash_fn: Callable[[int], int]) -> Tuple[tuple, int]:
+                header: BlockHeader) -> Tuple[tuple, int]:
     """Fetch the live context value for a READ node.
 
     Returns ((kind, key), value) where the key matches the read-set
@@ -82,7 +80,7 @@ def _read_value(instr: SInstr, regs: Dict[Reg, int], state: StateDB,
         return ("balance", (address,)), state.get_balance(address)
     if op == "BLOCKHASH":
         number = val(instr.args[0])
-        return ("blockhash", (number,)), blockhash_fn(number)
+        return ("blockhash", (number,)), blockhash(number)
     if op == "EXTCODESIZE":
         address = val(instr.args[0])
         return (("extcodesize", (address,)),
@@ -117,22 +115,19 @@ def execute_ap(
     ap: AcceleratedProgram,
     state: StateDB,
     header: BlockHeader,
-    tx: Transaction,
     tally: Optional[CostTally] = None,
-    blockhash_fn: Optional[Callable[[int], int]] = None,
 ) -> APOutcome:
     """Run the AP against the actual context.
 
     Applies the path's state writes (storage, logs) on success; raises
     :class:`ConstraintViolation` — with no state modified — otherwise.
-    The transaction envelope (nonce, fee purchase, value transfer) is
-    the accelerator's responsibility, exactly mirroring
-    :meth:`repro.evm.interpreter.EVM.execute_transaction`.
+    The AP is a transaction's top-level message with every tx-derived
+    value baked in as a constant: the accelerator runs it inside
+    :func:`repro.evm.interpreter.run_envelope`, after the message's
+    value transfer.
     """
-    del tx  # identity only; all tx-derived values are baked in as constants
     if tally is None:
         tally = CostTally()
-    blockhash_fn = blockhash_fn or (lambda n: 0)
     stats = APExecStats()
     regs: Dict[Reg, int] = {}
     write_buffer: List[SInstr] = []
@@ -171,8 +166,7 @@ def execute_ap(
             continue
         if kind is SKind.READ:
             tally.add_cpu(costmodel.AP_READ, "read")
-            context_key, value = _read_value(
-                instr, regs, state, header, blockhash_fn)
+            context_key, value = _read_value(instr, regs, state, header)
             regs[instr.dest] = value
             observed_reads.setdefault(context_key, value)
             node = node.next

@@ -23,11 +23,7 @@ from repro.chain.transaction import (
     tx_to_wire,
 )
 from repro.core import costmodel
-from repro.core.accelerator import (
-    OUTCOME_FAULTED,
-    OUTCOME_NO_AP,
-    TransactionAccelerator,
-)
+from repro.core.accelerator import OUTCOME_NO_AP, TransactionAccelerator
 from repro.core.predictor import MultiFuturePredictor
 from repro.core.prefetcher import Prefetcher
 from repro.core.speculator import Speculator
@@ -305,7 +301,9 @@ class ForerunnerNode:
                                      injector=self.fault_injector)
         self.accelerator = TransactionAccelerator(
             jit=self.jit,
-            record_witnesses=self.config.enable_witness)
+            record_witnesses=self.config.enable_witness,
+            guard=self.guard,
+            injector=self.fault_injector)
         self.reports: List[BlockReport] = []
         #: Execution witnesses in commit order (``enable_witness`` only).
         self.witnesses: List[ExecutionWitness] = []
@@ -533,35 +531,6 @@ class ForerunnerNode:
 
     # -- execution (the critical path) ----------------------------------------------
 
-    def _execute_accelerated(self, tx: Transaction, block: Block,
-                             state: StateDB, ap):
-        """AP execution with a containment boundary around it.
-
-        The accelerator already converts constraint violations into the
-        plain fallback internally; this boundary additionally contains
-        *everything else* — injected faults and genuine bugs alike — by
-        reverting any partial state mutation and re-running the plain
-        path (the correctness anchor, which stays unguarded: an error
-        there is a real error and must surface).
-        """
-        def attempt():
-            self.fault_injector.maybe_raise("accelerator.execute",
-                                            tx=tx.hash, contract=tx.to)
-            return self.accelerator.execute(tx, block.header, state, ap)
-
-        snap = state.snapshot()
-        logs_mark = len(state.logs)
-        receipt, faulted = self.guard.run("accelerator.execute", attempt)
-        if faulted:
-            state.revert_to(snap)
-            del state.logs[logs_mark:]
-            receipt = self.accelerator.execute_plain(
-                tx, block.header, state,
-                fixed_cost=costmodel.FALLBACK_FIXED)
-            receipt.outcome = OUTCOME_FAULTED
-            receipt.perfect_context_ids = ()
-        return receipt
-
     def process_block(self, block: Block, now: float = 0.0) -> BlockReport:
         """Execute a freshly decided block through the accelerator.
 
@@ -587,7 +556,7 @@ class ForerunnerNode:
                 return self.accelerator.execute_plain(
                     tx, block.header, exec_state)
             ready_aps.append(ap)
-            return self._execute_accelerated(tx, block, exec_state, ap)
+            return self.accelerator.execute(tx, block.header, exec_state, ap)
 
         outcomes = self.executor.execute_block(
             block, state, list(block.transactions), execute_one)

@@ -205,7 +205,6 @@ class Speculator:
     """Synthesizes and maintains APs for pending transactions."""
 
     def __init__(self, world: WorldState,
-                 blockhash_fn: Optional[Callable[[int], int]] = None,
                  pass_config=None,
                  enable_memoization: bool = True,
                  memoization_strategy: str = "default",
@@ -217,7 +216,6 @@ class Speculator:
                  guard: Optional[SpeculationGuard] = None,
                  jit=None) -> None:
         self.world = world
-        self.blockhash_fn = blockhash_fn or (lambda n: 0)
         self.pass_config = pass_config
         self.enable_memoization = enable_memoization
         self.memoization_strategy = memoization_strategy
@@ -504,7 +502,6 @@ class Speculator:
                 else StateDB(self.world)
             child.disk.fault_hook = hook
             evm = EVM(child, header, predecessors[index],
-                      blockhash_fn=self.blockhash_fn,
                       obs=self._prefix_evm)
             evm.execute_transaction()
             io_units = child.disk.stats.cost_units
@@ -611,8 +608,7 @@ class Speculator:
         with self.tracer.span("pre_execute") as sp:
             self.injector.maybe_raise("speculator.pre_execute",
                                       tx=tx.hash, contract=tx.to)
-            trace = trace_transaction(state, context.header, tx,
-                                      blockhash_fn=self.blockhash_fn)
+            trace = trace_transaction(state, context.header, tx)
             trace.context_id = context.context_id
             sp.add_cost(len(trace.steps) * costmodel.EVM_STEP
                         + state.disk.stats.cost_units)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
@@ -133,7 +133,6 @@ def trace_transaction(
     state: StateDB,
     header: BlockHeader,
     tx: Transaction,
-    blockhash_fn: Optional[Callable[[int], int]] = None,
 ) -> TraceResult:
     """Execute ``tx`` with instrumentation and return the trace.
 
@@ -141,7 +140,7 @@ def trace_transaction(
     function mutates it exactly as a normal execution would.
     """
     tracer = TxTracer()
-    evm = EVM(state, header, tx, tracer=tracer, blockhash_fn=blockhash_fn)
+    evm = EVM(state, header, tx, tracer=tracer)
     result = evm.execute_transaction()
     return TraceResult(
         tx=tx, header=header, result=result,

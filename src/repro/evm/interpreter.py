@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.chain.block import BlockHeader
+from repro.chain.block import BlockHeader, blockhash
 from repro.chain.transaction import Transaction
 from repro.constants import CALL_DEPTH_LIMIT
 from repro.errors import (
@@ -93,6 +93,57 @@ class ExecutionResult:
     return_data: bytes = b""
     logs: List[Tuple[int, Tuple[int, ...], bytes]] = field(default_factory=list)
     error: str = ""
+
+
+def transfer(state: StateDB, sender: int, to: int, value: int) -> bool:
+    """Move ``value`` from ``sender`` to ``to``; ``False``, with nothing
+    moved, when ``sender`` cannot afford it."""
+    try:
+        state.sub_balance(sender, value)
+    except InsufficientBalance:
+        return False
+    state.add_balance(to, value)
+    return True
+
+
+def run_envelope(state: StateDB, header: BlockHeader, tx: Transaction,
+                 message: Callable[[int], Tuple[bool, bytes, int]]
+                 ) -> ExecutionResult:
+    """The transaction protocol around its top-level message.
+
+    Before the message: intrinsic gas, nonce check, gas purchase, nonce
+    increment.  ``message(gas)`` gets the gas left after intrinsic gas
+    and returns ``(success, return_data, gas_left)``.  After it: revert
+    on failure, refund of the unused gas, the coinbase fee.  The
+    interpreter's message runs the callee's code, the accelerator's an
+    AP.  An exception from ``message`` propagates with the purchase
+    applied, for the caller to revert.
+    """
+    intrinsic = tx.intrinsic_gas()
+    if tx.gas_limit < intrinsic:
+        return ExecutionResult(False, 0, error="intrinsic gas too low")
+    if state.get_nonce(tx.sender) != tx.nonce:
+        return ExecutionResult(False, 0, error="bad nonce")
+    try:
+        state.sub_balance(tx.sender, tx.gas_limit * tx.gas_price)
+    except InsufficientBalance:
+        return ExecutionResult(False, 0, error="cannot afford gas")
+    state.increment_nonce(tx.sender)
+
+    snap = state.snapshot()
+    logs_mark = len(state.logs)
+    success, ret, gas_left = message(tx.gas_limit - intrinsic)
+    if not success:
+        state.revert_to(snap)
+    gas_used = tx.gas_limit - gas_left
+    # Refund unused gas; pay the miner.
+    state.add_balance(tx.sender, gas_left * tx.gas_price)
+    state.add_balance(header.coinbase, gas_used * tx.gas_price)
+    logs = [
+        (entry.address, entry.topics, entry.data)
+        for entry in state.logs[logs_mark:]
+    ]
+    return ExecutionResult(success, gas_used, ret, logs)
 
 
 class _Frame:
@@ -198,9 +249,8 @@ def _decode_program(code: bytes):
     Decoding (opcode lookup, handler binding, PUSH-immediate parsing)
     happens once per code blob instead of once per executed step; the
     same contracts run over and over, so this is cached like the
-    jumpdest analysis.  Positions inside PUSH immediates stay ``None``
-    — the interpreter loop falls back to byte-at-a-time semantics for
-    the (normally unreachable) case of a pc landing there.
+    jumpdest analysis.  Positions inside PUSH immediates stay ``None``:
+    no pc ever lands there (see :meth:`EVM._run`).
 
     ``info`` is ``None`` for undefined opcodes: the loop then skips the
     gas charge, matching the pre-decode behaviour where the opcode
@@ -270,14 +320,12 @@ class EVM:
         header: BlockHeader,
         tx: Transaction,
         tracer: Optional[Tracer] = None,
-        blockhash_fn: Optional[Callable[[int], int]] = None,
         obs: Optional[EvmMetrics] = None,
     ) -> None:
         self.state = state
         self.header = header
         self.tx = tx
         self.tracer = tracer or Tracer()
-        self.blockhash_fn = blockhash_fn or (lambda n: 0)
         self.obs = obs
         self._step_index = 0
         self._next_frame_id = 0
@@ -301,55 +349,26 @@ class EVM:
 
     def execute_transaction(self) -> ExecutionResult:
         """Run the full transaction protocol: fee purchase, call, refund."""
-        result = self._execute_transaction()
+        result = run_envelope(self.state, self.header, self.tx,
+                              self._message)
         if self.obs is not None:
             self.obs.record(self)
         return result
 
-    def _execute_transaction(self) -> ExecutionResult:
+    def _message(self, gas: int) -> Tuple[bool, bytes, int]:
+        """The transaction's top-level message: deploy ``tx.data`` as
+        init code when ``tx.to`` is 0, else call ``tx.to``."""
         tx = self.tx
-        intrinsic = tx.intrinsic_gas()
-        if tx.gas_limit < intrinsic:
-            return ExecutionResult(False, 0, error="intrinsic gas too low")
-        if self.state.get_nonce(tx.sender) != tx.nonce:
-            return ExecutionResult(False, 0, error="bad nonce")
-        try:
-            self.state.sub_balance(tx.sender, tx.gas_limit * tx.gas_price)
-        except InsufficientBalance:
-            return ExecutionResult(False, 0, error="cannot afford gas")
-        self.state.increment_nonce(tx.sender)
-
-        snap = self.state.snapshot()
-        logs_mark = len(self.state.logs)
         try:
             if tx.to == 0:
-                # Contract deployment: tx.data is the init code.
-                success, ret, gas_left = self._create(
-                    creator=tx.sender,
-                    creator_nonce=tx.nonce,
-                    value=tx.value,
-                    init_code=tx.data,
-                    gas=tx.gas_limit - intrinsic,
-                    depth=0)
-            else:
-                msg = Message(
-                    sender=tx.sender, to=tx.to, value=tx.value,
-                    data=tx.data, gas=tx.gas_limit - intrinsic,
-                )
-                success, ret, gas_left = self._call(msg)
+                return self._create(
+                    creator=tx.sender, creator_nonce=tx.nonce,
+                    value=tx.value, init_code=tx.data, gas=gas, depth=0)
+            return self._call(Message(
+                sender=tx.sender, to=tx.to, value=tx.value,
+                data=tx.data, gas=gas))
         except EVMError:
-            success, ret, gas_left = False, b"", 0
-        if not success:
-            self.state.revert_to(snap)
-        gas_used = tx.gas_limit - gas_left
-        # Refund unused gas; pay the miner.
-        self.state.add_balance(tx.sender, gas_left * tx.gas_price)
-        self.state.add_balance(self.header.coinbase, gas_used * tx.gas_price)
-        logs = [
-            (entry.address, entry.topics, entry.data)
-            for entry in self.state.logs[logs_mark:]
-        ]
-        return ExecutionResult(success, gas_used, ret, logs)
+            return False, b"", 0
 
     # -- message calls ------------------------------------------------------
 
@@ -358,12 +377,9 @@ class EVM:
         if msg.depth > CALL_DEPTH_LIMIT:
             return False, b"", 0
         snap = self.state.snapshot()
-        if msg.value and msg.code_address is None:
-            try:
-                self.state.sub_balance(msg.sender, msg.value)
-            except InsufficientBalance:
-                return False, b"", msg.gas
-            self.state.add_balance(msg.to, msg.value)
+        if msg.value and msg.code_address is None and not transfer(
+                self.state, msg.sender, msg.to, msg.value):
+            return False, b"", msg.gas
         code = self.state.get_code(msg.code_at)
         if not code:
             # Plain value transfer.
@@ -401,13 +417,9 @@ class EVM:
         if self.state.get_code(new_address):
             return False, b"", 0  # address collision
         self.state.create_account(new_address)
-        if value:
-            try:
-                self.state.sub_balance(creator, value)
-            except InsufficientBalance:
-                self.state.revert_to(snap)
-                return False, b"", gas
-            self.state.add_balance(new_address, value)
+        if value and not transfer(self.state, creator, new_address, value):
+            self.state.revert_to(snap)
+            return False, b"", gas
         msg = Message(sender=creator, to=new_address, value=value,
                       data=b"", gas=gas, depth=depth,
                       code_address=new_address)
@@ -447,33 +459,22 @@ class EVM:
     def _run(self, frame: _Frame) -> bytes:
         """Interpreter loop for one frame; returns the frame's output.
 
-        Hot path: one list index into the pre-decoded program replaces
-        the per-step opcode-table lookup, push/dup/swap classification,
-        and handler-dict probe of the byte-at-a-time loop.
+        One list index into the pre-decoded program per step.  ``pc``
+        only ever holds an instruction start: the default advance and
+        PUSH's landing pc step over immediates, and a jump must hit a
+        JUMPDEST, which :func:`_valid_jumpdests` never finds inside an
+        immediate.
         """
-        code = frame.code
         program = frame.program
-        n = len(code)
+        n = len(program)
         charge = self._charge
         while frame.pc < n:
             pc = frame.pc
-            entry = program[pc]
-            if entry is None:
-                # pc landed inside a PUSH immediate (requires a
-                # contrived jump table); interpret the raw byte exactly
-                # like the pre-decode loop did.
-                op = code[pc]
-                try:
-                    info = opcodes.OPCODES[op]
-                except KeyError:
-                    raise InvalidOpcode(f"undefined opcode {op:#04x}")
-                result = self._execute_op(frame, op, info)
-            else:
-                handler, info = entry
-                if info is not None:
-                    charge(frame, info.gas)
-                    frame.pc = pc + 1  # default advance; jumps overwrite
-                result = handler(self, frame, pc, info)
+            handler, info = program[pc]
+            if info is not None:
+                charge(frame, info.gas)
+                frame.pc = pc + 1  # default advance; jumps overwrite
+            result = handler(self, frame, pc, info)
             if result is not None:
                 return result
         return b""
@@ -498,42 +499,6 @@ class EVM:
         """No-op-tracer fast path: keep the counters, skip the record."""
         self.instruction_count += 1
         self._step_index += 1
-
-    # pylint: disable=too-many-branches,too-many-statements
-    def _execute_op(self, frame: _Frame, op: int,
-                    info: opcodes.OpInfo) -> Optional[bytes]:
-        """Execute one instruction; returns frame output on STOP/RETURN."""
-        stack = frame.stack
-        state = self.state
-        pc = frame.pc
-        self._charge(frame, info.gas)
-        frame.pc += 1  # default advance; jumps overwrite
-
-        # --- stack manipulation -------------------------------------------
-        if opcodes.is_push(op):
-            size = opcodes.push_size(op)
-            value = bytes_to_int(frame.code[pc + 1:pc + 1 + size])
-            stack.push(value)
-            frame.pc = pc + 1 + size
-            self._emit(frame, pc, op, info.name, (), value, info.gas)
-            return None
-        if opcodes.is_dup(op):
-            depth = op - 0x80 + 1
-            value = stack.peek(depth - 1)
-            stack.dup(depth)
-            self._emit(frame, pc, op, info.name, (value,), value, info.gas)
-            return None
-        if opcodes.is_swap(op):
-            depth = op - 0x90 + 1
-            stack.swap(depth)
-            self._emit(frame, pc, op, info.name, (), None, info.gas)
-            return None
-
-        # --- everything else ------------------------------------------------
-        handler = _HANDLERS.get(op)
-        if handler is None:
-            raise InvalidOpcode(f"unimplemented opcode {info.name}")
-        return handler(self, frame, pc, info)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +744,7 @@ _header_read(Op.GASLIMIT, "gas_limit")
 @_handler(Op.BLOCKHASH)
 def _op_blockhash(evm: EVM, frame: _Frame, pc: int, info) -> None:
     number = frame.stack.pop()
-    value = evm.blockhash_fn(number)
+    value = blockhash(number)
     frame.stack.push(value)
     evm.tracer.on_context_read(KIND_BLOCKHASH, (number,), value)
     evm._emit(frame, pc, int(Op.BLOCKHASH), info.name, (number,), value,

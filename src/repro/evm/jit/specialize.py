@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from repro.chain.block import blockhash
 from repro.core import costmodel
 from repro.core.ap import AcceleratedProgram, APNode, Terminal
 from repro.core.ap_exec import APExecStats, APOutcome, materialize_return
@@ -98,7 +99,8 @@ _ARG_SLOTS = ("a", "b", "c")
 class CompiledAP:
     """One specialized closure plus its compile-time metadata."""
 
-    #: ``fn(state, header, blockhash_fn, tally) -> APOutcome``; raises
+    #: ``fn(state, header, tally) -> APOutcome``, the call
+    #: :func:`~repro.core.ap_exec.execute_ap` takes; raises
     #: :class:`ConstraintViolation` exactly like the walker.
     fn: object
     #: Tier version this artifact was compiled under; a mismatch at
@@ -558,7 +560,7 @@ class _Compiler:
             lines.append(f"{ind}_sd(('balance', ({addr},)), r{d})")
         elif op == "BLOCKHASH":
             number = self.operand_expr(instr.args[0])
-            lines.append(f"{ind}r{d} = bh({number})")
+            lines.append(f"{ind}r{d} = _bh({number})")
             lines.append(f"{ind}_sd(('blockhash', ({number},)), r{d})")
         elif op == "EXTCODESIZE":
             addr = self.operand_expr(instr.args[0])
@@ -728,7 +730,7 @@ class _Compiler:
         body_lines, _ = self.emit()
 
         lines: List[str] = [
-            "def _ap(state, header, bh, tally):",
+            "def _ap(state, header, tally):",
             "    stats = _ST()",
             "    observed = {}",
             "    _wb = []",
@@ -760,6 +762,7 @@ class _Compiler:
             "_S": to_signed,
             "_ib": int_to_bytes32,
             "_mr": materialize_return,
+            "_bh": blockhash,
         })
         code = compile(source, f"<jit-ap-{self.ap.tx_hash:#x}>", "exec")
         exec(code, self.env)  # noqa: S102 - the whole point of a JIT

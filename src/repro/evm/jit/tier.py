@@ -21,7 +21,7 @@ determinism checks cover the tier.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.ap import AcceleratedProgram
 from repro.core.ap_exec import APOutcome, execute_ap
@@ -79,41 +79,33 @@ class JitTier:
 
     # -- execute side -----------------------------------------------------
 
-    def execute(self, ap: AcceleratedProgram, state, header, tx,
-                tally=None,
-                blockhash_fn: Optional[Callable[[int], int]] = None
-                ) -> APOutcome:
+    def execute(self, ap: AcceleratedProgram, state, header,
+                tally: CostTally) -> APOutcome:
         """Run ``ap``: specialized closure when valid, walker otherwise.
 
         Raises :class:`ConstraintViolation` exactly like
         :func:`~repro.core.ap_exec.execute_ap`; the accelerator's
         fallback path is identical either way.
         """
-        self.last_used = "walk"
-        if not self.enabled:
-            return execute_ap(ap, state, header, tx, tally=tally,
-                              blockhash_fn=blockhash_fn)
         artifact = ap.jit
-        if artifact is None:
+        if not self.enabled:
+            artifact = None
+        elif artifact is None:
             self.c_misses.inc()
-            return execute_ap(ap, state, header, tx, tally=tally,
-                              blockhash_fn=blockhash_fn)
-        if artifact.version != self.version:
+        elif artifact.version != self.version:
             # Stale (reorg/redeploy): bail out *before* any side
             # effects, so the run is byte-identical to never having
             # specialized.  The artifact is dropped; the next finalise
             # recompiles against the new world.
             self.c_bailouts.inc()
-            ap.jit = None
-            return execute_ap(ap, state, header, tx, tally=tally,
-                              blockhash_fn=blockhash_fn)
+            ap.jit = artifact = None
+        if artifact is None:
+            self.last_used = "walk"
+            return execute_ap(ap, state, header, tally)
         self.c_hits.inc()
         self.last_used = "jit"
-        if tally is None:
-            tally = CostTally()
         try:
-            return artifact.fn(state, header,
-                               blockhash_fn or (lambda n: 0), tally)
+            return artifact.fn(state, header, tally)
         except ConstraintViolation:
             self.c_guard_failures.inc()
             raise

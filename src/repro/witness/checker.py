@@ -22,8 +22,9 @@ any execution tier's cost units (the ``repro verify`` report and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.chain.block import blockhash
 from repro.core import costmodel
 from repro.state.account import Account
 from repro.state.world import WorldState
@@ -118,11 +119,8 @@ class WitnessChecker:
     everything it does is accounted through ``witness_check_cost``.
     """
 
-    def __init__(self, world: WorldState,
-                 blockhash_fn: Optional[Callable[[int], int]] = None
-                 ) -> None:
+    def __init__(self, world: WorldState) -> None:
         self.world = world
-        self.blockhash_fn = blockhash_fn or (lambda n: 0)
 
     # -- shadow reads -----------------------------------------------------
 
@@ -145,7 +143,7 @@ class WitnessChecker:
         if kind == "header":
             return getattr(header, key[0])
         if kind == "blockhash":
-            return self.blockhash_fn(key[0])
+            return blockhash(key[0])
         return None
 
     def _dirty_account(self, dirty: Dict[int, Account],

@@ -539,7 +539,7 @@ def run_case(case: OracleCase) -> Tuple[List[dict], bool]:
     walk_tally = CostTally()
     mark = walk_state.snapshot()
     try:
-        walk = execute_ap(ap, walk_state, _EVM_HEADER, None,
+        walk = execute_ap(ap, walk_state, _EVM_HEADER,
                           tally=walk_tally)
     except ConstraintViolation as exc:
         report("walk-vs-reference", {"guard_violation": str(exc)})
@@ -573,8 +573,7 @@ def run_case(case: OracleCase) -> Tuple[List[dict], bool]:
         jit_world = _base_world(case)
         jit_state = StateDB(jit_world)
         try:
-            jit = compiled.fn(jit_state, _EVM_HEADER,
-                              lambda n: 0, CostTally())
+            jit = compiled.fn(jit_state, _EVM_HEADER, CostTally())
         except ConstraintViolation as exc:
             report("walk-vs-jit", {"jit_guard_violation": str(exc)})
         else:

@@ -6,6 +6,7 @@ from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
 from repro.core.accelerator import (
+    OUTCOME_FAULTED,
     OUTCOME_NO_AP,
     OUTCOME_SATISFIED,
     OUTCOME_VIOLATED,
@@ -13,7 +14,10 @@ from repro.core.accelerator import (
     context_matches,
 )
 from repro.core.speculator import FutureContext, Speculator
+from repro.errors import InjectedFault
 from repro.evm.interpreter import EVM
+from repro.faults.guard import SpeculationGuard
+from repro.obs.registry import MetricsRegistry
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
@@ -113,6 +117,30 @@ def test_bad_nonce_short_circuits():
     assert receipt.result.gas_used == 0
 
 
+@pytest.mark.parametrize("change", [
+    {"gas_limit": 21_000},   # below intrinsic gas: the calldata costs too
+    {"gas_price": 10**30},   # cannot afford the gas purchase
+    {"value": 10**30},       # the message's value transfer fails
+], ids=["intrinsic", "purchase", "value"])
+def test_envelope_exits_match_evm(change):
+    """A transaction that ends before its AP runs gets the plain EVM's
+    result and post-state: both paths run the one envelope."""
+    tx = Transaction(sender=ALICE, to=FEED,
+                     data=PF.calldata("submit", ROUND, 1980), **change)
+    header = BlockHeader(1, 3990462, 0xBEEF)
+    evm_world, ap_world = fresh_world(), fresh_world()
+    evm_state = StateDB(evm_world)
+    expected = EVM(evm_state, header, tx).execute_transaction()
+    evm_state.commit()
+    ap_state = StateDB(ap_world)
+    receipt = TransactionAccelerator().execute(tx, header, ap_state,
+                                               make_ap())
+    ap_state.commit()
+    assert receipt.outcome == OUTCOME_SATISFIED
+    assert receipt.result == expected
+    assert ap_world.root() == evm_world.root()
+
+
 def test_envelope_matches_evm_exactly():
     """Balances (fee + refund + coinbase) after AP execution must equal
     a plain execution's."""
@@ -146,9 +174,9 @@ def test_context_matches_checks_all_kinds():
         ("header", ("timestamp",)): 3990462,
         ("balance", (ALICE,)): 10**24,
     }
-    assert context_matches(read_set, state, header, lambda n: 0)
+    assert context_matches(read_set, state, header)
     read_set[("header", ("timestamp",))] = 1
-    assert not context_matches(read_set, state, header, lambda n: 0)
+    assert not context_matches(read_set, state, header)
 
 
 def test_cost_satisfied_below_plain():
@@ -159,3 +187,29 @@ def test_cost_satisfied_below_plain():
         tx_e(), header, StateDB(fresh_world()))
     fast = accelerator.execute(tx_e(), header, StateDB(fresh_world()), ap)
     assert fast.tally.total < plain.tally.total
+
+
+class _RaisingInjector:
+    def maybe_raise(self, site, **ctx):
+        raise InjectedFault(site)
+
+
+def test_contained_fault_takes_the_fallback():
+    """A fault the guard contains takes the fallback a violation takes:
+    the plain result and post-state, outcome "faulted"."""
+    header = BlockHeader(1, 3990462, 0xBEEF)
+    plain_world, world = fresh_world(), fresh_world()
+    plain_state = StateDB(plain_world)
+    plain = TransactionAccelerator().execute_plain(tx_e(), header,
+                                                   plain_state)
+    plain_state.commit()
+    guard = SpeculationGuard(registry=MetricsRegistry())
+    accelerator = TransactionAccelerator(guard=guard,
+                                         injector=_RaisingInjector())
+    state = StateDB(world)
+    receipt = accelerator.execute(tx_e(), header, state, make_ap())
+    state.commit()
+    assert receipt.outcome == OUTCOME_FAULTED
+    assert receipt.result == plain.result
+    assert world.root() == plain_world.root()
+    assert guard.c_contained.value == 1

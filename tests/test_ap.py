@@ -139,7 +139,7 @@ class TestExecution:
         ap = build_merged_ap()
         world = fresh_world(ROUND)
         state = StateDB(world)
-        outcome = execute_ap(ap, state, header(3990462), tx_e())
+        outcome = execute_ap(ap, state, header(3990462))
         assert outcome.success
         assert outcome.stats.shortcut_hits > 0
         assert outcome.stats.guards_checked == 0  # all skipped
@@ -148,7 +148,7 @@ class TestExecution:
         ap = build_merged_ap()
         world = fresh_world(ROUND, price=1234, count=9)
         state = StateDB(world)
-        outcome = execute_ap(ap, state, header(3990500), tx_e())
+        outcome = execute_ap(ap, state, header(3990500))
         assert outcome.success
         # Values changed -> recompute: 1234*9+1980 // 10
         assert state.get_storage(
@@ -158,7 +158,7 @@ class TestExecution:
         ap = build_merged_ap()
         world = fresh_world(3990000)  # fresh round -> FC4 branch
         state = StateDB(world)
-        outcome = execute_ap(ap, state, header(3990478), tx_e())
+        outcome = execute_ap(ap, state, header(3990478))
         assert outcome.success
         assert state.get_storage(FEED, PF.slot_of("activeRoundID")) == ROUND
         assert state.get_storage(FEED, PF.slot_of("prices", ROUND)) == 1980
@@ -169,14 +169,14 @@ class TestExecution:
         state = StateDB(world)
         root_before = world.root()
         with pytest.raises(ConstraintViolation):
-            execute_ap(ap, state, header(ROUND + 700), tx_e())
+            execute_ap(ap, state, header(ROUND + 700))
         state.commit()
         assert world.root() == root_before  # rollback-free
 
     def test_gas_constant_per_path(self):
         ap = build_merged_ap()
         world = fresh_world(ROUND, price=55, count=2)
-        outcome = execute_ap(ap, StateDB(world), header(3990470), tx_e())
+        outcome = execute_ap(ap, StateDB(world), header(3990470))
         evm_world = fresh_world(ROUND, price=55, count=2)
         state = StateDB(evm_world)
         result = EVM(state, header(3990470), tx_e()).execute_transaction()

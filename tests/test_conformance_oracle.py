@@ -223,11 +223,11 @@ def _overlap_world() -> WorldState:
 
 def test_jit_return_piece_overlap_matches_walk():
     ap = _overlap_ap()
-    walk = execute_ap(ap, StateDB(_overlap_world()), _EVM_HEADER, None,
+    walk = execute_ap(ap, StateDB(_overlap_world()), _EVM_HEADER,
                       tally=CostTally())
     compiled = compile_ap(ap, version=0)
     jit = compiled.fn(StateDB(_overlap_world()), _EVM_HEADER,
-                      lambda n: 0, CostTally())
+                      CostTally())
     assert walk.return_data == jit.return_data
     # And both equal the spec: piece 2's folded constant owns the
     # overlap, so bytes [16, 48) are v1's word and only [8, 16) holds
@@ -257,10 +257,10 @@ def test_jit_folded_piece_without_overlap_stays_templated():
     ap = AcceleratedProgram(tx_hash=2)
     ap.root = build_chain(instrs, terminal)
     ap.context_ids = {0}
-    walk = execute_ap(ap, StateDB(_overlap_world()), _EVM_HEADER, None,
+    walk = execute_ap(ap, StateDB(_overlap_world()), _EVM_HEADER,
                       tally=CostTally())
     jit = compile_ap(ap, version=0).fn(
-        StateDB(_overlap_world()), _EVM_HEADER, lambda n: 0, CostTally())
+        StateDB(_overlap_world()), _EVM_HEADER, CostTally())
     assert walk.return_data == jit.return_data
     expected = bytearray(40)
     expected[0:8] = (15).to_bytes(8, "big")

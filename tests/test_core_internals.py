@@ -84,12 +84,12 @@ def test_computed_offset_ap_matches_and_violates():
     world2 = WorldState()
     world2.create_account(SENDER, balance=10**21)
     world2.create_account(CODE, code=assemble(COMPUTED_OFFSET))
-    outcome = execute_ap(ap, StateDB(world2), BlockHeader(1, 3, 0xB), tx)
+    outcome = execute_ap(ap, StateDB(world2), BlockHeader(1, 3, 0xB))
     assert int.from_bytes(outcome.return_data, "big") == 777
 
     # Violated at ts=2 (offset 64: the dependency changed).
     with pytest.raises(ConstraintViolation):
-        execute_ap(ap, StateDB(world2), BlockHeader(1, 2, 0xB), tx)
+        execute_ap(ap, StateDB(world2), BlockHeader(1, 2, 0xB))
 
 
 # -- reverted inner frames ---------------------------------------------------------
@@ -225,7 +225,7 @@ def test_partial_word_calldata_in_callee():
         s = StateDB(evm_w)
         expected = EVM(s, BlockHeader(1, ts, 0xB), tx) \
             .execute_transaction()
-        outcome = execute_ap(ap, StateDB(w), BlockHeader(1, ts, 0xB), tx)
+        outcome = execute_ap(ap, StateDB(w), BlockHeader(1, ts, 0xB))
         assert outcome.return_data == expected.return_data, ts
 
 

@@ -83,6 +83,19 @@ def test_invalid_jump_fails_tx():
     assert result.gas_used > 0
 
 
+def test_jump_into_push_immediate_is_invalid():
+    """A 0x5b byte inside a PUSH immediate is data, not a JUMPDEST, so a
+    jump there fails the transaction: pc only lands on instructions."""
+    world = WorldState()
+    world.create_account(SENDER, balance=10**21)
+    # PUSH1 0x5b; POP; PUSH1 1; JUMP -- byte 1 is the immediate 0x5b.
+    world.create_account(
+        CODE_ADDR, code=bytes([0x60, 0x5B, 0x50, 0x60, 0x01, 0x56]))
+    result, _, _ = run(world, gas_limit=100_000)
+    assert not result.success
+    assert result.gas_used == 100_000
+
+
 def test_storage_persistence():
     result, state, _ = run(build("""
         PUSH 99

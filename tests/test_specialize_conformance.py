@@ -96,12 +96,11 @@ def _digest(runner, world, hdr, tx):
 
 def _walk(ap):
     return lambda state, hdr, tx, tally: execute_ap(
-        ap, state, hdr, tx, tally=tally)
+        ap, state, hdr, tally=tally)
 
 
 def _closure(artifact):
-    return lambda state, hdr, tx, tally: artifact.fn(
-        state, hdr, lambda n: 0, tally)
+    return lambda state, hdr, tx, tally: artifact.fn(state, hdr, tally)
 
 
 def _compare(ap, world_factory, hdr, tx):
@@ -119,7 +118,7 @@ class TestClosureConformance:
         assert artifact.version == 7
         assert artifact.node_count > 0
         assert artifact.segment_count > 0
-        assert "def _ap(state, header, bh, tally):" in artifact.source
+        assert "def _ap(state, header, tally):" in artifact.source
 
     def test_hot_op_coverage(self):
         assert len(HOT_OPS) >= 20
@@ -190,7 +189,7 @@ class TestTierPolicy:
         hdr, tx = header(3990462), tx_e()
         via_tier = _digest(
             lambda state, h, t, tally: tier.execute(
-                ap, state, h, t, tally=tally), fresh_world(ROUND), hdr, tx)
+                ap, state, h, tally), fresh_world(ROUND), hdr, tx)
         pure_walk = _digest(_walk(ap), fresh_world(ROUND), hdr, tx)
         assert via_tier == pure_walk
         assert ap.jit is None          # artifact dropped on bailout
@@ -208,6 +207,6 @@ class TestTierPolicy:
         tier.compile(ap)
         with pytest.raises(ConstraintViolation):
             tier.execute(ap, StateDB(fresh_world(ROUND)),
-                         header(ROUND + 700), tx_e())
+                         header(ROUND + 700), CostTally())
         assert tier.c_guard_failures.value == 1
         assert tier.c_hits.value == 1
