@@ -574,11 +574,17 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         print(f"  {entry['site']:<34} {fired:<9} "
               f"restarts={entry['restarts']} {status}{detail}")
     print()
-    print("result: all crash points converged — recovered state, "
-          "receipts and Table 2/3 columns byte-identical to the "
-          "uninterrupted run" if report["converged"] else
-          "result: DIVERGENCE — recovery is broken at one or more "
-          "crash points")
+    if report["converged"]:
+        print("result: all crash points converged — recovered state, "
+              "receipts and Table 2/3 columns byte-identical to the "
+              "uninterrupted run")
+    elif all(entry["converged"] for entry in report["sites"]):
+        print("result: NOT FIRED — one or more crash points never "
+              "fired at this occurrence seed; their recovery is "
+              "unexercised")
+    else:
+        print("result: DIVERGENCE — recovery is broken at one or more "
+              "crash points")
     if args.json_out:
         print()
         _write_json(args.json_out, report, "crash-recovery report")

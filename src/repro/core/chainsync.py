@@ -33,8 +33,7 @@ class ChainManager:
     """
 
     def __init__(self, node, genesis: Block,
-                 snapshot_depth: int = 8,
-                 journal=None) -> None:
+                 snapshot_depth: int = 8) -> None:
         if genesis.state_root is None:
             genesis.state_root = node.world.root()
         self.node = node
@@ -47,11 +46,6 @@ class ChainManager:
         self._snapshot(genesis)
         self.reorgs = 0
         self.blocks_reexecuted = 0
-        #: Optional :class:`repro.recovery.journal.JournalWriter`: when
-        #: wired, branch switches become durable ``reorg`` records, so a
-        #: node crashing mid-reorg can tell on restart which timeline
-        #: its snapshot belongs to.
-        self.journal = journal
 
     # -- internals ----------------------------------------------------------
 
@@ -122,14 +116,6 @@ class ChainManager:
         # Reorg: restore the fork point, replay the winning branch.
         self.reorgs += 1
         branch, fork_point = self._branch_to(block)
-        if self.journal is not None:
-            self.journal.append("reorg", {
-                "old_head": f"{old_head.hash:#x}",
-                "new_head": f"{block.hash:#x}",
-                "fork_point": f"{fork_point.hash:#x}",
-                "fork_number": fork_point.number,
-                "branch_length": len(branch),
-            }, sync=True)
         self._restore(fork_point.hash)
         on_reorg = getattr(self.node, "on_reorg", None)
         if on_reorg is not None:

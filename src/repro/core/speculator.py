@@ -45,7 +45,7 @@ on reorgs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
@@ -245,11 +245,6 @@ class Speculator:
         #: function of the workload — two same-seed runs evict the same
         #: transactions at the same cost-unit times.
         self.aps = LruMap(MEMO_CAPACITY)
-        #: Durability hook (:mod:`repro.recovery`): called as
-        #: ``memo_sink(event, tx_hash)`` for ``insert`` / ``evict`` /
-        #: ``drop`` / ``discard`` so the journal can record the memo
-        #: table's evolution.  No-op by default.
-        self.memo_sink: Optional[Callable[[str, int], None]] = None
         self.records: List[SpeculationRecord] = []
         #: Synthesis stats of executed-and-dropped APs (§5.5).
         self.archive: List[ApArchive] = []
@@ -370,10 +365,6 @@ class Speculator:
         for tx_hash in list(self._dirty):
             self._finalize(tx_hash, self.aps.peek(tx_hash), on_read=False)
 
-    def _memo_event(self, event: str, tx_hash: int) -> None:
-        if self.memo_sink is not None:
-            self.memo_sink(event, tx_hash)
-
     def _archive_ap(self, ap: AcceleratedProgram) -> None:
         if ap.paths:
             self.archive.append(ApArchive(
@@ -393,7 +384,6 @@ class Speculator:
         """
         evicted = self.aps.set(tx_hash, ap)
         self.c_memo_inserts.inc()
-        self._memo_event("insert", tx_hash)
         if evicted is not None:
             victim_hash, victim = evicted
             self._dedup.pop(victim_hash, None)
@@ -402,7 +392,6 @@ class Speculator:
             self._finalize(victim_hash, victim, on_read=False)
             self._archive_ap(victim)
             self.c_memo_evictions.inc()
-            self._memo_event("evict", victim_hash)
         self.g_memo_size.set(len(self.aps))
 
     def drop(self, tx_hash: int, evict_prefixes: bool = True) -> None:
@@ -423,7 +412,6 @@ class Speculator:
             self._finalize(tx_hash, ap)
             self._archive_ap(ap)
             self.g_memo_size.set(len(self.aps))
-            self._memo_event("drop", tx_hash)
 
     def discard(self, tx_hash: int) -> None:
         """Forget a transaction's AP *and* its dedup fingerprints
@@ -435,7 +423,6 @@ class Speculator:
         self.prefix_cache.evict_tx(tx_hash)
         if self.aps.pop(tx_hash, None) is not None:
             self.g_memo_size.set(len(self.aps))
-            self._memo_event("discard", tx_hash)
 
     def invalidate_prefixes(self, reason: str = "") -> int:
         """Drop every cached prefix (new canonical head or reorg)."""

@@ -1,13 +1,19 @@
-"""Journaled accepted-transaction log (edge durability).
+"""Journaled accepted-transaction log (edge and fleet durability).
 
 ``eth_sendRawTransaction`` acknowledges acceptance to the client; that
 acknowledgement is a durability promise — an accepted-but-not-yet-
 committed transaction must survive an edge crash.  The log reuses the
 recovery layer's CRC-framed write-ahead journal
-(:mod:`repro.recovery.journal`): one ``edge.accept`` record per
+(:mod:`repro.recovery.journal`): one synced ``edge.accept`` record per
 accepted transaction, appended *before* the transaction enters the
 node's pool, torn tails truncated on recovery exactly like the node's
 own WAL.
+
+It is the one durable transaction-log format: a fleet's per-shard
+journal (:class:`repro.fleet.supervisor.FleetSupervisor`) is this log,
+holding the first sighting of every transaction the shard is home to,
+and :func:`recover_accepted` is its reader at replica restart and
+torn-handoff repair alike.
 
 Recovery replays the log against a fresh node: transactions whose
 hashes already appear in committed blocks are skipped (they were

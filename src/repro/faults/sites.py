@@ -189,7 +189,7 @@ SITE_TABLE: Tuple[Site, ...] = (
          magnitude=80_000),
     # -- fleet ---------------------------------------------------------
     Site(SITE_REPLICA_CRASH, LAYER_FLEET, KIND_CRASH,
-         "the replica restarts from genesis + its shard journal, "
+         "the replica restarts from genesis + the block store, "
          "byte-identical; only warm speculation state is lost",
          rate=0.2),
     Site(SITE_HANDOFF_TORN, LAYER_FLEET, KIND_TORN,
@@ -229,7 +229,7 @@ SITE_TABLE: Tuple[Site, ...] = (
     Site(SITE_SNAPSHOT_AFTER_WRITE, LAYER_RECOVERY, KIND_CRASH,
          "dies before the atomic rename: the stray .tmp is ignored"),
     Site(SITE_BLOCK_PRE_COMMIT, LAYER_RECOVERY, KIND_CRASH,
-         "dies after the block-import record, before execution"),
+         "dies before the block executes"),
     Site(SITE_BLOCK_POST_COMMIT, LAYER_RECOVERY, KIND_CRASH,
          "dies right after the block-commit record: re-driven and "
          "verified"),

@@ -3,7 +3,7 @@
 N node replicas under one simulated cost-unit event loop: a
 consistent-hash shard map (:mod:`repro.fleet.shardmap`), a sharded
 nonce-aware txpool (:mod:`repro.fleet.shardpool`), a replica lifecycle
-supervisor with per-shard recovery journals
+supervisor with per-shard accepted-tx logs
 (:mod:`repro.fleet.supervisor`), cross-shard edge routing
 (:mod:`repro.fleet.router`), the replay/serving loops
 (:mod:`repro.fleet.serve`), and the deterministic wire plane

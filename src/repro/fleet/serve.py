@@ -7,7 +7,7 @@
 :class:`~repro.fleet.router.FleetRouter` — and hands it to the same
 event loop (:func:`repro.sim.emulator.drive`), which returns the same
 result types.  Lifecycle faults (``fleet.replica_crash``) fire on the
-loop's speculation ticks; restarts replay shard journals mid-run.
+loop's speculation ticks; restarts replay the block store mid-run.
 
 A fleet replay's records, roots, and Table 2/3 columns are
 **byte-identical to the single-node replay at every shard count**

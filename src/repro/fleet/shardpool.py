@@ -19,7 +19,7 @@ On membership change, :meth:`rebalance` computes
 the exact handoff set (consistent hashing keeps it ~1/N of pending)
 and moves those transactions, preserving arrival times; a torn
 handoff (``fleet.handoff_torn``) leaves the move half-done, which the
-supervisor repairs from the shard journal.
+supervisor repairs from the shard journals (the accepted-tx logs).
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class ShardedTxPool:
         #: sender -> nonce -> tx (fleet-wide nonce index; a sender's
         #: txs can straddle shards when some are entangled).
         self._index: Dict[int, Dict[int, Transaction]] = {}
-        #: tx_hash -> shard-map generation that admitted it.
-        self.admit_generation: Dict[int, int] = {}
         obs = self.registry.scope("fleet.pool")
         self.c_routed = obs.counter("routed")
         self.c_entangled = obs.counter("entangled")
@@ -107,7 +105,6 @@ class ShardedTxPool:
             return False
         self._home[tx.hash] = shard
         self._index.setdefault(tx.sender, {})[tx.nonce] = tx
-        self.admit_generation[tx.hash] = self.shardmap.generation
         self.c_routed.inc()
         if self.is_entangled(tx):
             self.c_entangled.inc()
@@ -133,7 +130,6 @@ class ShardedTxPool:
             return False
         self._home[tx.hash] = shard
         self._index.setdefault(tx.sender, {})[tx.nonce] = tx
-        self.admit_generation[tx.hash] = self.shardmap.generation
         self.c_requeued.inc()
         self._g_size.set(len(self._home))
         return True
@@ -142,7 +138,6 @@ class ShardedTxPool:
         shard = self._home.pop(tx_hash, None)
         if shard is None:
             return None
-        self.admit_generation.pop(tx_hash, None)
         tx = self.pools[shard].remove(tx_hash)
         if tx is not None:
             sender_index = self._index.get(tx.sender)
@@ -169,18 +164,15 @@ class ShardedTxPool:
 
     # -- rebalance --------------------------------------------------------
 
-    def rebalance(self) -> Tuple[List[Tuple[int, int, int]],
-                                 List[int]]:
+    def rebalance(self) -> List[int]:
         """Move pending transactions whose home shard changed.
 
         Called by the supervisor after a membership change.  Returns
-        ``(moves, torn)``: ``moves`` is a list of
-        ``(tx_hash, source_shard, target_shard)`` completed handoffs,
-        ``torn`` the hashes whose handoff was interrupted by a
+        the hashes whose handoff was interrupted by a
         ``fleet.handoff_torn`` fault — withdrawn from the source but
-        never delivered, awaiting journal repair.
+        never delivered, awaiting journal repair.  Completed handoffs
+        are counted in ``fleet.pool.handoff_moved``.
         """
-        moves: List[Tuple[int, int, int]] = []
         torn: List[int] = []
         # Deterministic scan order: shard id, then tx hash.
         planned: List[Tuple[int, int, Transaction]] = []
@@ -203,11 +195,9 @@ class ShardedTxPool:
             self._ensure_shard(target).add(tx, arrival)
             self._home[tx.hash] = target
             self._index.setdefault(tx.sender, {})[tx.nonce] = tx
-            self.admit_generation[tx.hash] = self.shardmap.generation
             self.c_moved.inc()
-            moves.append((tx.hash, source, target))
         self._g_size.set(len(self._home))
-        return moves, torn
+        return torn
 
     def shard_sizes(self) -> Dict[int, int]:
         return {replica_id: len(pool)

@@ -31,11 +31,10 @@ ring leave (deterministic rebalance + handoff through the sharded
 pool), a lapsed coordinator lease into a voted election, and the
 restarted replica's first heartbeat into the rejoin.  Restart rebuilds
 the replica from genesis plus every block of the supervisor's block
-store (replayed in order at their recorded clocks), repairs its
-per-shard journal's torn tail, and resyncs the pending pool from a
-live peer — converging to a byte-identical world
-root, which :meth:`process_block` cross-checks on every subsequent
-block.  APs are lost in a crash: speculation is pure acceleration, so
+store (replayed in order at their recorded clocks), repairs its shard
+journal's torn tail, and resyncs the pending pool from a live peer —
+converging to a byte-identical world root, which :meth:`process_block`
+cross-checks on every subsequent block.  APs are lost in a crash: speculation is pure acceleration, so
 commitments are unaffected (the containment contract
 ``tests/test_fleet_chaos.py`` enforces).
 """
@@ -53,15 +52,11 @@ from repro.chain.transaction import (
     tx_to_wire,
 )
 from repro.core.node import BlockReport, ForerunnerNode, LocalSpecPlane
+from repro.edge.journal import AcceptedTxLog, recover_accepted
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
 from repro.faults.sites import SITE_NET_PARTITION, SITE_REPLICA_CRASH
 from repro.obs.registry import MetricsRegistry
-from repro.recovery.journal import (
-    JournalWriter,
-    read_journal,
-    truncate_torn_tail,
-)
 
 from .lease import LeaseRegistry
 from .shardmap import ShardMap
@@ -73,9 +68,6 @@ from .wire import (
     WireConfig,
     WirePlane,
 )
-
-RECORD_TX = "fleet.tx"
-RECORD_BLOCK = "fleet.block"
 
 #: Wire-plane channels (one sequence window per (sender, channel)).
 CH_GOSSIP = "gossip.tx"
@@ -102,8 +94,9 @@ class FleetConfig:
     #: ``wire.suspect_after`` the replica is back before the failure
     #: detector notices: no ring change, no handoff window.
     restart_delay: float = 10.0
-    #: Directory for per-shard recovery journals (``None`` = in-memory
-    #: fleet: crash repair falls back to the supervisor's gossip log).
+    #: Directory for the per-shard accepted-tx logs (``None`` =
+    #: in-memory fleet: torn-handoff repair falls back to the
+    #: supervisor's gossip memory).
     journal_dir: Optional[str] = None
     #: Wire-plane tunables.  Every inter-replica interaction crosses
     #: :class:`repro.fleet.wire`: framed gossip/pool-sync/dispatch/AP/
@@ -114,13 +107,14 @@ class FleetConfig:
 
 @dataclass
 class Replica:
-    """One replica slot: the node, its journal, and lifecycle state."""
+    """One replica slot: the node, its shard journal (the accepted-tx
+    log of the transactions it is home to), and lifecycle state."""
 
     replica_id: int
     node: ForerunnerNode
     registry: MetricsRegistry
     status: str = "up"
-    journal: Optional[JournalWriter] = None
+    journal: Optional[AcceptedTxLog] = None
     journal_path: Optional[str] = None
     crashes: int = 0
     restarts: int = 0
@@ -196,8 +190,8 @@ class FleetSupervisor:
         self.c_detector_joins = obs.counter("detector_joins")
         self._g_live = obs.gauge("live_replicas")
         self.replicas: Dict[int, Replica] = {}
-        #: Block bodies + arrival times (the chain store journals
-        #: reference by number).
+        #: Block bodies + arrival times (the chain store restarts
+        #: replay).
         self.block_store: Dict[int, Tuple[Block, float]] = {}
         #: Every transaction the fleet ever heard (gossip memory; the
         #: torn-handoff repair's fallback when journals are off).
@@ -302,13 +296,11 @@ class FleetSupervisor:
 
     def _spawn(self, replica_id: int) -> None:
         node, registry = self._new_node()
-        journal = None
         path = self._journal_path(replica_id)
-        if path is not None:
-            journal = JournalWriter(path)
         self.replicas[replica_id] = Replica(
             replica_id=replica_id, node=node, registry=registry,
-            journal=journal, journal_path=path)
+            journal=AcceptedTxLog(path) if path is not None else None,
+            journal_path=path)
 
     # -- views -----------------------------------------------------------
 
@@ -484,7 +476,7 @@ class FleetSupervisor:
                 break
             if self.shardmap.leave(replica_id):
                 self.c_detector_leaves.inc()
-                self._rebalance(now)
+                self._rebalance()
         for replica_id in self.live():
             if replica_id in self.shardmap:
                 continue
@@ -492,7 +484,7 @@ class FleetSupervisor:
             if silence < self.config.wire.suspect_after:
                 if self.shardmap.join(replica_id):
                     self.c_detector_joins.inc()
-                    self._rebalance(now)
+                    self._rebalance()
         if (self.injector.enabled and len(self.shardmap) > 1
                 and wire.sim.partition_until is None):
             rule = self.injector.evaluate(SITE_NET_PARTITION,
@@ -563,9 +555,7 @@ class FleetSupervisor:
             home = self.home_of(tx)
             journal = self.replicas[home].journal
             if journal is not None:
-                journal.append(RECORD_TX, payload["tx"], sync=True,
-                               clock={"sim_seconds": round(now, 6),
-                                      "tx": tx.hash})
+                journal.record(tx, now)
             self.wire.send(INGRESS, home, CH_POOL, payload, now)
         for replica_id in self.live():
             self.wire.send(INGRESS, replica_id, CH_GOSSIP, payload, now)
@@ -607,21 +597,14 @@ class FleetSupervisor:
     def process_block(self, block: Block, now: float = 0.0) -> BlockReport:
         """Import one block on every live replica.
 
-        Journals the import per shard; owners ship AP snapshots to the
-        ingress; the block commit fans out as framed messages (parked
-        across a partition — the heal replays them at their carried
-        clocks); every root answer is cross-checked; and the fleet
-        report is merged from the owning replica of each transaction.
+        Owners ship AP snapshots to the ingress; the block commit fans
+        out as framed messages (parked across a partition — the heal
+        replays them at their carried clocks); every root answer is
+        cross-checked; and the fleet report is merged from the owning
+        replica of each transaction.
         """
         self._now = now
         self.block_store[block.number] = (block, now)
-        clock = {"sim_seconds": round(now, 6), "number": block.number}
-        for replica_id in self.live():
-            journal = self.replicas[replica_id].journal
-            if journal is not None:
-                journal.append(RECORD_BLOCK,
-                               {"number": block.number}, sync=True,
-                               clock=clock)
         self._pending_aps[block.number] = {}
         for tx in block.transactions:
             home = self.home_of(tx)
@@ -731,11 +714,8 @@ class FleetSupervisor:
         store replayed in order, pool resync from a peer.  Ring
         membership is untouched (see :meth:`crash`).
 
-        The shard journal alone cannot drive the replay: it misses the
-        blocks committed while the replica was down, and a block an
-        earlier restart caught up was never journaled either.  The
-        journal is still repaired (torn tail) and reopened at its next
-        sequence number.
+        The shard journal holds accepted transactions, not blocks: its
+        torn tail is cut and it reopens at its next sequence number.
 
         The replayed world must be byte-identical — every replayed
         block's ``state_root`` is validated inside ``process_block``,
@@ -746,11 +726,6 @@ class FleetSupervisor:
             return False
         node, registry = self._new_node()
         node.admission = self.admission
-        next_seq = 0
-        if replica.journal_path is not None \
-                and os.path.exists(replica.journal_path):
-            truncate_torn_tail(replica.journal_path)
-            next_seq = read_journal(replica.journal_path).next_seq
         for number in sorted(self.block_store):
             block, at = self.block_store[number]
             node.process_block(block, at)
@@ -772,7 +747,8 @@ class FleetSupervisor:
         replica.restarts += 1
         replica.applied = set(self.block_store)
         if replica.journal_path is not None:
-            replica.journal = JournalWriter(replica.journal_path,
+            _, _, next_seq = recover_accepted(replica.journal_path)
+            replica.journal = AcceptedTxLog(replica.journal_path,
                                             next_seq=next_seq)
         # A replica the detector dropped rejoins the ring when its
         # first heartbeat reaches the failure detector.
@@ -780,37 +756,28 @@ class FleetSupervisor:
         self._g_live.set(len(self.live()))
         return True
 
-    def _rebalance(self, now: float) -> None:
-        moves, torn = self.shardpool.rebalance()
+    def _rebalance(self) -> None:
+        torn = self.shardpool.rebalance()
         self.c_rebalances.inc()
         if torn:
-            self._repair_torn(torn, now)
-        del moves  # handoffs complete; counts live in fleet.pool.*
+            self._repair_torn(torn)
 
-    def _repair_torn(self, hashes: List[int], now: float) -> None:
+    def _repair_torn(self, hashes: List[int]) -> None:
         """Restore transactions lost to a torn handoff.
 
-        Scans the per-shard journals (the durable admission records)
-        for the missing hashes; the supervisor's gossip memory is the
-        fallback for journal-less fleets.
+        Scans the shard journals (the accepted-tx logs, through
+        :func:`recover_accepted`) for the missing hashes; the
+        supervisor's gossip memory is the fallback for journal-less
+        fleets.
         """
         todo = set(hashes)
         entries: Dict[int, Tuple[Transaction, float]] = {}
-        if self.config.journal_dir is not None:
-            for replica in self.replicas.values():
-                path = replica.journal_path
-                if path is None or not os.path.exists(path):
-                    continue
-                if replica.journal is not None:
-                    replica.journal._handle.flush()
-                for record in read_journal(path).records:
-                    if record.type != RECORD_TX:
-                        continue
-                    tx = tx_from_wire(record.data)
-                    if tx.hash in todo:
-                        entries[tx.hash] = (
-                            tx,
-                            float(record.clock.get("sim_seconds", now)))
+        for replica in self.replicas.values():
+            if replica.journal_path is None:
+                continue
+            for tx, heard in recover_accepted(replica.journal_path)[0]:
+                if tx.hash in todo:
+                    entries[tx.hash] = (tx, heard)
         executed = self.coordinator().executed
         for tx_hash in sorted(todo):
             found = entries.get(tx_hash) or self.seen.get(tx_hash)

@@ -2,14 +2,14 @@
 
 Forerunner runs as a long-lived live node (the paper's 10-day L1/R1-R5
 experiments): it must be able to die mid-block and come back without
-corrupting chain state or losing its memoized speculation capital.
-This package adds the durability boundary the emulator lacked:
+corrupting chain state; its speculation capital (APs, the memo
+table, prefix caches) is re-derived, never restored.  This package adds the durability boundary the emulator lacked:
 
 * :mod:`repro.recovery.journal` — a cost-unit-ordered write-ahead log
   of durable events with CRC-framed, canonical-JSON records that
   tolerate torn tails;
 * :mod:`repro.recovery.snapshot` — periodic copy-on-write snapshots of
-  chain / state / memo-table / txpool with atomic install and bounded
+  chain / state / txpool with atomic install and bounded
   journal truncation;
 * seeded crash injection at every journal append, fsync and snapshot
   boundary: the ``recovery`` layer of the one fault-site table

@@ -1,10 +1,10 @@
 """Cost-unit-ordered write-ahead journal with torn-tail tolerance.
 
-The journal is the node's durability spine: every event that must
-survive a crash — block imports, transaction commits, memo-table
-inserts/evictions, prefix-cache head changes, reorgs — is appended
-*before* (or atomically with) the in-memory effect it describes, so a
-restart can always reconstruct the durable prefix of history.
+The journal is the node's durability spine: every event a restart
+reads back — transaction and block commits (:mod:`repro.recovery.
+replay`), accepted transactions (:mod:`repro.edge.journal`) — is
+appended *before* (or atomically with) the effect it makes durable, so
+a restart can always reconstruct the durable prefix of history.
 
 Record framing (all little-endian)::
 
@@ -136,7 +136,7 @@ class JournalWriter:
     """Appends framed records, with crashpoints at every boundary.
 
     ``sync=True`` appends model an fsync'd commit record (block
-    imports, block commits, reorgs); unsync'd appends model the page
+    commits, accepted transactions); unsync'd appends model the page
     cache — in this simulation both are durable once written, but the
     crashpoint *sites* differ, so the sweep exercises each boundary.
 

@@ -3,12 +3,13 @@
 :class:`DurableReplay` is the emulator's replay
 (:func:`repro.sim.emulator.replay`: the same event loop, the same
 evaluating commit step) with that step inside a durability boundary:
-every block import and commit is journaled (fsync'd), per-transaction
-commits and memo-table events stream into the WAL, and a snapshot of
-the full node state — both worlds, both node caches, the txpool, the
-memo-table summary, the committed reports — is atomically installed
-every ``snapshot_interval`` blocks, after which the journal is
-compacted to the snapshot's sequence number.
+each transaction commit streams into the WAL, each block commit is
+journaled (fsync'd) after it, and a snapshot of the full node state —
+both worlds, both node caches, the txpool, the committed reports — is
+atomically installed every ``snapshot_interval`` blocks, after which
+the journal is compacted to the snapshot's sequence number.  The
+journal holds only what :meth:`DurableReplay._restore` reads back:
+``tx_commit`` and ``block_commit`` records.
 
 Because the event timeline is deterministic (tx arrivals, speculation
 ticks and block arrivals popped in ``(time, priority, insertion)``
@@ -30,12 +31,11 @@ depends on cross-block :class:`~repro.state.nodecache.NodeCache`
 warmth, which is why snapshots carry both nodes' warm-key lists in LRU
 order.
 
-Speculation capital (APs, prefix cache, dedup fingerprints) is
-*derived* state: it is never serialized — the recovered node re-runs
-speculation for in-flight heads from the restored txpool, exactly as
-the paper's node would re-speculate after a restart.  The journal still
-records memo inserts/evictions, so the rebuilt table can be audited
-against pre-crash history.
+Speculation capital (APs, memo table, prefix cache, dedup
+fingerprints) is *derived* state: it is never journaled or
+snapshotted — the recovered node re-runs speculation for in-flight
+heads from the restored txpool, exactly as the paper's node would
+re-speculate after a restart.
 """
 
 from __future__ import annotations
@@ -211,9 +211,6 @@ class DurableReplay:
         self.journal = JournalWriter(journal_path,
                                      injector=self.injector,
                                      obs=obs, next_seq=next_seq)
-        # Memo-table events are a pure audit trail: recovery never
-        # replays them.
-        self.forerunner.speculator.memo_sink = self._memo_sink
         self.run_.forerunner_node = self.forerunner
         self._evaluate = evaluation_step(
             self.run_, self.baseline, self.forerunner, dataset.kinds)
@@ -334,15 +331,13 @@ class DurableReplay:
                           in sorted(fore.heard.items())],
                 "executed": [f"{tx_hash:#x}"
                              for tx_hash in sorted(fore.executed)],
-                "memo": [f"{tx_hash:#x}"
-                         for tx_hash in fore.speculator.aps.keys()],
                 "reports": [_report_to_json(r) for r in fore.reports],
             },
             "records": [dataclasses.asdict(r)
                         for r in self.run_.records],
         }
 
-    # -- journal hooks -----------------------------------------------------
+    # -- journal clock -----------------------------------------------------
 
     def _clock(self) -> dict:
         return {
@@ -351,10 +346,6 @@ class DurableReplay:
                 self.forerunner.speculator.c_logical_cost.value),
             "sim_time": round(self.timeline.now, 6),
         }
-
-    def _memo_sink(self, event: str, tx_hash: int) -> None:
-        self.journal.append("memo_" + event, {"tx": f"{tx_hash:#x}"},
-                            clock=self._clock())
 
     # -- the run -----------------------------------------------------------
 
@@ -381,11 +372,6 @@ class DurableReplay:
     def _process_block(self, block, now: float) -> BlockReport:
         """The evaluating commit step inside its journal writes and
         crash points."""
-        self.journal.append("block_import", {
-            "number": block.number,
-            "txs": len(block.transactions),
-            "arrival": round(now, 6),
-        }, sync=True, clock=self._clock())
         self.injector.maybe_crash(SITE_BLOCK_PRE_COMMIT, block=block.number)
         joined_before = len(self.run_.records)
         report = self._evaluate(block, now)
@@ -409,10 +395,6 @@ class DurableReplay:
                             clock=self._clock())
         self.injector.maybe_crash(SITE_BLOCK_POST_COMMIT,
                                   block=block.number)
-        self.journal.append("prefix_head", {
-            "head": block.number,
-            "world_version": self.forerunner.world.version,
-        }, clock=self._clock())
         interval = self.snapshot_interval
         if interval and block.number % interval == 0:
             payload = self._capture(block.number)
@@ -484,7 +466,10 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
     ``seed`` doubles as the crash *occurrence*: seed 0 dies at each
     site's first evaluation, seed 1 at its second, and so on — so a
     three-seed CI sweep covers early, mid and late crashes at every
-    durability boundary.  The returned payload is canonical-JSON-ready
+    durability boundary.  The report's ``converged`` holds only when
+    every site fired *and* its recovered digest matched: an occurrence
+    past the run's last evaluation of a site is a failed sweep, not a
+    trivial pass.  The returned payload is canonical-JSON-ready
     and contains no paths or timestamps: two runs of the same seed are
     byte-identical (CI diffs them).
     """
@@ -503,7 +488,8 @@ def recovery_report(dataset, store_root: str, seed: int = 0,
         converged = digest_bytes(outcome.run) == clean
         fired = sum(entry["fired"]
                     for entry in outcome.fire_summary.values())
-        all_ok &= converged
+        # A plan that never fired proves nothing about its site.
+        all_ok &= converged and fired > 0
         entries.append({
             "site": site,
             "fired": fired,

@@ -114,6 +114,15 @@ def test_chaos_rejects_flags_a_sweep_would_drop(flags, capsys):
     assert "usage: repro chaos" in capsys.readouterr().err
 
 
+def test_crash_exits_nonzero_when_a_site_never_fires(capsys):
+    # Occurrence 10 000 of a block commit lies past the run's end.
+    assert main(["crash", "--seed", "10000",
+                 "--points", "recovery.block.post_commit"]) == 1
+    out = capsys.readouterr().out
+    assert "NOT FIRED" in out
+    assert "result: NOT FIRED" in out
+
+
 def test_crash_unknown_point_lists_the_table(capsys):
     assert main(["crash", "--points", "recovery.journal.apend"]) == 2
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ cost latency, lose cache warmth, or change which replica serves a
 frame — they must never change the fleet's commitments.  Every test
 compares merged Merkle roots and receipt cores against the fault-free
 run; the crash tests additionally check the restarted replica's
-journal-replay convergence (the supervisor cross-checks every live
+restart-replay convergence (the supervisor cross-checks every live
 replica's root each block and raises on divergence).
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.fleet.supervisor as supervisor_module
 from repro.edge import ScenarioConfig, build_scenario
 from repro.faults.injector import FaultPlan, sweep_plans
 from repro.faults.sites import (
@@ -23,6 +24,7 @@ from repro.faults.sites import (
 )
 from repro.fleet import (
     FleetConfig,
+    FleetSupervisor,
     fleet_replay,
     run_fleet_serving,
 )
@@ -132,4 +134,42 @@ def test_torn_handoffs_are_repaired_from_journals(chaos_dataset,
     supervisor = run.supervisor
     assert supervisor.shardpool.c_torn.value > 0, "no handoff torn"
     assert supervisor.c_torn_repaired.value > 0
+    assert run.commitments() == clean_commitments
+
+
+def test_torn_handoffs_are_repaired_from_journaled_shards(
+        chaos_dataset, clean_commitments, tmp_path, monkeypatch):
+    """With ``journal_dir`` set, torn handoffs are repaired from the
+    shard journals — the accepted-tx logs, read back through
+    ``recover_accepted`` — not from the supervisor's gossip memory:
+    the torn hashes are hidden from ``seen`` while the repair runs,
+    and the commitments still match the clean run."""
+    scanned = []
+    real_recover = supervisor_module.recover_accepted
+    real_repair = FleetSupervisor._repair_torn
+
+    def recover(path):
+        scanned.append(path)
+        return real_recover(path)
+
+    def repair(self, hashes):
+        hidden = {tx_hash: self.seen.pop(tx_hash) for tx_hash in hashes
+                  if tx_hash in self.seen}
+        try:
+            real_repair(self, hashes)
+        finally:
+            self.seen.update(hidden)
+
+    monkeypatch.setattr(supervisor_module, "recover_accepted", recover)
+    monkeypatch.setattr(FleetSupervisor, "_repair_torn", repair)
+    plan = FaultPlan.uniform(0, 0.5, sites=(SITE_REPLICA_CRASH,
+                                            SITE_HANDOFF_TORN))
+    run = fleet_replay(chaos_dataset, "live", FleetConfig(
+        shards=4, fault_plan=plan, journal_dir=str(tmp_path)))
+    supervisor = run.supervisor
+    assert supervisor.shardpool.c_torn.value > 0, "no handoff torn"
+    # ``seen`` was hidden: every repair came out of a shard journal.
+    assert supervisor.c_torn_repaired.value > 0
+    assert set(scanned) == {
+        replica.journal_path for replica in supervisor.replicas.values()}
     assert run.commitments() == clean_commitments

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.edge.journal import RECORD_ACCEPT, recover_accepted
 from repro.faults.injector import FaultPlan
 from repro.faults.sites import (
     NET_LOSS_SITES,
@@ -35,6 +36,7 @@ from repro.faults.sites import (
 )
 from repro.fleet import FleetConfig, FleetSupervisor, fleet_replay
 from repro.p2p.latency import LatencyModel
+from repro.recovery.journal import read_journal
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
@@ -266,6 +268,28 @@ def test_second_restart_replays_blocks_the_first_caught_up(dataset,
     assert supervisor.restart(victim, second_at)
     assert supervisor.node(victim).world.root() == second.state_root
     supervisor.close()
+
+
+def test_shard_journals_hold_only_accepted_txs(dataset, clean_wire_run,
+                                              tmp_path):
+    """A shard journal is the accepted-tx log: one ``edge.accept``
+    record per first sighting of a transaction the shard is home to —
+    no block records — and journaling moves no commitment."""
+    run = fleet_replay(dataset, config=FleetConfig(
+        shards=4, journal_dir=str(tmp_path)))
+    supervisor = run.supervisor
+    types, accepted = set(), []
+    for replica in supervisor.replicas.values():
+        types |= {record.type
+                  for record in read_journal(replica.journal_path).records}
+        entries, torn, _ = recover_accepted(replica.journal_path)
+        assert torn == 0
+        accepted += [tx.hash for tx, _ in entries]
+        assert all(supervisor.home_of(tx) == replica.replica_id
+                   for tx, _ in entries)
+    assert types == {RECORD_ACCEPT}
+    assert sorted(accepted) == sorted(supervisor.seen)
+    assert run.commitments() == clean_wire_run.commitments()
 
 
 # -- warmth-weighted read placement ---------------------------------------

@@ -20,7 +20,7 @@ from repro.consensus.packing import pack_block
 from repro.contracts import pricefeed
 from repro.core import speculator as speculator_module
 from repro.core.chainsync import ChainManager
-from repro.core.node import BaselineNode, ForerunnerNode
+from repro.core.node import ForerunnerNode
 from repro.errors import RecoveryError, SimulatedCrash
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.invariants import run_digest
@@ -89,7 +89,7 @@ class TestJournal:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "journal.wal")
         writer = JournalWriter(path)
-        writer.append("block_import", {"number": 1}, sync=True,
+        writer.append("edge.accept", {"number": 1}, sync=True,
                       clock={"sim_time": 1.5})
         writer.append("tx_commit", {"tx": "0xab", "block": 1})
         writer.append("block_commit", {"number": 1}, sync=True)
@@ -97,7 +97,7 @@ class TestJournal:
         scan = read_journal(path)
         assert [r.seq for r in scan.records] == [0, 1, 2]
         assert [r.type for r in scan.records] == [
-            "block_import", "tx_commit", "block_commit"]
+            "edge.accept", "tx_commit", "block_commit"]
         assert scan.records[0].clock == {"sim_time": 1.5}
         assert scan.records[1].data == {"tx": "0xab", "block": 1}
         assert scan.torn_bytes == 0
@@ -260,9 +260,8 @@ class TestDurableReplay:
         run = node.run()
         scan = read_journal(str(tmp_path / "journal.wal"))
         types = {record.type for record in scan.records}
-        assert {"block_import", "block_commit", "tx_commit",
-                "prefix_head"} <= types
-        assert "memo_insert" in types  # the memo audit trail
+        # Only what a restart reads back.
+        assert types == {"tx_commit", "block_commit"}
         commits = [r for r in scan.records if r.type == "block_commit"]
         assert len(commits) == run.blocks_executed
         # Records carry the deterministic cost-unit clock.
@@ -303,6 +302,20 @@ class TestCrashMatrix:
             assert entry["converged"], entry["site"]
             assert entry["crashes"][0]["site"] == entry["site"]
 
+    def test_a_site_that_never_fires_fails_the_sweep(
+            self, dataset, clean_run, tmp_path):
+        """An occurrence past the run's last block commit never fires:
+        the site is unexercised, and the sweep must not call that
+        converged."""
+        report = recovery_report(dataset, str(tmp_path), seed=10_000,
+                                 sites=(SITE_BLOCK_POST_COMMIT,),
+                                 snapshot_interval=SNAPSHOT_INTERVAL,
+                                 clean_run=clean_run)
+        [entry] = report["sites"]
+        assert entry["fired"] == 0 and entry["restarts"] == 0
+        assert entry["converged"]  # the digest alone matches trivially
+        assert not report["converged"]
+
     def test_snapshot_plus_suffix_restore(self, dataset, clean_digest,
                                           tmp_path):
         """A late crash recovers from snapshot + journal suffix, not a
@@ -340,7 +353,7 @@ class TestCrashMatrix:
                 snapshot_interval=SNAPSHOT_INTERVAL)
 
 
-# -- reorg journaling ---------------------------------------------------------
+# -- chain helpers ------------------------------------------------------------
 
 def fresh_world():
     world = WorldState()
@@ -368,27 +381,6 @@ def make_block(parent, txs, ts_offset=13, coinbase=0xE0):
 def genesis_block():
     return Block(header=BlockHeader(number=0, timestamp=ROUND + 10,
                                     coinbase=0))
-
-
-def test_reorg_becomes_a_durable_journal_record(tmp_path):
-    path = str(tmp_path / "journal.wal")
-    journal = JournalWriter(path)
-    node = BaselineNode(fresh_world())
-    manager = ChainManager(node, genesis_block(), journal=journal)
-    genesis = manager.chain.genesis
-    a1 = make_block(genesis, [submit_tx(ALICE, 0, 2000)])
-    manager.receive_block(a1)
-    b1 = make_block(genesis, [submit_tx(BOB, 0, 1500)], ts_offset=14)
-    b2 = make_block(b1, [submit_tx(ALICE, 0, 1700)])
-    manager.receive_block(b1)
-    manager.receive_block(b2)
-    journal.close()
-    assert manager.reorgs == 1
-    reorgs = [r for r in read_journal(path).records
-              if r.type == "reorg"]
-    assert len(reorgs) == 1
-    assert reorgs[0].data["fork_number"] == 0
-    assert reorgs[0].data["new_head"] == f"{b2.hash:#x}"
 
 
 # -- satellite fixes ----------------------------------------------------------

@@ -68,9 +68,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "decode_uint": ("examples/defi_swaps.py",
                     "ABI return decoding for callers outside the node"),
     # Safety and recovery code.
-    "recover_accepted": ("tests/test_edge.py",
-                         "recovery: scans the edge's accepted-tx log "
-                         "after a crash, truncating a torn tail"),
     "restore_pool": ("tests/test_edge.py",
                      "recovery: re-injects accepted-but-unserved "
                      "transactions without double-executing"),
