@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.chain.block import BlockHeader, blockhash
 from repro.chain.transaction import Transaction
-from repro.constants import CALL_DEPTH_LIMIT
+from repro.constants import CALL_DEPTH_LIMIT, STACK_LIMIT
 from repro.errors import (
     EVMError,
     InsufficientBalance,
@@ -26,12 +26,12 @@ from repro.errors import (
     InvalidOpcode,
     OutOfGas,
     Revert,
+    StackOverflow,
+    StackUnderflow,
     WriteProtection,
 )
 from repro.evm import opcodes
-from repro.evm.memory import Memory
 from repro.evm.opcodes import Op
-from repro.evm.stack import Stack
 from repro.evm.tracing import (
     KIND_BALANCE,
     KIND_BLOCKHASH,
@@ -45,13 +45,7 @@ from repro.evm.tracing import (
 from repro.state.statedb import StateDB
 from repro.utils.hashing import keccak_int
 from repro.utils.lru import LruMap
-from repro.utils.words import (
-    bytes_to_int,
-    int_to_bytes32,
-    to_signed,
-    to_unsigned,
-    u256,
-)
+from repro.utils.words import int_to_bytes32, to_signed, to_unsigned, u256
 
 #: Gas charged per 32-byte word of memory expansion (linearized).
 MEMORY_WORD_GAS = 3
@@ -147,7 +141,13 @@ def run_envelope(state: StateDB, header: BlockHeader, tx: Transaction,
 
 
 class _Frame:
-    """Mutable state of one executing call."""
+    """Mutable state of one executing call.
+
+    ``stack`` is a plain list of words and ``memory`` a bytearray that
+    only :func:`_grow` extends: the loop checks every instruction's
+    stack bounds before its handler runs, so handlers index, pop and
+    append without checks of their own.
+    """
 
     __slots__ = ("msg", "code", "stack", "memory", "pc", "gas",
                  "jumpdests", "frame_id", "returned", "program")
@@ -155,24 +155,23 @@ class _Frame:
     def __init__(self, msg: Message, code: bytes, frame_id: int) -> None:
         self.msg = msg
         self.code = code
-        self.stack = Stack()
-        self.memory = Memory()
+        self.stack: List[int] = []
+        self.memory = bytearray()
         self.pc = 0
         self.gas = msg.gas
-        self.jumpdests = _valid_jumpdests(code)
         self.frame_id = frame_id
         self.returned = b""
-        self.program = _decode_program(code)
+        self.program, self.jumpdests = _decode_program(code)
 
 
-#: Decoded artifacts kept per code blob (jumpdest sets, dispatch
-#: tables).  Keys are the code bytes themselves, so an entry can never
-#: be stale; the bound keeps a long simulation from growing the caches
-#: without limit, and recency updates happen at deterministic execution
-#: points, so eviction order is a pure function of the workload.
+#: Decoded programs kept per code blob.  Keys are the code bytes
+#: themselves, so an entry can never be stale; the bound keeps a long
+#: simulation from growing the cache without limit, and recency updates
+#: happen at deterministic execution points, so eviction order is a pure
+#: function of the workload.
 CODE_CACHE_CAPACITY = 4096
 
-_JUMPDEST_CACHE = LruMap(CODE_CACHE_CAPACITY)
+_PROGRAM_CACHE = LruMap(CODE_CACHE_CAPACITY)
 
 #: Bumped by :func:`invalidate_code_caches`; exposed for tests and the
 #: jit tier, which versions its artifacts in lockstep.
@@ -180,109 +179,97 @@ CODE_CACHE_VERSION = 0
 
 
 def invalidate_code_caches(reason: str = "") -> int:
-    """Drop every decoded-program / jumpdest artifact and bump the
-    version (contract redeploy or reorg: derived artifacts must not
-    outlive the code identity assumptions they were built under)."""
+    """Drop every decoded program and bump the version (contract
+    redeploy or reorg: derived artifacts must not outlive the code
+    identity assumptions they were built under)."""
     del reason  # descriptive only; kept for call-site readability
     global CODE_CACHE_VERSION
     CODE_CACHE_VERSION += 1
-    _JUMPDEST_CACHE.clear()
     _PROGRAM_CACHE.clear()
     return CODE_CACHE_VERSION
-
-
-def _valid_jumpdests(code: bytes) -> frozenset:
-    """Positions of JUMPDEST opcodes, skipping PUSH immediates.
-
-    Cached per code blob: the same contracts execute over and over
-    (real clients cache this analysis too).
-    """
-    cached = _JUMPDEST_CACHE.get(code)
-    if cached is not None:
-        return cached
-    dests = set()
-    i = 0
-    n = len(code)
-    while i < n:
-        op = code[i]
-        if op == Op.JUMPDEST:
-            dests.add(i)
-        if opcodes.is_push(op):
-            i += opcodes.push_size(op)
-        i += 1
-    result = frozenset(dests)
-    _JUMPDEST_CACHE.set(code, result)
-    return result
-
-
-_PROGRAM_CACHE = LruMap(CODE_CACHE_CAPACITY)
 
 
 def _push_entry(op: int, value: int, next_pc: int):
     """Pre-decoded PUSH: the immediate and the landing pc are baked in."""
     def run(evm: "EVM", frame: "_Frame", pc: int, info) -> None:
-        frame.stack.push(value)
+        frame.stack.append(value)
         frame.pc = next_pc
-        evm._emit(frame, pc, op, info.name, (), value, info.gas)
+        if evm.tracing:
+            evm._emit(frame, pc, op, info.name, (), value, info.gas)
     return run
 
 
-def _undefined_entry(op: int):
-    message = f"undefined opcode {op:#04x}"
-
-    def run(evm: "EVM", frame: "_Frame", pc: int, info) -> None:
-        raise InvalidOpcode(message)
-    return run
-
-
-def _unimplemented_entry(name: str):
-    message = f"unimplemented opcode {name}"
-
+def _invalid_entry(message: str):
     def run(evm: "EVM", frame: "_Frame", pc: int, info) -> None:
         raise InvalidOpcode(message)
     return run
 
 
 def _decode_program(code: bytes):
-    """Per-pc dispatch table: ``program[pc] == (handler, info)``.
+    """``(program, jumpdests)`` for one code blob, decoded once.
 
-    Decoding (opcode lookup, handler binding, PUSH-immediate parsing)
-    happens once per code blob instead of once per executed step; the
-    same contracts run over and over, so this is cached like the
-    jumpdest analysis.  Positions inside PUSH immediates stay ``None``:
-    no pc ever lands there (see :meth:`EVM._run`).
-
-    ``info`` is ``None`` for undefined opcodes: the loop then skips the
-    gas charge, matching the pre-decode behaviour where the opcode
-    lookup failed before any gas was charged.
+    ``program[pc]`` is the opcode's ``_ENTRIES`` row at every
+    instruction start, except that a PUSH gets a handler bound to its
+    immediate and landing pc.  Positions inside PUSH immediates stay
+    ``None``: no pc ever lands there (see :meth:`EVM._run`).
+    ``jumpdests`` holds the JUMPDEST positions the same walk visits, so
+    none lies inside an immediate.  The same contracts run over and
+    over, so the result is cached per code blob.
     """
     cached = _PROGRAM_CACHE.get(code)
     if cached is not None:
         return cached
     n = len(code)
     program: list = [None] * n
-    opcode_table = opcodes.OPCODES
+    dests = set()
+    entries = _ENTRIES
     i = 0
     while i < n:
         op = code[i]
-        info = opcode_table.get(op)
-        if info is None:
-            program[i] = (_undefined_entry(op), None)
-            i += 1
-            continue
+        entry = entries[op]
         if opcodes.is_push(op):
             size = opcodes.push_size(op)
-            value = bytes_to_int(code[i + 1:i + 1 + size])
-            program[i] = (_push_entry(op, value, i + 1 + size), info)
+            value = int.from_bytes(code[i + 1:i + 1 + size], "big")
+            program[i] = (_push_entry(op, value, i + 1 + size),) + entry[1:]
             i += 1 + size
             continue
-        handler = _HANDLERS.get(op)
-        if handler is None:
-            handler = _unimplemented_entry(info.name)
-        program[i] = (handler, info)
+        if op == Op.JUMPDEST:
+            dests.add(i)
+        program[i] = entry
         i += 1
-    _PROGRAM_CACHE.set(code, program)
-    return program
+    result = (program, frozenset(dests))
+    _PROGRAM_CACHE.set(code, result)
+    return result
+
+
+def _charge(frame: _Frame, amount: int) -> None:
+    if frame.gas < amount:
+        frame.gas = 0
+        raise OutOfGas(f"need {amount} gas")
+    frame.gas -= amount
+
+
+def _grow(frame: _Frame, offset: int, size: int,
+          priced_from: Optional[int] = None) -> bytearray:
+    """Charge the expansion gas of a memory access at ``(offset,
+    size)`` and grow memory to cover it; returns the memory.
+
+    Expansion is priced per new 32-byte word beyond ``priced_from``
+    bytes, the current size by default.  CALL prices its return region
+    from the size before its arguments grew memory, so a region the two
+    share is charged twice.
+    """
+    memory = frame.memory
+    end = offset + size
+    if size:
+        if priced_from is None:
+            priced_from = len(memory)
+        if end > priced_from:
+            _charge(frame, ((end + 31) // 32 - priced_from // 32)
+                    * MEMORY_WORD_GAS)
+            if end > len(memory):
+                memory.extend(bytes((end + 31) // 32 * 32 - len(memory)))
+    return memory
 
 
 class EvmMetrics:
@@ -327,23 +314,19 @@ class EVM:
         self.tx = tx
         self.tracer = tracer or Tracer()
         self.obs = obs
+        #: Whether steps are recorded: only a tracer that overrides
+        #: ``on_step`` gets :class:`StepRecord`s.  Tracers that override
+        #: only the context hooks (the witness ``ReadSetRecorder``) do
+        #: not, since the read and write handlers call those directly.
+        self.tracing = type(self.tracer).on_step is not Tracer.on_step
         self._step_index = 0
         self._next_frame_id = 0
-        #: Count of executed instructions (cost-model input).
+        #: Count of executed instructions (cost-model input): one per
+        #: step record a step tracer would receive.
         self.instruction_count = 0
         #: Count of state-write operations (SSTORE/LOG): these carry
         #: journaling/commit work beyond plain interpretation.
         self.write_op_count = 0
-        if type(self.tracer).on_step is Tracer.on_step:
-            # No per-step observer: shadow _emit with the counting-only
-            # fast path (instance attribute wins over the class
-            # method), skipping StepRecord construction — the largest
-            # interpreter overhead on the commit path.  Tracers that
-            # override only the context hooks — the witness
-            # ReadSetRecorder — keep fast dispatch, since those hooks
-            # are invoked directly by the read handlers, not through
-            # _emit.
-            self._emit = self._emit_fast
 
     # -- transaction entry point -------------------------------------------
 
@@ -441,49 +424,56 @@ class EVM:
             self.tracer.on_call_exit(frame.frame_id, False, b"")
             return False, b"", 0
 
-    # -- gas helpers ----------------------------------------------------------
-
-    def _charge(self, frame: _Frame, amount: int) -> None:
-        if frame.gas < amount:
-            frame.gas = 0
-            raise OutOfGas(f"need {amount} gas")
-        frame.gas -= amount
-
-    def _charge_memory(self, frame: _Frame, offset: int, size: int) -> None:
-        words = frame.memory.expansion_words(offset, size)
-        if words:
-            self._charge(frame, words * MEMORY_WORD_GAS)
-
     # -- main loop ---------------------------------------------------------------
 
     def _run(self, frame: _Frame) -> bytes:
         """Interpreter loop for one frame; returns the frame's output.
 
-        One list index into the pre-decoded program per step.  ``pc``
-        only ever holds an instruction start: the default advance and
-        PUSH's landing pc step over immediates, and a jump must hit a
-        JUMPDEST, which :func:`_valid_jumpdests` never finds inside an
-        immediate.
+        Per step: one list index into the decoded program, the static
+        gas charge, then the stack bounds check, all inline; then the
+        handler.  ``pc`` only ever holds an instruction start: the
+        default advance and PUSH's landing pc step over immediates, and
+        a jump must hit a JUMPDEST, which :func:`_decode_program` never
+        finds inside an immediate.
+
+        A step counts once its handler returns.  The steps that record
+        without returning count themselves: REVERT, which raises after
+        its record, and the CALL_RESULT / CREATE_RESULT pseudo-steps.
         """
         program = frame.program
+        stack = frame.stack
         n = len(program)
-        charge = self._charge
-        while frame.pc < n:
+        count = 0
+        try:
             pc = frame.pc
-            handler, info = program[pc]
-            if info is not None:
-                charge(frame, info.gas)
+            while pc < n:
+                handler, info, gas, low, high = program[pc]
+                gas_left = frame.gas - gas
+                if gas_left < 0:
+                    frame.gas = 0
+                    raise OutOfGas(f"need {gas} gas")
+                frame.gas = gas_left
+                if not low <= len(stack) <= high:
+                    if len(stack) < low:
+                        raise StackUnderflow(
+                            f"{info.name} needs {low} items, "
+                            f"stack has {len(stack)}")
+                    raise StackOverflow(f"stack limit {STACK_LIMIT} exceeded")
                 frame.pc = pc + 1  # default advance; jumps overwrite
-            result = handler(self, frame, pc, info)
-            if result is not None:
-                return result
-        return b""
+                result = handler(self, frame, pc, info)
+                count += 1
+                if result is not None:
+                    return result
+                pc = frame.pc
+            return b""
+        finally:
+            self.instruction_count += count
 
     def _emit(self, frame: _Frame, pc: int, op: int, name: str,
               inputs: Tuple[int, ...], output: Optional[int],
               gas_cost: int, **extra) -> None:
-        """Record one executed instruction with the tracer."""
-        self.instruction_count += 1
+        """Record one executed instruction with the step tracer; handlers
+        call it only when :attr:`tracing` is set."""
         record = StepRecord(
             index=self._step_index, depth=frame.msg.depth,
             frame_id=frame.frame_id, code_address=frame.msg.to,
@@ -492,13 +482,6 @@ class EVM:
         )
         self._step_index += 1
         self.tracer.on_step(record)
-
-    def _emit_fast(self, frame: _Frame, pc: int, op: int, name: str,
-                   inputs: Tuple[int, ...], output: Optional[int],
-                   gas_cost: int, **extra) -> None:
-        """No-op-tracer fast path: keep the counters, skip the record."""
-        self.instruction_count += 1
-        self._step_index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -517,35 +500,46 @@ def _handler(op: Op):
 
 def _binary(op: Op, compute):
     """Register a two-operand pure arithmetic/logic handler."""
+    op_value = int(op)
+
     @_handler(op)
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
-        a = frame.stack.pop()
-        b = frame.stack.pop()
-        value = compute(a, b)
-        frame.stack.push(value)
-        evm._emit(frame, pc, int(op), info.name, (a, b), value, info.gas)
+        stack = frame.stack
+        a = stack.pop()
+        b = stack[-1]
+        stack[-1] = value = compute(a, b)
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (a, b), value,
+                      info.gas)
     return run
 
 
 def _unary(op: Op, compute):
+    op_value = int(op)
+
     @_handler(op)
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
-        a = frame.stack.pop()
-        value = compute(a)
-        frame.stack.push(value)
-        evm._emit(frame, pc, int(op), info.name, (a,), value, info.gas)
+        stack = frame.stack
+        a = stack[-1]
+        stack[-1] = value = compute(a)
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (a,), value, info.gas)
     return run
 
 
 def _ternary(op: Op, compute):
+    op_value = int(op)
+
     @_handler(op)
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
-        a = frame.stack.pop()
-        b = frame.stack.pop()
-        c = frame.stack.pop()
-        value = compute(a, b, c)
-        frame.stack.push(value)
-        evm._emit(frame, pc, int(op), info.name, (a, b, c), value, info.gas)
+        stack = frame.stack
+        a = stack.pop()
+        b = stack.pop()
+        c = stack[-1]
+        stack[-1] = value = compute(a, b, c)
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (a, b, c), value,
+                      info.gas)
     return run
 
 
@@ -639,16 +633,23 @@ for _code, _fn in COMPUTE_SEMANTICS.items():
 
 def _dup(op_value: int, depth: int):
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
-        value = frame.stack.peek(depth - 1)
-        frame.stack.dup(depth)
-        evm._emit(frame, pc, op_value, info.name, (value,), value, info.gas)
+        stack = frame.stack
+        value = stack[-depth]
+        stack.append(value)
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (value,), value,
+                      info.gas)
     return run
 
 
 def _swap(op_value: int, depth: int):
+    other = -1 - depth
+
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
-        frame.stack.swap(depth)
-        evm._emit(frame, pc, op_value, info.name, (), None, info.gas)
+        stack = frame.stack
+        stack[-1], stack[other] = stack[other], stack[-1]
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (), None, info.gas)
     return run
 
 
@@ -661,25 +662,29 @@ for _n in range(1, 17):
 
 @_handler(Op.SHA3)
 def _op_sha3(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
-    evm._charge_memory(frame, offset, size)
-    evm._charge(frame, SHA3_WORD_GAS * ((size + 31) // 32))
-    data = frame.memory.read(offset, size)
-    value = keccak_int(data)
-    frame.stack.push(value)
-    evm._emit(frame, pc, int(Op.SHA3), info.name, (offset, size), value,
-              info.gas, mem_offset=offset, mem_size=size, data=data)
+    stack = frame.stack
+    offset = stack.pop()
+    size = stack[-1]
+    memory = _grow(frame, offset, size)
+    _charge(frame, SHA3_WORD_GAS * ((size + 31) // 32))
+    data = bytes(memory[offset:offset + size])
+    stack[-1] = value = keccak_int(data)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.SHA3), info.name, (offset, size), value,
+                  info.gas, mem_offset=offset, mem_size=size, data=data)
 
 
 # --- environment / transaction constants --------------------------------------
 
 def _env_const(op: Op, getter):
+    op_value = int(op)
+
     @_handler(op)
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
         value = getter(evm, frame)
-        frame.stack.push(value)
-        evm._emit(frame, pc, int(op), info.name, (), value, info.gas)
+        frame.stack.append(value)
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (), value, info.gas)
     return run
 
 
@@ -698,39 +703,44 @@ _env_const(Op.GAS, lambda evm, f: f.gas)
 
 @_handler(Op.CALLDATALOAD)
 def _op_calldataload(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    offset = frame.stack.pop()
-    data = frame.msg.data
-    word = data[offset:offset + 32]
-    value = bytes_to_int(word + b"\x00" * (32 - len(word)))
-    frame.stack.push(value)
-    evm._emit(frame, pc, int(Op.CALLDATALOAD), info.name, (offset,), value,
-              info.gas, data_offset=offset)
+    stack = frame.stack
+    offset = stack[-1]
+    word = frame.msg.data[offset:offset + 32]
+    stack[-1] = value = int.from_bytes(word.ljust(32, b"\x00"), "big")
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.CALLDATALOAD), info.name, (offset,),
+                  value, info.gas, data_offset=offset)
 
 
 @_handler(Op.CALLDATACOPY)
 def _op_calldatacopy(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    dest = frame.stack.pop()
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
-    evm._charge_memory(frame, dest, size)
+    stack = frame.stack
+    dest = stack.pop()
+    offset = stack.pop()
+    size = stack.pop()
+    memory = _grow(frame, dest, size)
     chunk = frame.msg.data[offset:offset + size]
     chunk += b"\x00" * (size - len(chunk))
-    frame.memory.write(dest, chunk)
-    evm._emit(frame, pc, int(Op.CALLDATACOPY), info.name,
-              (dest, offset, size), None, info.gas,
-              mem_offset=dest, mem_size=size, data=chunk)
+    memory[dest:dest + size] = chunk
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.CALLDATACOPY), info.name,
+                  (dest, offset, size), None, info.gas,
+                  mem_offset=dest, mem_size=size, data=chunk)
 
 
 # --- context reads ---------------------------------------------------------------
 
 def _header_read(op: Op, field_name: str):
+    op_value = int(op)
+
     @_handler(op)
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
         value = getattr(evm.header, field_name)
-        frame.stack.push(value)
+        frame.stack.append(value)
         evm.tracer.on_context_read(KIND_HEADER, (field_name,), value)
-        evm._emit(frame, pc, int(op), info.name, (), value, info.gas,
-                  read_kind=KIND_HEADER, read_key=(field_name,))
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name, (), value, info.gas,
+                      read_kind=KIND_HEADER, read_key=(field_name,))
     return run
 
 
@@ -743,41 +753,47 @@ _header_read(Op.GASLIMIT, "gas_limit")
 
 @_handler(Op.BLOCKHASH)
 def _op_blockhash(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    number = frame.stack.pop()
-    value = blockhash(number)
-    frame.stack.push(value)
+    stack = frame.stack
+    number = stack[-1]
+    stack[-1] = value = blockhash(number)
     evm.tracer.on_context_read(KIND_BLOCKHASH, (number,), value)
-    evm._emit(frame, pc, int(Op.BLOCKHASH), info.name, (number,), value,
-              info.gas, read_kind=KIND_BLOCKHASH, read_key=(number,))
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.BLOCKHASH), info.name, (number,), value,
+                  info.gas, read_kind=KIND_BLOCKHASH, read_key=(number,))
 
 
 @_handler(Op.BALANCE)
 def _op_balance(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    address = frame.stack.pop()
-    value = evm.state.get_balance(address)
-    frame.stack.push(value)
+    stack = frame.stack
+    address = stack[-1]
+    stack[-1] = value = evm.state.get_balance(address)
     evm.tracer.on_context_read(KIND_BALANCE, (address,), value)
-    evm._emit(frame, pc, int(Op.BALANCE), info.name, (address,), value,
-              info.gas, read_kind=KIND_BALANCE, read_key=(address,))
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.BALANCE), info.name, (address,), value,
+                  info.gas, read_kind=KIND_BALANCE, read_key=(address,))
 
 
 @_handler(Op.SELFBALANCE)
 def _op_selfbalance(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    value = evm.state.get_balance(frame.msg.to)
-    frame.stack.push(value)
-    evm.tracer.on_context_read(KIND_BALANCE, (frame.msg.to,), value)
-    evm._emit(frame, pc, int(Op.SELFBALANCE), info.name, (), value,
-              info.gas, read_kind=KIND_BALANCE, read_key=(frame.msg.to,))
+    address = frame.msg.to
+    value = evm.state.get_balance(address)
+    frame.stack.append(value)
+    evm.tracer.on_context_read(KIND_BALANCE, (address,), value)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.SELFBALANCE), info.name, (), value,
+                  info.gas, read_kind=KIND_BALANCE, read_key=(address,))
 
 
 @_handler(Op.EXTCODESIZE)
 def _op_extcodesize(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    address = frame.stack.pop()
-    value = len(evm.state.get_code(address))
-    frame.stack.push(value)
+    stack = frame.stack
+    address = stack[-1]
+    stack[-1] = value = len(evm.state.get_code(address))
     evm.tracer.on_context_read(KIND_CODESIZE, (address,), value)
-    evm._emit(frame, pc, int(Op.EXTCODESIZE), info.name, (address,), value,
-              info.gas, read_kind=KIND_CODESIZE, read_key=(address,))
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.EXTCODESIZE), info.name, (address,),
+                  value, info.gas, read_kind=KIND_CODESIZE,
+                  read_key=(address,))
 
 
 # --- memory ---------------------------------------------------------------------
@@ -785,64 +801,77 @@ def _op_extcodesize(evm: EVM, frame: _Frame, pc: int, info) -> None:
 @_handler(Op.POP)
 def _op_pop(evm: EVM, frame: _Frame, pc: int, info) -> None:
     value = frame.stack.pop()
-    evm._emit(frame, pc, int(Op.POP), info.name, (value,), None, info.gas)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.POP), info.name, (value,), None, info.gas)
 
 
 @_handler(Op.MLOAD)
 def _op_mload(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    offset = frame.stack.pop()
-    evm._charge_memory(frame, offset, 32)
-    value = frame.memory.load_word(offset)
-    frame.stack.push(value)
-    evm._emit(frame, pc, int(Op.MLOAD), info.name, (offset,), value,
-              info.gas, mem_offset=offset, mem_size=32)
+    stack = frame.stack
+    offset = stack[-1]
+    memory = frame.memory
+    if offset + 32 > len(memory):
+        _grow(frame, offset, 32)
+    stack[-1] = value = int.from_bytes(memory[offset:offset + 32], "big")
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.MLOAD), info.name, (offset,), value,
+                  info.gas, mem_offset=offset, mem_size=32)
 
 
 @_handler(Op.MSTORE)
 def _op_mstore(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    offset = frame.stack.pop()
-    value = frame.stack.pop()
-    evm._charge_memory(frame, offset, 32)
-    frame.memory.store_word(offset, value)
-    evm._emit(frame, pc, int(Op.MSTORE), info.name, (offset, value), None,
-              info.gas, mem_offset=offset, mem_size=32)
+    stack = frame.stack
+    offset = stack.pop()
+    value = stack.pop()
+    memory = frame.memory
+    if offset + 32 > len(memory):
+        _grow(frame, offset, 32)
+    memory[offset:offset + 32] = value.to_bytes(32, "big")
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.MSTORE), info.name, (offset, value),
+                  None, info.gas, mem_offset=offset, mem_size=32)
 
 
 @_handler(Op.MSTORE8)
 def _op_mstore8(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    offset = frame.stack.pop()
-    value = frame.stack.pop()
-    evm._charge_memory(frame, offset, 1)
-    frame.memory.store_byte(offset, value)
-    evm._emit(frame, pc, int(Op.MSTORE8), info.name, (offset, value), None,
-              info.gas, mem_offset=offset, mem_size=1)
+    stack = frame.stack
+    offset = stack.pop()
+    value = stack.pop()
+    _grow(frame, offset, 1)[offset] = value & 0xFF
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.MSTORE8), info.name, (offset, value),
+                  None, info.gas, mem_offset=offset, mem_size=1)
 
 
 # --- storage --------------------------------------------------------------------
 
 @_handler(Op.SLOAD)
 def _op_sload(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    slot = frame.stack.pop()
-    value = evm.state.get_storage(frame.msg.to, slot)
-    frame.stack.push(value)
-    evm.tracer.on_context_read(KIND_STORAGE, (frame.msg.to, slot), value)
-    evm._emit(frame, pc, int(Op.SLOAD), info.name, (slot,), value,
-              info.gas, read_kind=KIND_STORAGE,
-              read_key=(frame.msg.to, slot))
+    stack = frame.stack
+    slot = stack[-1]
+    address = frame.msg.to
+    stack[-1] = value = evm.state.get_storage(address, slot)
+    evm.tracer.on_context_read(KIND_STORAGE, (address, slot), value)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.SLOAD), info.name, (slot,), value,
+                  info.gas, read_kind=KIND_STORAGE, read_key=(address, slot))
 
 
 @_handler(Op.SSTORE)
 def _op_sstore(evm: EVM, frame: _Frame, pc: int, info) -> None:
     if frame.msg.static:
         raise WriteProtection("SSTORE inside STATICCALL")
-    slot = frame.stack.pop()
-    value = frame.stack.pop()
-    evm.state.set_storage(frame.msg.to, slot, value)
+    stack = frame.stack
+    slot = stack.pop()
+    value = stack.pop()
+    address = frame.msg.to
+    evm.state.set_storage(address, slot, value)
     evm.write_op_count += 1
-    evm.tracer.on_state_write(KIND_STORAGE, (frame.msg.to, slot), value)
-    evm._emit(frame, pc, int(Op.SSTORE), info.name, (slot, value), None,
-              info.gas, write_kind=KIND_STORAGE,
-              write_key=(frame.msg.to, slot))
+    evm.tracer.on_state_write(KIND_STORAGE, (address, slot), value)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.SSTORE), info.name, (slot, value), None,
+                  info.gas, write_kind=KIND_STORAGE,
+                  write_key=(address, slot))
 
 
 # --- control flow ------------------------------------------------------------------
@@ -853,46 +882,54 @@ def _op_jump(evm: EVM, frame: _Frame, pc: int, info) -> None:
     if target not in frame.jumpdests:
         raise InvalidJump(f"jump to {target}")
     frame.pc = target
-    evm._emit(frame, pc, int(Op.JUMP), info.name, (target,), None, info.gas,
-              jump_target=target)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.JUMP), info.name, (target,), None,
+                  info.gas, jump_target=target)
 
 
 @_handler(Op.JUMPI)
 def _op_jumpi(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    target = frame.stack.pop()
-    cond = frame.stack.pop()
+    stack = frame.stack
+    target = stack.pop()
+    cond = stack.pop()
     taken = cond != 0
     if taken:
         if target not in frame.jumpdests:
             raise InvalidJump(f"jump to {target}")
         frame.pc = target
-    evm._emit(frame, pc, int(Op.JUMPI), info.name, (target, cond), None,
-              info.gas, jump_target=target, taken=taken)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.JUMPI), info.name, (target, cond), None,
+                  info.gas, jump_target=target, taken=taken)
 
 
 @_handler(Op.JUMPDEST)
 def _op_jumpdest(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    evm._emit(frame, pc, int(Op.JUMPDEST), info.name, (), None, info.gas)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.JUMPDEST), info.name, (), None, info.gas)
 
 
 # --- logging ------------------------------------------------------------------------
 
 def _log_handler(op: Op, topic_count: int):
+    op_value = int(op)
+
     @_handler(op)
     def run(evm: EVM, frame: _Frame, pc: int, info) -> None:
         if frame.msg.static:
             raise WriteProtection("LOG inside STATICCALL")
-        offset = frame.stack.pop()
-        size = frame.stack.pop()
-        topics = tuple(frame.stack.pop() for _ in range(topic_count))
-        evm._charge_memory(frame, offset, size)
-        data = frame.memory.read(offset, size)
+        stack = frame.stack
+        offset = stack.pop()
+        size = stack.pop()
+        topics = tuple(stack.pop() for _ in range(topic_count))
+        data = bytes(_grow(frame, offset, size)[offset:offset + size])
         evm.state.add_log(frame.msg.to, topics, data)
         evm.write_op_count += 1
         evm.tracer.on_state_write(KIND_LOG, (frame.msg.to,), (topics, data))
-        evm._emit(frame, pc, int(op), info.name,
-                  (offset, size) + topics, None, info.gas,
-                  mem_offset=offset, mem_size=size, data=data, topics=topics)
+        if evm.tracing:
+            evm._emit(frame, pc, op_value, info.name,
+                      (offset, size) + topics, None, info.gas,
+                      mem_offset=offset, mem_size=size, data=data,
+                      topics=topics)
     return run
 
 
@@ -904,19 +941,18 @@ for _i in range(5):
 
 def _do_call(evm: EVM, frame: _Frame, pc: int, info, op: Op) -> None:
     """Shared machinery for CALL / DELEGATECALL / STATICCALL."""
-    gas = frame.stack.pop()
-    to = frame.stack.pop()
-    if op is Op.CALL:
-        value = frame.stack.pop()
-    else:
-        value = 0
-    arg_off = frame.stack.pop()
-    arg_size = frame.stack.pop()
-    ret_off = frame.stack.pop()
-    ret_size = frame.stack.pop()
-    evm._charge_memory(frame, arg_off, arg_size)
-    evm._charge_memory(frame, ret_off, ret_size)
-    args = frame.memory.read(arg_off, arg_size)
+    stack = frame.stack
+    gas = stack.pop()
+    to = stack.pop()
+    value = stack.pop() if op is Op.CALL else 0
+    arg_off = stack.pop()
+    arg_size = stack.pop()
+    ret_off = stack.pop()
+    ret_size = stack.pop()
+    priced_from = len(frame.memory)
+    memory = _grow(frame, arg_off, arg_size)
+    _grow(frame, ret_off, ret_size, priced_from)
+    args = bytes(memory[arg_off:arg_off + arg_size])
     forwarded = min(gas, frame.gas)
     if op is Op.DELEGATECALL:
         # Callee code runs in the CALLER's storage/value/sender context.
@@ -936,23 +972,26 @@ def _do_call(evm: EVM, frame: _Frame, pc: int, info, op: Op) -> None:
                       depth=frame.msg.depth + 1, static=frame.msg.static)
     # Emit the call step *before* the callee's instructions so the trace
     # order matches execution order (the callee is inlined in the trace).
-    inputs = ((gas, to, value, arg_off, arg_size, ret_off, ret_size)
-              if op is Op.CALL
-              else (gas, to, arg_off, arg_size, ret_off, ret_size))
-    evm._emit(frame, pc, int(op), info.name, inputs, None, info.gas,
-              call_to=to, call_value=value, call_args=args,
-              call_kind=info.name, mem_offset=arg_off, mem_size=arg_size,
-              ret_offset=ret_off, ret_size=ret_size)
+    if evm.tracing:
+        inputs = ((gas, to, value, arg_off, arg_size, ret_off, ret_size)
+                  if op is Op.CALL
+                  else (gas, to, arg_off, arg_size, ret_off, ret_size))
+        evm._emit(frame, pc, int(op), info.name, inputs, None, info.gas,
+                  call_to=to, call_value=value, call_args=args,
+                  call_kind=info.name, mem_offset=arg_off,
+                  mem_size=arg_size, ret_offset=ret_off, ret_size=ret_size)
     success, ret, gas_left = evm._call(msg)
     frame.gas -= (forwarded - gas_left)
     if ret_size:
-        padded = ret[:ret_size] + b"\x00" * max(0, ret_size - len(ret))
-        frame.memory.write(ret_off, padded)
+        memory[ret_off:ret_off + ret_size] = \
+            ret[:ret_size].ljust(ret_size, b"\x00")
     frame.returned = ret
-    frame.stack.push(1 if success else 0)
-    evm._emit(frame, pc, int(op), "CALL_RESULT", (), 1 if success else 0,
-              0, call_success=success, call_return=ret,
-              ret_offset=ret_off, ret_size=ret_size)
+    stack.append(1 if success else 0)
+    evm.instruction_count += 1  # the CALL_RESULT pseudo-step
+    if evm.tracing:
+        evm._emit(frame, pc, int(op), "CALL_RESULT", (), 1 if success else 0,
+                  0, call_success=success, call_return=ret,
+                  ret_offset=ret_off, ret_size=ret_size)
 
 
 @_handler(Op.CALL)
@@ -972,33 +1011,36 @@ def _op_staticcall(evm: EVM, frame: _Frame, pc: int, info) -> None:
 
 @_handler(Op.CODECOPY)
 def _op_codecopy(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    dest = frame.stack.pop()
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
-    evm._charge_memory(frame, dest, size)
+    stack = frame.stack
+    dest = stack.pop()
+    offset = stack.pop()
+    size = stack.pop()
+    memory = _grow(frame, dest, size)
     chunk = frame.code[offset:offset + size]
     chunk += b"\x00" * (size - len(chunk))
-    frame.memory.write(dest, chunk)
-    evm._emit(frame, pc, int(Op.CODECOPY), info.name,
-              (dest, offset, size), None, info.gas,
-              mem_offset=dest, mem_size=size, data=chunk)
+    memory[dest:dest + size] = chunk
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.CODECOPY), info.name,
+                  (dest, offset, size), None, info.gas,
+                  mem_offset=dest, mem_size=size, data=chunk)
 
 
 @_handler(Op.CREATE)
 def _op_create(evm: EVM, frame: _Frame, pc: int, info) -> None:
     if frame.msg.static:
         raise WriteProtection("CREATE inside STATICCALL")
-    value = frame.stack.pop()
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
-    evm._charge_memory(frame, offset, size)
-    init_code = frame.memory.read(offset, size)
+    stack = frame.stack
+    value = stack.pop()
+    offset = stack.pop()
+    size = stack.pop()
+    init_code = bytes(_grow(frame, offset, size)[offset:offset + size])
     creator = frame.msg.to
     nonce = evm.state.get_nonce(creator)
     evm.state.increment_nonce(creator)
-    evm._emit(frame, pc, int(Op.CREATE), info.name,
-              (value, offset, size), None, info.gas,
-              mem_offset=offset, mem_size=size, data=init_code)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.CREATE), info.name,
+                  (value, offset, size), None, info.gas,
+                  mem_offset=offset, mem_size=size, data=init_code)
     success, address_bytes, gas_left = evm._create(
         creator=creator, creator_nonce=nonce, value=value,
         init_code=init_code, gas=frame.gas,
@@ -1006,63 +1048,93 @@ def _op_create(evm: EVM, frame: _Frame, pc: int, info) -> None:
     frame.gas = gas_left if success else min(frame.gas, gas_left)
     address = int.from_bytes(address_bytes, "big") if address_bytes \
         else 0
-    frame.stack.push(address)
-    evm._emit(frame, pc, int(Op.CREATE), "CREATE_RESULT", (), address,
-              0, create_success=success)
+    stack.append(address)
+    evm.instruction_count += 1  # the CREATE_RESULT pseudo-step
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.CREATE), "CREATE_RESULT", (), address,
+                  0, create_success=success)
 
 
 @_handler(Op.RETURNDATASIZE)
 def _op_returndatasize(evm: EVM, frame: _Frame, pc: int, info) -> None:
     value = len(frame.returned)
-    frame.stack.push(value)
-    evm._emit(frame, pc, int(Op.RETURNDATASIZE), info.name, (), value,
-              info.gas)
+    frame.stack.append(value)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.RETURNDATASIZE), info.name, (), value,
+                  info.gas)
 
 
 @_handler(Op.RETURNDATACOPY)
 def _op_returndatacopy(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    dest = frame.stack.pop()
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
+    stack = frame.stack
+    dest = stack.pop()
+    offset = stack.pop()
+    size = stack.pop()
     if offset + size > len(frame.returned):
         raise InvalidOpcode("RETURNDATACOPY out of bounds")
-    evm._charge_memory(frame, dest, size)
+    memory = _grow(frame, dest, size)
     chunk = frame.returned[offset:offset + size]
-    frame.memory.write(dest, chunk)
-    evm._emit(frame, pc, int(Op.RETURNDATACOPY), info.name,
-              (dest, offset, size), None, info.gas,
-              mem_offset=dest, mem_size=size, data=chunk,
-              src_offset=offset)
+    memory[dest:dest + size] = chunk
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.RETURNDATACOPY), info.name,
+                  (dest, offset, size), None, info.gas,
+                  mem_offset=dest, mem_size=size, data=chunk,
+                  src_offset=offset)
 
 
 @_handler(Op.STOP)
 def _op_stop(evm: EVM, frame: _Frame, pc: int, info) -> bytes:
-    evm._emit(frame, pc, int(Op.STOP), info.name, (), None, info.gas)
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.STOP), info.name, (), None, info.gas)
     return b""
 
 
 @_handler(Op.RETURN)
 def _op_return(evm: EVM, frame: _Frame, pc: int, info) -> bytes:
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
-    evm._charge_memory(frame, offset, size)
-    data = frame.memory.read(offset, size)
-    evm._emit(frame, pc, int(Op.RETURN), info.name, (offset, size), None,
-              info.gas, mem_offset=offset, mem_size=size, data=data)
+    stack = frame.stack
+    offset = stack.pop()
+    size = stack.pop()
+    data = bytes(_grow(frame, offset, size)[offset:offset + size])
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.RETURN), info.name, (offset, size), None,
+                  info.gas, mem_offset=offset, mem_size=size, data=data)
     return data
 
 
 @_handler(Op.REVERT)
 def _op_revert(evm: EVM, frame: _Frame, pc: int, info) -> None:
-    offset = frame.stack.pop()
-    size = frame.stack.pop()
-    evm._charge_memory(frame, offset, size)
-    data = frame.memory.read(offset, size)
-    evm._emit(frame, pc, int(Op.REVERT), info.name, (offset, size), None,
-              info.gas, mem_offset=offset, mem_size=size, data=data)
+    stack = frame.stack
+    offset = stack.pop()
+    size = stack.pop()
+    data = bytes(_grow(frame, offset, size)[offset:offset + size])
+    evm.instruction_count += 1  # raises instead of returning to the loop
+    if evm.tracing:
+        evm._emit(frame, pc, int(Op.REVERT), info.name, (offset, size), None,
+                  info.gas, mem_offset=offset, mem_size=size, data=data)
     raise Revert(data)
 
 
 @_handler(Op.INVALID)
 def _op_invalid(evm: EVM, frame: _Frame, pc: int, info) -> None:
     raise InvalidOpcode("INVALID opcode executed")
+
+
+def _entry(op: int) -> tuple:
+    """``(handler, info, gas, low, high)`` for one opcode: the static
+    gas charge and the stack bounds ``low <= len(stack) <= high`` (at
+    least ``pops`` items, and at most ``STACK_LIMIT`` after
+    ``pushes``).  An undefined opcode has ``info`` ``None``, no gas and
+    no bounds: it fails before any charge."""
+    info = opcodes.OPCODES.get(op)
+    if info is None:
+        return (_invalid_entry(f"undefined opcode {op:#04x}"), None, 0, 0,
+                STACK_LIMIT)
+    handler = _HANDLERS.get(op) \
+        or _invalid_entry(f"unimplemented opcode {info.name}")
+    return (handler, info, info.gas, info.pops,
+            STACK_LIMIT + info.pops - info.pushes)
+
+
+#: One program entry per opcode, shared by every decoded program (a
+#: PUSH's handler is bound per position by :func:`_decode_program`).
+_ENTRIES = [_entry(op) for op in range(256)]

@@ -25,10 +25,10 @@ from repro.witness.format import ExecutionWitness
 class ReadSetRecorder(Tracer):
     """Tracer that collects the interpreter's context read set.
 
-    Overrides *only* the context hooks — never ``on_step`` — which
-    keeps the interpreter's fast-emit dispatch active: recording a
-    witness costs one dict probe per context read, nothing per
-    instruction.  First read wins (``setdefault``), matching the
+    Overrides *only* the context hooks — never ``on_step`` — so the
+    interpreter builds no step records (``EVM.tracing`` stays off):
+    recording a witness costs one dict probe per context read, nothing
+    per instruction.  First read wins (``setdefault``), matching the
     read-set convention of :mod:`repro.core.trace` and the AP walker.
     """
 
