@@ -3,9 +3,9 @@
 Three measurements, all emitted to ``BENCH_interp.json``:
 
 * **dispatch** — per-opcode interpreter dispatch cost on synthetic
-  straight-line programs, untraced (no tracer: no step records) and
+  straight-line programs, untraced (no tracer: no step rows) and
   traced (a tracer whose ``on_step`` is a no-op override, so every
-  step builds its record);
+  step builds its row);
 * **specialize** — specialized-closure vs interpreted-walk time on
   hand-built APs exercising each of the 20 hottest opcodes
   (:data:`repro.evm.jit.HOT_OPS`), i.e. the Layer-1 speedup the tier
@@ -79,9 +79,9 @@ def _dispatch_program(op: str) -> str:
 
 
 class _StepTracer(Tracer):
-    """Overrides ``on_step``, so the EVM builds every StepRecord."""
+    """Overrides ``on_step``, so the EVM hands it every step row."""
 
-    def on_step(self, record) -> None:
+    def on_step(self, row) -> None:
         pass
 
 
@@ -207,7 +207,7 @@ def test_interp_hotpath(l1):
     abort_rate = jit.get("compile_aborts", 0) / compiles if compiles \
         else 0.0
 
-    # An untraced step stays cheap and skips the record, the tier must
+    # An untraced step stays cheap and skips the row, the tier must
     # actually engage, and the closures must win.
     assert untraced_over_walk_node <= MAX_UNTRACED_OVER_WALK_NODE, \
         (dispatch, specialize)

@@ -9,13 +9,14 @@ set (context variables read and their values), and the write set.
 from __future__ import annotations
 
 import hashlib
+import marshal
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.evm.interpreter import EVM, ExecutionResult
-from repro.evm.tracing import StepRecord, Tracer
+from repro.evm.tracing import Tracer
 from repro.state.statedb import StateDB
 
 #: A read/write-set key: (kind, key-tuple), e.g. ("storage", (addr, slot)).
@@ -40,7 +41,9 @@ class TxTracer(Tracer):
     """Collects the instruction trace and read/write sets of one execution."""
 
     def __init__(self) -> None:
-        self.steps: List[StepRecord] = []
+        #: One row per executed instruction (:meth:`Tracer.on_step`);
+        #: a step's index is its position in this list.
+        self.steps: List[tuple] = []
         #: First-read value per context key (register promotion keeps the
         #: first read; later reads of the same variable are redundant).
         self.read_set: Dict[ContextKey, int] = {}
@@ -50,8 +53,8 @@ class TxTracer(Tracer):
         self.reads_in_order: List[Tuple[str, tuple, int]] = []
         self.frames: Dict[int, FrameEvent] = {}
 
-    def on_step(self, record: StepRecord) -> None:
-        self.steps.append(record)
+    def on_step(self, row: tuple) -> None:
+        self.steps.append(row)
 
     def on_call_enter(self, frame_id: int, parent_id: Optional[int],
                       code_address: int, depth: int) -> None:
@@ -85,7 +88,7 @@ class TraceResult:
     tx: Transaction
     header: BlockHeader
     result: ExecutionResult
-    steps: List[StepRecord] = field(default_factory=list)
+    steps: List[tuple] = field(default_factory=list)
     read_set: Dict[ContextKey, int] = field(default_factory=dict)
     write_set: Dict[ContextKey, object] = field(default_factory=dict)
     reads_in_order: List[Tuple[str, tuple, int]] = field(default_factory=list)
@@ -107,26 +110,27 @@ def trace_fingerprint(trace: "TraceResult") -> str:
     same AP path, so the speculator can reuse the already-merged one
     (synthesis dedup).  The fingerprint deliberately excludes the
     context id — that is exactly the dimension dedup collapses.
+
+    The whole payload, step rows included, is serialized by one
+    ``marshal.dumps`` call at version 2.  Later versions mark repeated
+    objects and interned strings by identity and refcount, so equal
+    content could encode differently and split a dedup class; version
+    2 encodes by value only.  Each row's ``extra`` dict is encoded in
+    insertion order, which is fixed per step name: each name is emitted
+    from one ``_emit`` site with fixed keywords.
     """
-    digest = hashlib.sha256()
-    update = digest.update
     result = trace.result
-    update(repr((result.success, result.gas_used, result.return_data,
-                 result.error, result.logs)).encode())
-    for step in trace.steps:
-        update(repr((step.op, step.pc, step.name, step.frame_id,
-                     step.depth, step.code_address, step.inputs,
-                     step.output, step.gas_cost)).encode())
-        if step.extra:
-            update(repr(sorted(step.extra.items())).encode())
-    update(repr(sorted(trace.read_set.items())).encode())
-    update(repr(sorted(trace.write_set.items())).encode())
-    for frame_id in sorted(trace.frames):
-        event = trace.frames[frame_id]
-        update(repr((frame_id, event.parent_id, event.code_address,
-                     event.depth, event.start_index, event.end_index,
-                     event.success, event.return_data)).encode())
-    return digest.hexdigest()
+    frames = [(frame_id, event.parent_id, event.code_address, event.depth,
+               event.start_index, event.end_index, event.success,
+               event.return_data)
+              for frame_id, event in sorted(trace.frames.items())]
+    payload = ((result.success, result.gas_used, result.return_data,
+                result.error, result.logs),
+               trace.steps,
+               sorted(trace.read_set.items()),
+               sorted(trace.write_set.items()),
+               frames)
+    return hashlib.sha256(marshal.dumps(payload, 2)).hexdigest()
 
 
 def trace_transaction(

@@ -28,13 +28,12 @@ memoization) and synthesis statistics (Figure 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SpeculationError
 from repro.evm import opcodes
 from repro.evm.opcodes import Category, Op
-from repro.evm.tracing import StepRecord
 from repro.core.sevm import (
     COMPUTE_SHA3,
     GuardMode,
@@ -369,9 +368,11 @@ class Translator:
         self._frame_stack = [top]
         self._ancestry[0] = (0,)
 
-        for step in trace.steps:
-            self._sync_frames(step)
-            self._translate_step(step)
+        for (op, _pc, name, frame_id, depth, code_address, inputs, output,
+             _gas, extra) in trace.steps:
+            if frame_id != self._frame_stack[-1].frame_id:
+                self._sync_frames(frame_id, code_address, depth)
+            self._translate_step(op, name, inputs, output, extra)
 
         self._discard_reverted_writes()
         if not trace.result.success:
@@ -390,14 +391,13 @@ class Translator:
             write_set=dict(trace.write_set),
         )
 
-    def _sync_frames(self, step: StepRecord) -> None:
-        """Enter/exit symbolic frames to match the step's frame."""
-        current = self._frame_stack[-1]
-        if step.frame_id == current.frame_id:
-            return
-        if step.frame_id in self._frames:
+    def _sync_frames(self, frame_id: int, code_address: int,
+                     depth: int) -> None:
+        """Enter/exit symbolic frames to match a step in ``frame_id``,
+        which is not the current frame."""
+        if frame_id in self._frames:
             # Returning to an ancestor frame.
-            while self._frame_stack[-1].frame_id != step.frame_id:
+            while self._frame_stack[-1].frame_id != frame_id:
                 exited = self._frame_stack.pop()
                 event = self.trace.frames.get(exited.frame_id)
                 if event is not None and not event.success:
@@ -406,14 +406,14 @@ class Translator:
         # Entering a new frame.
         if self._pending_calldata is None:
             raise SpeculationError(
-                f"frame {step.frame_id} entered without a CALL")
+                f"frame {frame_id} entered without a CALL")
         pieces, size = self._pending_calldata
         self._pending_calldata = None
         frame = _SymFrame(
-            frame_id=step.frame_id, code_address=step.code_address,
-            depth=step.depth, calldata_pieces=pieces, calldata_size=size)
-        self._frames[step.frame_id] = frame
-        self._ancestry[step.frame_id] = self._frame_tag() + (step.frame_id,)
+            frame_id=frame_id, code_address=code_address,
+            depth=depth, calldata_pieces=pieces, calldata_size=size)
+        self._frames[frame_id] = frame
+        self._ancestry[frame_id] = self._frame_tag() + (frame_id,)
         self._frame_stack.append(frame)
 
     _reverted_frames: set = None
@@ -444,14 +444,16 @@ class Translator:
     # -- per-step translation ------------------------------------------------------
 
     # pylint: disable=too-many-branches,too-many-statements
-    def _translate_step(self, step: StepRecord) -> None:
+    def _translate_step(self, op: int, name: str, inputs: tuple,
+                        output, extra) -> None:
+        """Translate one step row from its op, name, inputs, output and
+        extra; :meth:`translate` has already synced the row's frame."""
         frame = self._frame_stack[-1]
         stack = frame.stack
-        op = step.op
         stats = self.stats
 
-        if step.name == "CALL_RESULT":
-            self._finish_call(step, frame)
+        if name == "CALL_RESULT":
+            self._finish_call(extra, frame)
             return
 
         info = opcodes.OPCODES[op]
@@ -461,7 +463,7 @@ class Translator:
         if category is Category.STACK:
             stats.eliminated_stack += 1
             if opcodes.is_push(op):
-                stack.append(step.output)
+                stack.append(output)
             elif opcodes.is_dup(op):
                 stack.append(stack[-(op - 0x80 + 1)])
             elif opcodes.is_swap(op):
@@ -478,7 +480,7 @@ class Translator:
         if op in PURE_OP_NAMES:
             arity = info.pops
             args = tuple(stack.pop() for _ in range(arity))
-            dest = self._new_reg(step.output)
+            dest = self._new_reg(output)
             self._emit(SInstr(kind=SKind.COMPUTE, op=PURE_OP_NAMES[op],
                               dest=dest, args=args))
             stack.append(dest)
@@ -489,52 +491,52 @@ class Translator:
             for _ in range(info.pops):
                 stack.pop()
             stats.eliminated_state += 1
-            stack.append(step.output)
+            stack.append(output)
             return
         if op == int(Op.GAS) or op == int(Op.MSIZE):
             # Constant along a fixed path (flat gas schedule, guarded
             # memory offsets).
             stats.eliminated_state += 1
-            stack.append(step.output)
+            stack.append(output)
             return
 
         if op == int(Op.CALLDATALOAD):
             offset_op = stack.pop()
-            offset = step.extra["data_offset"]
+            offset = extra["data_offset"]
             self._guard_eq(offset_op, offset, is_control=False)
             if frame.depth == 0:
                 stats.eliminated_state += 1
-                stack.append(step.output)
+                stack.append(output)
             else:
                 stats.decomposed_added += 1
                 stats.eliminated_mem += 1
-                stack.append(self._calldata_word(frame, offset, step.output))
+                stack.append(self._calldata_word(frame, offset, output))
             return
 
         # ---- context reads -------------------------------------------------------------
         if op in (int(Op.TIMESTAMP), int(Op.NUMBER), int(Op.COINBASE),
                   int(Op.DIFFICULTY), int(Op.GASLIMIT)):
-            dest = self._new_reg(step.output)
+            dest = self._new_reg(output)
             self._emit(SInstr(kind=SKind.READ, op=info.name, dest=dest,
-                              key=step.extra["read_key"]))
+                              key=extra["read_key"]))
             stack.append(dest)
             return
         if op == int(Op.SLOAD):
             slot_op = stack.pop()
-            dest = self._new_reg(step.output)
+            dest = self._new_reg(output)
             self._emit(SInstr(kind=SKind.READ, op="SLOAD", dest=dest,
                               args=(slot_op,), key=(frame.code_address,)))
             stack.append(dest)
             return
         if op in (int(Op.BALANCE), int(Op.EXTCODESIZE), int(Op.BLOCKHASH)):
             address_op = stack.pop()
-            dest = self._new_reg(step.output)
+            dest = self._new_reg(output)
             self._emit(SInstr(kind=SKind.READ, op=info.name, dest=dest,
                               args=(address_op,)))
             stack.append(dest)
             return
         if op == int(Op.SELFBALANCE):
-            dest = self._new_reg(step.output)
+            dest = self._new_reg(output)
             self._emit(SInstr(kind=SKind.READ, op="BALANCE", dest=dest,
                               args=(frame.code_address,)))
             stack.append(dest)
@@ -543,15 +545,15 @@ class Translator:
         # ---- memory --------------------------------------------------------------------
         if op == int(Op.MLOAD):
             offset_op = stack.pop()
-            offset = step.extra["mem_offset"]
+            offset = extra["mem_offset"]
             self._guard_eq(offset_op, offset, is_control=False)
             stats.eliminated_mem += 1
-            stack.append(self._resolve_word(frame, offset, step.output))
+            stack.append(self._resolve_word(frame, offset, output))
             return
         if op == int(Op.MSTORE):
             offset_op = stack.pop()
             value_op = stack.pop()
-            offset = step.extra["mem_offset"]
+            offset = extra["mem_offset"]
             self._guard_eq(offset_op, offset, is_control=False)
             stats.eliminated_mem += 1
             frame.writes.append((offset, 32, ("word", value_op)))
@@ -559,7 +561,7 @@ class Translator:
         if op == int(Op.MSTORE8):
             offset_op = stack.pop()
             value_op = stack.pop()
-            offset = step.extra["mem_offset"]
+            offset = extra["mem_offset"]
             self._guard_eq(offset_op, offset, is_control=False)
             stats.eliminated_mem += 1
             if is_reg(value_op):
@@ -574,29 +576,29 @@ class Translator:
             dest_op = stack.pop()
             offset_op = stack.pop()
             size_op = stack.pop()
-            dest = step.extra["mem_offset"]
-            size = step.extra["mem_size"]
+            dest = extra["mem_offset"]
+            size = extra["mem_size"]
             self._guard_eq(dest_op, dest, is_control=False)
-            self._guard_eq(offset_op, step.inputs[1], is_control=False)
+            self._guard_eq(offset_op, inputs[1], is_control=False)
             self._guard_eq(size_op, size, is_control=False)
             stats.eliminated_mem += 1
             stats.decomposed_added += 1
-            frame.writes.append((dest, size, ("bytes", step.extra["data"])))
+            frame.writes.append((dest, size, ("bytes", extra["data"])))
             return
 
         # ---- SHA3: decomposed into memory resolution + register hash ---------------------
         if op == int(Op.SHA3):
             offset_op = stack.pop()
             size_op = stack.pop()
-            offset = step.extra["mem_offset"]
-            size = step.extra["mem_size"]
+            offset = extra["mem_offset"]
+            size = extra["mem_size"]
             self._guard_eq(offset_op, offset, is_control=False)
             self._guard_eq(size_op, size, is_control=False)
             stats.decomposed_added += 1   # the memory-read half
             stats.eliminated_mem += 1     # ...which promotion removes
             words = self._resolve_region_words(
-                frame, offset, size, step.extra["data"])
-            dest = self._new_reg(step.output)
+                frame, offset, size, extra["data"])
+            dest = self._new_reg(output)
             self._emit(SInstr(kind=SKind.COMPUTE, op=COMPUTE_SHA3,
                               dest=dest, args=tuple(words),
                               meta={"size": size}))
@@ -610,16 +612,16 @@ class Translator:
         if op == int(Op.JUMP):
             target_op = stack.pop()
             stats.eliminated_control += 1
-            self._guard_eq(target_op, step.extra["jump_target"],
+            self._guard_eq(target_op, extra["jump_target"],
                            is_control=True)
             return
         if op == int(Op.JUMPI):
             target_op = stack.pop()
             cond_op = stack.pop()
             stats.eliminated_control += 1
-            self._guard_eq(target_op, step.extra["jump_target"],
+            self._guard_eq(target_op, extra["jump_target"],
                            is_control=True)
-            self._guard_truth(cond_op, step.extra["taken"])
+            self._guard_truth(cond_op, extra["taken"])
             return
 
         # ---- logging --------------------------------------------------------------------------
@@ -628,12 +630,12 @@ class Translator:
             offset_op = stack.pop()
             size_op = stack.pop()
             topics = tuple(stack.pop() for _ in range(topic_count))
-            offset = step.extra["mem_offset"]
-            size = step.extra["mem_size"]
+            offset = extra["mem_offset"]
+            size = extra["mem_size"]
             self._guard_eq(offset_op, offset, is_control=False)
             self._guard_eq(size_op, size, is_control=False)
             words = self._resolve_region_words(
-                frame, offset, size, step.extra["data"])
+                frame, offset, size, extra["data"])
             self._emit(SInstr(
                 kind=SKind.WRITE, op="LOG", args=topics + tuple(words),
                 key=(frame.code_address,),
@@ -656,15 +658,15 @@ class Translator:
             # Constant under CD-Equiv: the sub-call's path (hence its
             # RETURN size) is pinned by the guards.
             stats.eliminated_mem += 1
-            stack.append(step.output)
+            stack.append(output)
             return
         if op == int(Op.RETURNDATACOPY):
             dest_op = stack.pop()
             offset_op = stack.pop()
             size_op = stack.pop()
-            dest = step.extra["mem_offset"]
-            size = step.extra["mem_size"]
-            src = step.extra["src_offset"]
+            dest = extra["mem_offset"]
+            size = extra["mem_size"]
+            src = extra["src_offset"]
             self._guard_eq(dest_op, dest, is_control=False)
             self._guard_eq(offset_op, src, is_control=False)
             self._guard_eq(size_op, size, is_control=False)
@@ -690,18 +692,17 @@ class Translator:
 
         # ---- calls and termination ----------------------------------------------------------------
         if op in (int(Op.CALL), int(Op.DELEGATECALL), int(Op.STATICCALL)):
-            self._start_call(step, frame, op)
+            self._start_call(extra, frame, op)
             return
         if op in (int(Op.STOP), int(Op.RETURN), int(Op.REVERT)):
-            self._finish_frame(step, frame)
+            self._finish_frame(op, extra, frame)
             return
 
         raise SpeculationError(f"unsupported opcode in trace: {info.name}")
 
     # -- call handling -------------------------------------------------------------
 
-    def _start_call(self, step: StepRecord, frame: _SymFrame,
-                    op: int) -> None:
+    def _start_call(self, extra: dict, frame: _SymFrame, op: int) -> None:
         stack = frame.stack
         # CALL: gas, to, value, arg_off, arg_size, ret_off, ret_size;
         # DELEGATECALL/STATICCALL omit the value operand.
@@ -714,29 +715,29 @@ class Translator:
         ret_size_op = stack.pop()
         self.stats.eliminated_control += 1  # the call machinery itself
         self.stats.decomposed_added += 2    # calldata marshal + ret write
-        to = step.extra["call_to"]
-        value = step.extra["call_value"]
+        to = extra["call_to"]
+        value = extra["call_value"]
         # CD-Equiv: the callee's identity is a control decision.
         self._guard_eq(to_op, to, is_control=True)
         if op == int(Op.CALL) and (is_reg(value_op) or value != 0):
             raise SpeculationError(
                 "CALL with value transfer is outside the supported subset")
-        arg_off = step.extra["mem_offset"]
-        arg_size = step.extra["mem_size"]
+        arg_off = extra["mem_offset"]
+        arg_size = extra["mem_size"]
         self._guard_eq(arg_off_op, arg_off, is_control=False)
         self._guard_eq(arg_size_op, arg_size, is_control=False)
-        self._guard_eq(ret_off_op, step.extra["ret_offset"],
+        self._guard_eq(ret_off_op, extra["ret_offset"],
                        is_control=False)
-        self._guard_eq(ret_size_op, step.extra["ret_size"],
+        self._guard_eq(ret_size_op, extra["ret_size"],
                        is_control=False)
         pieces = self._resolve_pieces(frame.writes, arg_off, arg_size)
         self._pending_calldata = (pieces, arg_size)
 
-    def _finish_call(self, step: StepRecord, frame: _SymFrame) -> None:
+    def _finish_call(self, extra: dict, frame: _SymFrame) -> None:
         """CALL_RESULT: success flag is path-constant; copy return data."""
-        success = step.extra["call_success"]
-        ret_off = step.extra["ret_offset"]
-        ret_size = step.extra["ret_size"]
+        success = extra["call_success"]
+        ret_off = extra["ret_offset"]
+        ret_size = extra["ret_size"]
         frame.returndata = self._last_return
         if ret_size:
             pieces, actual = self._last_return
@@ -747,21 +748,19 @@ class Translator:
             frame.writes.append((ret_off, ret_size, ("pieces", sliced)))
         frame.stack.append(1 if success else 0)
 
-    def _finish_frame(self, step: StepRecord, frame: _SymFrame) -> None:
+    def _finish_frame(self, op: int, extra: dict, frame: _SymFrame) -> None:
         self.stats.eliminated_control += 1
-        if step.op == int(Op.STOP):
+        if op == int(Op.STOP):
             pieces: List[Tuple[int, tuple]] = []
             size = 0
         else:
-            offset_op = step.inputs[0] if step.inputs else 0
-            size = step.extra["mem_size"]
-            offset = step.extra["mem_offset"]
+            size = extra["mem_size"]
+            offset = extra["mem_offset"]
             # Operand stack already popped by the interpreter; symbolically:
             off_sym = frame.stack.pop()
             size_sym = frame.stack.pop()
             self._guard_eq(off_sym, offset, is_control=False)
             self._guard_eq(size_sym, size, is_control=False)
-            del offset_op
             pieces = self._resolve_pieces(frame.writes, offset, size)
         self._last_return = (pieces, size)
         if frame.depth == 0:

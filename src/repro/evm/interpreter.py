@@ -39,7 +39,6 @@ from repro.evm.tracing import (
     KIND_HEADER,
     KIND_LOG,
     KIND_STORAGE,
-    StepRecord,
     Tracer,
 )
 from repro.state.statedb import StateDB
@@ -315,14 +314,13 @@ class EVM:
         self.tracer = tracer or Tracer()
         self.obs = obs
         #: Whether steps are recorded: only a tracer that overrides
-        #: ``on_step`` gets :class:`StepRecord`s.  Tracers that override
-        #: only the context hooks (the witness ``ReadSetRecorder``) do
-        #: not, since the read and write handlers call those directly.
+        #: ``on_step`` gets step rows.  Tracers that override only the
+        #: context hooks (the witness ``ReadSetRecorder``) do not, since
+        #: the read and write handlers call those directly.
         self.tracing = type(self.tracer).on_step is not Tracer.on_step
-        self._step_index = 0
         self._next_frame_id = 0
         #: Count of executed instructions (cost-model input): one per
-        #: step record a step tracer would receive.
+        #: step row a step tracer would receive.
         self.instruction_count = 0
         #: Count of state-write operations (SSTORE/LOG): these carry
         #: journaling/commit work beyond plain interpretation.
@@ -472,16 +470,13 @@ class EVM:
     def _emit(self, frame: _Frame, pc: int, op: int, name: str,
               inputs: Tuple[int, ...], output: Optional[int],
               gas_cost: int, **extra) -> None:
-        """Record one executed instruction with the step tracer; handlers
-        call it only when :attr:`tracing` is set."""
-        record = StepRecord(
-            index=self._step_index, depth=frame.msg.depth,
-            frame_id=frame.frame_id, code_address=frame.msg.to,
-            pc=pc, op=op, name=name, inputs=inputs, output=output,
-            gas_cost=gas_cost, extra=extra,
-        )
-        self._step_index += 1
-        self.tracer.on_step(record)
+        """Hand the step tracer one executed instruction as a row (see
+        :class:`~repro.evm.tracing.Tracer`); handlers call it only when
+        :attr:`tracing` is set."""
+        msg = frame.msg
+        self.tracer.on_step((op, pc, name, frame.frame_id, msg.depth,
+                             msg.to, inputs, output, gas_cost,
+                             extra or None))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,14 @@ The speculator runs transactions on an *instrumented EVM* that records:
 * the intermediate results (inputs/outputs of each instruction),
 * the read set (context variables read) and write set (variables written).
 
-This module defines the hook protocol and the raw per-step record; the
+This module defines the hook protocol and the raw per-step row; the
 higher-level trace assembly (read/write set objects, frame structure)
 lives in :mod:`repro.core.trace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional
 
 
 # Context-read / state-write kinds (the keys of read/write sets).
@@ -26,34 +25,23 @@ KIND_CODESIZE = "extcodesize"   # key: (address,)
 KIND_LOG = "log"                # write-only
 
 
-@dataclass
-class StepRecord:
-    """One executed EVM instruction with its concrete dataflow."""
-
-    index: int                 # position in the flat trace
-    depth: int                 # call depth (0 = top-level frame)
-    frame_id: int              # unique id of the owning call frame
-    code_address: int          # account whose code is executing
-    pc: int
-    op: int
-    name: str
-    inputs: Tuple[int, ...]    # popped stack operands, top-first
-    output: Optional[int]      # pushed result (None if none)
-    gas_cost: int
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-
 class Tracer:
     """Base tracer; the default hooks do nothing.
 
     Subclasses override the hooks they need.  The interpreter invokes
     :meth:`on_step` for every instruction *after* it executes (so the
-    record carries concrete inputs and output), and the context hooks
+    row carries concrete inputs and output), and the context hooks
     whenever execution touches the context or writes state.
     """
 
-    def on_step(self, record: StepRecord) -> None:
-        """Called once per executed instruction."""
+    def on_step(self, row: tuple) -> None:
+        """Called once per executed instruction with one plain tuple
+        ``(op, pc, name, frame_id, depth, code_address, inputs, output,
+        gas_cost, extra)``: ``inputs`` are the popped operands, top
+        first; ``output`` is the pushed result or ``None``; ``extra`` is
+        the op's keyword dict (memory ranges, context keys, call
+        details), or ``None`` for an op that has none.  A step's index
+        is its position in the order of calls."""
 
     def on_call_enter(self, frame_id: int, parent_id: Optional[int],
                       code_address: int, depth: int) -> None:

@@ -3,7 +3,7 @@
 The interpreter checks each instruction's stack bounds in its loop,
 from the decoded program (at least ``pops`` items, at most 1024 after
 ``pushes``), before the handler runs.  A failed check ends the frame
-like any non-revert error: gas 0, state reverted, and no step record
+like any non-revert error: gas 0, state reverted, and no step row
 or instruction count for the failing instruction.  Every case runs
 untraced and under a step tracer, which must agree.
 """
@@ -31,8 +31,8 @@ class _Steps(Tracer):
     def __init__(self) -> None:
         self.steps = []
 
-    def on_step(self, record) -> None:
-        self.steps.append(record)
+    def on_step(self, row) -> None:
+        self.steps.append(row)
 
 
 def _execute(code: bytes, tracer=None):
@@ -63,7 +63,7 @@ def _returning(code_src: str) -> list:
 def _assert_fails_at(code: bytes, failing_pc: int, executed: int) -> None:
     """The instruction at ``failing_pc`` fails a bounds check after
     ``executed`` instructions ran: the frame ends with gas 0, and the
-    failing instruction gets neither a record nor a count."""
+    failing instruction gets neither a row nor a count."""
     result, evm = _execute(code)
     tracer = _Steps()
     traced, traced_evm = _execute(code, tracer)
@@ -72,7 +72,7 @@ def _assert_fails_at(code: bytes, failing_pc: int, executed: int) -> None:
     assert traced == result
     assert evm.instruction_count == traced_evm.instruction_count == executed
     assert len(tracer.steps) == executed
-    assert all(step.pc != failing_pc for step in tracer.steps)
+    assert all(row[1] != failing_pc for row in tracer.steps)  # row[1]: pc
 
 
 def test_push_pop_lifo():
@@ -143,7 +143,7 @@ def test_call_on_six_items_underflows():
 
 def test_revert_on_one_item_underflows():
     # A REVERT that fails its bounds is an error, not a revert: it
-    # keeps no gas and emits no record before failing.
+    # keeps no gas and emits no row before failing.
     _assert_fails_at(_pushes(1) + bytes([REVERT]), failing_pc=2,
                      executed=1)
 

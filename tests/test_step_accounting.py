@@ -1,18 +1,21 @@
 """Counts and traces cannot drift: untraced and traced execution agree.
 
-The interpreter builds step records only for a tracer that overrides
+The interpreter builds step rows only for a tracer that overrides
 ``on_step`` and keeps ``instruction_count`` in its loop.  Both must
 describe the same execution: on copies of one pre-state, the untraced
 and the traced run give the same :class:`ExecutionResult`, the same
 ``instruction_count`` and the same state root, and the traced run gets
-exactly ``instruction_count`` step records — over a recorded dataset
+exactly ``instruction_count`` step rows — over a recorded dataset
 and over the exit corners (revert, memory-expansion out-of-gas, invalid
 jump, undefined opcode, a nested CALL that reverts, CREATE).
 
-The trace fingerprints of the same transactions are pinned, so the
-traced path stays byte-identical across interpreter changes.
+A repr-based reference digest of the same transactions is pinned, so
+the traced path stays byte-identical across interpreter changes.
+``trace_fingerprint`` itself must depend on a trace's content only,
+never on which objects hold it, and must see every part of it.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -126,9 +129,38 @@ def dataset():
     return _record("report", 60.0, 2021)
 
 
+def _reference_fingerprint(trace) -> str:
+    """A repr-based content digest of ``trace``: the outcome, per row
+    ``repr(row[:9])`` plus its sorted ``extra`` items when it has any,
+    the sorted read and write sets, and the frames in id order.
+
+    This is the encoding ``trace_fingerprint`` used before it hashed
+    the rows with one ``marshal`` call; it is slower but spells every
+    field out, so :data:`PINNED` keeps its values.
+    """
+    digest = hashlib.sha256()
+    update = digest.update
+    result = trace.result
+    update(repr((result.success, result.gas_used, result.return_data,
+                 result.error, result.logs)).encode())
+    for row in trace.steps:
+        update(repr(row[:9]).encode())
+        extra = row[9]
+        if extra:
+            update(repr(sorted(extra.items())).encode())
+    update(repr(sorted(trace.read_set.items())).encode())
+    update(repr(sorted(trace.write_set.items())).encode())
+    for frame_id in sorted(trace.frames):
+        event = trace.frames[frame_id]
+        update(repr((frame_id, event.parent_id, event.code_address,
+                     event.depth, event.start_index, event.end_index,
+                     event.success, event.return_data)).encode())
+    return digest.hexdigest()
+
+
 def _dataset_fingerprint(dataset) -> str:
     """Replay every block untraced and traced in lockstep; returns the
-    digest of the per-transaction trace fingerprints in order."""
+    digest of the per-transaction reference fingerprints in order."""
     digest = hashlib.sha256()
     plain_world = dataset.genesis_world.copy()
     traced_world = dataset.genesis_world.copy()
@@ -141,7 +173,7 @@ def _dataset_fingerprint(dataset) -> str:
             trace = trace_transaction(traced_state, block.header, tx)
             assert trace.result == result
             assert len(trace.steps) == evm.instruction_count
-            digest.update(trace_fingerprint(trace).encode())
+            digest.update(_reference_fingerprint(trace).encode())
         plain_state.commit()
         traced_state.commit()
         assert plain_world.root() == traced_world.root() \
@@ -149,8 +181,9 @@ def _dataset_fingerprint(dataset) -> str:
     return digest.hexdigest()
 
 
-#: ``trace_fingerprint`` values recorded while every step still built
-#: its record; the traced path must keep producing them byte for byte.
+#: ``_reference_fingerprint`` values recorded while every step still
+#: built its record; the traced path must keep producing them byte for
+#: byte.
 PINNED = {
     "dataset":
         "4ddcebe8a9ea131c83304fcad7dbed526503860caefeebf3b51bb11e176cf930",
@@ -180,7 +213,7 @@ def test_dataset_counts_and_traces_agree(dataset):
 def test_exit_corner_counts_and_traces_agree(name):
     world, tx = _corner_tx(name)
     trace = _both(world, HEADER, tx)
-    assert trace_fingerprint(trace) == PINNED[name]
+    assert _reference_fingerprint(trace) == PINNED[name]
 
 
 def test_corners_take_their_exit():
@@ -197,9 +230,76 @@ def test_corners_take_their_exit():
     assert revert.return_data == (7).to_bytes(32, "big")
     nested = outcomes["nested_call_reverts"]
     assert nested.result.success
-    assert [step.name for step in nested.steps].count("CALL_RESULT") == 1
+    assert [row[2] for row in nested.steps].count("CALL_RESULT") == 1
     assert nested.result.return_data[32:] == (7).to_bytes(32, "big")
     for name in ("create", "deploy"):
         assert outcomes[name].result.success
-    assert [step.name for step in outcomes["create"].steps] \
+    assert [row[2] for row in outcomes["create"].steps] \
         .count("CREATE_RESULT") == 1
+
+
+def _fresh(value):
+    """An equal copy of ``value`` built from new objects: ints via
+    ``int(str(v))``, strings and bytes re-decoded, so nothing is shared
+    with the interpreter's objects and no string is interned."""
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return int(str(value))
+    if isinstance(value, str):
+        return value.encode().decode()
+    if isinstance(value, (bytes, bytearray)):
+        return type(value)(bytearray(value))
+    if isinstance(value, tuple):
+        return tuple(_fresh(item) for item in value)
+    if isinstance(value, list):
+        return [_fresh(item) for item in value]
+    assert isinstance(value, dict), type(value)
+    return {_fresh(key): _fresh(item) for key, item in value.items()}
+
+
+def _traced(name: str):
+    world, tx = _corner_tx(name)
+    return trace_transaction(StateDB(world), HEADER, tx)
+
+
+@pytest.mark.parametrize("name", [*CORNERS, "deploy"])
+def test_fingerprint_ignores_object_identity(name):
+    """Equal rows built from fresh objects hash the same: the encoding
+    depends on values only, not on shared or interned objects."""
+    trace = _traced(name)
+    fresh = dataclasses.replace(trace, steps=_fresh(trace.steps))
+    assert fresh.steps == trace.steps
+    assert _reference_fingerprint(fresh) == _reference_fingerprint(trace)
+    assert trace_fingerprint(fresh) == trace_fingerprint(trace)
+
+
+def test_fingerprint_sees_outputs_extras_and_frames():
+    """Changing one row's output, one ``extra`` value or one frame's
+    ``success`` changes the digest."""
+    trace = _traced("nested_call_reverts")
+    base = trace_fingerprint(trace)
+    steps = trace.steps
+
+    index = next(i for i, row in enumerate(steps) if row[7] is not None)
+    row = steps[index]
+    changed = row[:7] + (row[7] + 1,) + row[8:]
+    outputs = dataclasses.replace(
+        trace, steps=steps[:index] + [changed] + steps[index + 1:])
+
+    index = next(i for i, row in enumerate(steps)
+                 if row[9] and "mem_offset" in row[9])
+    row = steps[index]
+    extra = dict(row[9], mem_offset=row[9]["mem_offset"] + 1)
+    extras = dataclasses.replace(
+        trace, steps=steps[:index] + [row[:9] + (extra,)]
+        + steps[index + 1:])
+
+    failed = next(fid for fid, event in trace.frames.items()
+                  if not event.success)
+    frames = dict(trace.frames)
+    frames[failed] = dataclasses.replace(frames[failed], success=True)
+    flipped = dataclasses.replace(trace, frames=frames)
+
+    digests = [trace_fingerprint(t) for t in (outputs, extras, flipped)]
+    assert len({base, *digests}) == 4

@@ -1,12 +1,13 @@
-"""Instrumented-tracing structures: step records, frames, read order."""
+"""Instrumented-tracing structures: step rows, frames, read order."""
 
 import pytest
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed, registry
-from repro.core.trace import trace_transaction
+from repro.core.trace import TxTracer, trace_transaction
 from repro.evm.assembler import assemble
+from repro.evm.interpreter import EVM
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
@@ -23,9 +24,21 @@ def trace_pricefeed(oracle_world, timestamp=3990462):
 
 
 def test_steps_are_sequential(oracle_world):
-    trace = trace_pricefeed(oracle_world)
-    indices = [step.index for step in trace.steps]
-    assert indices == list(range(len(indices)))
+    """One row per counted instruction, and every frame's start/end
+    indices fall inside the row list."""
+    tx = Transaction(sender=ALICE, to=FEED,
+                     data=PF.calldata("submit", ROUND, 1980), nonce=0)
+    tracer = TxTracer()
+    evm = EVM(StateDB(oracle_world), BlockHeader(1, 3990462, 0xBEEF), tx,
+              tracer=tracer)
+    assert evm.execute_transaction().success
+    steps = tracer.steps
+    assert len(steps) == evm.instruction_count > 100
+    assert all(type(row) is tuple and len(row) == 10 for row in steps)
+    assert tracer.frames
+    for event in tracer.frames.values():
+        assert 0 <= event.start_index <= event.end_index <= len(steps)
+        assert steps[event.start_index][3] == event.frame_id
 
 
 def test_read_set_keys_and_values(oracle_world):
@@ -98,11 +111,11 @@ def test_failed_frame_marked(world):
 
 def test_step_extras_for_memory_ops(oracle_world):
     trace = trace_pricefeed(oracle_world)
-    sha3_steps = [s for s in trace.steps if s.name == "SHA3"]
-    assert sha3_steps
-    for step in sha3_steps:
-        assert "mem_offset" in step.extra
-        assert len(step.extra["data"]) == step.extra["mem_size"]
+    sha3_extras = [row[9] for row in trace.steps if row[2] == "SHA3"]
+    assert sha3_extras
+    for extra in sha3_extras:
+        assert "mem_offset" in extra
+        assert len(extra["data"]) == extra["mem_size"]
 
 
 def test_trace_length_property(oracle_world):
