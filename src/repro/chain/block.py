@@ -40,7 +40,7 @@ def blockhash(number: int) -> int:
     """What BLOCKHASH reads for block ``number``: always 0.
 
     An execution sees its own header, not the chain behind it.  Every
-    tier (interpreter, AP walk, JIT closure, witness checker) reads
+    tier (interpreter, AP closure, witness checker) reads
     ancestor hashes here, so they agree by construction.
     """
     del number

@@ -269,14 +269,11 @@ def _print_sched_report(sched: dict) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core.node import ForerunnerConfig
     from repro.obs.export import canonical_json, export_jsonl
     from repro.sim.emulator import replay
 
     dataset = _record("report", args.duration, args.seed)
-    node_config = ForerunnerConfig(enable_jit=not args.no_jit)
-    run = replay(dataset, args.observer, config=node_config,
-                 lanes=args.lanes)
+    run = replay(dataset, args.observer, lanes=args.lanes)
     if args.as_json:
         payload = {
             "dataset": dataset.name,
@@ -289,8 +286,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "state_root": hex(run.forerunner_node.world.root()),
             "stages": run.tracer.stage_totals(),
             # CI gate: finalizes <= dedup misses (no per-merge finishing).
-            # Tier-independent on purpose: --no-jit must not move this
-            # payload, so jit.compiles stays out of it.
             "counters": {name: run.registry.value(name) for name in (
                 "speculator.dedup_misses", "speculator.finalizes",
                 "speculator.finalized_on_read")},
@@ -427,8 +422,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         args.error("--edge sweeps one node and --fleet/--net a fleet: "
                    "run them separately")
     if sweep:
-        for flag, given in (("--no-jit", args.no_jit),
-                            ("--trace-out", args.trace_out),
+        for flag, given in (("--trace-out", args.trace_out),
                             ("--max-rate", args.max_rate is not None)):
             if given:
                 args.error(f"{flag} has no effect on an "
@@ -448,10 +442,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         plan = FaultPlan.seeded_random(
             seed=args.seed,
             max_rate=0.3 if args.max_rate is None else args.max_rate)
-    from repro.core.node import ForerunnerConfig
-    node_config = ForerunnerConfig(enable_jit=not args.no_jit)
-    report = check_equivalence(dataset, plan, observer=args.observer,
-                               config=node_config)
+    report = check_equivalence(dataset, plan, observer=args.observer)
     print(format_report(report))
     if args.json_out:
         print()
@@ -602,8 +593,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
     dataset = _record("verify", args.duration, args.seed)
-    node_config = ForerunnerConfig(enable_jit=not args.no_jit,
-                                   enable_witness=True)
+    node_config = ForerunnerConfig(enable_witness=True)
     run = replay(dataset, args.observer, config=node_config)
     node = run.forerunner_node
 
@@ -767,10 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(byte-identical for a given seed)")
     report.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write the canonical JSONL trace here")
-    report.add_argument("--no-jit", action="store_true",
-                        help="disable the specialization compile tier "
-                             "(docs/COMPILER.md); commitments must stay "
-                             "byte-identical either way")
     report.set_defaults(func=_cmd_report)
 
     chaos = sub.add_parser(
@@ -798,10 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the faulted run's canonical JSONL "
                             "obs trace here")
-    chaos.add_argument("--no-jit", action="store_true",
-                       help="disable the specialization compile tier "
-                            "(docs/COMPILER.md); the degradation report "
-                            "must stay byte-identical either way")
     chaos.add_argument("--edge", action="store_true",
                        help="sweep the edge.* serving fault sites "
                             "instead (docs/EDGE.md): each site at "
@@ -930,10 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the canonical witness JSONL "
                              "artifact here (two runs produce "
                              "byte-identical files)")
-    verify.add_argument("--no-jit", action="store_true",
-                        help="disable the specialization compile tier; "
-                             "witnesses and roots must stay "
-                             "byte-identical either way")
     verify.set_defaults(func=_cmd_verify)
 
     history = sub.add_parser(

@@ -1,6 +1,7 @@
 """Transaction execution accelerator: the on-critical-path component.
 
-Runs each transaction through its accelerated program when one exists
+Runs each transaction through its accelerated program — as the AP's
+compiled closure (:mod:`repro.evm.jit`) — when one exists and compiles,
 and through the full EVM otherwise.  Both run inside the one
 transaction envelope, :func:`repro.evm.interpreter.run_envelope` (nonce
 check, gas purchase, refund, coinbase fee); only the top-level message
@@ -22,7 +23,6 @@ from repro.chain.block import BlockHeader, blockhash
 from repro.chain.transaction import Transaction
 from repro.core import costmodel
 from repro.core.ap import AcceleratedProgram
-from repro.core.ap_exec import APExecStats, execute_ap
 from repro.core.costmodel import CostTally
 from repro.errors import ConstraintViolation
 from repro.evm.interpreter import (
@@ -31,7 +31,10 @@ from repro.evm.interpreter import (
     run_envelope,
     transfer,
 )
+from repro.evm.jit.specialize import APExecStats
+from repro.evm.jit.tier import JitTier
 from repro.faults.injector import NULL_INJECTOR
+from repro.obs.registry import MetricsRegistry
 from repro.state.statedb import StateDB
 from repro.witness.recorder import ReadSetRecorder
 
@@ -58,13 +61,16 @@ class AcceleratedReceipt:
     #: (non-empty => the traditional "perfect prediction" would have hit).
     perfect_context_ids: Tuple[int, ...] = ()
     used_ap: bool = False
-    #: Which execution tier produced the result: "plain" (full EVM),
-    #: "walk" (interpreted AP), or "jit" (specialized closure).
-    tier: str = "plain"
     #: Context values the execution observed, in read-set convention
-    #: ((kind, key) -> value).  The AP tiers collect these anyway; the
-    #: plain path fills them only when witness recording is on.
+    #: ((kind, key) -> value).  The AP closure collects these anyway;
+    #: the plain path fills them only when witness recording is on.
     observed_reads: Optional[Dict[tuple, int]] = None
+
+    @property
+    def tier(self) -> str:
+        """Which executor produced the result: "jit" (the AP's closure)
+        or "plain" (full EVM)."""
+        return "jit" if self.used_ap else "plain"
 
 
 def context_matches(read_set: Dict[tuple, int], state: StateDB,
@@ -94,14 +100,15 @@ class TransactionAccelerator:
 
     def __init__(self, jit=None, record_witnesses: bool = False,
                  guard=None, injector=NULL_INJECTOR) -> None:
-        #: Optional :class:`repro.evm.jit.tier.JitTier`: AP execution
-        #: routes through the tier (specialized closure when a valid
-        #: artifact exists, the interpreted walker otherwise).
-        self.jit = jit
+        #: The :class:`~repro.evm.jit.tier.JitTier` every AP runs
+        #: through; without one, a tier with its own registry, so a
+        #: bare accelerator adds no ``jit`` scope to the global one.
+        self.jit = jit if jit is not None \
+            else JitTier(registry=MetricsRegistry())
         #: When on, plain executions trace their context read set (via
         #: :class:`repro.witness.recorder.ReadSetRecorder`) so every
         #: receipt carries witness constraints.  Off by default: the
-        #: AP tiers observe their reads for free, but the plain path
+        #: AP closure observes its reads for free, but the plain path
         #: pays one dict probe per context read.
         self.record_witnesses = record_witnesses
         #: Optional :class:`repro.faults.guard.SpeculationGuard` around
@@ -136,8 +143,11 @@ class TransactionAccelerator:
 
     def execute(self, tx: Transaction, header: BlockHeader, state: StateDB,
                 ap: Optional[AcceleratedProgram]) -> AcceleratedReceipt:
-        """Execute ``tx``: AP fast path if possible, else the fallback."""
-        if ap is None or ap.root is None:
+        """Execute ``tx``: AP fast path if possible, else the fallback.
+
+        An AP the compiler rejects leaves ``tx`` to run plainly, before
+        the envelope opens, so there is nothing to undo."""
+        if ap is None or ap.root is None or not self.jit.ready(ap):
             return self.execute_plain(tx, header, state)
 
         tally = CostTally(fixed_units=costmodel.AP_FIXED)
@@ -187,10 +197,7 @@ class TransactionAccelerator:
             if tx.value and not transfer(state, tx.sender, tx.to,
                                          tx.value):
                 return False, b"", gas
-            if self.jit is not None:
-                outcome = self.jit.execute(ap, state, header, tally)
-            else:
-                outcome = execute_ap(ap, state, header, tally)
+            outcome = self.jit.execute(ap, state, header, tally)
             return (outcome.success, outcome.return_data,
                     tx.gas_limit - outcome.gas_used)
 
@@ -200,11 +207,10 @@ class TransactionAccelerator:
             # before the AP ran.
             return AcceleratedReceipt(
                 result=result, outcome=OUTCOME_SATISFIED, tally=tally,
-                used_ap=True, tier="walk", observed_reads={})
+                used_ap=True, observed_reads={})
         return AcceleratedReceipt(
             result=result, outcome=OUTCOME_SATISFIED, tally=tally,
             ap_stats=outcome.stats, used_ap=True,
-            tier=self.jit.last_used if self.jit is not None else "walk",
             observed_reads=outcome.observed_reads,
             perfect_context_ids=self._classify_from_observation(
                 ap, outcome.observed_reads, header))

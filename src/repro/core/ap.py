@@ -13,9 +13,10 @@ or more speculated future contexts:
   instruction segments when their input registers carry values already
   seen during some pre-execution.
 
-Execution (:mod:`repro.core.ap_exec`) buffers all writes until a
-terminal is reached, so a constraint violation leaves nothing to roll
-back (the paper's rollback-free property).
+Execution (the compiled closure of :mod:`repro.evm.jit.specialize`)
+buffers all writes until a terminal is reached, so a constraint
+violation leaves nothing to roll back (the paper's rollback-free
+property).
 """
 
 from __future__ import annotations
@@ -154,8 +155,9 @@ class AcceleratedProgram:
         self.shortcut_count = 0
         #: Specialized closure for this tree
         #: (:class:`repro.evm.jit.specialize.CompiledAP`), or ``None``
-        #: when interpreted.  Cleared before any tree mutation and on
-        #: tier invalidation; set by :class:`repro.evm.jit.tier.JitTier`.
+        #: until compiled.  Cleared before any tree mutation; set by
+        #: :class:`repro.evm.jit.tier.JitTier`, which recompiles one
+        #: from before a tier invalidation.
         self.jit: Optional[object] = None
 
     # -- structure helpers -----------------------------------------------

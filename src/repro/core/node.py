@@ -66,8 +66,7 @@ class TxRecord:
     shortcut_hits: int = 0
     executed_nodes: int = 0
     skipped_nodes: int = 0
-    #: Execution tier that produced the committed result
-    #: ("plain" | "walk" | "jit").
+    #: Executor that produced the committed result ("plain" | "jit").
     tier: str = "plain"
 
 
@@ -167,12 +166,6 @@ class ForerunnerConfig:
     #: injector; the guard/breaker machinery is always active either
     #: way, so real faults degrade gracefully too.
     fault_plan: object = None
-    #: Trace-guided specialization tier (repro.evm.jit): compile hot
-    #: AP trees to straight-line Python closures.  Commits are
-    #: byte-identical either way (the conformance suite and the
-    #: jit-on/jit-off CI check prove it); the tier only changes
-    #: wall-clock time and the ``jit.*`` counters.
-    enable_jit: bool = True
     #: Lanes of the block executor's derived optimistic-concurrency
     #: schedule (repro.sched).  Execution is one serial pass at any
     #: value, so every lane count commits byte-identical state;
@@ -282,8 +275,7 @@ class ForerunnerNode:
         self.guard = SpeculationGuard(registry=self.registry)
         self.predictor = MultiFuturePredictor(registry=self.registry,
                                               injector=self.fault_injector)
-        self.jit = JitTier(enabled=self.config.enable_jit,
-                           registry=self.registry)
+        self.jit = JitTier(registry=self.registry)
         self.speculator = Speculator(
             self.world,
             pass_config=self.config.pass_config,

@@ -230,10 +230,11 @@ class Speculator:
         # speculator's deterministic logical-cost currency.
         self.guard.clock = lambda: self.c_logical_cost.value
         self.guard.charge_cost = self._charge_backoff
-        #: Optional :class:`repro.evm.jit.tier.JitTier` — the
-        #: trace-guided specialization compiler.  The speculator owns
-        #: the compile side (hot traces are known here); the
-        #: accelerator owns the execute side.
+        #: Optional :class:`repro.evm.jit.tier.JitTier` — the AP
+        #: compiler.  The speculator compiles an AP when it finishes
+        #: it, off the critical path; the accelerator runs it, and
+        #: compiles there only an AP that arrives without a current
+        #: closure.
         self.jit = jit
         self.prefix_cache = PrefixCache(
             enabled=enable_prefix_cache, registry=registry,
@@ -336,7 +337,6 @@ class Speculator:
             build_shortcuts(ap, self.memoization_strategy)
 
         def closure() -> None:
-            # In no generic plan: only evaluated while the tier is on.
             injector.maybe_raise("jit.compile", **where)
             self.jit.compile(ap)
 
@@ -350,7 +350,7 @@ class Speculator:
                     corrupt_shortcut(ap, injector.rng("memoize.corrupt"))
                 if injector.evaluate("ap.corrupt", **where) is not None:
                     corrupt_guard_branch(ap, injector.rng("ap.corrupt"))
-            if self.jit is not None and self.jit.enabled:
+            if self.jit is not None:
                 self.guard.run("jit.compile", closure, count_fallback=False)
         with self.tracer.span("finalize", tx=tx_hash):
             if self.guard.run("speculator.finalize", finish,

@@ -1,8 +1,8 @@
-"""Compile tier (ROADMAP open item: closing the wall-clock inversion).
+"""The AP executor.
 
-:mod:`repro.evm.jit.specialize` + :mod:`repro.evm.jit.tier` compile hot
-AP trees into specialized straight-line Python closures.  See
-docs/COMPILER.md.
+:mod:`repro.evm.jit.specialize` + :mod:`repro.evm.jit.tier` compile AP
+trees into specialized straight-line Python closures, the only way an
+AP runs.  See docs/COMPILER.md.
 """
 
 from repro.evm.jit.specialize import (

@@ -1,11 +1,12 @@
-"""The compile tier: AP trees -> straight-line closures.
+"""The AP executor: AP trees -> straight-line closures (paper §4.3).
 
-The AP walker (:func:`repro.core.ap_exec.execute_ap`) re-interprets the
-S-EVM instruction graph node by node: every COMPUTE re-dispatches
-through ``evaluate_compute``, every operand goes through a ``regs``
-dict, every step pays Python attribute/dict traffic.  For hot traces
-this module compiles the tree once into a specialized Python function
-(in the spirit of EVMx's flattened fetch/decode/execute pipeline, see
+An AP runs only as the closure this module compiles from its tree.
+The reference semantics is a walker that re-interprets the S-EVM
+instruction graph node by node (``tests/ap_walk.py``): every COMPUTE
+re-dispatches through ``evaluate_compute``, every operand goes through
+a ``regs`` dict, every step pays Python attribute/dict traffic.  The
+compiler turns the tree once into a specialized Python function (in
+the spirit of EVMx's flattened fetch/decode/execute pipeline, see
 PAPERS.md):
 
 * registers become local variables (``r7``), the push/pop dict traffic
@@ -14,8 +15,8 @@ PAPERS.md):
   expressions; the long tail (SDIV, SIGNEXTEND, SHA3, MCONCAT, ...)
   calls the shared ``evaluate_compute`` semantics;
 * COMPUTE nodes whose operands are constraint-stable constants are
-  folded at compile time (the walk still *charges* for them — the cost
-  model is part of the observable contract);
+  folded at compile time (the closure still *charges* for them as the
+  walker would — the cost model is part of the observable contract);
 * GUARD nodes become baked dict dispatches over the same branch keys
   the walker would probe, raising the byte-identical
   :class:`~repro.errors.ConstraintViolation` on mismatch;
@@ -28,27 +29,71 @@ same ``CostTally`` sums at every ConstraintViolation raise point, same
 ``APExecStats`` on success, same writes, logs, return data and
 ``observed_reads``.  Anything the compiler cannot prove equivalent
 (register redefinition, a use that is not always defined, an
-oversized tree) raises :class:`SpecializeAbort` and the AP simply
-stays on the interpreted tier.
+oversized tree) raises :class:`SpecializeAbort`, and the transaction
+runs plainly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.chain.block import blockhash
 from repro.core import costmodel
 from repro.core.ap import AcceleratedProgram, APNode, Terminal
-from repro.core.ap_exec import APExecStats, APOutcome, materialize_return
 from repro.core.optimize import evaluate_compute
-from repro.core.sevm import GuardMode, SInstr, SKind, is_reg
+from repro.core.sevm import GuardMode, Reg, SInstr, SKind, is_reg
 from repro.errors import ConstraintViolation
 from repro.utils.words import int_to_bytes32, to_signed
 
 
 class SpecializeAbort(Exception):
-    """Tree not provably equivalent under specialization; stay interpreted."""
+    """Tree not provably equivalent under specialization; run plainly."""
+
+
+@dataclass
+class APExecStats:
+    """Instruction-level counters for one AP execution (§5.5)."""
+
+    executed_nodes: int = 0
+    skipped_nodes: int = 0
+    shortcut_hits: int = 0
+    shortcut_misses: int = 0
+    guards_checked: int = 0
+
+
+@dataclass
+class APOutcome:
+    """Result of a successful AP execution."""
+
+    success: bool
+    gas_used: int
+    return_data: bytes
+    terminal: Terminal
+    stats: APExecStats = field(default_factory=APExecStats)
+    #: Context values observed by the READ nodes this execution walked,
+    #: keyed like read sets: (kind, key) -> value.  Used to classify
+    #: perfect vs imperfect predictions without extra state reads.
+    observed_reads: Dict[tuple, int] = field(default_factory=dict)
+
+
+def materialize_return(pieces: List[Tuple[int, tuple]], size: int,
+                       regs: Dict[Reg, int]) -> bytes:
+    """Build the return-data bytes from the terminal's piece layout."""
+    if size == 0:
+        return b""
+    buf = bytearray(size)
+    for rel_off, piece in pieces:
+        kind = piece[0]
+        if kind == "bytes":
+            payload = piece[1]
+            buf[rel_off:rel_off + len(payload)] = payload
+        elif kind == "reg":
+            _, reg, src_start, length = piece
+            word = int_to_bytes32(regs[reg])
+            buf[rel_off:rel_off + length] = word[src_start:src_start + length]
+        # "zero": already zero
+    return bytes(buf)
 
 
 class _Unset:
@@ -99,12 +144,12 @@ _ARG_SLOTS = ("a", "b", "c")
 class CompiledAP:
     """One specialized closure plus its compile-time metadata."""
 
-    #: ``fn(state, header, tally) -> APOutcome``, the call
-    #: :func:`~repro.core.ap_exec.execute_ap` takes; raises
-    #: :class:`ConstraintViolation` exactly like the walker.
+    #: ``fn(state, header, tally) -> APOutcome``; raises
+    #: :class:`ConstraintViolation` exactly like the reference walker.
     fn: object
-    #: Tier version this artifact was compiled under; a mismatch at
-    #: execution time is a bailout (reorg/redeploy invalidation).
+    #: Tier version this artifact was compiled under; a mismatch
+    #: before it runs is a bailout (reorg/redeploy invalidation), and
+    #: the tier recompiles it.
     version: int
     node_count: int
     segment_count: int
@@ -780,7 +825,7 @@ def compile_ap(ap: AcceleratedProgram, version: int = 0,
                max_nodes: int = 4096) -> CompiledAP:
     """Compile ``ap`` into a specialized closure.
 
-    Raises :class:`SpecializeAbort` when equivalence to the interpreted
-    walk cannot be proven; the caller keeps the AP on the slow tier.
+    Raises :class:`SpecializeAbort` when equivalence to the reference
+    walker cannot be proven; the transaction then runs plainly.
     """
     return _Compiler(ap, max_nodes).compile(version)

@@ -1,4 +1,4 @@
-"""Tiering policy for the trace-guided specialization compiler.
+"""Tiering policy for the AP executor, the compiled closure.
 
 One :class:`JitTier` instance lives on each Forerunner node and is
 shared by the speculator (compile side) and the transaction accelerator
@@ -8,12 +8,13 @@ shared by the speculator (compile side) and the transaction accelerator
   it finishes it: once per speculation cycle that changed it (or on
   hand-out, if still unfinished), off the critical path, so one compile
   buys commit-time speed.  It is chaos-contained by the speculator, so
-  a failed compile only means the AP stays interpreted.
-* **execute side** — the accelerator routes AP execution through
-  :meth:`execute`.  A valid artifact runs the specialized closure; a
-  version mismatch (reorg / redeploy invalidation) is a *bailout*: the
-  artifact is dropped and the general walker runs instead, which is
-  byte-identical to never having specialized.
+  a failed compile only leaves the AP without a closure.
+* **execute side** — before the accelerator opens the transaction
+  envelope it asks :meth:`ready`.  An AP without a closure (a *miss*)
+  or with one from an older version (a reorg/redeploy *bailout*) is
+  compiled there and then; an AP the compiler rejects makes the
+  transaction run plainly.  :meth:`execute` then only runs the
+  closure.
 
 Every decision is counted under the ``jit.*`` obs scope so two-run
 determinism checks cover the tier.
@@ -24,26 +25,25 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.ap import AcceleratedProgram
-from repro.core.ap_exec import APOutcome, execute_ap
 from repro.core.costmodel import CostTally
 from repro.errors import ConstraintViolation
 from repro.evm.interpreter import invalidate_code_caches
-from repro.evm.jit.specialize import CompiledAP, SpecializeAbort, compile_ap
+from repro.evm.jit.specialize import (
+    APOutcome,
+    CompiledAP,
+    SpecializeAbort,
+    compile_ap,
+)
 from repro.obs.registry import MetricsRegistry, get_registry
 
 
 class JitTier:
     """Owns compile policy, artifact validity, and the jit.* counters."""
 
-    def __init__(self, enabled: bool = True,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self.enabled = enabled
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         #: Bumped by :meth:`invalidate`; artifacts compiled under an
-        #: older version bail out to the interpreted walk.
+        #: older version are recompiled before they run.
         self.version = 0
-        #: Tier label of the most recent :meth:`execute` call:
-        #: "jit" when a valid closure ran, "walk" on any fallback.
-        self.last_used = "walk"
         registry = registry or get_registry()
         obs = registry.scope("jit")
         self.c_compiles = obs.counter("compiles")
@@ -58,14 +58,12 @@ class JitTier:
     # -- compile side -----------------------------------------------------
 
     def compile(self, ap: AcceleratedProgram) -> Optional[CompiledAP]:
-        """Compile ``ap`` if the tier is on.
+        """Compile ``ap``.
 
         Returns the artifact (also stored on ``ap.jit``) or ``None``.
         Raises nothing: a :class:`SpecializeAbort` is counted and the
-        AP stays on the interpreted tier.
+        AP is left without a closure.
         """
-        if not self.enabled:
-            return None
         try:
             artifact = compile_ap(ap, version=self.version)
         except SpecializeAbort:
@@ -79,33 +77,32 @@ class JitTier:
 
     # -- execute side -----------------------------------------------------
 
-    def execute(self, ap: AcceleratedProgram, state, header,
-                tally: CostTally) -> APOutcome:
-        """Run ``ap``: specialized closure when valid, walker otherwise.
+    def ready(self, ap: AcceleratedProgram) -> bool:
+        """Does ``ap`` hold a current closure, compiling it if needed?
 
-        Raises :class:`ConstraintViolation` exactly like
-        :func:`~repro.core.ap_exec.execute_ap`; the accelerator's
-        fallback path is identical either way.
+        False only when the compiler rejects the tree; the caller then
+        runs the transaction plainly.
         """
         artifact = ap.jit
-        if not self.enabled:
-            artifact = None
-        elif artifact is None:
-            self.c_misses.inc()
-        elif artifact.version != self.version:
-            # Stale (reorg/redeploy): bail out *before* any side
-            # effects, so the run is byte-identical to never having
-            # specialized.  The artifact is dropped; the next finalise
-            # recompiles against the new world.
-            self.c_bailouts.inc()
-            ap.jit = artifact = None
+        if artifact is not None and artifact.version == self.version:
+            return True
         if artifact is None:
-            self.last_used = "walk"
-            return execute_ap(ap, state, header, tally)
+            self.c_misses.inc()
+        else:
+            # Stale (reorg/redeploy): recompiled against the new world.
+            self.c_bailouts.inc()
+        return self.compile(ap) is not None
+
+    def execute(self, ap: AcceleratedProgram, state, header,
+                tally: CostTally) -> APOutcome:
+        """Run the closure of ``ap`` (which :meth:`ready` vouched for).
+
+        Raises :class:`ConstraintViolation` when no constraint set is
+        satisfied; the accelerator then takes its fallback.
+        """
         self.c_hits.inc()
-        self.last_used = "jit"
         try:
-            return artifact.fn(state, header, tally)
+            return ap.jit.fn(state, header, tally)
         except ConstraintViolation:
             self.c_guard_failures.inc()
             raise
@@ -116,7 +113,7 @@ class JitTier:
         """Invalidate every outstanding artifact (reorg / redeploy).
 
         Also versions the interpreter's decoded-program caches: both
-        tiers forget derived code artifacts at the same points.
+        executors forget derived code artifacts at the same points.
         """
         self.version += 1
         self.c_invalidations.inc()

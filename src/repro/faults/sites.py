@@ -18,9 +18,8 @@ Layers
 ``pipeline``  the speculation pipeline of one node; the layer generic
               plans (``FaultPlan.uniform`` / ``seeded_random`` with no
               ``sites``) draw from, in table order
-``jit``       a pipeline site evaluated only while the compile tier is
-              on, kept out of generic plans so the jit-on and jit-off
-              chaos reports stay byte-identical
+``jit``       a pipeline site kept out of generic plans, because
+              adding it to them would reseed every plan
 ``edge``      the serving edge's hostile-input surface; fires only
               inside a serving scenario
 ``fleet``     replica lifecycle, handoff and routing of the fleet
@@ -174,7 +173,7 @@ SITE_TABLE: Tuple[Site, ...] = (
          "the queued prefetch is dropped: colder reads, same values"),
     # -- jit ---------------------------------------------------------------
     Site("jit.compile", LAYER_JIT, KIND_RAISE,
-         "the AP stays on the interpreted walk"),
+         "the AP is compiled when it first executes"),
     # -- edge ----------------------------------------------------------
     Site(SITE_MALFORMED, LAYER_EDGE, KIND_CORRUPT,
          "the mangled frame gets a structured parse error, never an "

@@ -14,8 +14,8 @@ replica executes every block against its own world copy) but shards the
 * at block time the owners ship each transaction's AP to the ingress
   and every replica executes with that shared snapshot, so all
   replica worlds, caches, and cost trajectories remain identical to
-  the single node's (AP walk is read-only; tier choice is
-  cost-identical by the PR-6 jit guarantee);
+  the single node's (an AP run is read-only until its terminal, and
+  a closure charges exactly what the reference walker would);
 * prefetches fan out to every replica's cache for the same reason.
 
 Every interaction between replicas — gossip, pool sync, speculation

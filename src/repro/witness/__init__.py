@@ -8,14 +8,14 @@ style (*Constraint-Level Design of zkEVMs*, PAPERS.md).
 
 :mod:`repro.witness.recorder` is the shared recording hook: the plain
 interpreter feeds it through the :class:`repro.evm.tracing.Tracer`
-protocol, the AP tiers (interpreted walk and JIT closures) feed it
-their observed read sets, and both share the StateDB journal for the
+protocol, the AP closures feed it their observed read sets, and both share the StateDB journal for the
 state delta.  :mod:`repro.witness.checker` validates a speculative
 result from its witness *without re-execution* — constraint replay
 plus delta application, at a small fraction of the original cost
 units.  :mod:`repro.witness.oracle` drives seeded programs through
-the interpreted walk, the JIT closure tier, and the witness checker
-and reports any three-way divergence as a byte-stable artifact.
+the AP closure, the witness checker and the plain interpreter and
+reports any divergence from an independent reference semantics as a
+byte-stable artifact.
 """
 
 from repro.witness.archive import (

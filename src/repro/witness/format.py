@@ -27,10 +27,9 @@ from repro.obs.export import canonical_json
 WITNESS_VERSION = 1
 
 #: Execution tiers that can emit a witness (the shared recording hook
-#: serves all three).
+#: serves both).
 TIER_PLAIN = "plain"    # full EVM interpretation
-TIER_WALK = "walk"      # interpreted AP walk
-TIER_JIT = "jit"        # specialized closure
+TIER_JIT = "jit"        # the AP's compiled closure
 
 
 def logs_digest(logs) -> str:
@@ -80,7 +79,7 @@ class ExecutionWitness:
 
     tx_hash: int
     block_number: int
-    #: Which tier produced the result: "plain" | "walk" | "jit".
+    #: Which tier produced the result: "plain" | "jit".
     tier: str
     #: Accelerator outcome label (no_ap/satisfied/violated/faulted).
     outcome: str

@@ -5,10 +5,10 @@ compute chains over edge-biased operands, guards, buffered writes, and
 return-piece layouts — and drives each one through every tier that
 claims to compute the same function:
 
-* the **interpreted AP walk** (:func:`repro.core.ap_exec.execute_ap`);
-* the **JIT closure tier** (:func:`repro.evm.jit.specialize.compile_ap`);
+* the **AP closure** (:func:`repro.evm.jit.specialize.compile_ap`), the
+  only way the system runs an AP;
 * the **witness checker** (constraint replay + delta application on a
-  shadow world, root-compared against the walk's commit);
+  shadow world, root-compared against the closure's commit);
 * for single-op constant cases, the **plain EVM interpreter** running
   assembled bytecode;
 
@@ -36,11 +36,14 @@ from repro.chain.transaction import Transaction
 from repro.core.ap import AcceleratedProgram, Terminal, build_chain
 from repro.core.costmodel import CostTally
 from repro.core.sevm import GuardMode, Reg, SInstr, SKind
-from repro.core.ap_exec import execute_ap, materialize_return
 from repro.errors import ConstraintViolation
 from repro.evm.assembler import assemble
 from repro.evm.interpreter import EVM
-from repro.evm.jit.specialize import SpecializeAbort, compile_ap
+from repro.evm.jit.specialize import (
+    SpecializeAbort,
+    compile_ap,
+    materialize_return,
+)
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 from repro.witness.checker import WitnessChecker
@@ -516,13 +519,67 @@ def _run_evm_reference(op: str, operands: Tuple[int, ...]) -> dict:
     }
 
 
+def _check_closure(case: OracleCase, compiled, report) -> None:
+    """Run ``case``'s closure and check its result against the
+    reference, then its witness through the checker."""
+    jit_world = _base_world(case)
+    jit_state = StateDB(jit_world)
+    jit_tally = CostTally()
+    mark = jit_state.snapshot()
+    try:
+        jit = compiled.fn(jit_state, _EVM_HEADER, jit_tally)
+    except ConstraintViolation as exc:
+        report("jit-vs-reference", {"guard_violation": str(exc)})
+        return
+    span = (mark, jit_state.snapshot())
+    span_delta = jit_state.witness_deltas([span])[0]
+    if jit.return_data != case.expected_return:
+        report("jit-vs-reference", {
+            "expected_return": case.expected_return.hex(),
+            "jit_return": jit.return_data.hex(),
+        })
+    jit_storage = dict(_storage_view(jit_world))
+    jit_state.commit()
+    committed_storage = _storage_view(jit_world)
+    if committed_storage != _expected_nonzero(case):
+        report("jit-vs-reference", {
+            "expected_storage": {str(k): v for k, v in
+                                 sorted(_expected_nonzero(case).items())},
+            "jit_storage": {str(k): v for k, v in
+                            sorted(committed_storage.items())},
+        })
+    jit_root = jit_world.root()
+
+    # Tier 2: witness checker (no re-execution).
+    witness = ExecutionWitness.assemble(
+        tx_hash=case.case_id, block_number=1, tier="jit",
+        outcome="satisfied", success=jit.success,
+        gas_used=jit.gas_used, cost_units=jit_tally.total,
+        observed_reads=jit.observed_reads,
+        delta=span_delta["delta"], created=span_delta["created"],
+        guards_checked=jit.stats.guards_checked,
+        logs=jit_state.logs, return_data=jit.return_data)
+    check_world = _base_world(case)
+    checker = WitnessChecker(check_world)
+    _cost, failures = checker.check_transaction(witness, _EVM_HEADER)
+    if failures:
+        report("jit-vs-checker", {
+            "failures": [f.as_dict() for f in failures]})
+    elif check_world.root() != jit_root:
+        report("jit-vs-checker", {
+            "jit_storage": {str(k): v for k, v in
+                            sorted(jit_storage.items())},
+            "checker_storage": {str(k): v for k, v in sorted(
+                _storage_view(check_world).items())},
+        })
+
+
 def run_case(case: OracleCase) -> Tuple[List[dict], bool]:
     """Run one case through every tier.
 
     Returns ``(divergence_artifacts, jit_compiled)``.
     """
     divergences: List[dict] = []
-    jit_compiled = False
 
     def report(kind: str, detail: dict) -> None:
         artifact = dict(case.describe())
@@ -533,99 +590,18 @@ def run_case(case: OracleCase) -> Tuple[List[dict], bool]:
     ap = _build_ap(case)
     expected_word = int.from_bytes(case.expected_return[:32], "big")
 
-    # Tier 1: interpreted walk (also the witness producer).
-    walk_world = _base_world(case)
-    walk_state = StateDB(walk_world)
-    walk_tally = CostTally()
-    mark = walk_state.snapshot()
-    try:
-        walk = execute_ap(ap, walk_state, _EVM_HEADER,
-                          tally=walk_tally)
-    except ConstraintViolation as exc:
-        report("walk-vs-reference", {"guard_violation": str(exc)})
-        return divergences, jit_compiled
-    span = (mark, walk_state.snapshot())
-    span_delta = walk_state.witness_deltas([span])[0]
-    if walk.return_data != case.expected_return:
-        report("walk-vs-reference", {
-            "expected_return": case.expected_return.hex(),
-            "walk_return": walk.return_data.hex(),
-        })
-    walk_storage = dict(_storage_view(walk_world))
-    walk_state.commit()
-    committed_storage = _storage_view(walk_world)
-    if committed_storage != _expected_nonzero(case):
-        report("walk-vs-reference", {
-            "expected_storage": {str(k): v for k, v in
-                                 sorted(_expected_nonzero(case).items())},
-            "walk_storage": {str(k): v for k, v in
-                             sorted(committed_storage.items())},
-        })
-    walk_root = walk_world.root()
-
-    # Tier 2: JIT closure.
+    # Tier 1: the AP closure (also the witness producer).  A tree the
+    # compiler rejects runs plainly in the system, so such a case gets
+    # only the interpreter cross-check.
     try:
         compiled = compile_ap(ap, version=0)
     except SpecializeAbort:
-        pass  # slow tier keeps such APs; walk coverage still applies
+        jit_compiled = False
     else:
         jit_compiled = True
-        jit_world = _base_world(case)
-        jit_state = StateDB(jit_world)
-        try:
-            jit = compiled.fn(jit_state, _EVM_HEADER, CostTally())
-        except ConstraintViolation as exc:
-            report("walk-vs-jit", {"jit_guard_violation": str(exc)})
-        else:
-            if jit.return_data != walk.return_data:
-                report("walk-vs-jit", {
-                    "walk_return": walk.return_data.hex(),
-                    "jit_return": jit.return_data.hex(),
-                })
-            if (jit.success, jit.gas_used) != (walk.success,
-                                               walk.gas_used):
-                report("walk-vs-jit", {
-                    "walk": [walk.success, walk.gas_used],
-                    "jit": [jit.success, jit.gas_used],
-                })
-            if jit.observed_reads != walk.observed_reads:
-                report("walk-vs-jit", {
-                    "walk_reads": sorted(map(repr, walk.observed_reads)),
-                    "jit_reads": sorted(map(repr, jit.observed_reads)),
-                })
-            jit_state.commit()
-            if jit_world.root() != walk_root:
-                report("walk-vs-jit", {
-                    "walk_storage": {str(k): v for k, v in
-                                     sorted(walk_storage.items())},
-                    "jit_storage": {str(k): v for k, v in sorted(
-                        _storage_view(jit_world).items())},
-                })
+        _check_closure(case, compiled, report)
 
-    # Tier 3: witness checker (no re-execution).
-    witness = ExecutionWitness.assemble(
-        tx_hash=case.case_id, block_number=1, tier="walk",
-        outcome="satisfied", success=walk.success,
-        gas_used=walk.gas_used, cost_units=walk_tally.total,
-        observed_reads=walk.observed_reads,
-        delta=span_delta["delta"], created=span_delta["created"],
-        guards_checked=walk.stats.guards_checked,
-        logs=walk_state.logs, return_data=walk.return_data)
-    check_world = _base_world(case)
-    checker = WitnessChecker(check_world)
-    _cost, failures = checker.check_transaction(witness, _EVM_HEADER)
-    if failures:
-        report("walk-vs-checker", {
-            "failures": [f.as_dict() for f in failures]})
-    elif check_world.root() != walk_root:
-        report("walk-vs-checker", {
-            "walk_storage": {str(k): v for k, v in
-                             sorted(walk_storage.items())},
-            "checker_storage": {str(k): v for k, v in sorted(
-                _storage_view(check_world).items())},
-        })
-
-    # Tier 4: plain interpreter on assembled bytecode (single-op cases).
+    # Tier 3: plain interpreter on assembled bytecode (single-op cases).
     if case.evm_check is not None:
         op, operands = case.evm_check
         evm = _run_evm_reference(op, operands)
@@ -654,10 +630,10 @@ def run_oracle(seed: int, cases: int = 200) -> OracleReport:
             report.by_category.get(case.category, 0) + 1
         if case.evm_check is not None:
             report.evm_cross_checks += 1
-        report.witness_checks += 1
         divergences, jit_compiled = run_case(case)
         if jit_compiled:
             report.jit_compiled += 1
+            report.witness_checks += 1
         else:
             report.jit_aborts += 1
         report.divergences.extend(divergences)

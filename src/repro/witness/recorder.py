@@ -1,14 +1,13 @@
 """The shared witness recording hook.
 
-All three execution tiers feed the same recorder:
+Both execution tiers feed the same recorder:
 
 * the **plain interpreter** drives it through the
   :class:`repro.evm.tracing.Tracer` protocol — the recorder overrides
   only the context hooks, so the interpreter keeps its fast step
   dispatch (see ``EVM.__init__``);
-* the **AP tiers** (interpreted walk and JIT closures) hand over the
-  ``observed_reads`` their execution collected anyway — zero extra
-  work on the fast path;
+* the **AP closures** hand over the ``observed_reads`` their execution
+  collected anyway — zero extra work on the fast path;
 * the **state delta** comes from the StateDB journal for every tier
   (:meth:`repro.state.statedb.StateDB.witness_deltas`), so witness
   emission never adds a single state read to the critical path.
@@ -29,7 +28,7 @@ class ReadSetRecorder(Tracer):
     interpreter builds no step records (``EVM.tracing`` stays off):
     recording a witness costs one dict probe per context read, nothing
     per instruction.  First read wins (``setdefault``), matching the
-    read-set convention of :mod:`repro.core.trace` and the AP walker.
+    read-set convention of :mod:`repro.core.trace` and the AP closures.
     """
 
     __slots__ = ("reads", "writes")

@@ -8,7 +8,6 @@ from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
 from repro.core.accelerator import TransactionAccelerator
 from repro.core.ap import AcceleratedProgram, Terminal
-from repro.core.ap_exec import execute_ap
 from repro.core.memoize import build_shortcuts
 from repro.core.merge import merge_path, prune_tree, structurally_equal
 from repro.core.sevm import SKind
@@ -20,6 +19,7 @@ from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
 from tests.conftest import ALICE, FEED, ROUND
+from tests.ap_walk import execute_ap
 
 PF = pricefeed()
 

@@ -11,10 +11,18 @@ under test are the paper's safety contract (§2, §7):
   the table marks ``lethal`` reach exactly 1.0x there.
 * **Determinism** — two same-seed faulted replays produce identical
   digests, metric snapshots and chaos reports.
+* **Reference conformance** — every AP the pipeline runs, clean or
+  faulted, does what the reference walker does on the same pre-state.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.core.costmodel import CostTally
+from repro.core.node import BaselineNode
+from repro.errors import ConstraintViolation
+from repro.evm.jit.tier import JitTier
 from repro.faults.injector import FaultPlan
 from repro.faults.invariants import (
     check_equivalence,
@@ -24,10 +32,11 @@ from repro.faults.invariants import (
 from repro.faults.sites import layer_sites, site_row
 from repro.obs.export import canonical_json
 from repro.p2p.latency import LatencyModel
-from repro.sim.emulator import replay
+from repro.sim.emulator import commitments, replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
 
+from tests.ap_walk import execute_ap
 from tests.conftest import sweep_params
 
 
@@ -43,6 +52,11 @@ def dataset():
 @pytest.fixture(scope="module")
 def clean_run(dataset):
     return replay(dataset, "live")
+
+
+def _records(run) -> list:
+    return [dataclasses.asdict(record) for report in run.reports
+            for record in report.records]
 
 
 def test_zero_probability_plan_changes_nothing(dataset, clean_run):
@@ -69,20 +83,87 @@ def test_single_site_at_full_rate(site, plan, dataset, clean_run):
 
 @pytest.mark.parametrize(**sweep_params("jit", seed=1))
 def test_compile_tier_site_at_full_rate(site, plan, dataset, clean_run):
-    """``jit.compile`` at p=1.0: every compile is contained, so no AP
-    ever gets a closure — every accelerated execution takes the
-    interpreted walk — and commitments do not move."""
+    """``jit.compile`` at p=1.0: every compile the speculator offers is
+    contained, so every AP reaches the accelerator without a closure
+    and is compiled when it first executes — and no per-tx record
+    moves."""
     faulted = replay(dataset, "live", fault_plan=plan)
     assert faulted.commitments() == clean_run.commitments()
+    assert _records(faulted) == _records(clean_run)
     assert faulted.fault_injector.fired(site) > 0
-    assert clean_run.registry.value("jit.compiles") > 0
-    assert faulted.registry.value("jit.compiles") == 0
-    tiers = {record.tier for report in faulted.reports
-             for record in report.records}
-    assert tiers == {"plain", "walk"}
+    value = faulted.registry.value
+    assert value("jit.misses") == value("jit.hits") > 0
+    assert value("jit.compiles") == value("jit.misses")
+    tiers = {record["tier"] for record in _records(faulted)}
+    assert tiers == {"plain", "jit"}
     guard = faulted.forerunner_node.guard.summary()
     assert guard["by_stage"][site] == faulted.fault_injector.fired(site)
     assert guard["contained_unexpected"] == 0
+
+
+def _ap_digest(run, state, tally) -> tuple:
+    """``(outcome or None, digest)`` of one AP execution: everything it
+    shows but I/O units (a revert keeps the caches the first run
+    warmed, by design)."""
+    mark, logs_mark = state.snapshot(), len(state.logs)
+    cpu, detail = tally.cpu_units, dict(tally.detail)
+    try:
+        outcome = run()
+    except ConstraintViolation as exc:
+        outcome, digest = None, {"violation": str(exc)}
+    else:
+        digest = {"result": (outcome.success, outcome.gas_used,
+                             outcome.return_data, id(outcome.terminal)),
+                  "stats": outcome.stats,
+                  "observed_reads": outcome.observed_reads}
+    digest["cpu"] = tally.cpu_units - cpu
+    digest["detail"] = {key: units - detail.get(key, 0)
+                        for key, units in tally.detail.items()
+                        if units != detail.get(key, 0)}
+    digest["writes"] = state.witness_deltas([(mark, state.snapshot())])
+    digest["logs"] = [(entry.address, entry.topics, entry.data)
+                      for entry in state.logs[logs_mark:]]
+    return outcome, digest
+
+
+@pytest.mark.parametrize("plan", [None, FaultPlan.seeded_random(seed=0)],
+                         ids=["clean", "chaos-seed-0"])
+def test_pipeline_aps_match_the_reference_walker(plan, dataset,
+                                                 monkeypatch):
+    """Every closure the node runs first meets the reference walker on
+    the same pre-state (walked, then reverted the way the accelerator's
+    fallback reverts), and the committed chain is the baseline's.
+    Mismatches are collected, not asserted in place: the node's guard
+    would contain an assertion raised inside the accelerator."""
+    execute = JitTier.execute
+    checked, mismatches = [], []
+
+    def checking(self, ap, state, header, tally):
+        snap, logs_mark = state.snapshot(), len(state.logs)
+        walk_tally = CostTally()
+        _, walked = _ap_digest(
+            lambda: execute_ap(ap, state, header, walk_tally),
+            state, walk_tally)
+        state.revert_to(snap)
+        del state.logs[logs_mark:]
+        outcome, compiled = _ap_digest(
+            lambda: execute(self, ap, state, header, tally), state, tally)
+        checked.append(ap.tx_hash)
+        if compiled != walked:
+            mismatches.append((hex(ap.tx_hash), walked, compiled))
+        if outcome is None:
+            raise ConstraintViolation(compiled["violation"])
+        return outcome
+
+    monkeypatch.setattr(JitTier, "execute", checking)
+    run = replay(dataset, "live", fault_plan=plan)
+    assert checked
+    assert mismatches == []
+    assert run.forerunner_node.guard.summary()["contained_unexpected"] == 0
+    baseline = BaselineNode(dataset.genesis_world.copy())
+    for _, block in dataset.blocks:
+        baseline.process_block(block)
+    assert run.commitments() == commitments(baseline.reports)
 
 
 @pytest.mark.parametrize("probability", [0.05, 0.25, 0.6, 1.0])

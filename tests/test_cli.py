@@ -102,8 +102,7 @@ def test_chaos_full_rate_collapses_to_baseline(capsys):
     ["--edge", "--net"],
     *([sweep, *flag]
       for sweep in ("--edge", "--fleet", "--net")
-      for flag in (["--no-jit"], ["--trace-out", "t.jsonl"],
-                   ["--max-rate", "0.2"])),
+      for flag in (["--trace-out", "t.jsonl"], ["--max-rate", "0.2"])),
 ], ids=" ".join)
 def test_chaos_rejects_flags_a_sweep_would_drop(flags, capsys):
     """A flag the chosen mode cannot honour is a usage error (exit 2),

@@ -8,7 +8,10 @@ Satellite coverage, in one place:
 * a named regression test per audited edge case (SDIV INT_MIN / -1,
   SMOD sign, SAR >= 256, SIGNEXTEND >= 31, BYTE >= 32, EXP exponent
   0), each pinned to its hand-computed Yellow-Paper value and run
-  through interpreter, walk, JIT, and checker;
+  through interpreter, closure and checker;
+* every swept case's closure checked against the reference walker
+  (``tests/ap_walk.py``); the oracle runs only the closure, as the
+  system does;
 * a deterministic regression for the JIT return-piece overlap bug the
   oracle found (folded pieces bake into the compile-time template,
   which runtime patches overwrite regardless of piece order).
@@ -21,7 +24,6 @@ import random
 import pytest
 
 from repro.core.ap import AcceleratedProgram, Terminal, build_chain
-from repro.core.ap_exec import execute_ap
 from repro.core.costmodel import CostTally
 from repro.core.sevm import GuardMode, Reg, SInstr, SKind
 from repro.evm.jit.specialize import compile_ap
@@ -30,6 +32,8 @@ from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 from repro.witness.oracle import (
     _EVM_HEADER,
+    _base_world,
+    _build_ap,
     _run_evm_reference,
     CATEGORIES,
     DIRECTED_CASES,
@@ -37,6 +41,8 @@ from repro.witness.oracle import (
     run_case,
     run_oracle,
 )
+
+from tests.ap_walk import execute_ap
 
 _M = 1 << 256
 _SEEDS = (0, 1, 2)
@@ -88,10 +94,45 @@ def test_directed_cases_always_lead_the_plan():
     assert report.ok
 
 
+def _observe(case, runner) -> dict:
+    """Everything one execution of ``case``'s AP shows the system."""
+    world = _base_world(case)
+    state = StateDB(world)
+    tally = CostTally()
+    outcome = runner(state, tally)
+    state.commit()
+    return {
+        "result": (outcome.success, outcome.gas_used,
+                   outcome.return_data),
+        "stats": outcome.stats,
+        "observed_reads": outcome.observed_reads,
+        "cpu": (tally.cpu_units, dict(tally.detail)),
+        "root": world.root(),
+    }
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_sweep_closures_match_the_reference_walker(seed):
+    """The oracle runs only the closure, the way the system does; the
+    reference walker checks every closure of the same sweep here."""
+    rng = random.Random(seed)
+    plan = list(DIRECTED_CASES)
+    plan += [None] * (_CASES - len(plan))
+    for case_id, directed in enumerate(plan):
+        case = generate_case(rng, case_id, directed)
+        ap = _build_ap(case)
+        compiled = compile_ap(ap, version=0)
+        walked = _observe(case, lambda state, tally: execute_ap(
+            ap, state, _EVM_HEADER, tally=tally))
+        jitted = _observe(case, lambda state, tally: compiled.fn(
+            state, _EVM_HEADER, tally))
+        assert walked == jitted, case.describe()
+
+
 # ---------------------------------------------------------------------------
 # Satellite 1: named edge-case regressions, one per audited semantic.
 # Each expected value is hand-computed from the Yellow Paper; the case
-# then runs through every tier via run_case (walk, JIT, checker, and —
+# then runs through every tier via run_case (closure, checker, and —
 # since the operands are constants — the assembled-bytecode
 # interpreter), so a regression in ANY tier fails the named test.
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.core.ap import (
     branch_key_for,
     observed_branch_key,
 )
-from repro.core.ap_exec import execute_ap, materialize_return
 from repro.core.memoize import build_shortcuts
 from repro.core.merge import merge_path, prune_tree
 from repro.core.sevm import GuardMode, Reg, SInstr, SKind
@@ -23,8 +22,11 @@ from repro.core.trace import trace_transaction
 from repro.errors import ConstraintViolation
 from repro.evm.assembler import assemble
 from repro.evm.interpreter import EVM
+from repro.evm.jit.specialize import materialize_return
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
+
+from tests.ap_walk import execute_ap
 
 SENDER = 0xAA
 CODE = 0xCC

@@ -15,7 +15,7 @@ Three contracts:
   speculator (``get_ap``, eviction, ``drop``) gets a finished one;
   ``discard`` forgets it, an AP that survives ``on_reorg`` is still
   finished before it is handed out; nothing is finished on the critical
-  path, and ``report --json`` does not move with ``--no-jit``.
+  path.
 """
 
 from __future__ import annotations
@@ -443,35 +443,10 @@ def test_finalize_sites_at_full_rate_are_contained(dataset, finalize_once):
         # One evaluation per finalise, not one per merge.
         assert faulted.fault_injector.fired(site) == \
             value("speculator.finalizes") > 0, site
-    assert value("jit.compiles") == 0
+    # Every compile happens when the AP first executes.
+    assert value("jit.compiles") == value("jit.misses")
     assert faulted.forerunner_node.guard.summary()[
         "contained_unexpected"] == 0
-
-
-def test_report_json_does_not_move_with_the_jit_tier(capsys):
-    """CI diffs ``report --json`` with and without ``--no-jit``: the
-    finishing counters in it are tier-independent.  The one field that
-    names the tier (each record's ``tier``, in the payload since PR 17)
-    is the only thing ``--no-jit`` may move, and only jit -> walk."""
-    import json
-
-    from repro.cli import main
-
-    payloads = []
-    for flags in ([], ["--no-jit"]):
-        assert main(["report", "--duration", "30", "--seed", "2021",
-                     "--json", *flags]) == 0
-        payloads.append(json.loads(capsys.readouterr().out))
-    jit_on, jit_off = payloads
-    tiers = [[record.pop("tier") for record in payload["records"]]
-             for payload in payloads]
-    assert jit_on == jit_off
-    assert tiers[1] == ["walk" if tier == "jit" else tier
-                        for tier in tiers[0]] != tiers[0]
-    counters = jit_on["counters"]
-    assert 0 < counters["speculator.finalizes"] <= \
-        counters["speculator.dedup_misses"]
-    assert counters["speculator.finalized_on_read"] == 0
 
 
 # -- the hand-out contract -----------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Differential conformance for the specialization tier.
+"""Differential conformance for the AP executor, and its tier policy.
 
-The trace-guided specializer's compiled closure must be
-*observationally identical* to the interpreted AP walk — same outcome
+The compiled closure must be *observationally identical* to the
+reference walker (``tests/ap_walk.py``) — same outcome
 fields, same execution statistics, same observed reads, same cost
 tally (to the per-bucket sum), same I/O charges, same post state — on
 perfect matches, imperfect matches, branch selection, shortcut hits
 and misses, and constraint violations (identical exception text and
-identical cpu charged up to the abort point).
+identical cpu charged up to the abort point).  The tier compiles a
+missing or stale closure when the AP first executes, and a tree the
+compiler rejects runs plainly.
 
 Randomized cases are seeded (``random.Random``) so failures reproduce.
 """
@@ -18,16 +20,18 @@ import pytest
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
-from repro.core.ap_exec import execute_ap
+from repro.core.accelerator import OUTCOME_NO_AP, TransactionAccelerator
 from repro.core.costmodel import CostTally
 from repro.core.speculator import FutureContext, Speculator
 from repro.errors import ConstraintViolation
-from repro.evm.jit import HOT_OPS, JitTier, compile_ap
+from repro.evm.jit import HOT_OPS, JitTier, SpecializeAbort, compile_ap
+from repro.evm.jit import tier as tier_module
 from repro.obs.registry import MetricsRegistry
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
 
 from tests.conftest import ALICE, FEED, ROUND
+from tests.ap_walk import execute_ap
 
 PF = pricefeed()
 
@@ -180,31 +184,82 @@ class TestClosureConformance:
         assert violations and successes  # the sweep hit both regimes
 
 
+def _via_tier(tier, ap):
+    """The accelerator's order: vouch for a closure, then run it."""
+    def run(state, hdr, tx, tally):
+        assert tier.ready(ap)
+        return tier.execute(ap, state, hdr, tally)
+    return run
+
+
 class TestTierPolicy:
-    def test_stale_version_bails_out_to_walk(self):
+    def test_stale_artifact_is_recompiled(self):
         tier = JitTier(registry=MetricsRegistry())
         ap = build_merged_ap()
-        assert tier.compile(ap) is not None
-        tier.invalidate("reorg")
         hdr, tx = header(3990462), tx_e()
-        via_tier = _digest(
-            lambda state, h, t, tally: tier.execute(
-                ap, state, h, tally), fresh_world(ROUND), hdr, tx)
-        pure_walk = _digest(_walk(ap), fresh_world(ROUND), hdr, tx)
-        assert via_tier == pure_walk
-        assert ap.jit is None          # artifact dropped on bailout
+        assert tier.compile(ap) is not None
+        before = _digest(_via_tier(tier, ap), fresh_world(ROUND), hdr, tx)
+        tier.invalidate("reorg")
+        after = _digest(_via_tier(tier, ap), fresh_world(ROUND), hdr, tx)
+        assert after == before
         assert tier.c_bailouts.value == 1
+        assert tier.c_misses.value == 0
+        assert tier.c_compiles.value == 2
+        assert ap.jit.version == tier.version == 1
 
-    def test_disabled_tier_never_compiles(self):
-        tier = JitTier(enabled=False, registry=MetricsRegistry())
+    def test_missing_artifact_is_compiled_at_execute(self):
+        tier = JitTier(registry=MetricsRegistry())
         ap = build_merged_ap()
-        assert tier.compile(ap) is None
         assert ap.jit is None
+        digest = _digest(_via_tier(tier, ap), fresh_world(ROUND),
+                         header(3990462), tx_e())
+        assert digest == _digest(_walk(ap), fresh_world(ROUND),
+                                 header(3990462), tx_e())
+        assert (tier.c_misses.value, tier.c_compiles.value,
+                tier.c_hits.value) == (1, 1, 1)
+
+    def test_compile_abort_runs_plainly(self, monkeypatch):
+        def reject(ap, version=0):
+            raise SpecializeAbort("forced")
+
+        monkeypatch.setattr(tier_module, "compile_ap", reject)
+        tier = JitTier(registry=MetricsRegistry())
+        accelerator = TransactionAccelerator(jit=tier)
+        ap = build_merged_ap()
+        hdr, tx = header(3990462), tx_e()
+        plain_world, world = fresh_world(ROUND), fresh_world(ROUND)
+        plain_state, state = StateDB(plain_world), StateDB(world)
+        plain = accelerator.execute_plain(tx, hdr, plain_state)
+        receipt = accelerator.execute(tx, hdr, state, ap)
+        assert receipt.outcome == OUTCOME_NO_AP
+        assert receipt.tier == "plain"
+        assert not receipt.used_ap
+        assert receipt.result == plain.result
+        assert receipt.tally.total == plain.tally.total
+        plain_state.commit()
+        state.commit()
+        assert world.root() == plain_world.root()
+        assert tier.c_compile_aborts.value == 1
+        assert tier.c_hits.value == 0
+
+    def test_envelope_ended_tx_is_labelled_jit(self):
+        """A tx whose envelope ends before the AP runs (here: a bad
+        nonce) still took the AP path, so its tier is "jit"."""
+        tier = JitTier(registry=MetricsRegistry())
+        ap = build_merged_ap()
+        tx = Transaction(sender=ALICE, to=FEED,
+                         data=PF.calldata("submit", ROUND, 1980), nonce=5)
+        receipt = TransactionAccelerator(jit=tier).execute(
+            tx, header(3990462), StateDB(fresh_world(ROUND)), ap)
+        assert receipt.result.error == "bad nonce"
+        assert receipt.used_ap
+        assert receipt.tier == "jit"
+        assert tier.c_hits.value == 0
 
     def test_guard_failure_counted(self):
         tier = JitTier(registry=MetricsRegistry())
         ap = build_merged_ap()
-        tier.compile(ap)
+        assert tier.ready(ap)
         with pytest.raises(ConstraintViolation):
             tier.execute(ap, StateDB(fresh_world(ROUND)),
                          header(ROUND + 700), CostTally())

@@ -106,7 +106,7 @@ class TestWitnessDeltas:
 
 def _sample_witness() -> ExecutionWitness:
     return ExecutionWitness.assemble(
-        tx_hash=0xFEEDBEEF, block_number=4, tier="walk",
+        tx_hash=0xFEEDBEEF, block_number=4, tier="jit",
         outcome="satisfied", success=True, gas_used=21_000,
         cost_units=3_000,
         observed_reads={("storage", (CONTRACT, 1)): 100,
@@ -168,7 +168,7 @@ def _header(number: int = 4) -> BlockHeader:
 def _transfer_witness() -> ExecutionWitness:
     """Witness of a simple 'read slot 1, bump it, pay BOB' transaction."""
     return ExecutionWitness.assemble(
-        tx_hash=0x11, block_number=4, tier="walk", outcome="satisfied",
+        tx_hash=0x11, block_number=4, tier="jit", outcome="satisfied",
         success=True, gas_used=21_000, cost_units=3_000,
         observed_reads={("storage", (CONTRACT, 1)): 100,
                         ("balance", (ALICE,)): 10 ** 20},
@@ -386,7 +386,7 @@ class TestWitnessArchive:
         from repro.witness import witness_from_dict
 
         witness = ExecutionWitness(
-            tx_hash=7, block_number=3, tier="walk", outcome="satisfied",
+            tx_hash=7, block_number=3, tier="jit", outcome="satisfied",
             success=True, gas_used=30_000, cost_units=99,
             constraints=[["bal", [5], 1_000]],
             delta=[["bal", [5], 1_000, 900]],
