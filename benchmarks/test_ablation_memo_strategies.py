@@ -40,7 +40,7 @@ def test_memoization_strategies(benchmark, strategy_dataset):
                              memoization_strategy=strategy))
             summary = S.summarize(run.records)
             report = S.synthesis_report(
-                run.forerunner_node.speculator.archive, run.records)
+                run.forerunner_node.speculator.tally, run.records)
             results.append((strategy, summary, report, run))
         return results
 

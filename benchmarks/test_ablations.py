@@ -126,7 +126,7 @@ def test_ablation_optimization_passes(benchmark, ablation_dataset):
             run = run_with(ablation_dataset, pass_config=pass_config)
             summary = S.summarize(run.records)
             report_obj = S.synthesis_report(
-                run.forerunner_node.speculator.archive, run.records)
+                run.forerunner_node.speculator.tally, run.records)
             results.append((label, summary, report_obj, run))
         return results
 

@@ -15,8 +15,8 @@ from repro.core import stats as S
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15_code_reduction(benchmark, l1):
-    archive = l1.forerunner_node.speculator.archive
-    report_obj = benchmark(S.synthesis_report, archive, l1.records)
+    tally = l1.forerunner_node.speculator.tally
+    report_obj = benchmark(S.synthesis_report, tally, l1.records)
 
     rows = [
         ["EVM instruction trace", "100.00%"],

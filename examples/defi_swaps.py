@@ -66,7 +66,7 @@ def main():
         2, header, predecessors=(bob_swap,)))                   # Bob first
     ap = speculator.get_ap(alice_swap.hash)
     print(f"AP for Alice's swap: {len(ap.paths)} speculated futures, "
-          f"{ap.path_count()} distinct control path(s), "
+          f"{ap.path_count} distinct control path(s), "
           f"{ap.shortcut_count} shortcuts\n")
 
     accelerator = TransactionAccelerator()

@@ -67,7 +67,7 @@ def main(duration: float = 150.0):
               f"{row.speedup:>6.2f}x")
 
     report = S.synthesis_report(
-        run.forerunner_node.speculator.archive, run.records)
+        run.forerunner_node.speculator.tally, run.records)
     print(f"\n=== AP synthesis (paper Figure 15 / §5.5) ===")
     print(f"  avg EVM trace: {report.trace_len_avg:.0f} instrs -> "
           f"S-EVM {report.sevm_unoptimized_pct:.1f}% -> "

@@ -60,7 +60,7 @@ def main():
           f"({path.stats.final_len / path.stats.trace_len:.1%} of trace)")
     print(f"  constraint section:    {path.stats.constraint_section_len}")
     print(f"  fast path:             {path.stats.fast_path_len}")
-    print(f"  merged paths:          {ap.path_count()} "
+    print(f"  merged paths:          {ap.path_count} "
           f"(FC1 else-branch + FC4 if-branch)")
     print(f"  shortcut nodes:        {ap.shortcut_count}\n")
 

@@ -586,11 +586,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.node import ForerunnerConfig
     from repro.obs.export import canonical_json, export_witness_jsonl
     from repro.sim.emulator import replay
-    from repro.witness import (
-        WitnessChecker,
-        archive_witnesses,
-        run_oracle,
-    )
+    from repro.witness import WitnessChecker, run_oracle
 
     dataset = _record("verify", args.duration, args.seed)
     node_config = ForerunnerConfig(enable_witness=True)
@@ -621,7 +617,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     oracle_reports = [run_oracle(seed, cases=args.oracle_cases)
                       for seed in oracle_seeds]
     oracle_ok = all(report.ok for report in oracle_reports)
-    archive = archive_witnesses(node.witnesses)
     ok = validation.ok and covered and cost_ok and oracle_ok
 
     if args.as_json:
@@ -633,7 +628,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "witness_coverage": covered,
             "validation": validation.as_dict(),
             "oracle": [report.as_dict() for report in oracle_reports],
-            "archive": archive.as_dict(),
             "ok": ok,
         }
         print(canonical_json(payload))
@@ -653,10 +647,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"{validation.speculative_witnesses} speculative txs; "
               f"bound {args.max_cost_ratio:.0%} "
               f"{'OK' if cost_ok else 'EXCEEDED'})")
-        print(f"  archive: {archive.witnesses} witnesses / "
-              f"{archive.blocks} block batches, "
-              f"{archive.raw_bytes:,} -> {archive.compressed_bytes:,} "
-              f"bytes ({archive.ratio():.1%} of raw)")
         for failure in validation.failures[:10]:
             print(f"  FAILURE {failure.as_dict()}")
         for report in oracle_reports:

@@ -145,6 +145,11 @@ class AcceleratedProgram:
         self.tx_hash = tx_hash
         self.root: Optional[object] = None   # APNode | Terminal
         self.paths: List[APPath] = []
+        #: Distinct merged execution paths (terminals, §5.5) and the
+        #: element-wise sum of ``paths``' ``SynthStats.counts()``; both
+        #: kept by :func:`repro.core.merge.merge_path`.
+        self.path_count = 0
+        self.synth_totals: Tuple[int, ...] = SynthStats().counts()
         self.merge_failures = 0
         #: Union of all speculated read sets (prefetcher input).
         self.prefetch_keys: Set[tuple] = set()
@@ -161,10 +166,6 @@ class AcceleratedProgram:
         self.jit: Optional[object] = None
 
     # -- structure helpers -----------------------------------------------
-
-    def path_count(self) -> int:
-        """Number of distinct merged execution paths (§5.5)."""
-        return len(self._terminals())
 
     def _terminals(self) -> List[Terminal]:
         terminals: List[Terminal] = []
@@ -233,14 +234,12 @@ def describe_ap(ap: "AcceleratedProgram") -> str:
     return "\n".join(lines)
 
 
-def build_chain(instrs: List[SInstr], terminal: Terminal,
-                path_expected: bool = True) -> object:
+def build_chain(instrs: List[SInstr], terminal: Terminal) -> object:
     """Build a linear APNode chain ending in ``terminal``.
 
     Guard nodes get a single branch keyed by this path's expectation.
     Returns the head (a Terminal directly if ``instrs`` is empty).
     """
-    del path_expected
     head: object = terminal
     for instr in reversed(instrs):
         node = APNode(instr)

@@ -13,6 +13,7 @@ uses it).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Set
 
 from repro.core.ap import (
@@ -74,13 +75,41 @@ def structurally_equal(a: SInstr, b: SInstr) -> bool:
             and _meta_key(a) == _meta_key(b))
 
 
+def _accept(ap: AcceleratedProgram, path: APPath,
+            metrics: Optional[MergeMetrics], new_path: bool) -> bool:
+    """Record an accepted ``path`` on ``ap``: its paths, distinct path
+    count, §5.5 stat totals, prefetch keys and contexts."""
+    ap.paths.append(path)
+    if new_path:
+        ap.path_count += 1
+    ap.synth_totals = tuple(map(add, ap.synth_totals, path.stats.counts()))
+    ap.prefetch_keys.update(path.read_set.keys())
+    ap.context_ids.add(path.context_id)
+    if metrics is not None:
+        metrics.accepted.inc()
+    return True
+
+
+def _reject(ap: AcceleratedProgram, metrics: Optional[MergeMetrics]
+            ) -> bool:
+    ap.merge_failures += 1
+    if metrics is not None:
+        metrics.rejected.inc()
+    return False
+
+
 def merge_path(ap: AcceleratedProgram, path: APPath,
                metrics: Optional[MergeMetrics] = None) -> bool:
     """Fold ``path`` into ``ap``'s tree; returns True on success.
 
-    On a structural mismatch that is not at a guard (which cannot happen
-    for deterministic synthesis, but is handled defensively) the path is
-    dropped and ``ap.merge_failures`` is bumped.
+    A path that builds the root chain or opens a new branch adds one to
+    ``ap.path_count``; one folded into an existing terminal does not.
+    Every accepted path adds its stats to ``ap.synth_totals``.  So
+    nothing has to walk the tree or the paths when the AP retires.
+
+    On a structural mismatch that is not at a guard (which cannot
+    happen for deterministic synthesis, but is handled defensively) the
+    path is dropped and ``ap.merge_failures`` is bumped.
     """
     if metrics is not None:
         metrics.attempts.inc()
@@ -88,56 +117,34 @@ def merge_path(ap: AcceleratedProgram, path: APPath,
     instrs = path.pre_dce_instrs
     if ap.root is None:
         ap.root = build_chain(instrs, terminal)
-        ap.paths.append(path)
-        ap.prefetch_keys.update(path.read_set.keys())
-        ap.context_ids.add(path.context_id)
-        if metrics is not None:
-            metrics.accepted.inc()
-        return True
+        return _accept(ap, path, metrics, new_path=True)
 
     node = ap.root
     index = 0
     while True:
         if isinstance(node, Terminal):
-            if index == len(instrs):
-                # Structurally identical path (e.g. same control path in
-                # a different context): enrich the terminal and record
-                # the path for extra shortcut entries.
-                node.path_ids.append(path.path_id)
-                ap.paths.append(path)
-                ap.prefetch_keys.update(path.read_set.keys())
-                ap.context_ids.add(path.context_id)
-                if metrics is not None:
-                    metrics.accepted.inc()
-                    metrics.enriched.inc()
-                return True
-            ap.merge_failures += 1
+            if index != len(instrs):
+                return _reject(ap, metrics)
+            # Structurally identical path (e.g. same control path in a
+            # different context): enrich the terminal and record the
+            # path for extra shortcut entries.
+            node.path_ids.append(path.path_id)
             if metrics is not None:
-                metrics.rejected.inc()
-            return False
+                metrics.enriched.inc()
+            return _accept(ap, path, metrics, new_path=False)
         if index >= len(instrs):
-            ap.merge_failures += 1
-            if metrics is not None:
-                metrics.rejected.inc()
-            return False
+            return _reject(ap, metrics)
         instr = instrs[index]
         if not structurally_equal(node.instr, instr):
-            ap.merge_failures += 1
-            if metrics is not None:
-                metrics.rejected.inc()
-            return False
+            return _reject(ap, metrics)
         if node.branches is not None:
             key = branch_key_for(instr)
             child = node.branches.get(key)
             if child is None:
                 node.branches[key] = build_chain(instrs[index + 1:], terminal)
-                ap.paths.append(path)
-                ap.prefetch_keys.update(path.read_set.keys())
-                ap.context_ids.add(path.context_id)
                 if metrics is not None:
-                    metrics.accepted.inc()
                     metrics.new_branches.inc()
-                return True
+                return _accept(ap, path, metrics, new_path=True)
             node = child
         else:
             node = node.next

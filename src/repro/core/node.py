@@ -77,9 +77,6 @@ class BlockReport:
     block_number: int
     state_root: int
     records: List[TxRecord] = field(default_factory=list)
-    #: Scheduler outcome for this block (``None`` on the baseline node):
-    #: lane utilization, conflict rate, abort counts, critical path.
-    sched: Optional[dict] = None
 
 
 class BaselineNode:
@@ -621,9 +618,7 @@ class ForerunnerNode:
             self.executed.add(tx.hash)
             if self.pool.pop(tx.hash, None) is not None:
                 self._pool_version += 1
-            # Prefix eviction is skipped: invalidate_prefixes below
-            # clears the whole cache in O(1) once the head advances.
-            self.speculator.drop(tx.hash, evict_prefixes=False)
+            self.speculator.drop(tx.hash)
         self.c_blocks.inc()
         self.c_txs.inc(len(records))
         self.c_cost.inc(sum(r.cost for r in records))
@@ -631,16 +626,15 @@ class ForerunnerNode:
         # The canonical head advanced: every cached predecessor prefix
         # was built on the previous head's state and is now stale.
         # (Commit also bumped world.version, so stale entries could
-        # never be *hit* — this eagerly frees them.)
+        # never be *hit*.)  This is the prefixes' freeing rule: drop()
+        # above leaves every prefix its tx appears in to die here.
         self.speculator.invalidate_prefixes("new-head")
         root = self.world.root()
         if block.state_root is not None and block.state_root != root:
             raise ChainError(
                 f"state root mismatch at block {block.number}: "
                 f"{root:#x} != {block.state_root:#x}")
-        report = BlockReport(block.number, root, records,
-                             sched=self.executor.schedules[-1].as_dict()
-                             if self.executor.schedules else None)
+        report = BlockReport(block.number, root, records)
         self.reports.append(report)
         return report
 

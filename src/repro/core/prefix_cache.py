@@ -18,7 +18,10 @@ the prefix came from the cache or was re-executed.
 Keys embed the world's commit ``version``, so entries can never leak
 across heads; :meth:`invalidate` additionally drops everything eagerly
 on new canonical blocks and reorgs (``chainsync`` restores world
-contents in place, which a version check alone would miss).
+contents in place, which a version check alone would miss).  That
+and the LRU bound are the only ways an entry is freed: a transaction
+leaving the pipeline evicts nothing by itself, since every prefix it
+appears in dies with the head it was built on.
 
 All counters are :class:`repro.obs.registry.Counter` instruments under
 the cache's scope (``prefix_cache.*``).
@@ -110,13 +113,6 @@ class PrefixCache:
         self.c_redundant_instructions = obs.counter("redundant_instructions")
         self._g_entries = obs.gauge("entries")
         self._seen: set = set()
-        # Inverted indexes: tx hash -> keys pinning it (key[7] is the
-        # predecessor tuple).  evict_tx is called once per committed
-        # transaction on the node's critical path, so it must not scan
-        # the whole cache; these keep it proportional to the entries
-        # actually pinned.
-        self._by_tx: dict = {}
-        self._seen_by_tx: dict = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -138,30 +134,9 @@ class PrefixCache:
                 and self.injector.evaluate("prefix_cache.store")
                 is not None):
             return  # contained locally: a store fault skips caching
-        evicted = self._entries.set(key, entry)
-        for tx in self._preds(key):
-            self._by_tx.setdefault(tx, set()).add(key)
-        if evicted is not None:
-            self._unindex(self._by_tx, evicted[0])
+        if self._entries.set(key, entry) is not None:
             self.c_evictions.inc()
         self._g_entries.set(len(self._entries))
-
-    @staticmethod
-    def _preds(key) -> tuple:
-        """The predecessor-hash tuple of a :func:`context_key` (empty
-        for the synthetic keys unit tests use)."""
-        if type(key) is tuple and len(key) == 8:
-            return key[7]
-        return ()
-
-    @classmethod
-    def _unindex(cls, index: dict, key: tuple) -> None:
-        for tx in cls._preds(key):
-            bucket = index.get(tx)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del index[tx]
 
     def note_execution(self, key: tuple, instructions: int) -> bool:
         """Record that ``key``'s prefix step was just executed; returns
@@ -173,46 +148,7 @@ class PrefixCache:
             self.c_redundant_instructions.inc(instructions)
         else:
             self._seen.add(key)
-            for tx in self._preds(key):
-                self._seen_by_tx.setdefault(tx, set()).add(key)
         return redundant
-
-    def evict_tx(self, tx_hash: int) -> int:
-        """Drop every prefix whose predecessor list pins ``tx_hash``.
-
-        Called when a transaction leaves the pipeline (executed,
-        dropped, or reorg-abandoned): any cached prefix that executed
-        it as a predecessor keeps its overlay StateDB — and the fork
-        chain beneath it — alive for no future benefit.  Returns the
-        number of entries dropped.
-        """
-        stale = self._by_tx.pop(tx_hash, None)
-        dropped = 0
-        if stale:
-            for key in stale:
-                if self._entries.pop(key, None) is not None:
-                    dropped += 1
-                for tx in self._preds(key):
-                    if tx != tx_hash:
-                        bucket = self._by_tx.get(tx)
-                        if bucket is not None:
-                            bucket.discard(key)
-                            if not bucket:
-                                del self._by_tx[tx]
-        seen_stale = self._seen_by_tx.pop(tx_hash, None)
-        if seen_stale:
-            for key in seen_stale:
-                self._seen.discard(key)
-                for tx in self._preds(key):
-                    if tx != tx_hash:
-                        bucket = self._seen_by_tx.get(tx)
-                        if bucket is not None:
-                            bucket.discard(key)
-                            if not bucket:
-                                del self._seen_by_tx[tx]
-        if dropped:
-            self._g_entries.set(len(self._entries))
-        return dropped
 
     def invalidate(self, reason: str = "") -> int:
         """Drop every entry (new canonical head / reorg); returns the
@@ -220,8 +156,6 @@ class PrefixCache:
         dropped = len(self._entries)
         self._entries.clear()
         self._seen.clear()
-        self._by_tx.clear()
-        self._seen_by_tx.clear()
         self._g_entries.set(0)
         if dropped:
             self.c_invalidations.inc()

@@ -55,6 +55,7 @@ from repro.core.memoize import build_shortcuts
 from repro.core.merge import MergeMetrics, merge_path, prune_tree
 from repro.core.optimize import optimize_path
 from repro.core.prefix_cache import PrefixCache, PrefixEntry, context_key
+from repro.core.stats import SynthesisTally
 from repro.core.trace import TraceResult, trace_fingerprint, trace_transaction
 from repro.core.translate import translate_trace
 from repro.errors import SpeculationError
@@ -92,34 +93,6 @@ def synthesize_path(trace: TraceResult, path_id: int = 0,
     translation = translate_trace(trace)
     optimize_path(translation, pass_config)
     return APPath.from_translation(translation, path_id, context_id)
-
-
-@dataclass
-class _PathStats:
-    """Lightweight stats holder mimicking APPath for archived APs."""
-
-    stats: object
-
-
-@dataclass
-class ApArchive:
-    """Synthesis statistics of a retired AP (for §5.5 / Figure 15).
-
-    Mimics the slice of the AcceleratedProgram interface the stats
-    aggregator needs, without retaining the node tree.
-    """
-
-    paths: List[_PathStats]
-    distinct_paths: int
-    context_count: int
-    shortcut_count: int
-
-    def path_count(self) -> int:
-        return self.distinct_paths
-
-    @property
-    def context_ids(self):
-        return range(self.context_count)
 
 
 @dataclass
@@ -247,8 +220,9 @@ class Speculator:
         #: transactions at the same cost-unit times.
         self.aps = LruMap(MEMO_CAPACITY)
         self.records: List[SpeculationRecord] = []
-        #: Synthesis stats of executed-and-dropped APs (§5.5).
-        self.archive: List[ApArchive] = []
+        #: §5.5 totals over every AP that left the pipeline (executed
+        #: or memo-evicted); all the speculator keeps of a retired AP.
+        self.tally = SynthesisTally()
         # -- instruments -------------------------------------------------
         obs = registry.scope("speculator")
         self._obs = obs
@@ -365,19 +339,10 @@ class Speculator:
         for tx_hash in list(self._dirty):
             self._finalize(tx_hash, self.aps.peek(tx_hash), on_read=False)
 
-    def _archive_ap(self, ap: AcceleratedProgram) -> None:
-        if ap.paths:
-            self.archive.append(ApArchive(
-                paths=[_PathStats(p.stats) for p in ap.paths],
-                distinct_paths=ap.path_count(),
-                context_count=len(ap.context_ids),
-                shortcut_count=ap.shortcut_count,
-            ))
-
     def _memo_insert(self, tx_hash: int, ap: AcceleratedProgram) -> None:
         """Insert a fresh AP, LRU-evicting past :data:`MEMO_CAPACITY`.
 
-        An evicted AP is archived like a dropped one (its synthesis
+        An evicted AP is tallied like a dropped one (its synthesis
         happened; §5.5 must still see it) — the transaction simply
         loses its acceleration and, if it is ever packed, executes the
         plain path: eviction can never change committed state.
@@ -387,40 +352,31 @@ class Speculator:
         if evicted is not None:
             victim_hash, victim = evicted
             self._dedup.pop(victim_hash, None)
-            self.prefix_cache.evict_tx(victim_hash)
             # Inserts happen in-cycle, off the critical path: not a read.
             self._finalize(victim_hash, victim, on_read=False)
-            self._archive_ap(victim)
+            self.tally.add(victim)
             self.c_memo_evictions.inc()
         self.g_memo_size.set(len(self.aps))
 
-    def drop(self, tx_hash: int, evict_prefixes: bool = True) -> None:
+    def drop(self, tx_hash: int) -> None:
         """Forget a transaction's AP (e.g. after it was executed),
-        archiving its synthesis statistics for §5.5 reporting.
-
-        ``evict_prefixes=False`` skips the per-transaction prefix-cache
-        sweep; it is only correct when the caller invalidates the whole
-        cache immediately afterwards (the node's block loop does — the
-        commit bumps the world version and every prefix entry dies with
-        it), keeping that sweep off the critical path.
-        """
+        adding its synthesis statistics to the §5.5 tally.  Prefixes it
+        was a predecessor in are not chased: they die with their head
+        (:meth:`invalidate_prefixes`)."""
         self._dedup.pop(tx_hash, None)
-        if evict_prefixes:
-            self.prefix_cache.evict_tx(tx_hash)
         ap = self.aps.pop(tx_hash, None)
         if ap is not None:
             self._finalize(tx_hash, ap)
-            self._archive_ap(ap)
+            self.tally.add(ap)
             self.g_memo_size.set(len(self.aps))
 
     def discard(self, tx_hash: int) -> None:
         """Forget a transaction's AP *and* its dedup fingerprints
-        without archiving (mid-reorg abandonment: the AP may refer to a
+        without tallying (mid-reorg abandonment: the AP may refer to a
         head that no longer exists, so its stats must not pollute §5.5
         aggregates and its paths must never be cloned again)."""
         self._dedup.pop(tx_hash, None)
         self._dirty.pop(tx_hash, None)
-        self.prefix_cache.evict_tx(tx_hash)
         if self.aps.pop(tx_hash, None) is not None:
             self.g_memo_size.set(len(self.aps))
 
@@ -525,7 +481,7 @@ class Speculator:
         if index is None:
             index = self._dedup[tx_hash] = LruMap(DEDUP_CAPACITY_PER_TX)
         # Detach: the merged path's mutable parts (stats, sets) keep
-        # evolving with the AP; the archived copy must not alias them.
+        # evolving with the AP; the indexed copy must not alias them.
         if index.set(fingerprint, _detach_path(path)) is not None:
             self.c_dedup_evictions.inc()
 
@@ -654,7 +610,7 @@ class Speculator:
             actual_cost = prefix.paid + target_cost + fingerprint_cost
             self.c_dedup_cost_saved.inc(
                 full_synthesis - target_cost - fingerprint_cost)
-            # Detach again: two clones of the same archived path must
+            # Detach again: two clones of the same indexed path must
             # not share mutable containers with each other either.
             path = replace(_detach_path(cached_path), path_id=path_id,
                            context_id=context.context_id)

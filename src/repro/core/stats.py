@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import costmodel
+from repro.core.translate import SynthStats
 from repro.state.diskio import WARM_COST
 
 
@@ -285,70 +287,70 @@ class SynthesisReport:
     skip_rate: float = 0.0
 
 
-def synthesis_report(aps: Iterable, exec_records: Sequence = ()
+@dataclass
+class SynthesisTally:
+    """Running §5.5 / Figure 15 totals over retired APs.
+
+    The speculator adds each AP as it leaves the pipeline (executed, or
+    evicted from the memo table) and keeps nothing else of it, so the
+    tally stays the same size however long the node runs.
+    """
+
+    aps: int = 0
+    paths: int = 0
+    shortcuts: int = 0
+    #: ``SynthStats.counts()`` summed over every retired path.
+    totals: Tuple[int, ...] = field(
+        default_factory=lambda: SynthStats().counts())
+    #: Histogram of paths-per-AP / contexts-per-AP, in retirement order.
+    paths_per_ap: Dict[int, int] = field(default_factory=dict)
+    contexts_per_ap: Dict[int, int] = field(default_factory=dict)
+
+    def add(self, ap) -> None:
+        """Fold one retired AP in (an AP without paths counts nothing)."""
+        if not ap.paths:
+            return
+        self.aps += 1
+        self.paths_per_ap[ap.path_count] = \
+            self.paths_per_ap.get(ap.path_count, 0) + 1
+        contexts = len(ap.context_ids)
+        self.contexts_per_ap[contexts] = \
+            self.contexts_per_ap.get(contexts, 0) + 1
+        self.shortcuts += ap.shortcut_count
+        self.paths += len(ap.paths)
+        self.totals = tuple(map(add, self.totals, ap.synth_totals))
+
+
+def synthesis_report(tally: SynthesisTally, exec_records: Sequence = ()
                      ) -> SynthesisReport:
-    """Aggregate Figure-15 style statistics over accelerated programs."""
+    """Figure-15 style statistics from the retired APs' tally."""
     report = SynthesisReport()
-    total_trace = 0
-    sums = dict(decomposed=0, stack=0, control=0, mem=0, state=0,
-                guards=0, data=0, constant=0, duplicate=0, dead=0,
-                promoted=0, unopt=0, final=0, constraint=0, fastpath=0)
-    shortcut_total = 0
-    path_count = 0
-    ap_count = 0
-    paths_per_ap: Dict[int, int] = {}
-    contexts_per_ap: Dict[int, int] = {}
-    for ap in aps:
-        ap_count += 1
-        distinct_paths = ap.path_count()
-        paths_per_ap[distinct_paths] = \
-            paths_per_ap.get(distinct_paths, 0) + 1
-        ctxs = len(ap.context_ids)
-        contexts_per_ap[ctxs] = contexts_per_ap.get(ctxs, 0) + 1
-        shortcut_total += ap.shortcut_count
-        for path in ap.paths:
-            stats = path.stats
-            path_count += 1
-            total_trace += stats.trace_len
-            sums["decomposed"] += stats.decomposed_added
-            sums["stack"] += stats.eliminated_stack
-            sums["control"] += stats.eliminated_control
-            sums["mem"] += stats.eliminated_mem
-            sums["state"] += stats.eliminated_state
-            sums["guards"] += stats.inserted_guards
-            sums["data"] += stats.inserted_data_constraints
-            sums["constant"] += stats.eliminated_constant
-            sums["duplicate"] += stats.eliminated_duplicate
-            sums["dead"] += stats.eliminated_dead
-            sums["promoted"] += stats.eliminated_promoted_reads
-            sums["unopt"] += stats.sevm_unoptimized_len()
-            sums["final"] += stats.final_len
-            sums["constraint"] += stats.constraint_section_len
-            sums["fastpath"] += stats.fast_path_len
-    if not path_count or not total_trace:
+    totals = SynthStats(*tally.totals)
+    if not tally.paths or not totals.trace_len:
         return report
-    pct = 100.0 / total_trace
-    report.paths = path_count
-    report.trace_len_avg = total_trace / path_count
-    report.decomposed_pct = sums["decomposed"] * pct
-    report.eliminated_stack_pct = sums["stack"] * pct
-    report.eliminated_control_pct = sums["control"] * pct
-    report.eliminated_mem_pct = sums["mem"] * pct
-    report.eliminated_state_pct = sums["state"] * pct
-    report.inserted_guards_pct = sums["guards"] * pct
-    report.inserted_data_pct = sums["data"] * pct
-    report.eliminated_constant_pct = sums["constant"] * pct
-    report.eliminated_duplicate_pct = sums["duplicate"] * pct
-    report.eliminated_dead_pct = sums["dead"] * pct
-    report.eliminated_promoted_pct = sums["promoted"] * pct
-    report.sevm_unoptimized_pct = sums["unopt"] * pct
-    report.final_pct = sums["final"] * pct
-    report.constraint_pct = sums["constraint"] * pct
-    report.fastpath_pct = sums["fastpath"] * pct
-    report.ap_instrs_avg = sums["final"] / path_count
-    report.shortcuts_avg = shortcut_total / max(1, ap_count)
-    report.paths_per_ap = paths_per_ap
-    report.contexts_per_ap = contexts_per_ap
+    pct = 100.0 / totals.trace_len
+    report.paths = tally.paths
+    report.trace_len_avg = totals.trace_len / tally.paths
+    report.decomposed_pct = totals.decomposed_added * pct
+    report.eliminated_stack_pct = totals.eliminated_stack * pct
+    report.eliminated_control_pct = totals.eliminated_control * pct
+    report.eliminated_mem_pct = totals.eliminated_mem * pct
+    report.eliminated_state_pct = totals.eliminated_state * pct
+    report.inserted_guards_pct = totals.inserted_guards * pct
+    report.inserted_data_pct = totals.inserted_data_constraints * pct
+    report.eliminated_constant_pct = totals.eliminated_constant * pct
+    report.eliminated_duplicate_pct = totals.eliminated_duplicate * pct
+    report.eliminated_dead_pct = totals.eliminated_dead * pct
+    report.eliminated_promoted_pct = \
+        totals.eliminated_promoted_reads * pct
+    report.sevm_unoptimized_pct = totals.sevm_unoptimized_len() * pct
+    report.final_pct = totals.final_len * pct
+    report.constraint_pct = totals.constraint_section_len * pct
+    report.fastpath_pct = totals.fast_path_len * pct
+    report.ap_instrs_avg = totals.final_len / tally.paths
+    report.shortcuts_avg = tally.shortcuts / max(1, tally.aps)
+    report.paths_per_ap = dict(tally.paths_per_ap)
+    report.contexts_per_ap = dict(tally.contexts_per_ap)
     executed = sum(r.executed_nodes for r in exec_records)
     skipped = sum(r.skipped_nodes for r in exec_records)
     if executed + skipped:

@@ -28,7 +28,8 @@ memoization) and synthesis statistics (Figure 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SpeculationError
@@ -80,6 +81,14 @@ class SynthStats:
                 - self.eliminated_stack - self.eliminated_control
                 - self.eliminated_mem - self.eliminated_state
                 + self.inserted_guards + self.inserted_data_constraints)
+
+    def counts(self) -> Tuple[int, ...]:
+        """Every counter in field order: ``SynthStats(*counts)`` is a
+        copy, and element-wise sums of counts are §5.5 totals."""
+        return _COUNTS(self)
+
+
+_COUNTS = attrgetter(*(f.name for f in fields(SynthStats)))
 
 
 # -- symbolic memory pieces ---------------------------------------------------

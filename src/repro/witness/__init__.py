@@ -18,12 +18,6 @@ reports any divergence from an independent reference semantics as a
 byte-stable artifact.
 """
 
-from repro.witness.archive import (
-    ArchiveStats,
-    archive_witnesses,
-    encode_block,
-    unarchive_block,
-)
 from repro.witness.checker import (
     CheckFailure,
     RunValidation,
@@ -34,14 +28,12 @@ from repro.witness.format import (
     ExecutionWitness,
     logs_digest,
     witness_digest,
-    witness_from_dict,
     witness_to_dict,
 )
 from repro.witness.oracle import OracleReport, run_oracle
 from repro.witness.recorder import ReadSetRecorder, build_witness
 
 __all__ = [
-    "ArchiveStats",
     "CheckFailure",
     "ExecutionWitness",
     "OracleReport",
@@ -49,13 +41,9 @@ __all__ = [
     "RunValidation",
     "WITNESS_VERSION",
     "WitnessChecker",
-    "archive_witnesses",
     "build_witness",
-    "encode_block",
     "logs_digest",
     "run_oracle",
-    "unarchive_block",
     "witness_digest",
-    "witness_from_dict",
     "witness_to_dict",
 ]

@@ -160,29 +160,6 @@ def witness_to_dict(witness: ExecutionWitness) -> dict:
     }
 
 
-def witness_from_dict(data: dict) -> ExecutionWitness:
-    """Inverse of :func:`witness_to_dict` (archival round-trip)."""
-    if data.get("v") != WITNESS_VERSION:
-        raise ValueError(f"unsupported witness version {data.get('v')!r}")
-    return ExecutionWitness(
-        tx_hash=data["tx_hash"],
-        block_number=data["block"],
-        tier=data["tier"],
-        outcome=data["outcome"],
-        success=data["success"],
-        gas_used=data["gas_used"],
-        cost_units=data["cost_units"],
-        constraints=[list(row) for row in data["constraints"]],
-        delta=[list(row) for row in data["delta"]],
-        created=[list(row) for row in data["created"]],
-        guards_checked=data["guards_checked"],
-        logs_count=data["logs_count"],
-        logs_sha256=data["logs_sha256"],
-        return_sha256=data["return_sha256"],
-        context_ids=list(data["context_ids"]),
-    )
-
-
 def witness_digest(witness: ExecutionWitness) -> str:
     """SHA-256 of the canonical witness encoding (its identity)."""
     payload = canonical_json(witness_to_dict(witness))

@@ -71,7 +71,7 @@ class TestMerging:
         ap = build_merged_ap()
         assert ap is not None
         assert len(ap.paths) == 2
-        assert ap.path_count() == 2
+        assert ap.path_count == 2
         assert ap.merge_failures == 0
 
     def test_same_path_different_values_merges_to_one_terminal(self):
@@ -85,7 +85,7 @@ class TestMerging:
         spec.speculate(tx_e(), FutureContext(2, header(3990462)))
         ap = spec.get_ap(tx_e().hash)
         assert len(ap.paths) == 2
-        assert ap.path_count() == 1  # same control path (FC1 vs FC2)
+        assert ap.path_count == 1  # same control path (FC1 vs FC2)
 
     def test_structural_equality_ignores_guard_expectation(self):
         ap = build_merged_ap()

@@ -263,7 +263,7 @@ def test_aggregator_median_branches():
         speculator.speculate(
             tx, FutureContext(i + 1, BlockHeader(1, 3990462, 0xBEEF)))
     ap = speculator.get_ap(tx.hash)
-    assert ap.path_count() >= 2  # distinct median branches
+    assert ap.path_count >= 2  # distinct median branches
 
     # Execute in a context following yet another branch combination.
     actual = (2005, 1995, 2001)

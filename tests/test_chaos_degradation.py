@@ -132,7 +132,9 @@ def test_pipeline_aps_match_the_reference_walker(plan, dataset,
                                                  monkeypatch):
     """Every closure the node runs first meets the reference walker on
     the same pre-state (walked, then reverted the way the accelerator's
-    fallback reverts), and the committed chain is the baseline's.
+    fallback reverts), its AP's merge-kept path count and stat totals
+    equal a walk of its terminals and a sum over its paths, and the
+    committed chain is the baseline's.
     Mismatches are collected, not asserted in place: the node's guard
     would contain an assertion raised inside the accelerator."""
     execute = JitTier.execute
@@ -151,6 +153,14 @@ def test_pipeline_aps_match_the_reference_walker(plan, dataset,
         checked.append(ap.tx_hash)
         if compiled != walked:
             mismatches.append((hex(ap.tx_hash), walked, compiled))
+        if ap.path_count != len(ap._terminals()):
+            mismatches.append((hex(ap.tx_hash), "path_count",
+                               ap.path_count, len(ap._terminals())))
+        totals = tuple(map(sum, zip(*(path.stats.counts()
+                                      for path in ap.paths))))
+        if ap.synth_totals != totals:
+            mismatches.append((hex(ap.tx_hash), "synth_totals",
+                               ap.synth_totals, totals))
         if outcome is None:
             raise ConstraintViolation(compiled["violation"])
         return outcome

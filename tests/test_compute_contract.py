@@ -127,4 +127,4 @@ def test_ap_tree_walks_handle_thousands_of_nodes():
     assert len(nodes) > 800
     assert all(node.branches is None or len(node.branches) == 1
                for node in nodes)
-    assert ap.path_count() == 1
+    assert ap.path_count == 1

@@ -82,5 +82,5 @@ def test_offpath_overhead_fields(run):
 def test_forerunner_node_exposed_for_inspection(run):
     node = run.forerunner_node
     assert node is not None
-    assert node.speculator.archive  # retired AP stats kept
+    assert node.speculator.tally.aps  # retired AP stats kept
     assert node.reports

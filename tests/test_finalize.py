@@ -38,6 +38,7 @@ from repro.core.memoize import STRATEGIES, build_shortcuts
 from repro.core.merge import merge_path, prune_tree
 from repro.core.sevm import GuardMode, Reg, SInstr, SKind, is_reg
 from repro.core.speculator import FutureContext, Speculator
+from repro.core.stats import SynthesisTally
 from repro.core.translate import SynthStats
 from repro.evm.jit.specialize import SpecializeAbort, compile_ap
 from repro.evm.jit.tier import JitTier
@@ -393,10 +394,8 @@ def test_finalize_once_hands_out_the_per_merge_ap(dataset, finalize_once):
     speculator = run.forerunner_node.speculator
     reference = reference_run.forerunner_node.speculator
     assert speculator.records == reference.records
-    assert [(a.distinct_paths, a.context_count, a.shortcut_count)
-            for a in speculator.archive] == \
-        [(a.distinct_paths, a.context_count, a.shortcut_count)
-         for a in reference.archive]
+    assert speculator.tally == reference.tally
+    assert speculator.tally.aps > 0
 
 
 def test_finalize_counters_over_a_whole_replay(finalize_once):
@@ -512,9 +511,8 @@ def test_eviction_and_drop_archive_a_finished_ap(oracle_world, monkeypatch):
         reference.speculate(tx, context(0))
         reference.get_ap(tx.hash)
         reference.drop(tx.hash)
-    assert [a.shortcut_count for a in speculator.archive] == \
-        [a.shortcut_count for a in reference.archive]
-    assert all(a.shortcut_count > 0 for a in speculator.archive)
+    assert speculator.tally == reference.tally
+    assert speculator.tally.aps == 2 and speculator.tally.shortcuts > 0
     # The eviction ran in-cycle; only the drop was a read.
     assert registry.value("speculator.finalizes") == 2
     assert registry.value("speculator.finalized_on_read") == 1
@@ -535,7 +533,7 @@ def test_discard_forgets_a_dirty_ap_and_reorg_keeps_it_dirty(oracle_world):
     ap = speculator.get_ap(second.hash)
     assert ap.jit is not None and ap.shortcut_count > 0
     assert registry.value("speculator.finalizes") == 1
-    assert not speculator._dirty and not speculator.archive
+    assert not speculator._dirty and speculator.tally == SynthesisTally()
 
 
 def test_cycle_bookkeeping_reads_without_finishing(oracle_world):

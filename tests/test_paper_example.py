@@ -87,7 +87,7 @@ def reference(fc, ts):
 def test_four_contexts_merge_into_two_paths(merged_ap):
     """§5.5's shape: FC1/FC2/FC3 share one path; FC4 brings a second."""
     assert len(merged_ap.paths) == 4
-    assert merged_ap.path_count() == 2
+    assert merged_ap.path_count == 2
     assert merged_ap.merge_failures == 0
     assert merged_ap.context_ids == {1, 2, 3, 4}
 

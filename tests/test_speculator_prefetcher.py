@@ -7,6 +7,7 @@ from repro.chain.transaction import Transaction
 from repro.contracts import pricefeed
 from repro.core.prefetcher import Prefetcher
 from repro.core.speculator import FutureContext, Speculator
+from repro.core.stats import SynthesisTally
 from repro.state.nodecache import NodeCache
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
@@ -85,11 +86,14 @@ class TestSpeculator:
 
     def test_drop_archives_stats(self):
         speculator = Speculator(fresh_world())
-        speculator.speculate(tx_e(), FutureContext(1, header()))
+        path = speculator.speculate(tx_e(), FutureContext(1, header()))
+        expected = SynthesisTally()
+        expected.add(speculator.get_ap(tx_e().hash))
         speculator.drop(tx_e().hash)
         assert speculator.get_ap(tx_e().hash) is None
-        assert len(speculator.archive) == 1
-        assert speculator.archive[0].paths
+        assert speculator.tally == expected
+        assert expected.aps == expected.paths == 1
+        assert expected.totals == path.stats.counts()
 
     def test_speculate_many(self):
         speculator = Speculator(fresh_world())
@@ -98,34 +102,6 @@ class TestSpeculator:
         merged = speculate_many(speculator, tx_e(), contexts)
         assert merged == 3
         assert len(speculator.get_ap(tx_e().hash).paths) == 3
-
-    def test_drop_releases_prefix_cache_pins(self):
-        """Regression: a transaction leaving the pipeline must not stay
-        pinned as a predecessor inside cached prefixes — each cached
-        prefix holds a frozen StateDB overlay (and the fork chain under
-        it) alive for no future benefit."""
-        speculator = Speculator(fresh_world())
-        predecessor = tx_e(sender=BOB, price=2060)
-        context = FutureContext(2, header(),
-                                predecessors=(predecessor,))
-        speculator.speculate(tx_e(), context)
-        cache = speculator.prefix_cache
-        assert any(predecessor.hash in key[7]
-                   for key in cache._entries.keys())
-        speculator.drop(predecessor.hash)
-        assert not any(predecessor.hash in key[7]
-                       for key in cache._entries.keys())
-        assert not any(predecessor.hash in key[7] for key in cache._seen)
-
-    def test_discard_releases_prefix_cache_pins(self):
-        speculator = Speculator(fresh_world())
-        predecessor = tx_e(sender=BOB, price=2060)
-        speculator.speculate(
-            tx_e(), FutureContext(2, header(),
-                                  predecessors=(predecessor,)))
-        speculator.discard(predecessor.hash)
-        assert not any(predecessor.hash in key[7]
-                       for key in speculator.prefix_cache._entries.keys())
 
     def test_speculate_contains_unexpected_stage_bugs(self, monkeypatch):
         """Regression (ISSUE satellite): a genuine bug inside one

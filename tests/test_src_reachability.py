@@ -71,9 +71,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "restore_pool": ("tests/test_edge.py",
                      "recovery: re-injects accepted-but-unserved "
                      "transactions without double-executing"),
-    "unarchive_block": ("tests/test_witness.py",
-                        "recovery: the decode half of the witness "
-                        "archive format (lossless by digest)"),
     "reset_registry": ("tests/test_obs.py",
                        "isolation: replaces the process-wide metrics "
                        "registry"),

@@ -327,71 +327,3 @@ def test_direct_node_block_flow_produces_checkable_witnesses():
     validation = WitnessChecker(genesis).validate_run(
         [(header, node.witnesses, report.state_root)])
     assert validation.ok, [f.as_dict() for f in validation.failures]
-
-
-# -- archival compression ----------------------------------------------------
-
-
-class TestWitnessArchive:
-    """Per-block delta-encoded + deflated cold storage for the
-    witness stream; the round-trip is lossless *by digest*."""
-
-    def test_round_trip_preserves_every_digest(self, witness_run):
-        from repro.witness import encode_block, unarchive_block
-
-        _dataset, run = witness_run
-        by_block: dict = {}
-        for witness in run.forerunner_node.witnesses:
-            by_block.setdefault(witness.block_number,
-                                []).append(witness)
-        assert by_block, "no witnesses to archive"
-        for batch in by_block.values():
-            restored = unarchive_block(encode_block(batch))
-            assert [witness_digest(w) for w in restored] == \
-                [witness_digest(w) for w in batch]
-
-    def test_archive_blobs_are_byte_stable(self, witness_run):
-        from repro.witness import archive_witnesses
-
-        _dataset, run = witness_run
-        first = archive_witnesses(run.forerunner_node.witnesses)
-        second = archive_witnesses(run.forerunner_node.witnesses)
-        assert first.blobs == second.blobs
-        assert first.as_dict() == second.as_dict()
-
-    def test_compression_actually_compresses(self, witness_run):
-        from repro.witness import archive_witnesses
-
-        _dataset, run = witness_run
-        stats = archive_witnesses(run.forerunner_node.witnesses)
-        assert stats.witnesses == len(run.forerunner_node.witnesses)
-        assert stats.compressed_bytes < stats.raw_bytes
-        assert stats.ratio() < 0.6, (
-            "delta + deflate should beat 60% of raw on a real stream")
-
-    def test_empty_and_mixed_block_batches_reject_properly(self):
-        from repro.witness import encode_block, unarchive_block
-
-        assert unarchive_block(encode_block([])) == []
-        a = ExecutionWitness(tx_hash=1, block_number=1, tier="plain",
-                             outcome="no_ap", success=True,
-                             gas_used=21_000, cost_units=10)
-        b = ExecutionWitness(tx_hash=2, block_number=2, tier="plain",
-                             outcome="no_ap", success=True,
-                             gas_used=21_000, cost_units=10)
-        with pytest.raises(ValueError):
-            encode_block([a, b])
-
-    def test_witness_from_dict_is_exact_inverse(self):
-        from repro.witness import witness_from_dict
-
-        witness = ExecutionWitness(
-            tx_hash=7, block_number=3, tier="jit", outcome="satisfied",
-            success=True, gas_used=30_000, cost_units=99,
-            constraints=[["bal", [5], 1_000]],
-            delta=[["bal", [5], 1_000, 900]],
-            created=[], guards_checked=1, context_ids=[2])
-        restored = witness_from_dict(witness_to_dict(witness))
-        assert witness_digest(restored) == witness_digest(witness)
-        with pytest.raises(ValueError):
-            witness_from_dict({"v": 999})
