@@ -67,11 +67,8 @@ class Block:
     def number(self) -> int:
         return self.header.number
 
-    def gas_used(self, gas_by_tx: Optional[dict] = None) -> int:
+    def gas_used(self) -> int:
         """Total gas limit committed by the packed transactions."""
-        if gas_by_tx:
-            return sum(gas_by_tx.get(tx.hash, tx.gas_limit)
-                       for tx in self.transactions)
         return sum(tx.gas_limit for tx in self.transactions)
 
     def tx_hashes(self) -> Tuple[int, ...]:

@@ -24,13 +24,18 @@ The four conversion steps, fused into one pass over the EVM trace:
 The output is a single SSA instruction list for one execution path,
 together with concrete register values (feeding constant folding and
 memoization) and synthesis statistics (Figure 15).
+
+The pass decodes once per opcode, not once per step: the stack-only
+opcodes are moved inline by the loop, and every other step is one
+lookup in a handler table built at import.  The symbolic memory holds
+live writes only, so a loop that stores to one slot keeps one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SpeculationError
 from repro.evm import opcodes
@@ -115,6 +120,79 @@ def _slice_piece(piece, start: int, length: int):
     return ("zero", length)
 
 
+_FIRST = itemgetter(0)
+
+
+def _payload_slice(payload, payload_abs_off: int, abs_start: int,
+                   length: int) -> List[Tuple[int, tuple]]:
+    """Slice [abs_start, abs_start+length) out of one write payload."""
+    rel = abs_start - payload_abs_off
+    kind = payload[0]
+    if kind == "bytes":
+        return [(abs_start, ("bytes", payload[1][rel:rel + length]))]
+    if kind == "word":
+        operand = payload[1]
+        if is_reg(operand):
+            return [(abs_start, ("reg", operand, rel, length))]
+        word = int_to_bytes32(operand)
+        return [(abs_start, ("bytes", word[rel:rel + length]))]
+    # "pieces": nested piece list with relative offsets.
+    result = []
+    end = rel + length
+    for p_off, piece in payload[1]:
+        p_end = p_off + _piece_len(piece)
+        lo = rel if rel > p_off else p_off
+        hi = end if end < p_end else p_end
+        if lo >= hi:
+            continue
+        result.append((payload_abs_off + lo,
+                       _slice_piece(piece, lo - p_off, hi - lo)))
+    return result
+
+
+def _resolve_pieces(writes, offset: int, size: int
+                    ) -> List[Tuple[int, tuple]]:
+    """Piece list covering [offset, offset+size) of a frame's live writes.
+
+    ``writes`` maps ``(offset, size)`` to a payload in recency order,
+    so walking it backwards meets later writes first: they shadow
+    earlier ones, and untouched ranges are zero.  Returned offsets are
+    relative to ``offset``.
+    """
+    if size == 0:
+        return []
+    end = offset + size
+    # Uncovered intervals, absolute: list of (start, stop).
+    uncovered = [(offset, end)]
+    found: List[Tuple[int, tuple]] = []
+    for (w_off, w_size), payload in reversed(writes.items()):
+        w_end = w_off + w_size
+        if w_off >= end or w_end <= offset:
+            continue  # misses the whole read
+        next_uncovered = []
+        for start, stop in uncovered:
+            lo = start if start > w_off else w_off
+            hi = stop if stop < w_end else w_end
+            if lo >= hi:
+                next_uncovered.append((start, stop))
+                continue
+            # [lo, hi) comes from this write.
+            for abs_off, piece in _payload_slice(payload, w_off, lo,
+                                                 hi - lo):
+                found.append((abs_off - offset, piece))
+            if start < lo:
+                next_uncovered.append((start, lo))
+            if hi < stop:
+                next_uncovered.append((hi, stop))
+        uncovered = next_uncovered
+        if not uncovered:
+            break
+    for start, stop in uncovered:
+        found.append((start - offset, ("zero", stop - start)))
+    found.sort(key=_FIRST)
+    return found
+
+
 class _SymFrame:
     """Symbolic machine state of one call frame."""
 
@@ -128,16 +206,28 @@ class _SymFrame:
         self.code_address = code_address
         self.depth = depth
         self.stack: List[object] = []
-        #: Memory writes in program order: (offset, size, payload) where
-        #: payload is ("bytes", b), ("word", operand), or
-        #: ("pieces", [(rel_off, piece), ...]).
-        self.writes: List[Tuple[int, int, tuple]] = []
+        #: Live memory writes: (offset, size) -> payload, in recency
+        #: order; payload is ("bytes", b), ("word", operand), or
+        #: ("pieces", [(rel_off, piece), ...]).  A rewrite of the same
+        #: region drops the entry it shadows, so a loop that stores to
+        #: one slot keeps one entry, not one per iteration.
+        self.writes: Dict[Tuple[int, int], tuple] = {}
         #: The frame's calldata as a piece list (absolute rel offsets).
         self.calldata_pieces = calldata_pieces
         self.calldata_size = calldata_size
         #: Return data of the frame's most recent completed sub-call
         #: (piece list + actual size), for RETURNDATACOPY.
         self.returndata: Tuple[list, int] = ([], 0)
+
+    def write(self, offset: int, size: int, payload: tuple) -> None:
+        """Record a memory write; it becomes the most recent one."""
+        if not size:
+            return  # covers nothing, shadows nothing
+        writes = self.writes
+        key = (offset, size)
+        if key in writes:
+            del writes[key]  # fully shadowed by this rewrite
+        writes[key] = payload
 
 
 @dataclass
@@ -176,8 +266,6 @@ class Translator:
         #: Return pieces of the frame that just exited.
         self._last_return: Tuple[list, int] = ([], 0)
         self._top_return: Tuple[list, int] = ([], 0)
-        #: frame_id -> ancestor id tuple, for discarding reverted writes.
-        self._ancestry: Dict[int, Tuple[int, ...]] = {}
 
     # -- register / instruction helpers ------------------------------------
 
@@ -187,18 +275,14 @@ class Translator:
         self.concrete[reg] = concrete_value
         return reg
 
-    def _emit(self, instr: SInstr) -> SInstr:
-        self.instrs.append(instr)
-        return instr
-
     def _frame_tag(self) -> Tuple[int, ...]:
         return tuple(f.frame_id for f in self._frame_stack)
 
     def _guard_eq(self, operand, expected: int, is_control: bool) -> None:
         """Guard a register operand against its speculated value."""
-        if not is_reg(operand):
+        if not isinstance(operand, Reg):
             return
-        self._emit(SInstr(
+        self.instrs.append(SInstr(
             kind=SKind.GUARD, op="GUARD", args=(operand,),
             guard_mode=GuardMode.EQ, expected=expected,
             is_control=is_control))
@@ -208,78 +292,14 @@ class Translator:
             self.stats.inserted_data_constraints += 1
 
     def _guard_truth(self, operand, taken: bool) -> None:
-        if not is_reg(operand):
+        if not isinstance(operand, Reg):
             return
-        self._emit(SInstr(
+        self.instrs.append(SInstr(
             kind=SKind.GUARD, op="GUARD", args=(operand,),
             guard_mode=GuardMode.TRUTH, expected=taken, is_control=True))
         self.stats.inserted_guards += 1
 
     # -- memory resolution ---------------------------------------------------
-
-    def _resolve_pieces(self, writes, offset: int, size: int
-                        ) -> List[Tuple[int, tuple]]:
-        """Piece list covering [offset, offset+size) of a write list.
-
-        Later writes shadow earlier ones; untouched ranges are zero.
-        Returned offsets are relative to ``offset``.
-        """
-        if size == 0:
-            return []
-        # Uncovered intervals, absolute: list of (start, end).
-        uncovered = [(offset, offset + size)]
-        found: List[Tuple[int, tuple]] = []
-        for w_off, w_size, payload in reversed(writes):
-            if not uncovered:
-                break
-            w_end = w_off + w_size
-            next_uncovered = []
-            for start, end in uncovered:
-                lo = max(start, w_off)
-                hi = min(end, w_end)
-                if lo >= hi:
-                    next_uncovered.append((start, end))
-                    continue
-                # [lo, hi) comes from this write.
-                found.extend(
-                    (abs_off - offset, piece)
-                    for abs_off, piece in self._payload_slice(
-                        payload, w_off, lo, hi - lo))
-                if start < lo:
-                    next_uncovered.append((start, lo))
-                if hi < end:
-                    next_uncovered.append((hi, end))
-            uncovered = next_uncovered
-        for start, end in uncovered:
-            found.append((start - offset, ("zero", end - start)))
-        found.sort(key=lambda item: item[0])
-        return found
-
-    def _payload_slice(self, payload, payload_abs_off: int,
-                       abs_start: int, length: int
-                       ) -> List[Tuple[int, tuple]]:
-        """Slice [abs_start, abs_start+length) out of one write payload."""
-        rel = abs_start - payload_abs_off
-        kind = payload[0]
-        if kind == "bytes":
-            return [(abs_start, ("bytes", payload[1][rel:rel + length]))]
-        if kind == "word":
-            operand = payload[1]
-            if is_reg(operand):
-                return [(abs_start, ("reg", operand, rel, length))]
-            word = int_to_bytes32(operand)
-            return [(abs_start, ("bytes", word[rel:rel + length]))]
-        # "pieces": nested piece list with relative offsets.
-        result = []
-        for p_off, piece in payload[1]:
-            p_len = _piece_len(piece)
-            lo = max(rel, p_off)
-            hi = min(rel + length, p_off + p_len)
-            if lo >= hi:
-                continue
-            result.append((payload_abs_off + lo,
-                           _slice_piece(piece, lo - p_off, hi - lo)))
-        return result
 
     def _pieces_to_operand(self, pieces: List[Tuple[int, tuple]],
                            size: int, concrete_value: int):
@@ -294,7 +314,7 @@ class Translator:
             if piece[0] == "reg" and piece[2] == 0 and piece[3] == 32 \
                     and size == 32:
                 return piece[1]
-        if all(piece[0] in ("bytes", "zero") for _, piece in pieces):
+        if all(piece[0] != "reg" for _, piece in pieces):
             return concrete_value
         regs = []
         layout = []
@@ -308,15 +328,10 @@ class Translator:
             else:
                 layout.append(("zero", rel_off, piece[1]))
         dest = self._new_reg(concrete_value)
-        self._emit(SInstr(
+        self.instrs.append(SInstr(
             kind=SKind.COMPUTE, op="MCONCAT", dest=dest, args=tuple(regs),
             meta={"layout": layout, "size": size}))
         return dest
-
-    def _resolve_word(self, frame: _SymFrame, offset: int,
-                      concrete_value: int):
-        pieces = self._resolve_pieces(frame.writes, offset, 32)
-        return self._pieces_to_operand(pieces, 32, concrete_value)
 
     def _resolve_region_words(self, frame: _SymFrame, offset: int,
                               size: int, concrete_bytes: bytes) -> List:
@@ -324,7 +339,7 @@ class Translator:
         operands = []
         for word_start in range(0, size, 32):
             word_len = min(32, size - word_start)
-            pieces = self._resolve_pieces(
+            pieces = _resolve_pieces(
                 frame.writes, offset + word_start, word_len)
             chunk = concrete_bytes[word_start:word_start + word_len]
             concrete_word = int.from_bytes(
@@ -341,11 +356,11 @@ class Translator:
         pieces = []
         remaining = [(offset, offset + 32)]
         for p_off, piece in frame.calldata_pieces:
-            p_len = _piece_len(piece)
+            p_end = p_off + _piece_len(piece)
             next_remaining = []
             for start, end in remaining:
-                lo = max(start, p_off)
-                hi = min(end, p_off + p_len)
+                lo = start if start > p_off else p_off
+                hi = end if end < p_end else p_end
                 if lo >= hi:
                     next_remaining.append((start, end))
                     continue
@@ -358,7 +373,7 @@ class Translator:
             remaining = next_remaining
         for start, end in remaining:
             pieces.append((start - offset, ("zero", end - start)))
-        pieces.sort(key=lambda item: item[0])
+        pieces.sort(key=_FIRST)
         return self._pieces_to_operand(pieces, 32, concrete_value)
 
     # -- main walk ----------------------------------------------------------------
@@ -369,20 +384,43 @@ class Translator:
         trace = self.trace
         tx = trace.tx
         # Top-level frame: calldata is the transaction payload (constant).
-        top = _SymFrame(
+        frame = _SymFrame(
             frame_id=0, code_address=tx.to, depth=0,
             calldata_pieces=[(0, ("bytes", tx.data))],
             calldata_size=len(tx.data))
-        self._frames[0] = top
-        self._frame_stack = [top]
-        self._ancestry[0] = (0,)
+        self._frames[0] = frame
+        self._frame_stack = [frame]
+        frame_now = 0
+        stack = frame.stack
+        handlers = _HANDLERS
+        # PUSH/DUP/SWAP/POP only move symbolic stack slots; they are
+        # decoded here rather than dispatched.
+        eliminated_stack = 0
 
         for (op, _pc, name, frame_id, depth, code_address, inputs, output,
              _gas, extra) in trace.steps:
-            if frame_id != self._frame_stack[-1].frame_id:
+            if frame_id != frame_now:
                 self._sync_frames(frame_id, code_address, depth)
-            self._translate_step(op, name, inputs, output, extra)
+                frame = self._frame_stack[-1]
+                frame_now = frame_id
+                stack = frame.stack
+            if 0x60 <= op <= 0x7F:      # PUSHn
+                eliminated_stack += 1
+                stack.append(output)
+            elif 0x80 <= op <= 0x8F:    # DUPn
+                eliminated_stack += 1
+                stack.append(stack[0x7F - op])
+            elif 0x90 <= op <= 0x9F:    # SWAPn
+                eliminated_stack += 1
+                n = 0x8E - op
+                stack[-1], stack[n] = stack[n], stack[-1]
+            elif op == 0x50:            # POP
+                eliminated_stack += 1
+                stack.pop()
+            else:
+                handlers[op](self, frame, op, name, inputs, output, extra)
 
+        self.stats.eliminated_stack += eliminated_stack
         self._discard_reverted_writes()
         if not trace.result.success:
             # Top-level failure: every state write was reverted; the AP
@@ -422,7 +460,6 @@ class Translator:
             frame_id=frame_id, code_address=code_address,
             depth=depth, calldata_pieces=pieces, calldata_size=size)
         self._frames[frame_id] = frame
-        self._ancestry[frame_id] = self._frame_tag() + (frame_id,)
         self._frame_stack.append(frame)
 
     _reverted_frames: set = None
@@ -450,330 +487,399 @@ class Translator:
             kept.append(instr)
         self.instrs = kept
 
-    # -- per-step translation ------------------------------------------------------
 
-    # pylint: disable=too-many-branches,too-many-statements
-    def _translate_step(self, op: int, name: str, inputs: tuple,
-                        output, extra) -> None:
-        """Translate one step row from its op, name, inputs, output and
-        extra; :meth:`translate` has already synced the row's frame."""
-        frame = self._frame_stack[-1]
+# -- per-opcode translation ---------------------------------------------------
+#
+# One handler per opcode, registered once at import like the
+# interpreter's own table.  A handler gets (translator, frame, op, name,
+# inputs, output, extra) for one step row whose frame
+# :meth:`Translator.translate` has already synced.
+
+_HANDLERS: Dict[int, Callable] = {}
+
+
+def _handler(*ops: Op):
+    def register(fn):
+        for op in ops:
+            _HANDLERS[int(op)] = fn
+        return fn
+    return register
+
+
+def _pure(op: int, arity: int) -> None:
+    """Register a pure computation: one COMPUTE into a new register."""
+    sop = PURE_OP_NAMES[op]
+
+    def run(tr, frame, _op, _name, _inputs, output, _extra) -> None:
         stack = frame.stack
-        stats = self.stats
+        args = tuple(stack[-1:-arity - 1:-1])  # in pop order
+        del stack[-arity:]
+        dest = tr._new_reg(output)
+        tr.instrs.append(SInstr(kind=SKind.COMPUTE, op=sop, dest=dest,
+                                args=args))
+        stack.append(dest)
+    _HANDLERS[op] = run
 
+
+for _code in PURE_OP_NAMES:
+    _pure(_code, opcodes.OPCODES[_code].pops)
+
+
+def _path_constant(tr, frame, _op, _name, _inputs, output, _extra) -> None:
+    """Transaction constants, and GAS/MSIZE: constant along a fixed path
+    (flat gas schedule, guarded memory offsets).  None pops."""
+    tr.stats.eliminated_state += 1
+    frame.stack.append(output)
+
+
+for _code, _info in opcodes.OPCODES.items():
+    if _info.category is Category.TX_CONSTANT and _info.pops == 0:
+        _HANDLERS[_code] = _path_constant
+_handler(Op.GAS, Op.MSIZE)(_path_constant)
+
+
+@_handler(Op.CALLDATALOAD)
+def _op_calldataload(tr, frame, _op, _name, _inputs, output, extra) -> None:
+    offset_op = frame.stack.pop()
+    offset = extra["data_offset"]
+    tr._guard_eq(offset_op, offset, is_control=False)
+    stats = tr.stats
+    if frame.depth == 0:
+        stats.eliminated_state += 1
+        frame.stack.append(output)
+    else:
+        stats.decomposed_added += 1
+        stats.eliminated_mem += 1
+        frame.stack.append(tr._calldata_word(frame, offset, output))
+
+
+# ---- context reads ----------------------------------------------------------
+
+def _header_read(op: Op) -> None:
+    sop = opcodes.OPCODES[int(op)].name
+
+    @_handler(op)
+    def run(tr, frame, _op, _name, _inputs, output, extra) -> None:
+        dest = tr._new_reg(output)
+        tr.instrs.append(SInstr(kind=SKind.READ, op=sop, dest=dest,
+                                key=extra["read_key"]))
+        frame.stack.append(dest)
+
+
+for _code in (Op.TIMESTAMP, Op.NUMBER, Op.COINBASE, Op.DIFFICULTY,
+              Op.GASLIMIT):
+    _header_read(_code)
+
+
+@_handler(Op.SLOAD)
+def _op_sload(tr, frame, _op, _name, _inputs, output, _extra) -> None:
+    stack = frame.stack
+    slot_op = stack.pop()
+    dest = tr._new_reg(output)
+    tr.instrs.append(SInstr(kind=SKind.READ, op="SLOAD", dest=dest,
+                            args=(slot_op,), key=(frame.code_address,)))
+    stack.append(dest)
+
+
+def _account_read(op: Op) -> None:
+    sop = opcodes.OPCODES[int(op)].name
+
+    @_handler(op)
+    def run(tr, frame, _op, _name, _inputs, output, _extra) -> None:
+        stack = frame.stack
+        address_op = stack.pop()
+        dest = tr._new_reg(output)
+        tr.instrs.append(SInstr(kind=SKind.READ, op=sop, dest=dest,
+                                args=(address_op,)))
+        stack.append(dest)
+
+
+for _code in (Op.BALANCE, Op.EXTCODESIZE, Op.BLOCKHASH):
+    _account_read(_code)
+
+
+@_handler(Op.SELFBALANCE)
+def _op_selfbalance(tr, frame, _op, _name, _inputs, output, _extra) -> None:
+    dest = tr._new_reg(output)
+    tr.instrs.append(SInstr(kind=SKind.READ, op="BALANCE", dest=dest,
+                            args=(frame.code_address,)))
+    frame.stack.append(dest)
+
+
+# ---- memory -----------------------------------------------------------------
+
+@_handler(Op.MLOAD)
+def _op_mload(tr, frame, _op, _name, _inputs, output, extra) -> None:
+    stack = frame.stack
+    offset_op = stack.pop()
+    offset = extra["mem_offset"]
+    tr._guard_eq(offset_op, offset, is_control=False)
+    tr.stats.eliminated_mem += 1
+    stack.append(tr._pieces_to_operand(
+        _resolve_pieces(frame.writes, offset, 32), 32, output))
+
+
+@_handler(Op.MSTORE)
+def _op_mstore(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+    stack = frame.stack
+    offset_op = stack.pop()
+    value_op = stack.pop()
+    offset = extra["mem_offset"]
+    tr._guard_eq(offset_op, offset, is_control=False)
+    tr.stats.eliminated_mem += 1
+    frame.write(offset, 32, ("word", value_op))
+
+
+@_handler(Op.MSTORE8)
+def _op_mstore8(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+    stack = frame.stack
+    offset_op = stack.pop()
+    value_op = stack.pop()
+    offset = extra["mem_offset"]
+    tr._guard_eq(offset_op, offset, is_control=False)
+    tr.stats.eliminated_mem += 1
+    if is_reg(value_op):
+        raise SpeculationError("MSTORE8 of a register value")
+    frame.write(offset, 1, ("bytes", bytes([value_op & 0xFF])))
+
+
+@_handler(Op.CALLDATACOPY, Op.CODECOPY)
+def _op_copy(tr, frame, _op, _name, inputs, _output, extra) -> None:
+    # CODECOPY: the executing contract's code is pinned by the
+    # call-target guards, so the copied bytes are constants — same
+    # treatment as top-level calldata.
+    stack = frame.stack
+    dest_op = stack.pop()
+    offset_op = stack.pop()
+    size_op = stack.pop()
+    dest = extra["mem_offset"]
+    size = extra["mem_size"]
+    tr._guard_eq(dest_op, dest, is_control=False)
+    tr._guard_eq(offset_op, inputs[1], is_control=False)
+    tr._guard_eq(size_op, size, is_control=False)
+    stats = tr.stats
+    stats.eliminated_mem += 1
+    stats.decomposed_added += 1
+    frame.write(dest, size, ("bytes", extra["data"]))
+
+
+# ---- SHA3: decomposed into memory resolution + register hash ----------------
+
+@_handler(Op.SHA3)
+def _op_sha3(tr, frame, _op, _name, _inputs, output, extra) -> None:
+    stack = frame.stack
+    offset_op = stack.pop()
+    size_op = stack.pop()
+    offset = extra["mem_offset"]
+    size = extra["mem_size"]
+    tr._guard_eq(offset_op, offset, is_control=False)
+    tr._guard_eq(size_op, size, is_control=False)
+    stats = tr.stats
+    stats.decomposed_added += 1   # the memory-read half
+    stats.eliminated_mem += 1     # ...which promotion removes
+    words = tr._resolve_region_words(frame, offset, size, extra["data"])
+    dest = tr._new_reg(output)
+    tr.instrs.append(SInstr(kind=SKind.COMPUTE, op=COMPUTE_SHA3, dest=dest,
+                            args=tuple(words), meta={"size": size}))
+    stack.append(dest)
+
+
+# ---- control flow -----------------------------------------------------------
+
+@_handler(Op.JUMPDEST)
+def _op_jumpdest(tr, _frame, _op, _name, _inputs, _output, _extra) -> None:
+    tr.stats.eliminated_control += 1
+
+
+@_handler(Op.JUMP)
+def _op_jump(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+    target_op = frame.stack.pop()
+    tr.stats.eliminated_control += 1
+    tr._guard_eq(target_op, extra["jump_target"], is_control=True)
+
+
+@_handler(Op.JUMPI)
+def _op_jumpi(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+    stack = frame.stack
+    target_op = stack.pop()
+    cond_op = stack.pop()
+    tr.stats.eliminated_control += 1
+    tr._guard_eq(target_op, extra["jump_target"], is_control=True)
+    tr._guard_truth(cond_op, extra["taken"])
+
+
+# ---- logging and storage writes ---------------------------------------------
+
+def _log(op: Op) -> None:
+    topic_count = int(op) - 0xA0
+
+    @_handler(op)
+    def run(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+        stack = frame.stack
+        offset_op = stack.pop()
+        size_op = stack.pop()
+        topics = tuple(stack.pop() for _ in range(topic_count))
+        offset = extra["mem_offset"]
+        size = extra["mem_size"]
+        tr._guard_eq(offset_op, offset, is_control=False)
+        tr._guard_eq(size_op, size, is_control=False)
+        words = tr._resolve_region_words(frame, offset, size, extra["data"])
+        tr.instrs.append(SInstr(
+            kind=SKind.WRITE, op="LOG", args=topics + tuple(words),
+            key=(frame.code_address,),
+            meta={"topic_count": topic_count, "data_size": size,
+                  "frame_tag": tr._frame_tag()}))
+
+
+for _code in opcodes.OPCODES:
+    if opcodes.is_log(_code):
+        _log(Op(_code))
+
+
+@_handler(Op.SSTORE)
+def _op_sstore(tr, frame, _op, _name, _inputs, _output, _extra) -> None:
+    stack = frame.stack
+    slot_op = stack.pop()
+    value_op = stack.pop()
+    tr.instrs.append(SInstr(
+        kind=SKind.WRITE, op="SSTORE", args=(slot_op, value_op),
+        key=(frame.code_address,),
+        meta={"frame_tag": tr._frame_tag()}))
+
+
+# ---- return-data access -----------------------------------------------------
+
+@_handler(Op.RETURNDATASIZE)
+def _op_returndatasize(tr, frame, _op, _name, _inputs, output, _extra) -> None:
+    # Constant under CD-Equiv: the sub-call's path (hence its RETURN
+    # size) is pinned by the guards.
+    tr.stats.eliminated_mem += 1
+    frame.stack.append(output)
+
+
+@_handler(Op.RETURNDATACOPY)
+def _op_returndatacopy(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+    stack = frame.stack
+    dest_op = stack.pop()
+    offset_op = stack.pop()
+    size_op = stack.pop()
+    dest = extra["mem_offset"]
+    size = extra["mem_size"]
+    src = extra["src_offset"]
+    tr._guard_eq(dest_op, dest, is_control=False)
+    tr._guard_eq(offset_op, src, is_control=False)
+    tr._guard_eq(size_op, size, is_control=False)
+    tr.stats.eliminated_mem += 1
+    pieces, _actual = frame.returndata
+    sliced = []
+    for p_off, piece in pieces:
+        p_len = _piece_len(piece)
+        lo = max(p_off, src)
+        hi = min(p_off + p_len, src + size)
+        if lo < hi:
+            sliced.append((lo - src,
+                           _slice_piece(piece, lo - p_off, hi - lo)))
+    frame.write(dest, size, ("pieces", sliced))
+
+
+# ---- contract creation: outside the specialized subset ----------------------
+
+@_handler(Op.CREATE)
+def _op_create(_tr, _frame, _op, _name, _inputs, _output, _extra) -> None:
+    raise SpeculationError(
+        "contract creation is not specialized (deployments execute "
+        "through the normal path)")
+
+
+# ---- calls and termination --------------------------------------------------
+
+def _call(op: Op, has_value: bool) -> None:
+    @_handler(op)
+    def run(tr, frame, _op, name, _inputs, _output, extra) -> None:
         if name == "CALL_RESULT":
-            self._finish_call(extra, frame)
+            _finish_call(tr, frame, extra)
             return
-
-        info = opcodes.OPCODES[op]
-        category = info.category
-
-        # ---- stack manipulation: symbolic only --------------------------------
-        if category is Category.STACK:
-            stats.eliminated_stack += 1
-            if opcodes.is_push(op):
-                stack.append(output)
-            elif opcodes.is_dup(op):
-                stack.append(stack[-(op - 0x80 + 1)])
-            elif opcodes.is_swap(op):
-                n = op - 0x90 + 1
-                stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
-            return
-
-        if op == int(Op.POP):
-            stats.eliminated_stack += 1
-            stack.pop()
-            return
-
-        # ---- pure computation ----------------------------------------------------
-        if op in PURE_OP_NAMES:
-            arity = info.pops
-            args = tuple(stack.pop() for _ in range(arity))
-            dest = self._new_reg(output)
-            self._emit(SInstr(kind=SKind.COMPUTE, op=PURE_OP_NAMES[op],
-                              dest=dest, args=args))
-            stack.append(dest)
-            return
-
-        # ---- transaction constants -------------------------------------------------
-        if category is Category.TX_CONSTANT and op != int(Op.CALLDATALOAD):
-            for _ in range(info.pops):
-                stack.pop()
-            stats.eliminated_state += 1
-            stack.append(output)
-            return
-        if op == int(Op.GAS) or op == int(Op.MSIZE):
-            # Constant along a fixed path (flat gas schedule, guarded
-            # memory offsets).
-            stats.eliminated_state += 1
-            stack.append(output)
-            return
-
-        if op == int(Op.CALLDATALOAD):
-            offset_op = stack.pop()
-            offset = extra["data_offset"]
-            self._guard_eq(offset_op, offset, is_control=False)
-            if frame.depth == 0:
-                stats.eliminated_state += 1
-                stack.append(output)
-            else:
-                stats.decomposed_added += 1
-                stats.eliminated_mem += 1
-                stack.append(self._calldata_word(frame, offset, output))
-            return
-
-        # ---- context reads -------------------------------------------------------------
-        if op in (int(Op.TIMESTAMP), int(Op.NUMBER), int(Op.COINBASE),
-                  int(Op.DIFFICULTY), int(Op.GASLIMIT)):
-            dest = self._new_reg(output)
-            self._emit(SInstr(kind=SKind.READ, op=info.name, dest=dest,
-                              key=extra["read_key"]))
-            stack.append(dest)
-            return
-        if op == int(Op.SLOAD):
-            slot_op = stack.pop()
-            dest = self._new_reg(output)
-            self._emit(SInstr(kind=SKind.READ, op="SLOAD", dest=dest,
-                              args=(slot_op,), key=(frame.code_address,)))
-            stack.append(dest)
-            return
-        if op in (int(Op.BALANCE), int(Op.EXTCODESIZE), int(Op.BLOCKHASH)):
-            address_op = stack.pop()
-            dest = self._new_reg(output)
-            self._emit(SInstr(kind=SKind.READ, op=info.name, dest=dest,
-                              args=(address_op,)))
-            stack.append(dest)
-            return
-        if op == int(Op.SELFBALANCE):
-            dest = self._new_reg(output)
-            self._emit(SInstr(kind=SKind.READ, op="BALANCE", dest=dest,
-                              args=(frame.code_address,)))
-            stack.append(dest)
-            return
-
-        # ---- memory --------------------------------------------------------------------
-        if op == int(Op.MLOAD):
-            offset_op = stack.pop()
-            offset = extra["mem_offset"]
-            self._guard_eq(offset_op, offset, is_control=False)
-            stats.eliminated_mem += 1
-            stack.append(self._resolve_word(frame, offset, output))
-            return
-        if op == int(Op.MSTORE):
-            offset_op = stack.pop()
-            value_op = stack.pop()
-            offset = extra["mem_offset"]
-            self._guard_eq(offset_op, offset, is_control=False)
-            stats.eliminated_mem += 1
-            frame.writes.append((offset, 32, ("word", value_op)))
-            return
-        if op == int(Op.MSTORE8):
-            offset_op = stack.pop()
-            value_op = stack.pop()
-            offset = extra["mem_offset"]
-            self._guard_eq(offset_op, offset, is_control=False)
-            stats.eliminated_mem += 1
-            if is_reg(value_op):
-                raise SpeculationError("MSTORE8 of a register value")
-            frame.writes.append(
-                (offset, 1, ("bytes", bytes([value_op & 0xFF]))))
-            return
-        if op in (int(Op.CALLDATACOPY), int(Op.CODECOPY)):
-            # CODECOPY: the executing contract's code is pinned by the
-            # call-target guards, so the copied bytes are constants —
-            # same treatment as top-level calldata.
-            dest_op = stack.pop()
-            offset_op = stack.pop()
-            size_op = stack.pop()
-            dest = extra["mem_offset"]
-            size = extra["mem_size"]
-            self._guard_eq(dest_op, dest, is_control=False)
-            self._guard_eq(offset_op, inputs[1], is_control=False)
-            self._guard_eq(size_op, size, is_control=False)
-            stats.eliminated_mem += 1
-            stats.decomposed_added += 1
-            frame.writes.append((dest, size, ("bytes", extra["data"])))
-            return
-
-        # ---- SHA3: decomposed into memory resolution + register hash ---------------------
-        if op == int(Op.SHA3):
-            offset_op = stack.pop()
-            size_op = stack.pop()
-            offset = extra["mem_offset"]
-            size = extra["mem_size"]
-            self._guard_eq(offset_op, offset, is_control=False)
-            self._guard_eq(size_op, size, is_control=False)
-            stats.decomposed_added += 1   # the memory-read half
-            stats.eliminated_mem += 1     # ...which promotion removes
-            words = self._resolve_region_words(
-                frame, offset, size, extra["data"])
-            dest = self._new_reg(output)
-            self._emit(SInstr(kind=SKind.COMPUTE, op=COMPUTE_SHA3,
-                              dest=dest, args=tuple(words),
-                              meta={"size": size}))
-            stack.append(dest)
-            return
-
-        # ---- control flow -----------------------------------------------------------------
-        if op == int(Op.JUMPDEST):
-            stats.eliminated_control += 1
-            return
-        if op == int(Op.JUMP):
-            target_op = stack.pop()
-            stats.eliminated_control += 1
-            self._guard_eq(target_op, extra["jump_target"],
-                           is_control=True)
-            return
-        if op == int(Op.JUMPI):
-            target_op = stack.pop()
-            cond_op = stack.pop()
-            stats.eliminated_control += 1
-            self._guard_eq(target_op, extra["jump_target"],
-                           is_control=True)
-            self._guard_truth(cond_op, extra["taken"])
-            return
-
-        # ---- logging --------------------------------------------------------------------------
-        if opcodes.is_log(op):
-            topic_count = op - 0xA0
-            offset_op = stack.pop()
-            size_op = stack.pop()
-            topics = tuple(stack.pop() for _ in range(topic_count))
-            offset = extra["mem_offset"]
-            size = extra["mem_size"]
-            self._guard_eq(offset_op, offset, is_control=False)
-            self._guard_eq(size_op, size, is_control=False)
-            words = self._resolve_region_words(
-                frame, offset, size, extra["data"])
-            self._emit(SInstr(
-                kind=SKind.WRITE, op="LOG", args=topics + tuple(words),
-                key=(frame.code_address,),
-                meta={"topic_count": topic_count, "data_size": size,
-                      "frame_tag": self._frame_tag()}))
-            return
-
-        # ---- storage writes ----------------------------------------------------------------------
-        if op == int(Op.SSTORE):
-            slot_op = stack.pop()
-            value_op = stack.pop()
-            self._emit(SInstr(
-                kind=SKind.WRITE, op="SSTORE", args=(slot_op, value_op),
-                key=(frame.code_address,),
-                meta={"frame_tag": self._frame_tag()}))
-            return
-
-        # ---- return-data access ---------------------------------------------------------------------
-        if op == int(Op.RETURNDATASIZE):
-            # Constant under CD-Equiv: the sub-call's path (hence its
-            # RETURN size) is pinned by the guards.
-            stats.eliminated_mem += 1
-            stack.append(output)
-            return
-        if op == int(Op.RETURNDATACOPY):
-            dest_op = stack.pop()
-            offset_op = stack.pop()
-            size_op = stack.pop()
-            dest = extra["mem_offset"]
-            size = extra["mem_size"]
-            src = extra["src_offset"]
-            self._guard_eq(dest_op, dest, is_control=False)
-            self._guard_eq(offset_op, src, is_control=False)
-            self._guard_eq(size_op, size, is_control=False)
-            stats.eliminated_mem += 1
-            pieces, _actual = frame.returndata
-            sliced = []
-            for p_off, piece in pieces:
-                p_len = _piece_len(piece)
-                lo = max(p_off, src)
-                hi = min(p_off + p_len, src + size)
-                if lo < hi:
-                    sliced.append((lo - src,
-                                   _slice_piece(piece, lo - p_off,
-                                                hi - lo)))
-            frame.writes.append((dest, size, ("pieces", sliced)))
-            return
-
-        # ---- contract creation: outside the specialized subset ---------------------------------------
-        if op == int(Op.CREATE):
-            raise SpeculationError(
-                "contract creation is not specialized (deployments "
-                "execute through the normal path)")
-
-        # ---- calls and termination ----------------------------------------------------------------
-        if op in (int(Op.CALL), int(Op.DELEGATECALL), int(Op.STATICCALL)):
-            self._start_call(extra, frame, op)
-            return
-        if op in (int(Op.STOP), int(Op.RETURN), int(Op.REVERT)):
-            self._finish_frame(op, extra, frame)
-            return
-
-        raise SpeculationError(f"unsupported opcode in trace: {info.name}")
-
-    # -- call handling -------------------------------------------------------------
-
-    def _start_call(self, extra: dict, frame: _SymFrame, op: int) -> None:
         stack = frame.stack
         # CALL: gas, to, value, arg_off, arg_size, ret_off, ret_size;
         # DELEGATECALL/STATICCALL omit the value operand.
         _gas_op = stack.pop()
         to_op = stack.pop()
-        value_op = stack.pop() if op == int(Op.CALL) else 0
+        value_op = stack.pop() if has_value else 0
         arg_off_op = stack.pop()
         arg_size_op = stack.pop()
         ret_off_op = stack.pop()
         ret_size_op = stack.pop()
-        self.stats.eliminated_control += 1  # the call machinery itself
-        self.stats.decomposed_added += 2    # calldata marshal + ret write
-        to = extra["call_to"]
-        value = extra["call_value"]
+        stats = tr.stats
+        stats.eliminated_control += 1  # the call machinery itself
+        stats.decomposed_added += 2    # calldata marshal + ret write
         # CD-Equiv: the callee's identity is a control decision.
-        self._guard_eq(to_op, to, is_control=True)
-        if op == int(Op.CALL) and (is_reg(value_op) or value != 0):
+        tr._guard_eq(to_op, extra["call_to"], is_control=True)
+        if has_value and (is_reg(value_op) or extra["call_value"] != 0):
             raise SpeculationError(
                 "CALL with value transfer is outside the supported subset")
         arg_off = extra["mem_offset"]
         arg_size = extra["mem_size"]
-        self._guard_eq(arg_off_op, arg_off, is_control=False)
-        self._guard_eq(arg_size_op, arg_size, is_control=False)
-        self._guard_eq(ret_off_op, extra["ret_offset"],
-                       is_control=False)
-        self._guard_eq(ret_size_op, extra["ret_size"],
-                       is_control=False)
-        pieces = self._resolve_pieces(frame.writes, arg_off, arg_size)
-        self._pending_calldata = (pieces, arg_size)
+        tr._guard_eq(arg_off_op, arg_off, is_control=False)
+        tr._guard_eq(arg_size_op, arg_size, is_control=False)
+        tr._guard_eq(ret_off_op, extra["ret_offset"], is_control=False)
+        tr._guard_eq(ret_size_op, extra["ret_size"], is_control=False)
+        tr._pending_calldata = (
+            _resolve_pieces(frame.writes, arg_off, arg_size), arg_size)
 
-    def _finish_call(self, extra: dict, frame: _SymFrame) -> None:
-        """CALL_RESULT: success flag is path-constant; copy return data."""
-        success = extra["call_success"]
-        ret_off = extra["ret_offset"]
-        ret_size = extra["ret_size"]
-        frame.returndata = self._last_return
-        if ret_size:
-            pieces, actual = self._last_return
-            sliced = [(off, piece) for off, piece in pieces
-                      if off < ret_size]
-            if actual < ret_size:
-                sliced.append((actual, ("zero", ret_size - actual)))
-            frame.writes.append((ret_off, ret_size, ("pieces", sliced)))
-        frame.stack.append(1 if success else 0)
 
-    def _finish_frame(self, op: int, extra: dict, frame: _SymFrame) -> None:
-        self.stats.eliminated_control += 1
-        if op == int(Op.STOP):
-            pieces: List[Tuple[int, tuple]] = []
-            size = 0
-        else:
-            size = extra["mem_size"]
-            offset = extra["mem_offset"]
-            # Operand stack already popped by the interpreter; symbolically:
-            off_sym = frame.stack.pop()
-            size_sym = frame.stack.pop()
-            self._guard_eq(off_sym, offset, is_control=False)
-            self._guard_eq(size_sym, size, is_control=False)
-            pieces = self._resolve_pieces(frame.writes, offset, size)
-        self._last_return = (pieces, size)
-        if frame.depth == 0:
-            self._top_return = (pieces, size)
+_call(Op.CALL, True)
+_call(Op.DELEGATECALL, False)
+_call(Op.STATICCALL, False)
+
+
+def _finish_call(tr, frame: _SymFrame, extra: dict) -> None:
+    """CALL_RESULT: success flag is path-constant; copy return data."""
+    ret_size = extra["ret_size"]
+    frame.returndata = tr._last_return
+    if ret_size:
+        pieces, actual = tr._last_return
+        sliced = [(off, piece) for off, piece in pieces if off < ret_size]
+        if actual < ret_size:
+            sliced.append((actual, ("zero", ret_size - actual)))
+        frame.write(extra["ret_offset"], ret_size, ("pieces", sliced))
+    frame.stack.append(1 if extra["call_success"] else 0)
+
+
+@_handler(Op.STOP)
+def _op_stop(tr, frame, _op, _name, _inputs, _output, _extra) -> None:
+    tr.stats.eliminated_control += 1
+    _frame_exit(tr, frame, [], 0)
+
+
+@_handler(Op.RETURN, Op.REVERT)
+def _op_return(tr, frame, _op, _name, _inputs, _output, extra) -> None:
+    tr.stats.eliminated_control += 1
+    size = extra["mem_size"]
+    offset = extra["mem_offset"]
+    # Operand stack already popped by the interpreter; symbolically:
+    off_sym = frame.stack.pop()
+    size_sym = frame.stack.pop()
+    tr._guard_eq(off_sym, offset, is_control=False)
+    tr._guard_eq(size_sym, size, is_control=False)
+    _frame_exit(tr, frame, _resolve_pieces(frame.writes, offset, size), size)
+
+
+def _frame_exit(tr, frame: _SymFrame, pieces: list, size: int) -> None:
+    tr._last_return = (pieces, size)
+    if frame.depth == 0:
+        tr._top_return = (pieces, size)
+
+
+def _unsupported(_tr, _frame, op, _name, _inputs, _output, _extra) -> None:
+    raise SpeculationError(
+        f"unsupported opcode in trace: {opcodes.OPCODES[op].name}")
+
+
+for _code in opcodes.OPCODES:
+    if not (opcodes.is_push(_code) or opcodes.is_dup(_code)
+            or opcodes.is_swap(_code) or _code == Op.POP):
+        # (the stack-only opcodes are decoded inline by the loop)
+        _HANDLERS.setdefault(_code, _unsupported)
 
 
 def translate_trace(trace: TraceResult) -> TranslationResult:

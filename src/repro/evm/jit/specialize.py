@@ -21,7 +21,13 @@ PAPERS.md):
   the walker would probe, raising the byte-identical
   :class:`~repro.errors.ConstraintViolation` on mismatch;
 * shortcut probes become baked dict lookups with the same hit/miss
-  accounting.
+  accounting;
+* every value the tree carries (addresses, slots, folded constants,
+  branch tables, terminals) is lifted out of the source into a closure
+  cell, so the source depends only on the tree's *shape*: trees of one
+  shape share one code object (:func:`shape_code`, cached by
+  :class:`~repro.evm.jit.tier.JitTier`) and differ only in the
+  constants bound to it.
 
 The compiled function is *observationally identical* to the walker on
 every path: same state-read sequence (disk charging, cache warming),
@@ -35,8 +41,10 @@ runs plainly.
 
 from __future__ import annotations
 
+import builtins
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from types import CodeType, FunctionType
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chain.block import blockhash
 from repro.core import costmodel
@@ -107,37 +115,36 @@ class _Unset:
 
 _UNSET = _Unset()
 
-#: The hot-20 pure ops, inlined as Python expressions.  ``{a}``/``{b}``/
-#: ``{c}`` are operand slots in ``instr.args`` order; ``_M`` is the
-#: 256-bit mask, ``_P`` is 2**256, ``_S`` is ``to_signed``.  Templates
-#: mirror ``COMPUTE_SEMANTICS`` exactly (note SHL/SHR take the shift
-#: amount as the *first* argument).
+#: The hot-20 pure ops, inlined as Python expressions.  ``{0}``/``{1}``/
+#: ``{2}`` are operand slots in ``instr.args`` order, always plain names
+#: (a register or a lifted literal); ``_M`` is the 256-bit mask, ``_P``
+#: is 2**256, ``_S`` is ``to_signed``.  Templates mirror
+#: ``COMPUTE_SEMANTICS`` exactly (note SHL/SHR take the shift amount as
+#: the *first* argument).
 _HOT_TEMPLATES = {
-    "ADD": "(({a}) + ({b})) & _M",
-    "MUL": "(({a}) * ({b})) & _M",
-    "SUB": "(({a}) - ({b})) & _M",
-    "DIV": "((({a}) // ({b})) if ({b}) else 0)",
-    "MOD": "((({a}) % ({b})) if ({b}) else 0)",
-    "ADDMOD": "(((({a}) + ({b})) % ({c})) if ({c}) else 0)",
-    "MULMOD": "(((({a}) * ({b})) % ({c})) if ({c}) else 0)",
-    "EXP": "pow({a}, {b}, _P)",
-    "LT": "(1 if ({a}) < ({b}) else 0)",
-    "GT": "(1 if ({a}) > ({b}) else 0)",
-    "SLT": "(1 if _S({a}) < _S({b}) else 0)",
-    "SGT": "(1 if _S({a}) > _S({b}) else 0)",
-    "EQ": "(1 if ({a}) == ({b}) else 0)",
-    "ISZERO": "(1 if ({a}) == 0 else 0)",
-    "AND": "({a}) & ({b})",
-    "OR": "({a}) | ({b})",
-    "XOR": "({a}) ^ ({b})",
-    "NOT": "(~({a})) & _M",
-    "SHL": "(((({b}) << ({a})) & _M) if ({a}) < 256 else 0)",
-    "SHR": "((({b}) >> ({a})) if ({a}) < 256 else 0)",
+    "ADD": "({0} + {1}) & _M",
+    "MUL": "({0} * {1}) & _M",
+    "SUB": "({0} - {1}) & _M",
+    "DIV": "{0} // {1} if {1} else 0",
+    "MOD": "{0} % {1} if {1} else 0",
+    "ADDMOD": "({0} + {1}) % {2} if {2} else 0",
+    "MULMOD": "({0} * {1}) % {2} if {2} else 0",
+    "EXP": "pow({0}, {1}, _P)",
+    "LT": "1 if {0} < {1} else 0",
+    "GT": "1 if {0} > {1} else 0",
+    "SLT": "1 if _S({0}) < _S({1}) else 0",
+    "SGT": "1 if _S({0}) > _S({1}) else 0",
+    "EQ": "1 if {0} == {1} else 0",
+    "ISZERO": "1 if {0} == 0 else 0",
+    "AND": "{0} & {1}",
+    "OR": "{0} | {1}",
+    "XOR": "{0} ^ {1}",
+    "NOT": "~{0} & _M",
+    "SHL": "({1} << {0}) & _M if {0} < 256 else 0",
+    "SHR": "{1} >> {0} if {0} < 256 else 0",
 }
 
 HOT_OPS: Tuple[str, ...] = tuple(sorted(_HOT_TEMPLATES))
-
-_ARG_SLOTS = ("a", "b", "c")
 
 
 @dataclass
@@ -154,23 +161,29 @@ class CompiledAP:
     node_count: int
     segment_count: int
     folded_count: int
-    #: Generated Python source (debugging / the conformance suite).
+    #: Generated Python source: a function of the tree's shape only
+    #: (debugging / the conformance suite).
     source: str
+    #: The value literals lifted out of ``source`` (``_K`` names), in
+    #: binding order: ``source`` plus ``literals`` is everything the
+    #: closure computes with apart from the bound tables.
+    literals: Tuple[object, ...] = ()
 
 
-def _segment_structure(root) -> Tuple[List[object], Dict[int, int]]:
+def _segment_structure(root) -> Tuple[List[object], Dict[int, int],
+                                     List[APNode]]:
     """Discover segment entry points in deterministic order.
 
     Entries are: the root, every guard branch target, every shortcut
-    resume node, and every Terminal.  Returns (entry_objects, id->seg).
+    resume node, and every Terminal.  Returns (entry_objects, id->seg,
+    every APNode in BFS order).
     """
     # Deterministic BFS over tree edges (.next / .branches).
     order: List[APNode] = []
     terminals: List[Terminal] = []
     seen: Set[int] = set()
     queue: List[object] = [root]
-    while queue:
-        node = queue.pop(0)
+    for node in queue:
         if id(node) in seen:
             continue
         seen.add(id(node))
@@ -179,8 +192,7 @@ def _segment_structure(root) -> Tuple[List[object], Dict[int, int]]:
             continue
         order.append(node)
         if node.branches is not None:
-            for child in node.branches.values():
-                queue.append(child)
+            queue.extend(node.branches.values())
         elif node.next is not None:
             queue.append(node.next)
 
@@ -202,7 +214,7 @@ def _segment_structure(root) -> Tuple[List[object], Dict[int, int]]:
                 add_entry(child)
     for term in terminals:
         add_entry(term)
-    return entry_objs, entry_ids
+    return entry_objs, entry_ids, order
 
 
 class _Compiler:
@@ -213,9 +225,9 @@ class _Compiler:
             raise SpecializeAbort("AP has no root")
         self.ap = ap
         self.max_nodes = max_nodes
-        self.entry_objs, self.entry_ids = _segment_structure(ap.root)
-        self.node_count = sum(
-            1 for obj in self._all_nodes())
+        self.entry_objs, self.entry_ids, self.nodes = \
+            _segment_structure(ap.root)
+        self.node_count = len(self.nodes)
         if self.node_count > max_nodes:
             raise SpecializeAbort(
                 f"AP too large to specialize ({self.node_count} nodes)")
@@ -234,31 +246,29 @@ class _Compiler:
         #: Probe classification: (seg, step_index) -> list of
         #: ("const"|"var"|"maybe"|"never", operand) per input reg.
         self.probe_plan: Dict[Tuple[int, int], List[Tuple[str, object]]] = {}
-        self.all_regs: Set[int] = set()
-        self.env: Dict[str, object] = {}
-        self._const_n = 0
+        #: Registers the closure may read before assigning them (probe
+        #: inputs that are only maybe defined, shortcut outputs): they
+        #: start as ``_U``.  Every other use is proven defined.
+        self.unset: Set[int] = set()
+        #: Bound constants in binding order: names and values.
+        self.names: List[str] = []
+        self.values: List[object] = []
+        self.literals: List[object] = []
 
     # -- helpers ---------------------------------------------------------
 
-    def _all_nodes(self):
-        seen: Set[int] = set()
-        stack: List[object] = [self.ap.root]
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, APNode) or id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            if node.branches is not None:
-                stack.extend(node.branches.values())
-            elif node.next is not None:
-                stack.append(node.next)
-
-    def const(self, value, prefix: str = "K") -> str:
-        name = f"_{prefix}{self._const_n}"
-        self._const_n += 1
-        self.env[name] = value
+    def const(self, value, prefix: str) -> str:
+        """Bind ``value`` to a fresh closure cell; returns its name."""
+        name = "_%s%d" % (prefix, len(self.names))
+        self.names.append(name)
+        self.values.append(value)
         return name
+
+    def literal(self, value) -> str:
+        """Lift a value literal out of the source (one cell per use, so
+        the name sequence follows the tree's shape, not its values)."""
+        self.literals.append(value)
+        return self.const(value, "K")
 
     # -- pass 1: segment bodies + dataflow edges -------------------------
 
@@ -344,7 +354,7 @@ class _Compiler:
         out_union: Set[int] = set()
         defcount: Dict[int, int] = {}
         computes: List[SInstr] = []
-        for node in self._all_nodes():
+        for node in self.nodes:
             instr = node.instr
             if instr.dest is not None:
                 d = int(instr.dest)
@@ -421,8 +431,6 @@ class _Compiler:
             if r not in cur:
                 raise SpecializeAbort(
                     f"use of register v{r} not always defined")
-            if r not in self.fold:
-                self.all_regs.add(r)
 
     def plan(self) -> None:
         self._route_ssa_check()
@@ -439,18 +447,16 @@ class _Compiler:
                                 plan.append(("const", self.fold[r]))
                             else:
                                 plan.append(("var", r))
-                                self.all_regs.add(r)
                         elif r in curm:
                             plan.append(("maybe", r))
-                            self.all_regs.add(r)
+                            self.unset.add(r)
                             if r in self.fold:
                                 self.materialize.add(r)
                         else:
                             plan.append(("never", r))
                     self.probe_plan[(seg, index)] = plan
                     for outputs, _resume in node.shortcut.entries.values():
-                        for reg in outputs:
-                            self.all_regs.add(int(reg))
+                        self.unset.update(int(reg) for reg in outputs)
                 elif kind == "instr":
                     instr = node.instr
                     for arg in instr.args:
@@ -459,8 +465,6 @@ class _Compiler:
                         d = int(instr.dest)
                         cur.add(d)
                         curm.add(d)
-                        if d not in self.fold or d in self.materialize:
-                            self.all_regs.add(d)
                 elif kind == "guard":
                     for arg in node.instr.args:
                         self._use(arg, cur)
@@ -476,9 +480,9 @@ class _Compiler:
         if is_reg(operand):
             r = int(operand)
             if r in self.fold and r not in self.materialize:
-                return repr(self.fold[r])
+                return self.literal(self.fold[r])
             return f"r{r}"
-        return repr(int(operand))
+        return self.literal(int(operand))
 
     def emit(self) -> Tuple[List[str], int]:
         lines: List[str] = []
@@ -502,10 +506,10 @@ class _Compiler:
         def charge(bucket: str, amount: int) -> None:
             pend_cpu[bucket] = pend_cpu.get(bucket, 0) + amount
 
-        ind = " " * 12
+        ind = " " * 16  # inside _mk / _ap / while / if
         for seg, body in sorted(self.bodies.items()):
             head = "if" if seg == 0 else "elif"
-            lines.append(f"        {head} seg == {seg}:")
+            lines.append(f"            {head} seg == {seg}:")
             emitted_any = False
             for index, (kind, node) in enumerate(body):
                 emitted_any = True
@@ -548,13 +552,12 @@ class _Compiler:
             d = int(instr.dest)
             if d in self.fold:
                 if d in self.materialize:
-                    lines.append(f"{ind}r{d} = {self.fold[d]!r}")
+                    lines.append(f"{ind}r{d} = {self.literal(self.fold[d])}")
                 return 1
             args = [self.operand_expr(a) for a in instr.args]
             template = _HOT_TEMPLATES.get(instr.op)
-            if template is not None and len(args) <= len(_ARG_SLOTS):
-                expr = template.format(
-                    **dict(zip(_ARG_SLOTS, args)))
+            if template is not None and len(args) <= 3:
+                expr = template.format(*args)
             else:
                 fn_name = self.const(
                     (lambda _i: lambda args_: evaluate_compute(_i, args_)
@@ -569,15 +572,14 @@ class _Compiler:
         # WRITE: buffer the resolved values (route-SSA makes this
         # equivalent to the walker's commit-time resolution).
         charge("write-buffer", costmodel.GUARD)
+        addr = self.literal(int(instr.key[0]))
         if instr.op == "SSTORE":
-            addr = int(instr.key[0])
             slot = self.operand_expr(instr.args[0])
             value = self.operand_expr(instr.args[1])
-            lines.append(f"{ind}_wb.append(({addr!r}, {slot}, {value}))")
+            lines.append(f"{ind}_wb.append(({addr}, {slot}, {value}))")
         else:  # LOG
-            addr = int(instr.key[0])
             topic_count = instr.meta["topic_count"]
-            size = instr.meta["data_size"]
+            size = self.literal(instr.meta["data_size"])
             topics = [self.operand_expr(a)
                       for a in instr.args[:topic_count]]
             words = [self.operand_expr(a)
@@ -586,19 +588,19 @@ class _Compiler:
                 + ")"
             words_expr = "(" + ", ".join(words) + ("," if words else "") + ")"
             lines.append(
-                f"{ind}_wb.append(({addr!r}, {topics_expr}, "
-                f"{words_expr}, {size!r}))")
+                f"{ind}_wb.append(({addr}, {topics_expr}, "
+                f"{words_expr}, {size}))")
         return 0
 
     def _emit_read(self, lines: List[str], ind: str, instr: SInstr) -> None:
         d = int(instr.dest)
         op = instr.op
         if op == "SLOAD":
-            addr = int(instr.key[0])
+            addr = self.literal(int(instr.key[0]))
             slot = self.operand_expr(instr.args[0])
-            lines.append(f"{ind}r{d} = _gs({addr!r}, {slot})")
+            lines.append(f"{ind}r{d} = _gs({addr}, {slot})")
             lines.append(
-                f"{ind}_sd(('storage', ({addr!r}, {slot})), r{d})")
+                f"{ind}_sd(('storage', ({addr}, {slot})), r{d})")
         elif op == "BALANCE":
             addr = self.operand_expr(instr.args[0])
             lines.append(f"{ind}r{d} = _gb({addr})")
@@ -631,7 +633,7 @@ class _Compiler:
         parts = []
         for cls, payload in plan:
             if cls == "const":
-                parts.append(repr(payload))
+                parts.append(self.literal(payload))
             elif cls == "never":
                 parts.append("0")  # unreachable: key is forced to None
             else:
@@ -700,8 +702,8 @@ class _Compiler:
         self._emit_return_data(lines, ind, term)
         term_name = self.const(term, "T")
         lines.append(
-            f"{ind}return _AO(success={term.success!r}, "
-            f"gas_used={term.gas_used!r}, return_data=_rd, "
+            f"{ind}return _AO(success={self.literal(term.success)}, "
+            f"gas_used={self.literal(term.gas_used)}, return_data=_rd, "
             f"terminal={term_name}, stats=stats, "
             "observed_reads=observed)")
 
@@ -767,7 +769,8 @@ class _Compiler:
 
     # -- driver ----------------------------------------------------------
 
-    def compile(self, version: int) -> CompiledAP:
+    def compile(self, version: int,
+                code_for: Callable[[str], CodeType]) -> CompiledAP:
         self.build_segments()
         self.dataflow()
         self.fold_constants()
@@ -775,57 +778,75 @@ class _Compiler:
         body_lines, _ = self.emit()
 
         lines: List[str] = [
-            "def _ap(state, header, tally):",
-            "    stats = _ST()",
-            "    observed = {}",
-            "    _wb = []",
-            "    _ac = tally.add_cpu",
-            "    _sd = observed.setdefault",
-            "    _gs = state.get_storage",
-            "    _gb = state.get_balance",
-            "    _gc = state.get_code",
-            "    _ss = state.set_storage",
-            "    _al = state.add_log",
+            f"def _mk({', '.join(self.names)}):",
+            "    def _ap(state, header, tally):",
+            "        stats = _ST()",
+            "        observed = {}",
+            "        _wb = []",
+            "        _ac = tally.add_cpu",
+            "        _sd = observed.setdefault",
+            "        _gs = state.get_storage",
+            "        _gb = state.get_balance",
+            "        _gc = state.get_code",
+            "        _ss = state.set_storage",
+            "        _al = state.add_log",
         ]
-        regs = sorted(self.all_regs)
+        regs = sorted(self.unset)
         for start in range(0, len(regs), 10):
             chunk = regs[start:start + 10]
             targets = " = ".join(f"r{r}" for r in chunk)
-            lines.append(f"    {targets} = _U")
-        lines.append("    seg = 0")
-        lines.append("    while True:")
+            lines.append(f"        {targets} = _U")
+        lines.append("        seg = 0")
+        lines.append("        while True:")
         lines.extend(body_lines)
+        lines.append("    return _ap")
 
         source = "\n".join(lines) + "\n"
-        self.env.update({
-            "_ST": APExecStats,
-            "_AO": APOutcome,
-            "_CV": ConstraintViolation,
-            "_U": _UNSET,
-            "_M": (1 << 256) - 1,
-            "_P": 1 << 256,
-            "_S": to_signed,
-            "_ib": int_to_bytes32,
-            "_mr": materialize_return,
-            "_bh": blockhash,
-        })
-        code = compile(source, f"<jit-ap-{self.ap.tx_hash:#x}>", "exec")
-        exec(code, self.env)  # noqa: S102 - the whole point of a JIT
+        make = FunctionType(code_for(source), _RUNTIME)
         return CompiledAP(
-            fn=self.env["_ap"],
+            fn=make(*self.values),
             version=version,
             node_count=self.node_count,
             segment_count=len(self.entry_objs),
             folded_count=len(self.fold),
             source=source,
+            literals=tuple(self.literals),
         )
 
 
+#: The names every closure reads as globals (shared by all shapes).
+_RUNTIME: Dict[str, object] = {
+    "__builtins__": builtins,
+    "_ST": APExecStats,
+    "_AO": APOutcome,
+    "_CV": ConstraintViolation,
+    "_U": _UNSET,
+    "_M": (1 << 256) - 1,
+    "_P": 1 << 256,
+    "_S": to_signed,
+    "_ib": int_to_bytes32,
+    "_mr": materialize_return,
+    "_bh": blockhash,
+}
+
+
+def shape_code(source: str) -> CodeType:
+    """Compile a closure shape: the code object of its ``_mk`` factory,
+    which binds one tree's constants and returns its ``_ap``."""
+    module = compile(source, "<jit-ap>", "exec")
+    return next(const for const in module.co_consts
+                if isinstance(const, CodeType))
+
+
 def compile_ap(ap: AcceleratedProgram, version: int = 0,
-               max_nodes: int = 4096) -> CompiledAP:
+               max_nodes: int = 4096,
+               code_for: Optional[Callable[[str], CodeType]] = None
+               ) -> CompiledAP:
     """Compile ``ap`` into a specialized closure.
 
-    Raises :class:`SpecializeAbort` when equivalence to the reference
-    walker cannot be proven; the transaction then runs plainly.
+    ``code_for`` maps a shape source to its code object (the tier's
+    shape cache); by default every call compiles afresh.  Raises
+    :class:`SpecializeAbort` when equivalence to the reference walker
+    cannot be proven; the transaction then runs plainly.
     """
-    return _Compiler(ap, max_nodes).compile(version)
+    return _Compiler(ap, max_nodes).compile(version, code_for or shape_code)

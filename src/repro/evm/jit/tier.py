@@ -16,12 +16,18 @@ shared by the speculator (compile side) and the transaction accelerator
   transaction run plainly.  :meth:`execute` then only runs the
   closure.
 
+A compile still specializes the tree, but the generated source depends
+only on the tree's shape (its values are bound as closure cells), so
+:meth:`compile` runs Python's ``compile()`` once per shape: the tier
+keeps one bounded map from shape source to code object.
+
 Every decision is counted under the ``jit.*`` obs scope so two-run
 determinism checks cover the tier.
 """
 
 from __future__ import annotations
 
+from types import CodeType
 from typing import Optional
 
 from repro.core.ap import AcceleratedProgram
@@ -33,8 +39,14 @@ from repro.evm.jit.specialize import (
     CompiledAP,
     SpecializeAbort,
     compile_ap,
+    shape_code,
 )
 from repro.obs.registry import MetricsRegistry, get_registry
+from repro.utils.lru import LruMap
+
+#: Closure shapes whose code object the tier keeps (a DeFi run has a
+#: few dozen; compute trees add a handful more).
+SHAPE_CACHE_SIZE = 256
 
 
 class JitTier:
@@ -44,9 +56,12 @@ class JitTier:
         #: Bumped by :meth:`invalidate`; artifacts compiled under an
         #: older version are recompiled before they run.
         self.version = 0
+        #: Shape source -> code object of its closure factory.
+        self._shapes = LruMap(SHAPE_CACHE_SIZE)
         registry = registry or get_registry()
         obs = registry.scope("jit")
         self.c_compiles = obs.counter("compiles")
+        self.c_shapes = obs.counter("shapes")
         self.c_compile_aborts = obs.counter("compile_aborts")
         self.c_compiled_nodes = obs.counter("compiled_nodes")
         self.c_hits = obs.counter("hits")
@@ -65,7 +80,8 @@ class JitTier:
         AP is left without a closure.
         """
         try:
-            artifact = compile_ap(ap, version=self.version)
+            artifact = compile_ap(ap, version=self.version,
+                                  code_for=self._shape_code)
         except SpecializeAbort:
             self.c_compile_aborts.inc()
             ap.jit = None
@@ -74,6 +90,15 @@ class JitTier:
         self.c_compiles.inc()
         self.c_compiled_nodes.inc(artifact.node_count)
         return artifact
+
+    def _shape_code(self, source: str) -> CodeType:
+        """The code object of one closure shape, compiled on first use."""
+        code = self._shapes.get(source)
+        if code is None:
+            code = shape_code(source)
+            self._shapes.set(source, code)
+            self.c_shapes.inc()
+        return code
 
     # -- execute side -----------------------------------------------------
 

@@ -33,9 +33,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
-from repro.core.ap import AcceleratedProgram, Terminal, build_chain
+from repro.core.ap import AcceleratedProgram, APPath
 from repro.core.costmodel import CostTally
+from repro.core.merge import merge_path
 from repro.core.sevm import GuardMode, Reg, SInstr, SKind
+from repro.core.translate import SynthStats
 from repro.errors import ConstraintViolation
 from repro.evm.assembler import assemble
 from repro.evm.interpreter import EVM
@@ -469,13 +471,17 @@ def _base_world(case: OracleCase) -> WorldState:
 
 
 def _build_ap(case: OracleCase) -> AcceleratedProgram:
-    terminal = Terminal(path_ids=[case.case_id], success=True,
-                        gas_used=30_000,
-                        return_pieces=case.return_pieces,
-                        return_size=case.return_size, read_set={})
+    """The case as a one-path AP, merged the way the speculator merges
+    a synthesized path (so its §5.5 tally counts the path)."""
+    path = APPath(
+        path_id=case.case_id, context_id=0, instrs=case.instrs,
+        pre_dce_instrs=case.instrs, concrete={},
+        return_pieces=case.return_pieces, return_size=case.return_size,
+        success=True, gas_used=30_000,
+        stats=SynthStats(final_len=len(case.instrs)),
+        read_set={}, write_set={})
     ap = AcceleratedProgram(tx_hash=case.case_id)
-    ap.root = build_chain(case.instrs, terminal)
-    ap.context_ids = {0}
+    merge_path(ap, path)
     return ap
 
 

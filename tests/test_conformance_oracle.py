@@ -129,6 +129,18 @@ def test_sweep_closures_match_the_reference_walker(seed):
         assert walked == jitted, case.describe()
 
 
+def test_oracle_aps_are_merged_like_synthesized_ones():
+    """An oracle AP goes through ``merge_path``: one path, and a §5.5
+    tally equal to that path's stats (not the all-zero default)."""
+    rng = random.Random(0)
+    for case_id, directed in enumerate(DIRECTED_CASES):
+        case = generate_case(rng, case_id, directed)
+        ap = _build_ap(case)
+        assert ap.path_count == len(ap._terminals()) == len(ap.paths) == 1
+        assert ap.synth_totals == ap.paths[0].stats.counts()
+        assert ap.paths[0].stats.final_len == len(case.instrs) > 0
+
+
 # ---------------------------------------------------------------------------
 # Satellite 1: named edge-case regressions, one per audited semantic.
 # Each expected value is hand-computed from the Yellow Paper; the case

@@ -340,7 +340,8 @@ class PerMergeSpeculator(Speculator):
 
 def ap_snapshot(ap: AcceleratedProgram) -> tuple:
     return (describe_ap(ap), shortcut_table(ap), ap.shortcut_count,
-            ap.jit.source if ap.jit is not None else None,
+            (ap.jit.source, ap.jit.literals) if ap.jit is not None
+            else None,
             ap.ready_at, sorted(ap.context_ids),
             [path.path_id for path in ap.paths])
 

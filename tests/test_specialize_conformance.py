@@ -48,24 +48,25 @@ def fresh_world(active_round=ROUND, price=2000, count=4):
     return world
 
 
-def tx_e():
+def tx_e(price=1980):
     return Transaction(sender=ALICE, to=FEED,
-                       data=PF.calldata("submit", ROUND, 1980), nonce=0)
+                       data=PF.calldata("submit", ROUND, price), nonce=0)
 
 
 def header(ts):
     return BlockHeader(number=1, timestamp=ts, coinbase=0xBEEF)
 
 
-def build_merged_ap():
+def build_merged_ap(price=1980, contexts=2):
     """Speculate Tx_e in FC1 (else-branch) and FC4 (if-branch)."""
     world = fresh_world(ROUND)
     spec = Speculator(world)
-    spec.speculate(tx_e(), FutureContext(1, header(3990462)))
-    world.get_account(FEED).set_storage(
-        PF.slot_of("activeRoundID"), 3990000)
-    spec.speculate(tx_e(), FutureContext(4, header(3990478)))
-    return spec.get_ap(tx_e().hash)
+    spec.speculate(tx_e(price), FutureContext(1, header(3990462)))
+    if contexts > 1:
+        world.get_account(FEED).set_storage(
+            PF.slot_of("activeRoundID"), 3990000)
+        spec.speculate(tx_e(price), FutureContext(4, header(3990478)))
+    return spec.get_ap(tx_e(price).hash)
 
 
 def _digest(runner, world, hdr, tx):
@@ -219,7 +220,7 @@ class TestTierPolicy:
                 tier.c_hits.value) == (1, 1, 1)
 
     def test_compile_abort_runs_plainly(self, monkeypatch):
-        def reject(ap, version=0):
+        def reject(ap, version=0, code_for=None):
             raise SpecializeAbort("forced")
 
         monkeypatch.setattr(tier_module, "compile_ap", reject)
@@ -265,3 +266,44 @@ class TestTierPolicy:
                          header(ROUND + 700), CostTally())
         assert tier.c_guard_failures.value == 1
         assert tier.c_hits.value == 1
+
+
+class TestShapeCache:
+    """The tier compiles one code object per closure shape; APs of one
+    shape differ only in the constants bound to it."""
+
+    @staticmethod
+    def _check(ap, price):
+        """The AP's closure against the reference walker, in the
+        context it was speculated for."""
+        hdr, tx = header(3990462), tx_e(price)
+        walked = _digest(_walk(ap), fresh_world(ROUND), hdr, tx)
+        assert walked["success"]
+        assert _digest(_closure(ap.jit), fresh_world(ROUND), hdr, tx) \
+            == walked
+
+    def test_one_code_object_per_shape(self):
+        tier = JitTier(registry=MetricsRegistry())
+        first, second = build_merged_ap(1980), build_merged_ap(2345)
+        a, b = tier.compile(first), tier.compile(second)
+        assert a.source == b.source
+        assert a.literals != b.literals
+        assert a.fn.__code__ is b.fn.__code__
+        assert tier.c_compiles.value == 2
+        assert tier.c_shapes.value == 1
+        self._check(first, 1980)
+        self._check(second, 2345)
+
+    def test_capacity_one_evicts_and_stays_correct(self, monkeypatch):
+        monkeypatch.setattr(tier_module, "SHAPE_CACHE_SIZE", 1)
+        tier = JitTier(registry=MetricsRegistry())
+        cases = [(build_merged_ap(1980), 1980),
+                 (build_merged_ap(777, contexts=1), 777),
+                 (build_merged_ap(2345), 2345)]
+        cases.append(cases[0])
+        for ap, price in cases:
+            tier.compile(ap)
+            self._check(ap, price)
+        # first (A), other (B, evicts A), second (A again), first (hit)
+        assert tier.c_compiles.value == 4
+        assert tier.c_shapes.value == 3
