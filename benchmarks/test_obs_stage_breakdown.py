@@ -1,7 +1,7 @@
 """Observability stage breakdown + determinism benchmark.
 
 The obs layer turns the speculation pipeline's cost accounting into a
-per-stage span tree: materialize_prefix / pre_execute / fingerprint /
+per-stage span tree: materialize_prefix / check / pre_execute /
 synthesize / merge off the critical path, execute on it.  This
 benchmark publishes the L1 stage breakdown as ``BENCH_obs.json`` and
 asserts the two properties the layer promises:
@@ -25,8 +25,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_obs_stage_breakdown(datasets, l1):
     totals = l1.tracer.stage_totals()
-    for stage in ("speculate", "materialize_prefix", "pre_execute",
-                  "fingerprint", "synthesize", "merge", "execute",
+    for stage in ("speculate", "materialize_prefix", "check",
+                  "pre_execute", "synthesize", "merge", "execute",
                   "block"):
         assert stage in totals, f"missing stage span: {stage}"
 
@@ -35,7 +35,7 @@ def test_obs_stage_breakdown(datasets, l1):
     # speculator's own §5.6 accounting.
     spec = l1.forerunner_node.speculator
     assert totals["speculate"]["cost"] == spec.c_actual_cost.value
-    offpath = ("materialize_prefix", "pre_execute", "fingerprint",
+    offpath = ("materialize_prefix", "check", "pre_execute",
                "synthesize")
     stage_cost = sum(totals[name]["cost"] for name in offpath)
     # Sibling stage spans partition the same cost (envelope-failed

@@ -5,8 +5,9 @@ prefixes (every context of a transaction carries the sender's mandatory
 nonce chain; the greedy ordering reuses the same price-sorted
 predecessors across targets).  The seed speculator re-executed each
 shared prefix once per context; the prefix cache materializes it once
-per head and the trace-fingerprint layer skips re-synthesis of
-byte-identical traces.
+per head and synthesis dedup clones a known path, with neither
+pre-execution nor re-synthesis, when the context reproduces the
+recorded inputs of the run that produced it.
 
 This benchmark replays the L1 period twice — caching layers on (the
 shared ``l1`` fixture) and off — and checks that

@@ -57,10 +57,6 @@ UNHEARD_OVERHEAD_FACTOR = 1.23
 #: reports pre-execution + synthesis at ~12.19x a plain execution.
 SPECULATION_COST_FACTOR = 12.19
 
-#: Cost of fingerprinting one traced instruction (synthesis dedup:
-#: hashing the trace is what replaces translate/optimize on a hit).
-FINGERPRINT_STEP = 1
-
 # -- witness checking (repro.witness) ---------------------------------------
 #
 # Validating a speculative result from its execution witness replays

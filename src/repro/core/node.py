@@ -146,8 +146,9 @@ class ForerunnerConfig:
     #: Shared-prefix context cache: materialize each distinct
     #: (header, predecessor-prefix) once per head and fork it.
     enable_prefix_cache: bool = True
-    #: Trace-fingerprint synthesis dedup: clone an already-merged
-    #: identical path instead of re-running translate/optimize.
+    #: Synthesis dedup: a context that reproduces the recorded inputs
+    #: of an already-merged path clones it instead of pre-executing
+    #: and re-running translate/optimize.
     enable_synth_dedup: bool = True
     #: Shortcut-selection heuristic: "coarse" | "default" | "fine".
     memoization_strategy: str = "default"
@@ -355,7 +356,7 @@ class ForerunnerNode:
     def on_reorg(self) -> None:
         """The chain manager switched branches: the world's contents
         were restored in place (no commit, no version bump), so cached
-        prefixes AND cached dedup fingerprints must be dropped
+        prefixes AND the dedup index's known paths must be dropped
         explicitly — both reference state of the abandoned branch."""
         self.c_reorgs.inc()
         self.speculator.on_reorg()
@@ -373,7 +374,7 @@ class ForerunnerNode:
         it under the winning head instead of finding it capped out.
         """
         self.executed.discard(tx.hash)
-        # Stale speculation capital: the AP (and its fingerprints) were
+        # Stale speculation capital: the AP (and its known paths) were
         # synthesized against abandoned-branch contexts; discard rather
         # than drop so §5.5 aggregates don't count dead-branch work.
         self.speculator.discard(tx.hash)
@@ -454,8 +455,10 @@ class ForerunnerNode:
             # Workers are scheduled by the *logical* cost — what an
             # uncached speculator would pay — so AP readiness (and
             # with it every Table 2/3 number) is identical whether
-            # the prefix cache / synthesis dedup are on or off; the
-            # actual (cheaper) cost feeds §5.6 accounting instead.
+            # the prefix cache / synthesis dedup are on or off (a
+            # dedup hit runs nothing, but charges the known run's
+            # step count and replays its loads); the actual
+            # (cheaper) cost feeds §5.6 accounting instead.
             cost_before = speculator.c_logical_cost.value
             path = speculator.speculate(tx, context)
             job_cost = (speculator.c_logical_cost.value

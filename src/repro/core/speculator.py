@@ -16,22 +16,30 @@ pipeline:
 * a **prefix cache** (:mod:`repro.core.prefix_cache`): distinct
   predecessor prefixes are materialized once per head as frozen
   copy-on-write :class:`StateDB` forks and shared across contexts;
-* **synthesis dedup**: traces are fingerprinted
-  (:func:`repro.core.trace.trace_fingerprint`) and an identical
-  already-merged path is cloned instead of re-synthesized.
+* **synthesis dedup**: before pre-executing, a job checks the
+  materialized context against the recorded inputs of every path the
+  transaction's dedup index holds — the read set (through
+  :func:`repro.core.accelerator.context_matches`), the sender nonce,
+  whether each debited balance still covers its debit, and the code of
+  every account executed or called.  A context that reproduces them
+  all would produce the same trace, so the known path is cloned: no
+  pre-execution, no synthesis.  The job still replays the run's
+  recorded account and slot loads on its view, so the I/O it charges
+  is exactly what the run would have charged.
 
 Both layers change what the speculator *pays*, never what it produces:
-traces, APs, and Merkle roots are byte-identical with the layers on or
-off.  Each :class:`SpeculationRecord` therefore carries two costs — the
-``synthesis_cost`` actually paid (§5.6 accounting reflects the saving)
-and the ``logical_cost`` an uncached speculator would have paid, which
-the worker pool schedules by so AP readiness stays deterministic.
+APs, records' logical costs and Merkle roots are byte-identical with
+the layers on or off.  Each :class:`SpeculationRecord` therefore
+carries two costs — the ``synthesis_cost`` actually paid (§5.6
+accounting reflects the saving) and the ``logical_cost`` an uncached
+speculator would have paid, which the worker pool schedules by so AP
+readiness stays deterministic.
 
 Every stage is instrumented through :mod:`repro.obs`: counters live
 under the speculator's scope (``speculator.*``, ``merge.*``,
 ``prefix_exec.*``) and each pre-execution emits a per-transaction span
-tree (``speculate`` → ``materialize_prefix`` / ``pre_execute`` /
-``fingerprint`` / ``synthesize`` / ``merge``; ``finalize`` once per
+tree (``speculate`` → ``materialize_prefix`` / ``check`` /
+``pre_execute`` / ``synthesize`` / ``merge``; ``finalize`` once per
 changed AP), all in logical cost units so traces are deterministic.
 
 The synthesis-dedup index stores *detached* copies of merged paths
@@ -50,15 +58,16 @@ from typing import Dict, List, Optional, Tuple
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.core import costmodel
+from repro.core.accelerator import context_matches
 from repro.core.ap import AcceleratedProgram, APPath
 from repro.core.memoize import build_shortcuts
 from repro.core.merge import MergeMetrics, merge_path, prune_tree
 from repro.core.optimize import optimize_path
 from repro.core.prefix_cache import PrefixCache, PrefixEntry, context_key
 from repro.core.stats import SynthesisTally
-from repro.core.trace import TraceResult, trace_fingerprint, trace_transaction
+from repro.core.trace import TraceResult, trace_transaction
 from repro.core.translate import translate_trace
-from repro.errors import SpeculationError
+from repro.errors import InsufficientBalance, SpeculationError
 from repro.evm.interpreter import EvmMetrics
 from repro.faults.guard import SpeculationGuard
 from repro.faults.injector import (
@@ -76,8 +85,8 @@ from repro.utils.lru import LruMap
 #: evaluation-sized pool, so Tables 2/3 match an unbounded table; only
 #: a long-running live node ever evicts.
 MEMO_CAPACITY = 4096
-#: Merged-path fingerprints the synthesis-dedup index keeps per
-#: transaction (LRU-evicted beyond).
+#: Merged paths the synthesis-dedup index keeps per transaction
+#: (LRU-evicted beyond).
 DEDUP_CAPACITY_PER_TX = 16
 
 
@@ -109,7 +118,9 @@ class SpeculationRecord:
     #: What an uncached, dedup-free speculator would have paid (the
     #: seed's accounting); the worker pool schedules by this.
     logical_cost: int = 0
-    #: True when synthesis was skipped via trace-fingerprint dedup.
+    #: True when the context reproduced the recorded inputs of a path
+    #: the dedup index holds: that path was cloned, with neither
+    #: pre-execution nor synthesis.
     deduped: bool = False
     #: Predecessors actually executed vs. served by the prefix cache.
     preds_executed: int = 0
@@ -172,6 +183,130 @@ def _detach_path(path: APPath) -> APPath:
         read_set=dict(path.read_set),
         write_set=dict(path.write_set),
     )
+
+
+class _LeafView(StateDB):
+    """The view a job pre-executes on: a fork of the context's prefix
+    (or of the world) that also records what a dedup check and its
+    replay need.
+
+    * ``loads``: the run's state loads in order — an address per
+      account load, ``(address, slot)`` per storage read and
+      ``(address, slot, None)`` per storage write (which marks the slot
+      loaded without charging);
+    * ``fee_mark``: where in ``loads`` the envelope's coinbase fee
+      credit starts (the run's last ``add_balance`` to the coinbase);
+    * ``debits``: per ``sub_balance``, ``(address, threshold, paid)``:
+      the debit succeeds iff the account held at least ``threshold``
+      before the transaction;
+    * ``codes``: the first code read at each address.
+
+    Only this leaf records; the shared :class:`StateDB` accessors that
+    the critical path and the dataset recorder run stay as they are.
+    """
+
+    def __init__(self, world: WorldState, coinbase: int,
+                 parent: Optional[StateDB] = None) -> None:
+        super().__init__(world, parent=parent)
+        if parent is not None:
+            parent._frozen = True  # as ``fork`` does
+        self.coinbase = coinbase
+        self.loads: list = []
+        self.fee_mark = 0
+        self.debits: List[Tuple[int, int, bool]] = []
+        self.codes: Dict[int, bytes] = {}
+
+    def sibling(self) -> StateDB:
+        """A plain view on the same prefix: reading it charges, warms
+        and faults nothing of this one."""
+        return StateDB(self.world, parent=self._parent)
+
+    def _load_account(self, address: int):
+        self.loads.append(address)
+        return super()._load_account(address)
+
+    def get_storage(self, address: int, slot: int) -> int:
+        value = super().get_storage(address, slot)
+        # The account load the read began with becomes the slot read,
+        # whose replay makes both.
+        self.loads[-1] = (address, slot)
+        return value
+
+    def set_storage(self, address: int, slot: int, value: int) -> None:
+        super().set_storage(address, slot, value)
+        self.loads.append((address, slot, None))
+
+    def add_balance(self, address: int, amount: int) -> None:
+        if address == self.coinbase:
+            self.fee_mark = len(self.loads)
+        super().add_balance(address, amount)
+
+    def sub_balance(self, address: int, amount: int) -> None:
+        before = self._inherited_account(address)
+        if before is None:
+            before = self.world.get_account(address)
+        base = before.balance if before is not None else 0
+        try:
+            super().sub_balance(address, amount)
+        except InsufficientBalance:
+            self.debits.append(
+                (address, base + amount - self._cache[address].balance,
+                 False))
+            raise
+        self.debits.append(
+            (address, base - self._cache[address].balance, True))
+
+    def get_code(self, address: int) -> bytes:
+        code = super().get_code(address)
+        self.codes.setdefault(address, code)
+        return code
+
+    def replay(self, loads: tuple, coinbase: int) -> None:
+        """Make a recorded run's ``loads`` (fee credit excluded) on this
+        view, then the fee credit to ``coinbase``: the same charges, in
+        the same order, through the same fault hook as running it."""
+        for load in loads:
+            if load.__class__ is int:
+                self._load_account(load)
+            elif len(load) == 2:
+                self.get_storage(*load)
+            else:
+                self._loaded_slots.add(load[:2])
+        self.add_balance(coinbase, 0)
+
+
+@dataclass
+class _KnownPath:
+    """One dedup entry: a merged path (detached) and the inputs and
+    loads of the run that produced it."""
+
+    path: APPath
+    steps: int
+    loads: tuple
+    debits: Tuple[Tuple[int, int, bool], ...]
+    codes: Dict[int, bytes]
+
+    @property
+    def inputs(self) -> int:
+        """Inputs :meth:`holds` compares: the nonce, each debit, each
+        code and each read-set entry."""
+        return (1 + len(self.debits) + len(self.codes)
+                + len(self.path.read_set))
+
+    def holds(self, view: StateDB, header: BlockHeader,
+              tx: Transaction) -> bool:
+        """Would ``tx`` run on ``view`` under ``header`` exactly as the
+        recorded run did?  The coinbase fee credit commutes and is not
+        an input."""
+        if view.get_nonce(tx.sender) != tx.nonce:
+            return False
+        for address, threshold, paid in self.debits:
+            if (view.get_balance(address) >= threshold) != paid:
+                return False
+        for address, code in self.codes.items():
+            if view.get_code(address) != code:
+                return False
+        return context_matches(self.path.read_set, view, header)
 
 
 class Speculator:
@@ -253,9 +388,8 @@ class Speculator:
         self.g_memo_size = memo_obs.gauge("size")
         self._merge_metrics = MergeMetrics(registry.scope("merge"))
         self._prefix_evm = EvmMetrics(registry.scope("prefix_exec"))
-        #: Per-tx fingerprint index: tx -> (fingerprint -> detached
-        #: APPath), LRU-bounded per transaction, cleared on
-        #: drop/discard/reorg.
+        #: Per-tx dedup index: tx -> (path id -> :class:`_KnownPath`),
+        #: LRU-bounded per transaction, cleared on drop/discard/reorg.
         self._dedup: Dict[int, LruMap] = {}
         #: APs a merge changed since they were last finished (by tx).
         self._dirty: Dict[int, Transaction] = {}
@@ -371,7 +505,7 @@ class Speculator:
             self.g_memo_size.set(len(self.aps))
 
     def discard(self, tx_hash: int) -> None:
-        """Forget a transaction's AP *and* its dedup fingerprints
+        """Forget a transaction's AP *and* its dedup entries
         without tallying (mid-reorg abandonment: the AP may refer to a
         head that no longer exists, so its stats must not pollute §5.5
         aggregates and its paths must never be cloned again)."""
@@ -396,12 +530,12 @@ class Speculator:
     # -- context materialization --------------------------------------------
 
     def _materialize_context(self, context: FutureContext
-                             ) -> Tuple[StateDB, _PrefixOutcome]:
+                             ) -> Tuple[_LeafView, _PrefixOutcome]:
         """Build the speculative pre-state for ``context``.
 
-        Returns a private (forked) StateDB positioned after the
-        context's predecessors, plus the prefix cost summary.  The
-        longest cached predecessor prefix is reused; every extension is
+        Returns a private leaf view (:class:`_LeafView`) positioned
+        after the context's predecessors, plus the prefix cost summary.
+        The longest cached predecessor prefix is reused; every extension is
         cached for later contexts.  With the cache disabled the same
         fork chain is built but never stored, so the I/O classification
         (and hence the trace) is identical in both modes.
@@ -409,8 +543,9 @@ class Speculator:
         outcome = _PrefixOutcome()
         hook = self._storage_hook if self.injector.enabled else None
         predecessors = context.predecessors
+        header = context.header
         if not predecessors:
-            state = StateDB(self.world)
+            state = _LeafView(self.world, header.coinbase)
             state.disk.fault_hook = hook
             return state, outcome
         from repro.evm.interpreter import EVM  # local: cycle-free
@@ -418,7 +553,6 @@ class Speculator:
         cache = self.prefix_cache
         hashes = tuple(p.hash for p in predecessors)
         version = self.world.version
-        header = context.header
         entry: Optional[PrefixEntry] = None
         start = 0
         if cache.enabled:
@@ -462,27 +596,39 @@ class Speculator:
                 PrefixEntry(child, outcome.instructions_full,
                             outcome.io_full))
             parent = child
-        state = parent.fork()
+        state = _LeafView(self.world, header.coinbase, parent)
         state.disk.fault_hook = hook
         return state, outcome
 
     # -- dedup index -----------------------------------------------------
 
-    def _dedup_lookup(self, tx_hash: int,
-                      fingerprint: str) -> Optional[APPath]:
-        index = self._dedup.get(tx_hash)
-        if index is None:
-            return None
-        return index.get(fingerprint)
+    def _check(self, index: LruMap, state: _LeafView, header: BlockHeader,
+               tx: Transaction) -> Tuple[Optional[_KnownPath], int]:
+        """The indexed path whose recorded inputs ``state`` reproduces
+        (touched as most recent), or ``None``; plus the check's cost.
 
-    def _dedup_store(self, tx_hash: int, fingerprint: str,
-                     path: APPath) -> None:
+        Compares on a sibling of ``state``, most recent entry first;
+        each entry tried is charged for all its inputs."""
+        view = state.sibling()
+        cost = 0
+        for key, known in reversed(index.items()):
+            cost += known.inputs * costmodel.WITNESS_CHECK
+            if known.holds(view, header, tx):
+                index.get(key)
+                return known, cost
+        return None, cost
+
+    def _dedup_store(self, tx_hash: int, path: APPath, steps: int,
+                     state: _LeafView) -> None:
         index = self._dedup.get(tx_hash)
         if index is None:
             index = self._dedup[tx_hash] = LruMap(DEDUP_CAPACITY_PER_TX)
         # Detach: the merged path's mutable parts (stats, sets) keep
         # evolving with the AP; the indexed copy must not alias them.
-        if index.set(fingerprint, _detach_path(path)) is not None:
+        known = _KnownPath(_detach_path(path), steps,
+                           tuple(state.loads[:state.fee_mark]),
+                           tuple(state.debits), state.codes)
+        if index.set(path.path_id, known) is not None:
             self.c_dedup_evictions.inc()
 
     # -- speculation ---------------------------------------------------------
@@ -548,79 +694,83 @@ class Speculator:
             sp.add_cost(prefix.paid)
             sp.set(executed=prefix.executed, cached=prefix.cached)
 
+        header = context.header
+        known: Optional[_KnownPath] = None
+        check_cost = 0
+        index = self._dedup.get(tx.hash)
+        if index:
+            with self.tracer.span("check") as sp:
+                known, check_cost = self._check(index, state, header, tx)
+                sp.add_cost(check_cost)
+
         with self.tracer.span("pre_execute") as sp:
             self.injector.maybe_raise("speculator.pre_execute",
                                       tx=tx.hash, contract=tx.to)
-            trace = trace_transaction(state, context.header, tx)
-            trace.context_id = context.context_id
-            sp.add_cost(len(trace.steps) * costmodel.EVM_STEP
-                        + state.disk.stats.cost_units)
-        if trace.result.error:
+            if known is not None:
+                # The context reproduces a known run's inputs, so it
+                # would reproduce its trace: make the run's loads
+                # instead of running it.
+                state.replay(known.loads, header.coinbase)
+                steps = known.steps
+                sp.add_cost(state.disk.stats.cost_units)
+            else:
+                trace = trace_transaction(state, header, tx)
+                trace.context_id = context.context_id
+                steps = len(trace.steps)
+                sp.add_cost(steps * costmodel.EVM_STEP
+                            + state.disk.stats.cost_units)
+        if known is None and trace.result.error:
             # Envelope-level failure (bad nonce / unaffordable gas) in
             # this speculated context: no bytecode ran, so there is
             # nothing to specialize — and the accelerator's native
             # envelope cannot be guarded by an AP.  Skip this future.
-            # Only the predecessor work actually performed is charged;
-            # the logical (scheduling) cost stays zero as before.
-            self.c_actual_cost.inc(prefix.paid)
+            # Only the predecessor work and the check actually
+            # performed are charged; the logical (scheduling) cost
+            # stays zero as before.
+            paid = prefix.paid + check_cost
+            self.c_actual_cost.inc(paid)
             self.c_errors.inc()
             root_span.set(outcome="envelope")
-            root_span.add_cost(prefix.paid)
+            root_span.add_cost(paid)
             self.records.append(SpeculationRecord(
                 tx_hash=tx.hash, context_id=context.context_id,
-                trace_length=0, synthesis_cost=prefix.paid,
+                trace_length=0, synthesis_cost=paid,
                 merged=False, error=f"envelope: {trace.result.error}",
                 preds_executed=prefix.executed,
                 preds_cached=prefix.cached))
             return None
-        self.h_trace_len.observe(len(trace.steps))
-        target_cost = (len(trace.steps) * costmodel.EVM_STEP
-                       + state.disk.stats.cost_units)
+        self.h_trace_len.observe(steps)
+        io_units = state.disk.stats.cost_units
+        target_cost = steps * costmodel.EVM_STEP + io_units
+        full_synthesis = int(target_cost * costmodel.SPECULATION_COST_FACTOR)
         logical_cost = int(
             (target_cost + prefix.io_full)
             * costmodel.SPECULATION_COST_FACTOR
         ) + prefix.instructions_full * costmodel.EVM_STEP
         self.c_logical_cost.inc(logical_cost)
 
-        fingerprint: Optional[str] = None
-        fingerprint_cost = 0
-        cached_path: Optional[APPath] = None
-        if self.enable_synth_dedup:
-            with self.tracer.span("fingerprint") as sp:
-                fingerprint = trace_fingerprint(trace)
-                fingerprint_cost = \
-                    len(trace.steps) * costmodel.FINGERPRINT_STEP
-                sp.add_cost(fingerprint_cost)
-            cached_path = self._dedup_lookup(tx.hash, fingerprint)
-            if cached_path is None:
-                self.c_dedup_misses.inc()
-
         path_id = self._next_path_id
         self._next_path_id += 1
-        if cached_path is not None:
-            # Identical trace already synthesized and merged for this
-            # transaction: clone the path (fresh ids, shared immutable
-            # instruction/stats payload) instead of re-running
-            # translate/optimize.  Paying target_cost models the
-            # pre-execution that produced the trace; the ~11x synthesis
-            # surcharge is what dedup eliminates.
+        if known is not None:
+            # Clone the known path (fresh ids, shared immutable
+            # instruction/stats payload): the hit pays the replayed I/O
+            # and the check, not the pre-execution or the ~11x
+            # synthesis surcharge.
             self.c_dedup_hits.inc()
-            full_synthesis = int(
-                target_cost * costmodel.SPECULATION_COST_FACTOR)
-            actual_cost = prefix.paid + target_cost + fingerprint_cost
+            actual_cost = prefix.paid + io_units + check_cost
             self.c_dedup_cost_saved.inc(
-                full_synthesis - target_cost - fingerprint_cost)
+                full_synthesis - io_units - check_cost)
             # Detach again: two clones of the same indexed path must
             # not share mutable containers with each other either.
-            path = replace(_detach_path(cached_path), path_id=path_id,
+            path = replace(_detach_path(known.path), path_id=path_id,
                            context_id=context.context_id)
         else:
-            actual_cost = prefix.paid + int(
-                target_cost * costmodel.SPECULATION_COST_FACTOR
-            ) + fingerprint_cost
+            if self.enable_synth_dedup:
+                self.c_dedup_misses.inc()
+            actual_cost = prefix.paid + full_synthesis + check_cost
             try:
                 # The synthesize span carries only the translate/optimize
-                # surcharge; pre-execution and fingerprinting are charged
+                # surcharge; the check and the pre-execution are charged
                 # on their own spans, so sibling stages partition the
                 # actual cost without double counting.
                 with self.tracer.span("synthesize") as sp:
@@ -631,8 +781,7 @@ class Speculator:
                     path = synthesize_path(trace, path_id=path_id,
                                            context_id=context.context_id,
                                            pass_config=self.pass_config)
-                    sp.add_cost(actual_cost - prefix.paid - target_cost
-                                - fingerprint_cost)
+                    sp.add_cost(full_synthesis - target_cost)
             except SpeculationError as exc:
                 self.c_actual_cost.inc(actual_cost)
                 self.c_errors.inc()
@@ -640,7 +789,7 @@ class Speculator:
                 root_span.add_cost(actual_cost)
                 self.records.append(SpeculationRecord(
                     tx_hash=tx.hash, context_id=context.context_id,
-                    trace_length=len(trace.steps),
+                    trace_length=steps,
                     synthesis_cost=actual_cost,
                     logical_cost=logical_cost,
                     merged=False, error=str(exc),
@@ -661,7 +810,7 @@ class Speculator:
             sp.set(merged=merged)
         if merged:
             self.c_merged.inc()
-            if cached_path is not None \
+            if known is not None \
                     and self._merge_metrics.enriched.value > enriched:
                 # A clone folded into an existing terminal: same tree,
                 # no new shortcut key, and the closure bakes neither
@@ -673,16 +822,16 @@ class Speculator:
                 ap.jit = None
                 self._dirty[tx.hash] = tx
                 # Index only merged paths: no clones of rejected ones.
-                if fingerprint is not None and cached_path is None:
-                    self._dedup_store(tx.hash, fingerprint, path)
+                if self.enable_synth_dedup and known is None:
+                    self._dedup_store(tx.hash, path, steps, state)
         root_span.set(outcome="merged" if merged else "merge-failed",
-                      deduped=cached_path is not None)
+                      deduped=known is not None)
         root_span.add_cost(actual_cost)
         self.records.append(SpeculationRecord(
             tx_hash=tx.hash, context_id=context.context_id,
-            trace_length=len(trace.steps), synthesis_cost=actual_cost,
+            trace_length=steps, synthesis_cost=actual_cost,
             logical_cost=logical_cost, merged=merged,
-            deduped=cached_path is not None,
+            deduped=known is not None,
             preds_executed=prefix.executed,
             preds_cached=prefix.cached,
             read_set_size=len(path.read_set),

@@ -390,7 +390,7 @@ def offpath_overhead(run) -> OverheadReport:
 
 @dataclass
 class SpeculationCacheReport:
-    """Work saved by the prefix cache and trace-fingerprint dedup."""
+    """Work saved by the prefix cache and synthesis dedup."""
 
     # -- prefix cache --------------------------------------------------------
     prefix_hits: int = 0

@@ -8,8 +8,6 @@ set (context variables read and their values), and the write set.
 
 from __future__ import annotations
 
-import hashlib
-import marshal
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -100,37 +98,6 @@ class TraceResult:
     def trace_length(self) -> int:
         """Number of EVM instructions executed."""
         return len(self.steps)
-
-
-def trace_fingerprint(trace: "TraceResult") -> str:
-    """Content hash of a trace: instruction stream, read/write sets,
-    frame shape, and the execution outcome.
-
-    Two pre-executions with equal fingerprints would synthesize the
-    same AP path, so the speculator can reuse the already-merged one
-    (synthesis dedup).  The fingerprint deliberately excludes the
-    context id — that is exactly the dimension dedup collapses.
-
-    The whole payload, step rows included, is serialized by one
-    ``marshal.dumps`` call at version 2.  Later versions mark repeated
-    objects and interned strings by identity and refcount, so equal
-    content could encode differently and split a dedup class; version
-    2 encodes by value only.  Each row's ``extra`` dict is encoded in
-    insertion order, which is fixed per step name: each name is emitted
-    from one ``_emit`` site with fixed keywords.
-    """
-    result = trace.result
-    frames = [(frame_id, event.parent_id, event.code_address, event.depth,
-               event.start_index, event.end_index, event.success,
-               event.return_data)
-              for frame_id, event in sorted(trace.frames.items())]
-    payload = ((result.success, result.gas_used, result.return_data,
-                result.error, result.logs),
-               trace.steps,
-               sorted(trace.read_set.items()),
-               sorted(trace.write_set.items()),
-               frames)
-    return hashlib.sha256(marshal.dumps(payload, 2)).hexdigest()
 
 
 def trace_transaction(

@@ -32,7 +32,7 @@ warmth, which is why snapshots carry both nodes' warm-key lists in LRU
 order.
 
 Speculation capital (APs, memo table, prefix cache, dedup
-fingerprints) is *derived* state: it is never journaled or
+index) is *derived* state: it is never journaled or
 snapshotted — the recovered node re-runs speculation for in-flight
 heads from the restored txpool, exactly as the paper's node would
 re-speculate after a restart.

@@ -180,7 +180,8 @@ class TestSynthesisDedup:
         # The clone is a fresh path object with its own identity.
         assert second.path_id != first.path_id
         assert second.context_id == 2
-        # Dedup pays pre-execution + fingerprint, not full synthesis.
+        # Dedup pays the check and the replayed I/O, not pre-execution
+        # + synthesis.
         assert speculator.records[-1].synthesis_cost < \
             speculator.records[0].synthesis_cost
         assert speculator.records[-1].logical_cost == \
@@ -209,7 +210,7 @@ class TestSynthesisDedup:
         speculator.speculate(target, FutureContext(1, header()))
         speculator.drop(target.hash)
         speculator.speculate(target, FutureContext(2, header()))
-        # After the AP was dropped, the fingerprint index is gone too:
+        # After the AP was dropped, the dedup index is gone too:
         # the new speculation synthesizes from scratch.
         assert speculator.c_dedup_hits.value == 0
 
@@ -230,13 +231,13 @@ class TestSynthesisDedup:
 # -- dedup index lifecycle (bounded, detached, invalidated) -------------------
 
 def dedup_index_size(speculator) -> int:
-    """Total fingerprints currently held across all transactions."""
+    """Total known paths currently held across all transactions."""
     return sum(len(entry) for entry in speculator._dedup.values())
 
 
 class TestDedupLifecycle:
     def test_clone_does_not_alias_cached_path(self):
-        """Regression: the fingerprint index used to store the merged
+        """Regression: the dedup index used to store the merged
         path object itself, so mutating a merged path's stats (or read
         set) silently corrupted every later dedup clone."""
         speculator = Speculator(oracle_world())
@@ -258,7 +259,7 @@ class TestDedupLifecycle:
         assert third.stats is not second.stats
 
     def test_dedup_index_bounded_per_tx(self, monkeypatch):
-        """Regression: the fingerprint map grew without bound.  Distinct
+        """Regression: the dedup index grew without bound.  Distinct
         traces for one transaction now evict LRU past the cap."""
         monkeypatch.setattr(speculator_module, "DEDUP_CAPACITY_PER_TX", 2)
         speculator = Speculator(oracle_world())
@@ -283,7 +284,7 @@ class TestDedupLifecycle:
 
     def test_reorg_clears_fingerprints(self):
         """Regression: a reorg invalidated prefixes but left the
-        fingerprint index pointing at paths synthesized against the
+        dedup index pointing at paths synthesized against the
         abandoned branch's state."""
         speculator = Speculator(oracle_world())
         target = submit(ALICE, 0, 1980)

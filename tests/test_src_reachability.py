@@ -74,9 +74,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "reset_registry": ("tests/test_obs.py",
                        "isolation: replaces the process-wide metrics "
                        "registry"),
-    "context_matches": ("tests/test_accelerator.py",
-                        "the read-set check ROADMAP item 1c puts in "
-                        "front of pre-execution"),
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -11,8 +11,9 @@ jump, undefined opcode, a nested CALL that reverts, CREATE).
 
 A repr-based reference digest of the same transactions is pinned, so
 the traced path stays byte-identical across interpreter changes.
-``trace_fingerprint`` itself must depend on a trace's content only,
-never on which objects hold it, and must see every part of it.
+The reference ``trace_fingerprint`` (``tests/fingerprint.py``) must
+depend on a trace's content only, never on which objects hold it, and
+must see every part of it.
 """
 
 import dataclasses
@@ -23,11 +24,13 @@ import pytest
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.cli import _record
-from repro.core.trace import trace_fingerprint, trace_transaction
+from repro.core.trace import trace_transaction
 from repro.evm.assembler import assemble
 from repro.evm.interpreter import EVM
 from repro.state.statedb import StateDB
 from repro.state.world import WorldState
+
+from tests.fingerprint import trace_fingerprint
 
 SENDER = 0xAA
 CALLER = 0xC0
