@@ -1,11 +1,13 @@
 """Scheduler scaling benchmark: critical-path speedup vs lane count.
 
 Replays two low-conflict traffic profiles (tokens-only and a mixed
-profile with light hot-spot contention) at 1/2/4/8 lanes and publishes
-the critical-path cost-unit speedup as ``BENCH_sched.json``.  Every
-lane count must commit byte-identical state (the determinism check);
-the 4-lane acceptance bar is a ≥ 2x critical-path reduction on both
-profiles.
+profile with light hot-spot contention) once each, derives the lane
+what-if of the committed blocks offline at 1/2/4/8 lanes
+(:func:`repro.sched.whatif.derive_schedules`) and publishes the
+critical-path cost-unit speedup as ``BENCH_sched.json``.  The lane
+count never reaches the node, so every row shares one set of
+commitments by construction; the 4-lane acceptance bar is a ≥ 2x
+critical-path reduction on both profiles.
 
 The profiles are deliberately low-conflict — many distinct senders and
 token holders, light DEX/auction/lending traffic — because conflict
@@ -20,8 +22,8 @@ import os
 import pytest
 
 from repro.bench import ascii_table, write_report
-from repro.faults.invariants import digest_bytes
 from repro.p2p.latency import LatencyModel
+from repro.sched.whatif import derive_schedules
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
@@ -61,13 +63,12 @@ def test_sched_scaling(sched_datasets):
     rows = []
     payload_profiles = {}
     for name, dataset in sched_datasets.items():
-        digests = set()
+        run = replay(dataset, "live")
+        assert run.roots_matched == run.blocks_executed
         lanes_payload = {}
         for lanes in LANE_COUNTS:
-            run = replay(dataset, "live", lanes=lanes)
-            assert run.roots_matched == run.blocks_executed
-            digests.add(digest_bytes(run))
-            executor = run.sched["executor"]
+            executor = derive_schedules(
+                dataset, run.forerunner_node.reports, lanes)["executor"]
             lanes_payload[str(lanes)] = {
                 "speedup": executor["speedup"],
                 "critical_path_units": executor["critical_path_units"],
@@ -84,9 +85,6 @@ def test_sched_scaling(sched_datasets):
                 f"{executor['speedup']:.2f}x",
                 f"{executor['conflict_rate']:.2%}",
             ])
-        # Determinism check: every lane count commits byte-identical
-        # roots, receipts and Table 2/3 baseline columns.
-        assert len(digests) == 1, f"{name}: lane count changed commits"
         at_bar = lanes_payload[str(ACCEPTANCE_LANES)]["speedup"]
         assert at_bar >= ACCEPTANCE_SPEEDUP, (
             f"{name}: {at_bar:.2f}x at {ACCEPTANCE_LANES} lanes "

@@ -28,10 +28,10 @@ Commands:
 * ``history``   — print the Figure 2 block-saturation series.
 * ``report``    — record + replay a workload and print the stage
   breakdown; ``--metrics`` dumps the deterministic metrics snapshot,
-  ``--sched`` adds the scheduler section (lane utilization, conflict
-  and abort rates, admission counters), ``--lanes N`` runs block
-  execution on N parallel lanes (commits stay byte-identical),
-  ``--json`` emits the whole report as canonical JSON, and
+  ``--sched`` adds the scheduler section (admission counters, and
+  the lane what-if: conflict and abort rates and lane utilization of
+  ``--lanes N`` optimistic lanes, derived offline from the committed
+  blocks), ``--json`` emits the whole report as canonical JSON, and
   ``--trace-out PATH`` writes the canonical JSONL trace (two runs of
   the same workload produce byte-identical files).
 """
@@ -273,7 +273,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.sim.emulator import replay
 
     dataset = _record("report", args.duration, args.seed)
-    run = replay(dataset, args.observer, lanes=args.lanes)
+    run = replay(dataset, args.observer)
+    node = run.forerunner_node
+    if args.sched:
+        from repro.sched.whatif import derive_schedules
+        sched = dict(node.sched_report(),
+                     **derive_schedules(dataset, node.reports, args.lanes))
     if args.as_json:
         payload = {
             "dataset": dataset.name,
@@ -283,20 +288,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "txs": len(run.records),
             "roots_matched": run.roots_matched,
             "blocks_executed": run.blocks_executed,
-            "state_root": hex(run.forerunner_node.world.root()),
+            "state_root": hex(node.world.root()),
             "stages": run.tracer.stage_totals(),
             # CI gate: finalizes <= dedup misses (no per-merge finishing).
             "counters": {name: run.registry.value(name) for name in (
                 "speculator.dedup_misses", "speculator.finalizes",
                 "speculator.finalized_on_read")},
-            # Full per-tx records (cost, cpu/io units, outcome, tier):
-            # what must not move with the lane count.
+            # Full per-tx records (cost, cpu/io units, outcome, tier).
             "records": [dataclasses.asdict(record)
-                        for report in run.forerunner_node.reports
+                        for report in node.reports
                         for record in report.records],
         }
         if args.sched:
-            payload["sched"] = run.sched
+            payload["sched"] = sched
         print(canonical_json(payload))
         return 0
     print(f"dataset {dataset.name}: {len(run.records)} txs, "
@@ -307,7 +311,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
               f"{entry['cost']:>14,} units")
     _print_cache_report(run)
     if args.sched:
-        _print_sched_report(run.sched)
+        _print_sched_report(sched)
     if args.metrics:
         print("\nMetrics snapshot (deterministic instruments):")
         for line in run.registry.render().splitlines():
@@ -450,8 +454,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     "degradation report")
     if args.trace_out:
         from repro.sim.emulator import replay
-        faulted = replay(dataset, args.observer, config=node_config,
-                         fault_plan=plan)
+        faulted = replay(dataset, args.observer, fault_plan=plan)
         written = export_jsonl(
             args.trace_out, faulted.tracer, faulted.registry,
             meta={"dataset": dataset.name, "observer": args.observer,
@@ -736,12 +739,13 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--metrics", action="store_true",
                         help="print the deterministic metrics snapshot")
     report.add_argument("--sched", action="store_true",
-                        help="print the scheduler section: lane "
-                             "utilization, conflict/abort rates, "
-                             "admission drop/defer counters")
-    report.add_argument("--lanes", type=int, default=None,
-                        help="parallel execution lanes for block "
-                             "processing (commits stay byte-identical)")
+                        help="print the scheduler section: admission "
+                             "drop/defer counters and the lane what-if "
+                             "(utilization, conflict/abort rates)")
+    report.add_argument("--lanes", type=int, default=4,
+                        help="lanes of the what-if --sched derives "
+                             "offline from the committed blocks (the "
+                             "node executes each block once, serially)")
     report.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as canonical JSON "
                              "(byte-identical for a given seed)")

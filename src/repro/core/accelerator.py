@@ -48,6 +48,16 @@ OUTCOME_SATISFIED = "satisfied"  # fast path executed
 #: outcome.
 OUTCOME_FAULTED = "faulted"
 
+#: The fixed units each outcome's tally carries (see
+#: :meth:`TransactionAccelerator.execute`): a violated transaction pays
+#: its aborted AP attempt and the fallback.
+FIXED_UNITS = {
+    OUTCOME_NO_AP: costmodel.TX_FIXED,
+    OUTCOME_SATISFIED: costmodel.AP_FIXED,
+    OUTCOME_VIOLATED: costmodel.FALLBACK_FIXED + costmodel.AP_FIXED,
+    OUTCOME_FAULTED: costmodel.FALLBACK_FIXED,
+}
+
 
 @dataclass
 class AcceleratedReceipt:

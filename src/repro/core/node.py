@@ -164,12 +164,6 @@ class ForerunnerConfig:
     #: injector; the guard/breaker machinery is always active either
     #: way, so real faults degrade gracefully too.
     fault_plan: object = None
-    #: Lanes of the block executor's derived optimistic-concurrency
-    #: schedule (repro.sched).  Execution is one serial pass at any
-    #: value, so every lane count commits byte-identical state;
-    #: parallelism shows up only in the scheduler's own critical-path
-    #: metrics, and 1 also skips access recording.
-    lanes: int = 4
     #: Emit a per-transaction execution witness (repro.witness):
     #: constraints, net state delta, and digests, assembled from the
     #: master journal before each block commits.  Off by default —
@@ -317,13 +311,8 @@ class ForerunnerNode:
         #: clocks in simulated seconds (same dispatch rule the scalar
         #: pool used: least-loaded lane, ties to the lowest id).
         self._worker_lanes = LaneSet(WORKERS)
-        #: Block executor: one serial pass plus, at ``lanes > 1``, the
-        #: lane schedule derived from its access sets.
-        self.executor = ParallelBlockExecutor(
-            lanes=self.config.lanes,
-            registry=self.registry,
-            injector=self.fault_injector,
-            guard=self.guard)
+        #: Block executor: one serial pass.
+        self.executor = ParallelBlockExecutor()
         self.head_number = 0
         #: Transactions whose AP merge produced a first-context record
         #: (for the single-future comparator): tx -> first context id.
@@ -527,11 +516,9 @@ class ForerunnerNode:
         """Execute a freshly decided block through the accelerator.
 
         Each transaction executes once, in block order
-        (:class:`repro.sched.executor.ParallelBlockExecutor`), so
-        committed state, receipts and all Table 2/3 numbers are the
-        serial ones at every ``config.lanes``; the lane what-if
-        derived from the pass surfaces only in the ``sched.*`` metrics
-        attached to the report.
+        (:class:`repro.sched.executor.ParallelBlockExecutor`); the
+        lane what-if is derived offline from the committed blocks
+        (:mod:`repro.sched.whatif`), so nothing here records for it.
         """
         self.predictor.observe_block(block)
         self.head_number = block.number
@@ -551,7 +538,7 @@ class ForerunnerNode:
             return self.accelerator.execute(tx, block.header, exec_state, ap)
 
         outcomes = self.executor.execute_block(
-            block, state, list(block.transactions), execute_one)
+            state, block.transactions, execute_one)
         # Net per-tx state deltas, reconstructed from the master
         # journal while it still exists (commit clears it).
         deltas = (state.witness_deltas(
@@ -567,16 +554,12 @@ class ForerunnerNode:
             ap_ready = ap is not None
             cost = receipt.tally.total
             if traced:
-                # One span per tx, in block order with the serial
-                # costs: traces look the same at every lane count
-                # apart from the lane annotations.
+                # One span per tx, in block order.
                 with self.tracer.span("execute", cost=cost,
                                       tx=f"{tx.hash:#x}",
                                       block=block.number,
                                       ap_ready=ap_ready) as span:
-                    span.set(outcome=receipt.outcome,
-                             lane=outcome.lane_id,
-                             aborted=outcome.aborted)
+                    span.set(outcome=receipt.outcome)
             if not heard:
                 # Forerunner's bookkeeping slows unheard transactions
                 # slightly (paper: 0.81x on unheard).
@@ -644,10 +627,10 @@ class ForerunnerNode:
     # -- scheduler reporting ---------------------------------------------------
 
     def sched_report(self) -> dict:
-        """Canonical scheduler report: parallel-executor aggregates,
-        admission/backpressure counters, and worker-lane state."""
+        """Canonical speculation-side scheduler report: admission /
+        backpressure counters and worker-lane state (the lane what-if
+        over the committed blocks is :mod:`repro.sched.whatif`'s)."""
         return {
-            "executor": self.executor.report(),
             "admission": self.admission.snapshot(),
             "workers": {
                 "lanes": len(self._worker_lanes),
@@ -656,6 +639,4 @@ class ForerunnerNode:
                 "jobs": [lane.jobs
                          for lane in self._worker_lanes.lanes],
             },
-            "blocks": [schedule.as_dict()
-                       for schedule in self.executor.schedules],
         }

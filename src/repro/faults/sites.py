@@ -122,8 +122,6 @@ class Site:
 
 _FAILED_SPECULATION = ("the speculation is recorded failed; the tx "
                        "gets no AP path for that context")
-_LANE_WHAT_IF = ("only moves the derived lane schedule (the block "
-                 "already executed once, serially)")
 
 SITE_TABLE: Tuple[Site, ...] = (
     # -- pipeline: today's generic-plan order; never reorder ------------
@@ -163,12 +161,6 @@ SITE_TABLE: Tuple[Site, ...] = (
          "the state snapshot is reverted and the tx re-executed plainly"),
     Site("sched.admit", LAYER_PIPELINE, KIND_RAISE,
          "the speculation cycle is skipped", lethal=True),
-    Site("sched.fork", LAYER_PIPELINE, KIND_RAISE,
-         "that tx yields to serial order; " + _LANE_WHAT_IF),
-    Site("sched.conflict_scan", LAYER_PIPELINE, KIND_RAISE,
-         "the whole block yields to serial order; " + _LANE_WHAT_IF),
-    Site("sched.commit", LAYER_PIPELINE, KIND_RAISE,
-         "that clean tx yields to serial order; " + _LANE_WHAT_IF),
     Site("sched.prefetch_queue", LAYER_PIPELINE, KIND_DROP,
          "the queued prefetch is dropped: colder reads, same values"),
     # -- jit ---------------------------------------------------------------

@@ -366,7 +366,6 @@ class DurableReplay:
             fore.speculator.c_actual_cost.value
         self.run_.prefetch_offpath_cost = \
             fore.prefetcher.c_offpath_cost.value
-        self.run_.sched = fore.sched_report()
         return self.run_
 
     def _process_block(self, block, now: float) -> BlockReport:

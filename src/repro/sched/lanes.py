@@ -2,8 +2,8 @@
 
 A :class:`LaneSet` models N parallel workers without threads: each lane
 owns a monotone clock in whatever deterministic currency the caller
-uses (simulated seconds for the speculation worker pool; the block
-executor's derived schedule applies the same rule to bare cost-unit
+uses (simulated seconds for the speculation worker pool; the lane
+what-if's derived schedule applies the same rule to bare cost-unit
 clocks).  Dispatch always picks the lane with the
 lowest clock, breaking ties by lane id — so scheduling decisions
 depend only on the dispatch sequence, never on host concurrency, and

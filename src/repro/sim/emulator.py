@@ -315,9 +315,6 @@ class EvaluationRun:
     speculation_jobs: int = 0
     total_speculation_cost: int = 0
     prefetch_offpath_cost: int = 0
-    #: Scheduler payload (``ForerunnerNode.sched_report()``): executor
-    #: aggregates, admission counters, per-block schedules.
-    sched: dict = field(default_factory=dict)
     #: What was replayed into: the node, or (``fleet_replay``) the
     #: fleet's :class:`~repro.fleet.supervisor.FleetSupervisor`.
     forerunner_node: Optional[ForerunnerNode] = None
@@ -405,25 +402,18 @@ def evaluation_step(run: EvaluationRun, baseline: BaselineNode, system,
 
 def replay(dataset: Dataset, observer: str = "live",
            config: Optional[ForerunnerConfig] = None,
-           fault_plan=None,
-           lanes: Optional[int] = None) -> EvaluationRun:
+           fault_plan=None) -> EvaluationRun:
     """Replay ``dataset`` through baseline + Forerunner nodes.
 
     ``fault_plan`` (a :class:`repro.faults.injector.FaultPlan`) runs
     the Forerunner node under deterministic chaos; gossip-delivery
     faults (drop / duplicate / reorder) are applied at the event loop,
     where the message timeline lives.
-
-    ``lanes`` overrides ``config.lanes`` (parallel execution lanes for
-    block processing); any value commits byte-identical state — only
-    the ``run.sched`` critical-path metrics change.
     """
     timeline = build_timeline(dataset, observer)
     config = config or ForerunnerConfig()
     if fault_plan is not None:
         config = _dc_replace(config, fault_plan=fault_plan)
-    if lanes is not None:
-        config = _dc_replace(config, lanes=lanes)
     registry = MetricsRegistry()
     tracer = SpanTracer(registry) if config.enable_obs else NullTracer()
     baseline = BaselineNode(dataset.genesis_world.copy(),
@@ -447,5 +437,4 @@ def replay(dataset: Dataset, observer: str = "live",
         forerunner.world.root_memo_nodes())
     run.total_speculation_cost = forerunner.speculator.c_actual_cost.value
     run.prefetch_offpath_cost = forerunner.prefetcher.c_offpath_cost.value
-    run.sched = forerunner.sched_report()
     return run

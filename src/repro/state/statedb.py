@@ -21,12 +21,6 @@ from repro.state.trie import trie_depth
 from repro.state.world import WorldState
 
 
-#: Journal entry kind -> :class:`AccessLog` key kind.
-_ACCESS_KIND = {"balance": "bal", "nonce": "nonce", "code": "code"}
-#: The key kinds creating an account writes.
-_ACCOUNT_KINDS = ("exist", "bal", "nonce", "code")
-
-
 @dataclass
 class LogEntry:
     """One LOG record emitted during execution."""
@@ -34,28 +28,6 @@ class LogEntry:
     address: int
     topics: Tuple[int, ...]
     data: bytes
-
-
-class AccessLog:
-    """One transaction's fine-grained state accesses, filled in by the
-    accessors of the :class:`StateDB` it is installed on
-    (:attr:`StateDB.access`).
-
-    Keys are ``("bal" | "nonce" | "code" | "exist", address)`` and
-    ``("slot", address, slot)``.  Fee credits to ``coinbase`` through
-    :meth:`StateDB.add_balance` commute, so they are left out; any
-    other touch of the coinbase balance is recorded like the rest.
-    """
-
-    __slots__ = ("coinbase", "reads", "writes", "reverted")
-
-    def __init__(self, coinbase: int) -> None:
-        self.coinbase = coinbase
-        self.reads: Set[tuple] = set()
-        #: Every key written — including, once ``reverted`` is set,
-        #: writes that :meth:`StateDB.revert_to` has since undone.
-        self.writes: Set[tuple] = set()
-        self.reverted = False
 
 
 class StateDB:
@@ -86,9 +58,6 @@ class StateDB:
         self._loaded_slots: Set[Tuple[int, int]] = set()
         self._journal: List[tuple] = []
         self.logs: List[LogEntry] = []
-        #: Optional :class:`AccessLog` (the block executor installs one
-        #: per transaction); ``None`` costs each accessor one test.
-        self.access: Optional[AccessLog] = None
 
     # -- copy-on-write forking ----------------------------------------------
 
@@ -183,36 +152,19 @@ class StateDB:
                        code: bytes = b"") -> None:
         """Create a fresh account in the working view."""
         self._assert_mutable()
-        if self.access is not None:
-            self.access.writes.update(
-                (kind, address) for kind in _ACCOUNT_KINDS)
         self._journal.append(("create", address, self._cache.get(address)))
         self._cache[address] = Account(balance=balance, code=code)
 
     def get_balance(self, address: int) -> int:
-        if self.access is not None:
-            self.access.reads.add(("bal", address))
         return self._load_account(address).balance
 
     def set_balance(self, address: int, value: int) -> None:
         self._assert_mutable()
-        if self.access is not None:
-            self.access.writes.add(("bal", address))
         account = self._load_account(address)
         self._journal.append(("balance", address, account.balance))
         account.balance = value
 
     def add_balance(self, address: int, amount: int) -> None:
-        access = self.access
-        if access is not None and address == access.coinbase:
-            # Commutative fee credit: same lookups and journal entry,
-            # no conflict keys.
-            self.access = None
-            try:
-                self.set_balance(address, self.get_balance(address) + amount)
-            finally:
-                self.access = access
-            return
         self.set_balance(address, self.get_balance(address) + amount)
 
     def sub_balance(self, address: int, amount: int) -> None:
@@ -223,29 +175,19 @@ class StateDB:
         self.set_balance(address, balance - amount)
 
     def get_nonce(self, address: int) -> int:
-        if self.access is not None:
-            self.access.reads.add(("nonce", address))
         return self._load_account(address).nonce
 
     def increment_nonce(self, address: int) -> None:
         self._assert_mutable()
-        if self.access is not None:
-            # Read-modify-write: the new nonce depends on the old one.
-            self.access.reads.add(("nonce", address))
-            self.access.writes.add(("nonce", address))
         account = self._load_account(address)
         self._journal.append(("nonce", address, account.nonce))
         account.nonce += 1
 
     def get_code(self, address: int) -> bytes:
-        if self.access is not None:
-            self.access.reads.add(("code", address))
         return self._load_account(address).code
 
     def set_code(self, address: int, code: bytes) -> None:
         self._assert_mutable()
-        if self.access is not None:
-            self.access.writes.add(("code", address))
         account = self._load_account(address)
         self._journal.append(("code", address, account.code))
         account.code = code
@@ -254,8 +196,6 @@ class StateDB:
 
     def get_storage(self, address: int, slot: int) -> int:
         """SLOAD path with lazy per-slot cold loading."""
-        if self.access is not None:
-            self.access.reads.add(("slot", address, slot))
         account = self._load_account(address)
         key = (address, slot)
         if key in self._loaded_slots:
@@ -286,8 +226,6 @@ class StateDB:
     def set_storage(self, address: int, slot: int, value: int) -> None:
         """SSTORE path; journals the previous working value."""
         self._assert_mutable()
-        if self.access is not None:
-            self.access.writes.add(("slot", address, slot))
         account = self._load_account(address)
         key = (address, slot)
         if key in self._loaded_slots:
@@ -318,8 +256,6 @@ class StateDB:
     def revert_to(self, snap: int) -> None:
         """Undo every change made after :meth:`snapshot` returned ``snap``."""
         self._assert_mutable()
-        if self.access is not None and len(self._journal) > snap:
-            self.access.reverted = True
         while len(self._journal) > snap:
             entry = self._journal.pop()
             kind = entry[0]
@@ -338,21 +274,6 @@ class StateDB:
                     self._cache.pop(entry[1], None)
                 else:
                     self._cache[entry[1]] = entry[2]
-
-    def written_keys(self, start: int, end: int) -> Set[tuple]:
-        """:class:`AccessLog` keys of the writes journaled in
-        ``[start, end)`` and not reverted since (a transaction's
-        *actual* writes, given its :meth:`snapshot` span)."""
-        keys: Set[tuple] = set()
-        for entry in self._journal[start:end]:
-            journaled = entry[0]
-            if journaled == "storage":
-                keys.add(("slot", entry[1], entry[2]))
-            elif journaled == "create":
-                keys.update((kind, entry[1]) for kind in _ACCOUNT_KINDS)
-            elif journaled != "log":
-                keys.add((_ACCESS_KIND[journaled], entry[1]))
-        return keys
 
     # -- witness support ----------------------------------------------------------
 

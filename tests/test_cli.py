@@ -89,12 +89,14 @@ def test_chaos_report(tmp_path, capsys):
     assert payload["dataset"] == "chaos"
 
 
-def test_chaos_full_rate_collapses_to_baseline(capsys):
+def test_chaos_full_rate_collapses_to_baseline(tmp_path, capsys):
+    trace_out = tmp_path / "chaos.jsonl"
     assert main(["chaos", "--seed", "1", "--duration", "12",
-                 "--rate", "1.0"]) == 0
+                 "--rate", "1.0", "--trace-out", str(trace_out)]) == 0
     out = capsys.readouterr().out
     assert "equivalence      : OK" in out
     assert "faulted 1.000x" in out
+    assert trace_out.read_text(encoding="utf-8").count("\n") > 1
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,11 +1,12 @@
 """Scheduler subsystem tests (:mod:`repro.sched`).
 
 Covers the deterministic lane model, the read/write-set conflict
-graph + greedy schedule, admission control, and — the subsystem's
-core contract — lane-count invariance: the block executor commits
-byte-identical roots, receipts and *full* per-transaction records at
-lanes 1 and 4, on every workload kind in :mod:`repro.workloads`.
-The derived schedule itself is covered in ``test_sched_derive.py``.
+graph + greedy schedule, admission control, and the lane what-if on
+every workload kind in :mod:`repro.workloads`: it replays the
+committed blocks to their committed roots, accounts for every
+transaction once at any lane count, and schedules the ``mixed``
+workload as the node's own AP-run access sets would.  The derivation
+itself is covered in ``test_sched_derive.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ from repro.sched.admission import (
     AdmissionController,
     HitLikelihoodEstimator,
 )
-from repro.sched.conflicts import AccessSet
 from repro.sched.lanes import LaneSet
+from repro.sched.whatif import (
+    AccessSet,
+    LaneSchedule,
+    access_sets,
+    derive_schedules,
+    execution_cost,
+)
 from repro.sim.emulator import replay
 from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.workloads.mixed import TrafficConfig
@@ -31,6 +38,7 @@ from tests.test_sched_derive import (
     build_conflict_graph,
     conflicts,
     greedy_schedule,
+    node_run,
 )
 
 
@@ -68,7 +76,7 @@ class TestLaneSet:
 
 
 # ---------------------------------------------------------------------------
-# conflicts.py
+# the reference conflict graph (tests/test_sched_derive.py)
 
 
 def access(reads=(), writes=(), entangled=False):
@@ -194,13 +202,7 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# executor.py — lane-count invariance over every workload kind
-
-#: The record-free loop and the recording one.  Lanes no longer reach
-#: execution — every count above 1 runs the identical pass and differs
-#: only in :meth:`ParallelBlockExecutor.derive`'s arithmetic — so two
-#: counts cover what {1, 2, 4, 8} used to.
-LANE_COUNTS = (1, 4)
+# whatif.py — every workload kind
 
 #: One traffic profile per workload module in ``repro.workloads``
 #: (all other kinds muted), plus the full mixed profile.
@@ -249,42 +251,74 @@ def test_every_workload_commits_transactions(workload_datasets):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_lane_count_invariance_per_workload(name, workload_datasets):
-    """Lanes ∈ {1, 4}: byte-identical roots, receipts, baseline
-    columns and full ``TxRecord``s (cost, cpu/io units, outcome, tier)
-    on each workload kind; one execution per transaction either way."""
+    """The lane count reaches no commitment: the node has no lanes, and
+    the what-if replays each workload's committed blocks from genesis
+    to their committed roots (``access_sets`` raises on a divergence),
+    so at 1 and 4 lanes it accounts for every transaction once.  (Unit
+    costs: what is checked here is the accounting, not the clocks.)"""
     dataset = workload_datasets[name]
-    digests, records = set(), []
-    for lanes in LANE_COUNTS:
-        run = replay(dataset, "live", lanes=lanes)
-        assert run.roots_matched == run.blocks_executed
-        digests.add(digest_bytes(run))
-        records.append([(report.block_number, report.state_root,
-                         report.records)
-                        for report in run.forerunner_node.reports])
-        executor = run.sched["executor"]
+    blocks = list(access_sets(dataset))
+    for lanes in (1, 4):
+        what_if = LaneSchedule(lanes)
+        for block, sets in blocks:
+            what_if.add_block(block.number, [1] * len(sets), sets)
+        executor = what_if.report()
         assert executor["executions"] == executor["transactions"] \
             == dataset.tx_count
-    assert len(digests) == 1, f"{name}: lane count changed commitments"
-    assert records[0] == records[1], f"{name}: lane count changed records"
+        decided = executor["clean_commits"] + sum(
+            executor["aborted"].values())
+        assert decided == (dataset.tx_count if lanes > 1 else 0)
 
 
-def test_parallel_blocks_actually_ran(workload_datasets):
-    """The invariance above must not pass vacuously: the mixed
-    workload's blocks all get a derived 4-lane schedule, some of
-    whose transactions commit clean and some of which abort."""
-    run = replay(workload_datasets["mixed"], "live", lanes=4)
-    executor = run.sched["executor"]
+@pytest.fixture(scope="module")
+def mixed_run(workload_datasets):
+    return node_run(workload_datasets["mixed"])
+
+
+def test_parallel_blocks_actually_ran(workload_datasets, mixed_run):
+    """The what-if must not hold vacuously: the mixed workload's blocks
+    all get a derived 4-lane schedule, some of whose transactions
+    commit clean and some of which abort."""
+    run, _, _ = mixed_run
+    sched = derive_schedules(workload_datasets["mixed"],
+                             run.forerunner_node.reports, 4)
+    executor = sched["executor"]
     assert executor["blocks_parallel"] == executor["blocks"] > 0
     assert executor["clean_commits"] > 0
     assert executor["aborted"]["conflict"] > 0
     assert executor["critical_path_units"] < executor["serial_cost_units"]
-    assert all(block["lanes"] == 4 for block in run.sched["blocks"])
+    assert all(block["lanes"] == 4 for block in sched["blocks"])
+
+
+def test_offline_what_if_equals_the_ap_run_sets(workload_datasets,
+                                                mixed_run):
+    """On the mixed workload, the schedule derived from the plain
+    replay's access sets is the one the node's own executions (AP runs
+    where the node had a ready AP) would give, block for block and
+    transaction for transaction."""
+    dataset = workload_datasets["mixed"]
+    run, ap_runs, _ = mixed_run
+    assert ap_runs
+    offline, node = LaneSchedule(4), LaneSchedule(4)
+    for report, (block, sets) in zip(run.forerunner_node.reports,
+                                     access_sets(dataset)):
+        costs = [execution_cost(record) for record in report.records]
+        offline.add_block(block.number, costs, sets)
+        node.add_block(block.number, costs, [
+            ap_runs[tx.hash][0] if tx.hash in ap_runs else plain
+            for tx, plain in zip(block.transactions, sets)])
+    assert [(s.as_dict(), s.slots) for s in offline.schedules] == \
+        [(s.as_dict(), s.slots) for s in node.schedules]
+    assert derive_schedules(dataset, run.forerunner_node.reports, 4)[
+        "blocks"] == [s.as_dict() for s in offline.schedules]
 
 
 def test_two_runs_same_seed_byte_identity(workload_datasets):
     """Scheduler determinism: two same-seed replays agree byte-for-byte
-    on commitments *and* on the full scheduler report payload."""
-    first = replay(workload_datasets["mixed"], "live", lanes=4)
-    second = replay(workload_datasets["mixed"], "live", lanes=4)
+    on commitments *and* on the full what-if payload."""
+    dataset = workload_datasets["mixed"]
+    first, second = (replay(dataset, "live") for _ in range(2))
     assert digest_bytes(first) == digest_bytes(second)
-    assert canonical_json(first.sched) == canonical_json(second.sched)
+    assert canonical_json(derive_schedules(
+        dataset, first.forerunner_node.reports, 4)) == canonical_json(
+        derive_schedules(dataset, second.forerunner_node.reports, 4))

@@ -1,18 +1,21 @@
-"""The derived lane schedule (:meth:`ParallelBlockExecutor.derive`).
+"""The lane what-if (:mod:`repro.sched.whatif`).
 
-The executor runs every transaction once, in block order, and derives
-the optimistic-concurrency what-if from the recorded access sets.
-These tests establish what the deleted fork / probe-replay machinery
-used to establish by doing it:
+The node executes every transaction once, in block order, and records
+nothing for the what-if; it is derived offline from a plain replay of
+the committed blocks.  These tests establish:
 
 * the derivation on hand-built :class:`AccessSet`s, cross-checked
   against the reference conflict graph + greedy schedule;
-* the access recorder (coinbase credits commute, explicit touches
+* the recording view (coinbase credits commute, explicit touches
   entangle, reverted writes are told apart);
 * a soundness property over generated blocks — a transaction marked
   *clean*, executed alone on the block's pre-state, reproduces its
   serial receipt and writes; one marked *conflict* touches a key an
-  earlier transaction actually wrote.
+  earlier transaction actually wrote;
+* the equivalence the offline move rests on — on a seeded replay, each
+  transaction the node ran through its AP records, on the same
+  pre-state, what its plain execution records (code reads aside), and
+  each transaction is costed as the node executed it.
 """
 
 from __future__ import annotations
@@ -20,21 +23,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.transaction import Transaction
 from repro.contracts import erc20
-from repro.core.accelerator import TransactionAccelerator
-from repro.faults.guard import SpeculationGuard
-from repro.faults.injector import FaultInjector, FaultPlan
-from repro.obs.registry import MetricsRegistry
-from repro.sched.conflicts import AccessSet
-from repro.sched.executor import ParallelBlockExecutor, TxOutcome
+from repro.core.accelerator import (
+    OUTCOME_SATISFIED,
+    OUTCOME_VIOLATED,
+    TransactionAccelerator,
+)
+from repro.p2p.latency import LatencyModel
+from repro.sched.executor import ParallelBlockExecutor
+from repro.sched.whatif import (
+    AccessSet,
+    LaneSchedule,
+    RecordingView,
+    access_sets,
+    execution_cost,
+)
+from repro.sim.emulator import replay
+from repro.sim.recorder import DatasetConfig, record_dataset
 from repro.state.diskio import WARM_COST
-from repro.state.statedb import AccessLog, StateDB
+from repro.state.statedb import StateDB
 from repro.state.world import WorldState
+from repro.workloads.mixed import TrafficConfig
 
 COINBASE = 0xBEEF
 
@@ -149,27 +164,10 @@ def greedy_schedule(graph: ConflictGraph) -> GreedySchedule:
                           generation_of=tuple(generation_of))
 
 
-class _Tx:
-    def __init__(self, index: int) -> None:
-        self.hash = 0x1000 + index
-
-
-def outcomes_of(accesses, costs=None):
+def derive(accesses, costs=None, lanes=4):
     costs = costs or [100] * len(accesses)
-    return [TxOutcome(tx=_Tx(i), receipt=None, index=i,
-                      canonical_cost=cost, access=access)
-            for i, (access, cost) in enumerate(zip(accesses, costs))]
-
-
-def derive(accesses, costs=None, lanes=4, plan=None):
-    registry = MetricsRegistry()
-    injector = FaultInjector(plan, registry=registry) if plan else None
-    executor = ParallelBlockExecutor(
-        lanes=lanes, registry=registry, injector=injector,
-        guard=SpeculationGuard(registry=registry))
-    outcomes = outcomes_of(accesses, costs)
-    return executor.derive(7, outcomes,
-                           [""] * len(outcomes)), outcomes, executor
+    schedule = LaneSchedule(lanes).derive(7, costs, accesses)
+    return schedule, schedule.slots
 
 
 def account_keys(address):
@@ -183,10 +181,10 @@ def account_keys(address):
 def test_independent_transactions_all_commit_clean():
     sets = [AccessSet(reads={("bal", i)}, writes={("bal", i)})
             for i in range(4)]
-    schedule, outcomes, _ = derive(sets, costs=[100, 200, 300, 400])
+    schedule, slots = derive(sets, costs=[100, 200, 300, 400])
     assert schedule.clean == 4 and schedule.aborted == 0
     assert schedule.conflict_pairs == 0 and schedule.greedy_depth == 1
-    assert [o.lane_id for o in outcomes] == [0, 1, 2, 3]
+    assert [o.lane for o in slots] == [0, 1, 2, 3]
     assert schedule.optimistic_makespan == 400
     assert schedule.commit_cost == 4 * WARM_COST
     assert schedule.critical_path == 400 + 4 * WARM_COST
@@ -197,8 +195,8 @@ def test_read_after_write_aborts_the_reader():
     sets = [AccessSet(writes={("slot", 9, 0)}),
             AccessSet(reads={("slot", 9, 0)}),
             AccessSet(reads={("bal", 7)})]
-    schedule, outcomes, _ = derive(sets)
-    assert [o.abort_reason for o in outcomes] == ["", "conflict", ""]
+    schedule, slots = derive(sets)
+    assert [o.abort_reason for o in slots] == ["", "conflict", ""]
     assert schedule.aborted_conflict == 1 and schedule.clean == 2
     assert schedule.conflict_pairs == 1
     assert schedule.reexec_cost == 100
@@ -208,18 +206,17 @@ def test_read_after_write_aborts_the_reader():
 def test_write_write_conflicts_without_any_read():
     sets = [AccessSet(writes={("slot", 9, 0)}),
             AccessSet(writes={("slot", 9, 0)})]
-    schedule, outcomes, _ = derive(sets)
-    assert [o.abort_reason for o in outcomes] == ["", "conflict"]
+    _, slots = derive(sets)
+    assert [o.abort_reason for o in slots] == ["", "conflict"]
 
 
 def test_created_account_conflicts_on_each_of_its_keys():
     created = AccessSet(writes=account_keys(0xAA))
     for kind in ("exist", "bal", "nonce", "code"):
-        schedule, outcomes, _ = derive(
-            [created, AccessSet(reads={(kind, 0xAA)})])
-        assert outcomes[1].abort_reason == "conflict", kind
-    _, outcomes, _ = derive([created, AccessSet(reads={("code", 0xAB)})])
-    assert not outcomes[1].aborted
+        _, slots = derive([created, AccessSet(reads={(kind, 0xAA)})])
+        assert slots[1].abort_reason == "conflict", kind
+    _, slots = derive([created, AccessSet(reads={("code", 0xAB)})])
+    assert not slots[1].abort_reason
 
 
 def test_entangled_yields_and_conflicts_with_every_predecessor():
@@ -227,8 +224,8 @@ def test_entangled_yields_and_conflicts_with_every_predecessor():
             AccessSet(reads={("bal", 2)}),
             AccessSet(reads={("bal", COINBASE)}, entangled=True),
             AccessSet(reads={("bal", 3)})]
-    schedule, outcomes, _ = derive(sets)
-    assert [o.abort_reason for o in outcomes] == ["", "", "entangled", ""]
+    schedule, slots = derive(sets)
+    assert [o.abort_reason for o in slots] == ["", "", "entangled", ""]
     assert schedule.aborted_entangled == 1
     # (0,2) (1,2) and (2,3): the successor is chained behind it too.
     assert schedule.conflict_pairs == 3
@@ -239,7 +236,7 @@ def test_coinbase_credit_is_not_a_key():
     """Two fee payers share no key: the credit is in neither set."""
     sets = [AccessSet(reads={("bal", 1)}, writes={("bal", 1)}),
             AccessSet(reads={("bal", 2)}, writes={("bal", 2)})]
-    schedule, _, _ = derive(sets)
+    schedule, _ = derive(sets)
     assert schedule.clean == 2 and schedule.conflict_pairs == 0
 
 
@@ -252,19 +249,18 @@ def test_aborted_transaction_contributes_only_the_writes_it_kept():
     tx0 = AccessSet(writes={("slot", 9, 0)})
     tx1 = AccessSet(reads={("slot", 9, 0)}, writes={k}, kept=set())
     tx2 = AccessSet(reads={k})
-    _, outcomes, _ = derive([tx0, tx1, tx2])
-    assert [o.abort_reason for o in outcomes] == ["", "conflict", ""]
+    _, slots = derive([tx0, tx1, tx2])
+    assert [o.abort_reason for o in slots] == ["", "conflict", ""]
     clean_tx1 = AccessSet(writes={k}, kept=set())
-    _, outcomes, _ = derive([tx0, clean_tx1, tx2])
-    assert [o.abort_reason for o in outcomes] == ["", "", "conflict"]
+    _, slots = derive([tx0, clean_tx1, tx2])
+    assert [o.abort_reason for o in slots] == ["", "", "conflict"]
 
 
 def test_lane_dispatch_and_utilization():
     sets = [AccessSet(reads={("bal", i)}) for i in range(5)]
-    schedule, outcomes, _ = derive(sets, costs=[50, 10, 10, 10, 10],
-                                   lanes=2)
-    assert [o.lane_id for o in outcomes] == [0, 1, 1, 1, 1]
-    assert [(o.start, o.finish) for o in outcomes] == [
+    schedule, slots = derive(sets, costs=[50, 10, 10, 10, 10], lanes=2)
+    assert [o.lane for o in slots] == [0, 1, 1, 1, 1]
+    assert [(o.start, o.finish) for o in slots] == [
         (0, 50), (0, 10), (10, 20), (20, 30), (30, 40)]
     assert schedule.optimistic_makespan == 50
     assert schedule.lane_utilization_permille == [1000, 800]
@@ -272,29 +268,29 @@ def test_lane_dispatch_and_utilization():
 
 key_sets = st.sets(st.tuples(st.sampled_from(("bal", "slot")),
                              st.integers(0, 5)), max_size=4)
-access_sets = st.lists(
+generated_sets = st.lists(
     st.builds(AccessSet, reads=key_sets, writes=key_sets,
               entangled=st.integers(0, 9).map(lambda n: n == 0)),
     max_size=12)
 
 
 @settings(max_examples=150, deadline=None)
-@given(access_sets)
+@given(generated_sets)
 def test_sweep_matches_reference_graph_and_decisions(sets):
     """The fused sweep against the definitions it fuses: the
     Saraph–Herlihy conflict graph, its greedy layering, and the
     clean/abort rule stated on whole access sets."""
-    schedule, outcomes, _ = derive(sets)
+    schedule, slots = derive(sets)
     graph = build_conflict_graph(sets)
     assert schedule.conflict_pairs == len(graph.edges)
     assert schedule.possible_pairs == graph.possible_pairs
     assert schedule.greedy_depth == greedy_schedule(graph).depth
     committed = set()
-    for access, outcome in zip(sets, outcomes):
+    for access, slot in zip(sets, slots):
         expected = ("entangled" if access.entangled else
                     "conflict" if conflicts_with_writes(access, committed)
                     else "")
-        assert outcome.abort_reason == expected
+        assert slot.abort_reason == expected
         committed |= access.writes
     assert schedule.clean + schedule.aborted == len(sets)
     assert schedule.critical_path == (
@@ -303,63 +299,13 @@ def test_sweep_matches_reference_graph_and_decisions(sets):
 
 
 # ---------------------------------------------------------------------------
-# fault sites: same names, same points, what-if only
-
-
-def test_fork_fault_yields_each_transaction():
-    sets = [AccessSet(writes={("bal", i)}) for i in range(3)]
-    plan = FaultPlan.uniform(seed=1, probability=1.0,
-                             sites=("sched.fork",))
-    registry = MetricsRegistry()
-    executor = ParallelBlockExecutor(
-        lanes=4, registry=registry,
-        injector=FaultInjector(plan, registry=registry),
-        guard=SpeculationGuard(registry=registry))
-    outcomes = outcomes_of(sets)
-    forced = [executor._fault("sched.fork", tx=o.tx.hash)
-              for o in outcomes]
-    schedule = executor.derive(1, outcomes, forced)
-    assert forced == ["faulted"] * 3
-    assert schedule.aborted_fault == 3 and schedule.clean == 0
-    # No optimistic attempt was made: nothing ran on the lanes.
-    assert schedule.optimistic_makespan == 0
-    assert schedule.reexec_cost == 300
-    assert executor.injector.fired("sched.fork") == 3
-    assert executor.guard.summary()["by_stage"]["sched.fork"] == 3
-
-
-def test_conflict_scan_fault_yields_the_whole_block():
-    sets = [AccessSet(writes={("bal", 1)}), AccessSet(reads={("bal", 1)})]
-    plan = FaultPlan.uniform(seed=1, probability=1.0,
-                             sites=("sched.conflict_scan",))
-    schedule, outcomes, executor = derive(sets, plan=plan)
-    assert [o.abort_reason for o in outcomes] == ["faulted", "faulted"]
-    assert schedule.conflict_pairs == 0 and schedule.greedy_depth == 1
-    assert executor.injector.fired("sched.conflict_scan") == 1
-
-
-def test_commit_fault_is_evaluated_per_clean_transaction_only():
-    sets = [AccessSet(writes={("bal", 1)}),
-            AccessSet(reads={("bal", 1)}),   # conflict: never commits
-            AccessSet(writes={("bal", 2)})]
-    plan = FaultPlan.uniform(seed=1, probability=1.0,
-                             sites=("sched.commit",))
-    schedule, outcomes, executor = derive(sets, plan=plan)
-    assert [o.abort_reason for o in outcomes] == [
-        "faulted", "conflict", "faulted"]
-    assert executor.injector.fire_summary()["sched.commit"] == {
-        "evaluated": 2, "fired": 2}
-
-
-# ---------------------------------------------------------------------------
-# the access recorder
+# the recording view
 
 
 def recorded(world, actions):
-    state = StateDB(world)
-    log = state.access = AccessLog(COINBASE)
-    actions(state)
-    return state, log
+    view = RecordingView(world, COINBASE)
+    actions(view)
+    return view, view.take(0)
 
 
 def funded_world():
@@ -379,34 +325,35 @@ def test_recorder_keys_per_accessor():
         state.set_code(3, b"\x00")
         state.sub_balance(1, 10)
         state.create_account(5)
-    _, log = recorded(funded_world(), actions)
-    assert log.reads == {("slot", 9, 4), ("nonce", 1), ("nonce", 2),
-                         ("code", 3), ("bal", 1)}
-    assert log.writes == {("slot", 9, 5), ("nonce", 2), ("code", 3),
-                          ("bal", 1)} | account_keys(5)
-    assert not log.reverted
+    _, access = recorded(funded_world(), actions)
+    assert access.reads == {("slot", 9, 4), ("nonce", 1), ("nonce", 2),
+                            ("code", 3), ("bal", 1)}
+    assert access.writes == {("slot", 9, 5), ("nonce", 2), ("code", 3),
+                             ("bal", 1)} | account_keys(5)
+    assert access.kept is None and not access.entangled
 
 
 def test_recorder_excludes_coinbase_credit_but_pays_its_lookups():
     def credit(state):
         state.add_balance(COINBASE, 7)
-    state, log = recorded(funded_world(), credit)
-    assert not log.reads and not log.writes
-    assert state.access is log  # restored after the credit
-    assert state.get_balance(COINBASE) == 1007
-    # Same disk charges and journal entry as on an unrecorded view.
+    view, access = recorded(funded_world(), credit)
+    assert not access.reads and not access.writes
+    assert not access.entangled
+    assert view.get_balance(COINBASE) == 1007
+    # Same disk charges and journal entry as on a plain view.
     plain = StateDB(funded_world())
     plain.add_balance(COINBASE, 7)
-    assert state.disk.stats.cold_account_loads == \
+    assert view.disk.stats.cold_account_loads == \
         plain.disk.stats.cold_account_loads == 1
-    assert state.snapshot() == plain.snapshot() == 1
+    assert view.snapshot() == plain.snapshot() == 1
 
 
 def test_recorder_explicit_coinbase_touch_is_recorded():
-    _, log = recorded(funded_world(),
-                      lambda state: state.sub_balance(COINBASE, 1))
-    assert ("bal", COINBASE) in log.reads
-    assert ("bal", COINBASE) in log.writes
+    _, access = recorded(funded_world(),
+                         lambda state: state.sub_balance(COINBASE, 1))
+    assert ("bal", COINBASE) in access.reads
+    assert ("bal", COINBASE) in access.writes
+    assert access.entangled
 
 
 def test_recorder_tells_reverted_writes_apart():
@@ -417,10 +364,11 @@ def test_recorder_tells_reverted_writes_apart():
         state.add_balance(COINBASE, 3)
         state.revert_to(snap)
         state.revert_to(state.snapshot())  # no-op revert
-    state, log = recorded(funded_world(), actions)
-    assert log.reverted
-    assert log.writes == {("slot", 9, 1), ("slot", 9, 2)}
-    assert state.written_keys(0, state.snapshot()) == {("slot", 9, 1)}
+    view, access = recorded(funded_world(), actions)
+    assert access.writes == {("slot", 9, 1), ("slot", 9, 2)}
+    assert access.kept == {("slot", 9, 1)}
+    # The take opened a fresh record.
+    assert view.take(view.snapshot()) == AccessSet(set(), set())
 
 
 # ---------------------------------------------------------------------------
@@ -479,25 +427,36 @@ def net_delta(state, span):
     return delta
 
 
+def run_block(world, block):
+    """``block`` through the node's serial loop on a recording view:
+    ``(view, outcomes, access sets)``."""
+    accelerator = TransactionAccelerator()
+    view = RecordingView(world, COINBASE)
+    accesses = []
+
+    def plain(tx, state):
+        start = state.snapshot()
+        receipt = accelerator.execute_plain(tx, HEADER, state)
+        accesses.append(state.take(start))
+        return receipt
+
+    outcomes = ParallelBlockExecutor().execute_block(
+        view, block.transactions, plain)
+    return view, outcomes, accesses
+
+
 @settings(max_examples=60, deadline=None)
 @given(tx_specs, st.sampled_from((2, 4)))
 def test_derived_schedule_is_sound(specs, lanes):
     world, block = build_block(specs)
     accelerator = TransactionAccelerator()
-    executor = ParallelBlockExecutor(lanes=lanes,
-                                     registry=MetricsRegistry())
-    master = StateDB(world)
-    outcomes = executor.execute_block(
-        block, master, block.transactions,
-        lambda tx, state: accelerator.execute_plain(tx, HEADER, state))
-    assert executor.c_executions.value == len(block.transactions)
-    assert master.access is None
+    master, outcomes, accesses = run_block(world, block)
+    costs = [outcome.receipt.tally.total for outcome in outcomes]
+    schedule = LaneSchedule(lanes).derive(1, costs, accesses)
     coinbase_key = ("bal", COINBASE)
     earlier_writes = set()
-    for outcome in outcomes:
-        access = outcome.access
-        left_written = master.written_keys(*outcome.journal_span)
-        if not outcome.aborted:
+    for outcome, access, slot in zip(outcomes, accesses, schedule.slots):
+        if not slot.abort_reason:
             # Alone on the block's pre-state (``master`` is still
             # uncommitted) it does exactly what it did in the pass.
             solo = StateDB(world)
@@ -507,28 +466,27 @@ def test_derived_schedule_is_sound(specs, lanes):
                 net_delta(master, outcome.journal_span)
             earlier_writes |= access.writes
         else:
-            if outcome.abort_reason == "conflict":
+            if slot.abort_reason == "conflict":
                 assert (access.reads | access.writes) & earlier_writes
             else:
-                assert outcome.abort_reason == "entangled"
+                assert slot.abort_reason == "entangled"
                 assert coinbase_key in access.reads | access.writes
+            left_written = (access.kept if access.kept is not None
+                            else access.writes)
             earlier_writes |= left_written - {coinbase_key}
-    schedule = executor.schedules[-1]
     assert schedule.lanes == lanes
-    assert schedule.serial_cost == sum(
-        o.receipt.tally.total for o in outcomes)
+    assert schedule.txs == len(block.transactions)
+    assert schedule.serial_cost == sum(costs)
 
 
 def test_single_transaction_block_reports_configured_lanes():
     world, block = build_block([(0xA1, "eth", 0xD1, 5, False)])
-    accelerator = TransactionAccelerator()
-    executor = ParallelBlockExecutor(lanes=4, registry=MetricsRegistry())
-    executor.execute_block(
-        block, StateDB(world), block.transactions,
-        lambda tx, state: accelerator.execute_plain(tx, HEADER, state))
-    schedule = executor.schedules[-1]
+    _, outcomes, accesses = run_block(world, block)
+    what_if = LaneSchedule(4)
+    schedule = what_if.add_block(
+        1, [outcomes[0].receipt.tally.total], accesses)
     assert schedule.lanes == 4 and schedule.clean == 1
-    assert executor.report()["blocks_parallel"] == 1
+    assert what_if.report()["blocks_parallel"] == 1
 
 
 def test_execute_block_is_reentrant():
@@ -539,7 +497,7 @@ def test_execute_block_is_reentrant():
     inner_world, inner_block = build_block(
         [(0xA3, "mint", 0xD1, 9, False)])
     accelerator = TransactionAccelerator()
-    executor = ParallelBlockExecutor(lanes=2, registry=MetricsRegistry())
+    executor = ParallelBlockExecutor()
     assert not hasattr(executor, "execute_fn")
     inner_runs = []
 
@@ -549,14 +507,94 @@ def test_execute_block_is_reentrant():
     def nesting(tx, state):
         if not inner_runs:
             inner_runs.append(executor.execute_block(
-                inner_block, StateDB(inner_world),
-                inner_block.transactions, plain))
+                StateDB(inner_world), inner_block.transactions, plain))
         return plain(tx, state)
 
-    outcomes = executor.execute_block(block, StateDB(world),
-                                      block.transactions, nesting)
+    outcomes = executor.execute_block(StateDB(world), block.transactions,
+                                      nesting)
     assert [o.receipt.result.success for o in outcomes] == [True, True]
+    first, second = [o.journal_span for o in outcomes]
+    assert first[0] == 0 < first[1] == second[0] < second[1]
     assert inner_runs[0][0].receipt.result.success
-    assert [s.txs for s in executor.schedules] == [1, 2]
-    assert executor.report()["executions"] == \
-        executor.report()["transactions"] == 3
+
+
+# ---------------------------------------------------------------------------
+# the equivalence the offline what-if rests on
+
+
+def node_run(dataset):
+    """Replay ``dataset`` through the node, recording on the side what
+    each transaction it hands an AP to accesses: a recording view over
+    the same pre-state runs :meth:`TransactionAccelerator.execute`
+    first.  Returns ``(run, {tx hash: (AccessSet, outcome)},
+    {tx hash: receipt})``."""
+    execute = TransactionAccelerator.execute
+    execute_block = ParallelBlockExecutor.execute_block
+    ap_runs, receipts, mismatches = {}, {}, []
+
+    def recording(self, tx, header, state, ap):
+        probe = RecordingView(state.world, header.coinbase)
+        # Layered on the node's uncommitted view, as a fork is (without
+        # freezing it): the pre-state the node executes on.
+        probe._parent = state
+        seen = execute(self, tx, header, probe, ap)
+        ap_runs[tx.hash] = (probe.take(0), seen.outcome)
+        receipt = execute(self, tx, header, state, ap)
+        if receipt.outcome != seen.outcome:
+            mismatches.append(tx.hash)
+        return receipt
+
+    def capturing(self, *args):
+        outcomes = execute_block(self, *args)
+        receipts.update((o.tx.hash, o.receipt) for o in outcomes)
+        return outcomes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TransactionAccelerator, "execute", recording)
+        patch.setattr(ParallelBlockExecutor, "execute_block", capturing)
+        run = replay(dataset, "live")
+    # The probe saw the pre-state the node executed on.
+    assert not mismatches
+    assert run.roots_matched == run.blocks_executed
+    return run, ap_runs, receipts
+
+
+def left_written(access):
+    return access.kept if access.kept is not None else access.writes
+
+
+def test_plain_replay_records_what_the_node_ran():
+    """Every AP-run transaction of a seeded L1 replay (satisfied and
+    violated) accesses, on its pre-state, what its plain execution in
+    the offline replay does: the same writes, the same writes left in
+    place, the same entanglement, and the same reads apart from
+    ``("code", address)`` (the AP closure never loads code).  And each
+    transaction is costed as the node executed it."""
+    dataset = record_dataset(DatasetConfig(
+        name="L1", traffic=TrafficConfig(duration=60.0, seed=2021),
+        observers={"live": LatencyModel()}, seed=2021))
+    run, ap_runs, receipts = node_run(dataset)
+    outcomes = [outcome for _, outcome in ap_runs.values()]
+    assert OUTCOME_SATISFIED in outcomes and OUTCOME_VIOLATED in outcomes
+    for report in run.forerunner_node.reports:
+        for record in report.records:
+            assert execution_cost(record) == \
+                receipts[record.tx_hash].tally.total
+    compared = 0
+    for block, plain_sets in access_sets(dataset):
+        # A violated run reverts its envelope, so what it left written
+        # is read off the journal, fee credit included; no unentangled
+        # set holds that key, so the sweep never meets it.
+        fee_credit = {("bal", block.header.coinbase)}
+        for tx, plain in zip(block.transactions, plain_sets):
+            if tx.hash not in ap_runs:
+                continue
+            ap_run, _ = ap_runs[tx.hash]
+            assert ap_run.writes == plain.writes
+            assert left_written(ap_run) - fee_credit == \
+                left_written(plain) - fee_credit
+            assert ap_run.entangled == plain.entangled
+            assert {key for key in ap_run.reads if key[0] != "code"} == \
+                {key for key in plain.reads if key[0] != "code"}
+            compared += 1
+    assert compared == len(ap_runs)
